@@ -1,22 +1,26 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels.
 
-The backend is fixed once at import time from the ``PROXBOUND_BACKEND``
-environment variable:
+The penalty kernels and the min-norm box QP come in two versions, numba-
+jitted and pure numpy. The backend is fixed once at import time from the
+``PROXBOUND_BACKEND`` environment variable:
 
 * ``auto``  (default) - numba when importable, numpy otherwise
 * ``numba`` - require numba, fail loudly if missing
 * ``numpy`` - force the vectorized numpy path
 
-Both implementations live in this module so the benchmark can time them
-against each other regardless of which one is active. Penalties are encoded
-as an integer kind plus two per-coordinate parameter arrays; see the table
-in :mod:`proxbound.penalties`.
+The dual ascent of the prox-linear subproblem is numpy only: one kernel over
+a stack of subproblems, used with a single row by the solver and with blocks
+of rows by the diagnostics. Row-wise penalty values are numpy only as well.
+Penalties are encoded as an integer kind plus two per-coordinate parameter
+arrays; see the table in :mod:`proxbound.penalties`.
 """
 
 import math
 import os
 
 import numpy as np
+
+from .errors import InnerSolveError
 
 KIND_ZERO = 0
 KIND_ABS = 1
@@ -56,27 +60,34 @@ def active_backend():
 # numpy implementations (vectorized over coordinates)
 # ---------------------------------------------------------------------------
 
-def penalty_value_np(kind, p1, p2, x):
+def penalty_value_rows(kind, p1, p2, X):
+    """Penalty value of each point along the last axis of X.
+
+    A (B, n) batch gives a (B,) array, a single point a 0-d one; every row is
+    summed exactly as a lone point would be, so the two agree bit for bit.
+    """
     if kind == KIND_ZERO:
-        return 0.0
+        return np.zeros(X.shape[:-1])
     if kind == KIND_ABS:
-        return float(np.sum(p1 * np.abs(x)))
+        return np.sum(p1 * np.abs(X), axis=-1)
     if kind == KIND_ENET:
-        return float(np.sum(p1 * np.abs(x) + 0.5 * p2 * x * x))
+        return np.sum(p1 * np.abs(X) + 0.5 * p2 * X * X, axis=-1)
     if kind == KIND_BOX:
-        if np.any(x < p1) or np.any(x > p2):
-            return _INF
-        return 0.0
+        return np.where(np.any((X < p1) | (X > p2), axis=-1), _INF, 0.0)
     if kind == KIND_EPS:
-        return float(np.sum(p1 * np.maximum(np.abs(x) - p2, 0.0)))
+        return np.sum(p1 * np.maximum(np.abs(X) - p2, 0.0), axis=-1)
     if kind == KIND_CHECK:
-        return float(np.sum(p1 * np.maximum(p2 * x, (p2 - 1.0) * x)))
+        return np.sum(p1 * np.maximum(p2 * X, (p2 - 1.0) * X), axis=-1)
     if kind == KIND_HUBER:
-        ax = np.abs(x)
+        ax = np.abs(X)
         quad = ax <= p1 * p2
-        vals = np.where(quad, x * x / (2.0 * p2), p1 * ax - 0.5 * p1 * p1 * p2)
-        return float(np.sum(vals))
+        vals = np.where(quad, X * X / (2.0 * p2), p1 * ax - 0.5 * p1 * p1 * p2)
+        return np.sum(vals, axis=-1)
     raise ValueError(f"unknown penalty kind code {kind}")
+
+
+def penalty_value_np(kind, p1, p2, x):
+    return float(penalty_value_rows(kind, p1, p2, x))
 
 
 def penalty_prox_np(kind, p1, p2, x, t):
@@ -152,37 +163,79 @@ def penalty_subgrad_np(kind, p1, p2, x):
     raise ValueError(f"unknown penalty kind code {kind}")
 
 
-def dual_ascent_np(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
-                   J, cbar, x, t, step, tol, fx, fslack, maxit):
-    """Forward-backward ascent on the dual of the linearized subproblem.
+def row_dots(A):
+    """A[i] @ A[i] for every row, by the BLAS dot a lone vector would use."""
+    return np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0]
 
-    Maximizes  <w, cbar> - h*(w) + min_y { g(y) + <J^T w, y-x> + |y-x|^2/2t }
-    over the box [hlo, hhi], with the extra dual terms hl1*|w|_1 (vapnik) and
-    hquad*|w|^2/2 (huber envelope). Primal recovery y = prox_{tg}(x - t J^T w).
-    Returns (y, w, residual, iterations, converged).
+
+def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
+                J, cbar, X, t, steps, tol, fx, fslack, maxit):
+    """Forward-backward ascent on the duals of B linearized subproblems.
+
+    Row b maximizes  <w, cbar_b> - h*(w)
+    + min_y { g(y) + <J_b^T w, y - x_b> + |y - x_b|^2/2t }  over the box
+    [hlo, hhi], with the extra dual terms hl1*|w|_1 (vapnik) and
+    hquad*|w|^2/2 (huber envelope), by projected gradient with step
+    steps[b]. Primal recovery y = prox_{tg}(x_b - t J_b^T w). A row stops
+    once its dual fixed-point residual is <= tol and its model value
+    g(y) + h(z) + |y - x_b|^2/2t is <= fx[b] + fslack[b]; the model value is
+    evaluated only for rows whose residual passed. Finished rows retire, and
+    the stacked arrays are compacted only when some row finishes.
+
+    J is (B, m, n), cbar (B, m), X (B, n); steps, fx and fslack are (B,).
+    Returns (Y, W, residuals, total row iterations, per-row iterations).
+    Raises InnerSolveError naming the worst residual when rows are still
+    running after maxit iterations.
     """
-    m = cbar.shape[0]
-    w = np.zeros(m)
-    y = x.copy()
-    resid = _INF
-    it = 0
+    B = X.shape[0]
+    Y = np.empty_like(X)
+    W = np.zeros(cbar.shape)
+    resid = np.full(B, _INF)
+    iters = np.zeros(B, dtype=np.int64)
+    rows = np.arange(B)
+    step = np.asarray(steps, dtype=np.float64)[:, None]
+    limit = np.asarray(fx, dtype=np.float64) + fslack
+    # zero l1 / quadratic dual terms drop out of the update exactly
+    thr = step * hl1 if np.any(hl1) else None
+    quad = hquad if np.any(hquad) else None
+    w = np.zeros(cbar.shape)
     for it in range(1, maxit + 1):
-        v = x - t * (w @ J)
-        y = penalty_prox_np(gkind, gp1, gp2, v, t)
-        d = y - x
-        z = cbar + J @ d
-        fy = (penalty_value_np(gkind, gp1, gp2, y)
-              + penalty_value_np(hkind, hp1, hp2, z)
-              + (d @ d) / (2.0 * t))
-        grad = z - hquad * w
-        wh = w + step * grad
-        wnew = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
-        wnew = np.minimum(np.maximum(wnew, hlo), hhi)
-        resid = float(np.linalg.norm(wnew - w)) / step
-        if resid <= tol and fy <= fx + fslack:
-            return y, w, resid, it, True
+        Yr = penalty_prox_np(gkind, gp1, gp2,
+                             X - t * np.matmul(w[:, None, :], J)[:, 0, :], t)
+        D = Yr - X
+        Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
+        wh = w + step * (Z if quad is None else Z - quad * w)
+        if thr is not None:
+            wh = np.sign(wh) * np.maximum(np.abs(wh) - thr, 0.0)
+        wnew = np.minimum(np.maximum(wh, hlo), hhi)
+        r = np.sqrt(row_dots(wnew - w)) / step[:, 0]
+        ok = r <= tol
+        if ok.any():
+            passed = np.flatnonzero(ok)
+            fy = (penalty_value_rows(gkind, gp1, gp2, Yr[passed])
+                  + penalty_value_rows(hkind, hp1, hp2, Z[passed])
+                  + row_dots(D[passed]) / (2.0 * t))
+            done = passed[fy <= limit[passed]]
+            if done.size:
+                out = rows[done]
+                Y[out] = Yr[done]
+                W[out] = w[done]
+                resid[out] = r[done]
+                iters[out] = it
+                if done.size == rows.size:
+                    return Y, W, resid, int(np.sum(iters)), iters
+                keep = np.ones(rows.size, dtype=bool)
+                keep[done] = False
+                rows, J, cbar, X = rows[keep], J[keep], cbar[keep], X[keep]
+                step, limit = step[keep], limit[keep]
+                r, wnew = r[keep], wnew[keep]
+                if thr is not None:
+                    thr = thr[keep]
         w = wnew
-    return y, w, resid, it, False
+    worst = float(np.max(r))
+    raise InnerSolveError(
+        f"subproblem dual ascent stalled at residual {worst:.3e}",
+        residual=worst, iterations=maxit)
 
 
 def minnorm_boxqp_np(J, vlo, vhi, wlo, whi, step, tol, maxit):
@@ -366,51 +419,6 @@ if _nb is not None:
         return lo, hi, ok
 
     @_nb.njit(cache=True)
-    def _dual_ascent_nb(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
-                        J, cbar, x, t, step, tol, fx, fslack, maxit):
-        m = cbar.shape[0]
-        n = x.shape[0]
-        JT = np.ascontiguousarray(J.T)
-        w = np.zeros(m)
-        wnew = np.zeros(m)
-        y = x.copy()
-        resid = _INF
-        it = 0
-        for it in range(1, maxit + 1):
-            v = np.empty(n)
-            jtw = np.dot(JT, w)
-            for i in range(n):
-                v[i] = x[i] - t * jtw[i]
-            y = _prox_nb(gkind, gp1, gp2, v, t)
-            d = y - x
-            z = cbar + np.dot(J, d)
-            quad = 0.0
-            for i in range(n):
-                quad += d[i] * d[i]
-            fy = (_value_nb(gkind, gp1, gp2, y)
-                  + _value_nb(hkind, hp1, hp2, z)
-                  + quad / (2.0 * t))
-            move2 = 0.0
-            for j in range(m):
-                wh = w[j] + step * (z[j] - hquad[j] * w[j])
-                thr = step * hl1[j]
-                if wh > thr:
-                    wh -= thr
-                elif wh < -thr:
-                    wh += thr
-                else:
-                    wh = 0.0
-                wh = min(max(wh, hlo[j]), hhi[j])
-                wnew[j] = wh
-                move2 += (wh - w[j]) * (wh - w[j])
-            resid = math.sqrt(move2) / step
-            if resid <= tol and fy <= fx + fslack:
-                return y, w, resid, it, True
-            for j in range(m):
-                w[j] = wnew[j]
-        return y, w, resid, it, False
-
-    @_nb.njit(cache=True)
     def _minnorm_boxqp_nb(J, vlo, vhi, wlo, whi, step, tol, maxit):
         m = J.shape[0]
         n = J.shape[1]
@@ -448,12 +456,6 @@ if _nb is not None:
     def penalty_subgrad_nb(kind, p1, p2, x):
         return _subgrad_nb(kind, p1, p2, x)
 
-    def dual_ascent_nb(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
-                       J, cbar, x, t, step, tol, fx, fslack, maxit):
-        return _dual_ascent_nb(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi,
-                               hl1, hquad, J, cbar, x, t, step, tol, fx,
-                               fslack, maxit)
-
     def minnorm_boxqp_nb(J, vlo, vhi, wlo, whi, step, tol, maxit):
         return _minnorm_boxqp_nb(J, vlo, vhi, wlo, whi, step, tol, maxit)
 
@@ -462,11 +464,9 @@ if _BACKEND == "numba":
     penalty_value = penalty_value_nb
     penalty_prox = penalty_prox_nb
     penalty_subgrad = penalty_subgrad_nb
-    dual_ascent = dual_ascent_nb
     minnorm_boxqp = minnorm_boxqp_nb
 else:
     penalty_value = penalty_value_np
     penalty_prox = penalty_prox_np
     penalty_subgrad = penalty_subgrad_np
-    dual_ascent = dual_ascent_np
     minnorm_boxqp = minnorm_boxqp_np

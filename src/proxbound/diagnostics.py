@@ -16,8 +16,8 @@ from . import _kernels as K
 from .errors import (DomainError, InsufficientData, UnsupportedOperation)
 from .proxgrad import (AdditiveProblem, ProxGradConfig, _prox_point_batch,
                        run_prox_gradient)
-from .proxlinear import CompositeProblem, ProxLinearConfig, prox_linear_map, \
-    run_prox_linear
+from .proxlinear import (CompositeProblem, ProxLinearConfig,
+                         _solve_subproblem_batch, run_prox_linear)
 from .smooth import operator_norm_sq
 from .vectors import as_vector
 
@@ -26,6 +26,9 @@ DIST_SKIP = 1e-8
 MIN_ACCEPTED = 10
 BOXQP_CAP = 10 ** 5
 BOXQP_TOL = 1e-10
+# rows per stacked composite evaluation: bounds the (rows, m, n) Jacobian
+# stacks that phi and the subproblem solves build
+ROW_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +164,27 @@ def sample_box(ref, dim, n_samples, seed, radius_scale=5.0):
 def _phi_batch(problem, X):
     if isinstance(problem, AdditiveProblem):
         return problem.phi_batch(X)
-    return np.array([problem.phi(x) for x in X])
+    phis = np.empty(X.shape[0])
+    for s in range(0, X.shape[0], ROW_BLOCK):
+        phis[s:s + ROW_BLOCK] = problem.phi_batch(X[s:s + ROW_BLOCK])
+    return phis
 
 
 def _gnorm_batch(problem, X, t, inner_tol):
+    """|G_t| at every row of X, plus the dual-ascent iterations it took
+    (summed over rows; 0 for additive problems, whose G_t is closed form)."""
     if isinstance(problem, AdditiveProblem):
         V = X - t * problem.f.grad_batch(X)
         P = problem.g.prox_batch(V, t)
-        return np.linalg.norm(X - P, axis=1) / t
-    return np.array([np.linalg.norm(prox_linear_map(problem, x, t, inner_tol))
-                     for x in X])
+        return np.linalg.norm(X - P, axis=1) / t, 0
+    gnorms = np.empty(X.shape[0])
+    iters = 0
+    for s in range(0, X.shape[0], ROW_BLOCK):
+        B = X[s:s + ROW_BLOCK]
+        Y, it = _solve_subproblem_batch(problem, B, t, inner_tol)
+        gnorms[s:s + ROW_BLOCK] = np.sqrt(K.row_dots((B - Y) / t))
+        iters += it
+    return gnorms, iters
 
 
 def _gaps(problem, X, phi_star, tilt):
@@ -230,16 +244,24 @@ def estimate_alpha(problem, ref, nu, n_samples=10000, seed=0, tilt=None,
 
 
 def estimate_gamma(problem, ref, nu, t, n_samples=10000, seed=0,
-                   inner_tol=1e-10, extra_points=None):
+                   inner_tol=1e-10, extra_points=None, counts=None):
     """Empirical error-bound constant: max of dist(x,S)/|G_t(x)| on the
-    nu-sublevel set, skipping samples with |G_t(x)| <= 1e-10."""
+    nu-sublevel set, skipping samples with |G_t(x)| <= 1e-10.
+
+    A dict passed as counts receives gamma_samples (the accepted samples
+    whose |G_t| was evaluated) and gamma_dual_iters (the dual-ascent
+    iterations summed over them).
+    """
     X = sample_box(ref, problem.dim, n_samples, seed)
     if extra_points is not None and len(extra_points):
         X = np.vstack([X, extra_points])
     Xa, _ = _accepted(problem, ref, nu, X, None)
     if Xa.shape[0] == 0:
         raise InsufficientData("no samples accepted for gamma")
-    gnorms = _gnorm_batch(problem, Xa, t, inner_tol)
+    gnorms, iters = _gnorm_batch(problem, Xa, t, inner_tol)
+    if counts is not None:
+        counts["gamma_samples"] = int(Xa.shape[0])
+        counts["gamma_dual_iters"] = int(iters)
     dists = ref.dist_batch(Xa)
     mask = gnorms > GNORM_SKIP
     if int(np.sum(mask)) < MIN_ACCEPTED:
@@ -267,7 +289,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol,
     def scores(X, want_gamma):
         dists = ref.dist_batch(X)
         if want_gamma:
-            gn = _gnorm_batch(problem, X, t, inner_tol)
+            gn, _ = _gnorm_batch(problem, X, t, inner_tol)
             good = (gn > GNORM_SKIP) & (dists > DIST_SKIP)
             return np.where(good, dists / np.maximum(gn, GNORM_SKIP), -np.inf)
         gaps = _gaps(problem, X, ref.phi_star, None)
@@ -467,10 +489,12 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
         extra = _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol)
     alpha = estimate_alpha(problem, ref, nu, n_samples=n_samples, seed=seed,
                            extra_points=extra)
+    gamma_counts = {}
     gamma = estimate_gamma(
         problem, ref, nu, t,
         n_samples=n_samples if is_additive else composite_samples,
-        seed=seed, inner_tol=inner_tol, extra_points=extra)
+        seed=seed, inner_tol=inner_tol, extra_points=extra,
+        counts=gamma_counts)
     if with_prox_bound is None:
         with_prox_bound = is_additive and problem.f_convex
     L_hat = None
@@ -492,6 +516,7 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
         report.extras["L_hat_prox"] = L_hat
     report.extras["t"] = float(t)
     report.extras["beta"] = float(beta)
+    report.extras.update(gamma_counts)
     report.checks = verify_constant_relations(alpha, gamma, L, L_hat, t, beta,
                                               tol=tol)
     return report
@@ -528,7 +553,7 @@ def verify_sandwich(problem, t, points, inner_tol=1e-10):
     if not (isinstance(problem, AdditiveProblem) and problem.f_convex):
         raise UnsupportedOperation("step-length comparison needs convex f + g")
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    gnorms = _gnorm_batch(problem, X, t, inner_tol)
+    gnorms, _ = _gnorm_batch(problem, X, t, inner_tol)
     P = _prox_point_batch(problem, X, t, inner_tol)
     pp = np.linalg.norm(X - P, axis=1) / t
     bt = problem.f.beta * t

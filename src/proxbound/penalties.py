@@ -133,15 +133,7 @@ class SeparablePenalty:
     def value_batch(self, X):
         X = np.ascontiguousarray(X, dtype=np.float64)
         kind, p1, p2 = self._packed(X.shape[1])
-        if kind == K.KIND_BOX:
-            out = np.zeros(X.shape[0])
-            bad = np.any((X < p1) | (X > p2), axis=1)
-            out[bad] = np.inf
-            return out
-        vals = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            vals[i] = K.penalty_value(kind, p1, p2, X[i])
-        return vals
+        return K.penalty_value_rows(kind, p1, p2, X)
 
     def prox_batch(self, X, t):
         X = np.ascontiguousarray(X, dtype=np.float64)

@@ -59,6 +59,11 @@ class CompositeProblem:
         x = as_vector(x, self.dim)
         return self.g.value(x) + self.h.value(self.c.value(x))
 
+    def phi_batch(self, X):
+        """phi at every row of X; it stacks one m x n Jacobian per row."""
+        return (self.g.value_batch(X)
+                + self.h.value_batch(self.c.eval_jac_batch(X)[0]))
+
 
 def linearized_value(problem, x, y):
     """Value of the model g(y) + h(c(x) + J(x)(y - x)); exact at y = x."""
@@ -71,19 +76,24 @@ def linearized_value(problem, x, y):
     return gy + problem.h.value(cx + J @ (y - x))
 
 
-def _subproblem_pieces(problem, x, t):
-    x = as_vector(x, problem.dim)
-    cx, J = problem.c.eval_jac(x)
-    n = problem.dim
+def _solve_subproblem_batch(problem, X, t, inner_tol):
+    """Subproblem minimizers at every row of X for one step t, from one
+    stacked dual ascent. Returns (Y, total dual iterations over the rows)."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    C, J = problem.c.eval_jac_batch(X)
     m = problem.c.dim_out
-    gkind, gp1, gp2 = problem.g._packed(n)
-    hkind, hp1, hp2 = problem.h._packed(m)
-    hlo, hhi, hl1, hquad = problem.h.dual_box(m)
-    jn2 = operator_norm_sq(J)
+    hdual = problem.h.dual_box(m)
     # dual smooth part has curvature t|J|^2 plus the huber quadratic term
-    step = 1.0 / (t * jn2 + max(1.0, float(np.max(hquad)) if m else 1.0))
-    return (x, cx, J, (gkind, gp1, gp2), (hkind, hp1, hp2),
-            (hlo, hhi, hl1, hquad), step)
+    curv = max(1.0, float(np.max(hdual[3])) if m else 1.0)
+    steps = np.array([1.0 / (t * operator_norm_sq(Jb) + curv) for Jb in J])
+    fx = problem.g.value_batch(X) + problem.h.value_batch(C)
+    fslack = 1e-12 * (1.0 + np.abs(fx))
+    Y, _, _, iters, _ = K.dual_ascent(
+        *problem.g._packed(problem.dim), *problem.h._packed(m), *hdual,
+        J, C, X, float(t), steps, float(inner_tol), fx, fslack, INNER_CAP)
+    return Y, iters
 
 
 def solve_subproblem(problem, x, t, inner_tol=1e-10):
@@ -96,22 +106,9 @@ def solve_subproblem(problem, x, t, inner_tol=1e-10):
     fixed-point residual drops to inner_tol and the model value at y does
     not exceed phi(x) (y = x is feasible with exactly that value).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    (x, cx, J, gpack, hpack, hdual, step) = _subproblem_pieces(problem, x, t)
-    fx = problem.phi(x)
-    fslack = 1e-12 * (1.0 + abs(fx))
-    y, _, resid, iters, ok = K.dual_ascent(
-        gpack[0], gpack[1], gpack[2], hpack[0], hpack[1], hpack[2],
-        hdual[0], hdual[1], hdual[2], hdual[3],
-        np.ascontiguousarray(J), np.ascontiguousarray(cx), x,
-        float(t), float(step), float(inner_tol), float(fx), float(fslack),
-        INNER_CAP)
-    if not ok:
-        raise InnerSolveError(
-            f"subproblem dual ascent stalled at residual {resid:.3e}",
-            residual=resid, iterations=iters)
-    return y
+    x = as_vector(x, problem.dim)
+    Y, _ = _solve_subproblem_batch(problem, x[None, :], t, inner_tol)
+    return Y[0]
 
 
 def prox_linear_map(problem, x, t, inner_tol=1e-10):

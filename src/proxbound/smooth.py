@@ -206,6 +206,13 @@ class SmoothMap:
 
     def eval_jac(self, x):
         """(c(x), Jacobian) with the Jacobian dense m x n."""
+        C, J = self.eval_jac_batch(as_vector(x, self.dim_in)[None, :])
+        return C[0], J[0]
+
+    def eval_jac_batch(self, X):
+        """(c(X), Jacobians) for the rows of X: (B, m) values and a (B, m, n)
+        stack. Each row goes through the same BLAS products as a lone point,
+        so eval_jac is its B = 1 case bit for bit."""
         raise NotImplementedError
 
     def value(self, x):
@@ -223,9 +230,10 @@ class AffineMap(SmoothMap):
         self.dim_out = self.A.shape[0]
         self.jac_beta = 0.0
 
-    def eval_jac(self, x):
-        x = as_vector(x, self.dim_in)
-        return self.A @ x + self.b, self.A.copy()
+    def eval_jac_batch(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        C = np.matmul(self.A, X[:, :, None])[:, :, 0] + self.b
+        return C, np.repeat(self.A[None], X.shape[0], axis=0)
 
 
 class QuadraticMap(SmoothMap):
@@ -251,10 +259,12 @@ class QuadraticMap(SmoothMap):
             sq += lambda_max_sym(self.Qs[i] @ self.Qs[i])
         self.jac_beta = float(np.sqrt(sq))
 
-    def eval_jac(self, x):
-        x = as_vector(x, self.dim_in)
-        Qx = self.Qs @ x                      # (m, n)
-        vals = 0.5 * (Qx @ x) + self.a @ x + self.b
+    def eval_jac_batch(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        col = X[:, :, None]
+        Qx = np.matmul(self.Qs, X[:, None, :, None])[..., 0]   # (B, m, n)
+        vals = (0.5 * np.matmul(Qx, col)[:, :, 0]
+                + np.matmul(self.a, col)[:, :, 0] + self.b)
         return vals, Qx + self.a
 
 

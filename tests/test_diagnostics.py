@@ -217,6 +217,8 @@ def test_estimate_constants_bundle(lasso42, lasso42_run, lasso42_ref):
     assert all(ok for ok, _ in rep.checks.values())
     text = rep.to_text()
     assert "alpha_hat=" in text and "check_gamma_vs_alpha=pass" in text
+    # the additive G_t is closed form: no dual ascent behind gamma
+    assert "gamma_samples=" in text and "gamma_dual_iters=0\n" in text
     assert rep.to_csv_row().count(",") == rep.csv_header().count(",")
 
 
@@ -224,9 +226,31 @@ def test_estimate_gamma_composite(robust7, robust7_run):
     ref = pb.compute_reference(robust7, x0=robust7_run.final_x, tol=1e-12,
                                inner_tol=1e-13)
     lb = robust7.L * robust7.beta
+    counts = {}
     g = pb.estimate_gamma(robust7, ref, float("inf"), 1.0 / lb,
-                          n_samples=150, seed=8)
+                          n_samples=150, seed=8, counts=counts)
     assert np.isfinite(g) and g > 0
+    # nu = inf accepts every sample
+    assert counts["gamma_samples"] == 150 and counts["gamma_dual_iters"] > 150
+
+
+def test_composite_batches_match_per_sample_loop(robust7, monkeypatch):
+    from proxbound import diagnostics as D
+    rng = np.random.default_rng(12)
+    X = 2.0 + rng.uniform(-3.0, 3.0, size=(130, 10))
+    t = 1.0 / (robust7.L * robust7.beta)
+    phis = D._phi_batch(robust7, X)
+    gnorms, iters = D._gnorm_batch(robust7, X, t, 1e-11)
+    want_phi = np.array([robust7.phi(x) for x in X])
+    want_g = np.array([np.linalg.norm(pb.prox_linear_map(robust7, x, t, 1e-11))
+                       for x in X])
+    assert np.all(np.abs(phis - want_phi) <= 1e-12 * np.abs(want_phi))
+    assert np.all(np.abs(gnorms - want_g) <= 1e-12 * want_g)
+    # rows are independent: one row per block gives the same bits
+    monkeypatch.setattr(D, "ROW_BLOCK", 1)
+    assert np.array_equal(D._phi_batch(robust7, X), phis)
+    g1, iters1 = D._gnorm_batch(robust7, X, t, 1e-11)
+    assert np.array_equal(g1, gnorms) and iters1 == iters
 
 
 def test_prox_bound_composite_unsupported(robust7):

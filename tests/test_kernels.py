@@ -1,8 +1,12 @@
-"""Backend agreement: the numba kernels must match the numpy fallbacks."""
+"""Kernel agreement: the numba kernels must match the numpy fallbacks, and
+the stacked dual ascent must match a one-subproblem-at-a-time loop."""
+
+import re
 
 import numpy as np
 import pytest
 
+import proxbound as pb
 from proxbound import _kernels as K
 
 HAS_NUMBA = hasattr(K, "penalty_value_nb")
@@ -53,30 +57,119 @@ def test_value_prox_subgrad_agree(kind):
             assert np.array_equal(lo1, lo2) and np.array_equal(hi1, hi2)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_dual_ascent_agrees():
-    rng = np.random.default_rng(77)
-    m, n = 8, 5
-    J = rng.standard_normal((m, n))
-    cbar = rng.standard_normal(m)
-    x = rng.standard_normal(n)
-    gp1, gp2 = _params(K.KIND_ABS, n)
-    hp1, hp2 = _params(K.KIND_ABS, m)
-    hlo, hhi = -hp1, hp1
-    hl1 = np.zeros(m)
-    hquad = np.zeros(m)
-    t = 0.3
-    jn2 = float(np.linalg.norm(J, 2) ** 2)
-    step = 1.0 / (t * jn2 + 1.0)
-    fx = (K.penalty_value_np(K.KIND_ABS, gp1, gp2, x)
-          + K.penalty_value_np(K.KIND_ABS, hp1, hp2, cbar))
-    args = (K.KIND_ABS, gp1, gp2, K.KIND_ABS, hp1, hp2, hlo, hhi, hl1, hquad,
-            J, cbar, x, t, step, 1e-11, fx, 1e-12 * (1 + abs(fx)), 10 ** 6)
-    y1, w1, r1, i1, ok1 = K.dual_ascent_np(*args)
-    y2, w2, r2, i2, ok2 = K.dual_ascent_nb(*args)
-    assert ok1 and ok2
-    assert np.allclose(y1, y2, atol=1e-12)
-    assert abs(r1 - r2) <= 1e-12
+def serial_dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1,
+                       hquad, J, cbar, x, t, step, tol, fx, fslack, maxit):
+    """Reference: the one-subproblem loop that the stacked kernel replaced.
+    Returns (y, w, residual, iterations, converged)."""
+    w = np.zeros(cbar.shape[0])
+    y = x.copy()
+    resid = np.inf
+    it = 0
+    for it in range(1, maxit + 1):
+        v = x - t * (w @ J)
+        y = K.penalty_prox_np(gkind, gp1, gp2, v, t)
+        d = y - x
+        z = cbar + J @ d
+        fy = (K.penalty_value_np(gkind, gp1, gp2, y)
+              + K.penalty_value_np(hkind, hp1, hp2, z)
+              + (d @ d) / (2.0 * t))
+        grad = z - hquad * w
+        wh = w + step * grad
+        wnew = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
+        wnew = np.minimum(np.maximum(wnew, hlo), hhi)
+        resid = float(np.linalg.norm(wnew - w)) / step
+        if resid <= tol and fy <= fx + fslack:
+            return y, w, resid, it, True
+        w = wnew
+    return y, w, resid, it, False
+
+
+DUAL_H = {"absvalue": pb.AbsValue(0.9),
+          "epsiloninsensitive": pb.EpsilonInsensitive(0.9, 0.2),
+          "checkfunction": pb.CheckFunction(0.8, 0.3),
+          "huberenvelope": pb.HuberEnvelope(0.7, 0.4)}
+DUAL_G = {"zero": pb.Zero(), "absvalue": pb.AbsValue(0.1),
+          "box": pb.BoxIndicator(-1.2, 0.9)}
+M, N, T, TOL = 3, 4, 1.0, 1e-10
+
+
+def stacked_subproblems(h, g, rows, seed):
+    """Kernel arguments for `rows` random subproblems, each with its own
+    step (a random fraction of the largest safe one)."""
+    rng = np.random.default_rng(seed)
+    J = np.eye(M, N) + 0.3 * rng.standard_normal((rows, M, N))
+    cbar = rng.standard_normal((rows, M))
+    # at cbar = 0 the model value of a loosely solved y can exceed phi(x),
+    # so there the value test, not the residual, decides when a row stops
+    cbar[1::3] = 0.0
+    X = rng.uniform(-1.0, 0.8, size=(rows, N))
+    gpack, hpack, hdual = g._packed(N), h._packed(M), h.dual_box(M)
+    curv = max(1.0, float(np.max(hdual[3])))
+    steps = np.array([rng.uniform(0.5, 1.0) / (T * np.linalg.norm(Jb, 2) ** 2
+                                               + curv) for Jb in J])
+    fx = g.value_batch(X) + h.value_batch(cbar)
+    fslack = 1e-12 * (1.0 + np.abs(fx))
+    return (*gpack, *hpack, *hdual), J, cbar, X, steps, fx, fslack
+
+
+def run_serial(penalty_args, J, cbar, X, steps, tol, fx, fslack, maxit, rows):
+    return [serial_dual_ascent(*penalty_args, J[b], cbar[b], X[b], T,
+                               steps[b], tol, fx[b], fslack[b], maxit)
+            for b in rows]
+
+
+def assert_matches_serial(hname, gname, rows, tol):
+    """Stacked kernel vs the serial loop: same iterations, y and w within
+    1e-12 relative. Returns the kernel's per-row iterations."""
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H[hname], DUAL_G[gname], rows, seed=rows)
+    Y, W, resid, total, iters = K.dual_ascent(
+        *args, J, cbar, X, T, steps, tol, fx, fslack, 10 ** 5)
+    assert isinstance(total, int) and total == int(np.sum(iters))
+    # a row's result does not depend on the other rows, so the 300-row
+    # stack is checked on every tenth row to keep the serial loop short
+    check = range(0, rows, 10 if rows > 100 else 1)
+    ref = run_serial(args, J, cbar, X, steps, tol, fx, fslack, 10 ** 5,
+                     check)
+    assert all(r[4] for r in ref)
+    assert iters[check].tolist() == [r[3] for r in ref]
+    for got, want in ((Y[check], np.array([r[0] for r in ref])),
+                      (W[check], np.array([r[1] for r in ref]))):
+        err = np.abs(got - want)
+        assert np.all(err <= 1e-12 * np.maximum(np.abs(want), 1.0))
+    return iters
+
+
+@pytest.mark.parametrize("rows", [1, 7, 300])
+@pytest.mark.parametrize("gname", sorted(DUAL_G))
+@pytest.mark.parametrize("hname", sorted(DUAL_H))
+def test_stacked_dual_ascent_matches_serial(hname, gname, rows):
+    assert_matches_serial(hname, gname, rows, TOL)
+
+
+@pytest.mark.parametrize("hname", ["absvalue", "checkfunction"])
+def test_stacked_dual_ascent_value_test_keeps_rows_running(hname):
+    # at a loose tolerance some rows pass the residual test before their
+    # model value is at most phi(x); they must keep iterating as in the loop
+    iters = assert_matches_serial(hname, "absvalue", 300, 1e-3)
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H[hname], DUAL_G["absvalue"], 300, seed=300)
+    no_value_test = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-3,
+                                  np.full(300, np.inf), fslack, 10 ** 5)[4]
+    assert np.sum(iters > no_value_test) >= 10
+    assert np.all(iters >= no_value_test)
+
+
+def test_stacked_dual_ascent_names_worst_residual():
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H["absvalue"], DUAL_G["absvalue"], 7, seed=3)
+    ref = run_serial(args, J, cbar, X, steps, TOL, fx, fslack, 5, range(7))
+    worst = max(r[2] for r in ref if not r[4])
+    with pytest.raises(pb.InnerSolveError,
+                       match=re.escape(f"{worst:.3e}")) as info:
+        K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, fslack, 5)
+    assert info.value.residual == pytest.approx(worst, rel=1e-12)
+    assert info.value.iterations == 5
 
 
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")

@@ -179,6 +179,22 @@ def test_moreau_grad_matches_central_differences(penalty_case):
         assert abs(g - num) / (1.0 + abs(g)) <= 1e-5
 
 
+def test_value_batch_matches_rowwise_value_bitwise(penalty_case):
+    name, p, _ = penalty_case
+    rng = np.random.default_rng(9)
+    for n in range(1, 34):
+        X = rng.normal(size=(20, n)) * 2
+        if name == "box":
+            # even rows inside the box, odd rows with a coordinate outside
+            X[::2] = np.clip(X[::2], -1.2, 0.9)
+            X[1::2, rng.integers(n)] = 1.5
+        got = p.value_batch(X)
+        want = np.array([p.value(x) for x in X])
+        assert got.shape == (20,) and np.array_equal(got, want)
+        if name == "box":
+            assert np.all(got[::2] == 0.0) and np.all(np.isinf(got[1::2]))
+
+
 def test_convexity_midpoint_probe(penalty_case):
     name, p, _ = penalty_case
     rng = np.random.default_rng(7)
