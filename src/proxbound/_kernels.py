@@ -1,21 +1,22 @@
 """Hot numeric kernels.
 
-The penalty kernels and the min-norm box QP come in two versions, numba-
-jitted and pure numpy. The backend is fixed once at import time from the
+The penalty value and prox kernels come in two versions, numba-jitted and
+pure numpy. The backend is fixed once at import time from the
 ``PROXBOUND_BACKEND`` environment variable:
 
 * ``auto``  (default) - numba when importable, numpy otherwise
 * ``numba`` - require numba, fail loudly if missing
 * ``numpy`` - force the vectorized numpy path
 
-The dual ascent of the prox-linear subproblem is numpy only: one kernel over
-a stack of subproblems, used with a single row by the solver and with blocks
-of rows by the diagnostics. Row-wise penalty values are numpy only as well.
-Penalties are encoded as an integer kind plus two per-coordinate parameter
-arrays; see the table in :mod:`proxbound.penalties`.
+Everything else is numpy only: row-wise penalty values and subgradient
+bounds over any leading axes, the dual ascent of the prox-linear subproblem
+and the min-norm box QP behind dist(0, d phi). The last two are one kernel
+each over a stack of rows, used with a single row for one point and with
+blocks of rows by the diagnostics. Penalties are encoded as an integer kind
+plus two per-coordinate parameter arrays; see the table in
+:mod:`proxbound.penalties`.
 """
 
-import math
 import os
 
 import numpy as np
@@ -120,45 +121,34 @@ def penalty_prox_np(kind, p1, p2, x, t):
     raise ValueError(f"unknown penalty kind code {kind}")
 
 
-def penalty_subgrad_np(kind, p1, p2, x):
-    n = x.shape[0]
-    lo = np.zeros(n)
-    hi = np.zeros(n)
+def penalty_subgrad_rows(kind, p1, p2, X):
+    """Coordinatewise subdifferential [lo, hi] at every point along the last
+    axis of X, plus whether every point lies in the penalty's domain (lo
+    and hi are meaningless where it does not)."""
     if kind == KIND_ZERO:
-        return lo, hi, True
-    if kind == KIND_ABS:
-        s = np.sign(x)
-        lo = np.where(x == 0.0, -p1, s * p1)
-        hi = np.where(x == 0.0, p1, s * p1)
-        return lo, hi, True
-    if kind == KIND_ENET:
-        s = np.sign(x)
-        lo = np.where(x == 0.0, -p1, s * p1) + p2 * x
-        hi = np.where(x == 0.0, p1, s * p1) + p2 * x
+        return np.zeros(X.shape), np.zeros(X.shape), True
+    if kind in (KIND_ABS, KIND_ENET):
+        s = np.sign(X) * p1
+        lo = np.where(X == 0.0, -p1, s)
+        hi = np.where(X == 0.0, p1, s)
+        if kind == KIND_ENET:
+            lo = lo + p2 * X
+            hi = hi + p2 * X
         return lo, hi, True
     if kind == KIND_BOX:
-        if np.any(x < p1) or np.any(x > p2):
-            return lo, hi, False
-        lo = np.where(x == p1, -_INF, 0.0)
-        hi = np.where(x == p2, _INF, 0.0)
-        return lo, hi, True
+        inside = not (np.any(X < p1) or np.any(X > p2))
+        return (np.where(X == p1, -_INF, 0.0), np.where(X == p2, _INF, 0.0),
+                inside)
     if kind == KIND_EPS:
-        ax = np.abs(x)
-        lo = np.where(x >= p2, p1, np.where(x <= -p2, -p1, 0.0))
-        hi = lo.copy()
-        lo = np.where(x == p2, 0.0, lo)
-        hi = np.where(x == -p2, 0.0, hi)
-        lo[ax < p2] = 0.0
-        hi[ax < p2] = 0.0
+        lo = np.where(X > p2, p1, np.where(X <= -p2, -p1, 0.0))
+        hi = np.where(X >= p2, p1, np.where(X < -p2, -p1, 0.0))
         return lo, hi, True
     if kind == KIND_CHECK:
         up = p1 * p2
         dn = p1 * (p2 - 1.0)
-        lo = np.where(x > 0.0, up, np.where(x < 0.0, dn, dn))
-        hi = np.where(x > 0.0, up, np.where(x < 0.0, dn, up))
-        return lo, hi, True
+        return np.where(X > 0.0, up, dn), np.where(X < 0.0, dn, up), True
     if kind == KIND_HUBER:
-        g = np.minimum(np.maximum(x / p2, -p1), p1)
+        g = np.minimum(np.maximum(X / p2, -p1), p1)
         return g, g.copy(), True
     raise ValueError(f"unknown penalty kind code {kind}")
 
@@ -238,25 +228,53 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
         residual=worst, iterations=maxit)
 
 
-def minnorm_boxqp_np(J, vlo, vhi, wlo, whi, step, tol, maxit):
-    """Minimize |v + J^T w| over the box product via projected gradient.
+def _residuals(V, W, J):
+    """v_b + J_b^T w_b for every row."""
+    return V + np.matmul(W[:, None, :], J)[:, 0, :]
 
-    Returns (achieved norm, iterations); the norm upper-bounds the true
-    distance and is exact at convergence since the problem is convex.
+
+def minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, tol, maxit):
+    """Minimize |v + J_b^T w| over the box product [vlo_b, vhi_b] x
+    [wlo_b, whi_b] of each of B rows by projected gradient with step
+    steps[b].
+
+    J is (B, m, n), the bounds (B, n) and (B, m), steps (B,). A row stops
+    once its move divided by its step is <= tol and then retires; rows still
+    running after maxit iterations return their current norm. Each norm
+    upper-bounds the row's true minimum and is exact at convergence, since
+    the problem is convex. Returns (norms, total row iterations as an int).
     """
-    n = vlo.shape[0]
-    v = np.minimum(np.maximum(np.zeros(n), vlo), vhi)
-    w = np.minimum(np.maximum(np.zeros(J.shape[0]), wlo), whi)
-    it = 0
+    B = J.shape[0]
+    norms = np.empty(B)
+    if B == 0:
+        return norms, 0
+    V = np.minimum(np.maximum(np.zeros(vlo.shape), vlo), vhi)
+    W = np.minimum(np.maximum(np.zeros(wlo.shape), wlo), whi)
+    step = np.asarray(steps, dtype=np.float64)[:, None]
+    rows = np.arange(B)
+    total = 0
     for it in range(1, maxit + 1):
-        r = v + w @ J
-        vn = np.minimum(np.maximum(v - step * r, vlo), vhi)
-        wn = np.minimum(np.maximum(w - step * (J @ r), wlo), whi)
-        move = math.sqrt(float(np.sum((vn - v) ** 2) + np.sum((wn - w) ** 2)))
-        v, w = vn, wn
-        if move / step <= tol:
-            break
-    return float(np.linalg.norm(v + w @ J)), it
+        R = _residuals(V, W, J)
+        VN = np.minimum(np.maximum(V - step * R, vlo), vhi)
+        WN = np.minimum(np.maximum(
+            W - step * np.matmul(J, R[:, :, None])[:, :, 0], wlo), whi)
+        move = np.sqrt(np.sum((VN - V) ** 2, axis=1)
+                       + np.sum((WN - W) ** 2, axis=1))
+        V, W = VN, WN
+        done = move / step[:, 0] <= tol
+        finished = int(np.count_nonzero(done))
+        if finished:
+            norms[rows[done]] = np.sqrt(row_dots(
+                _residuals(V[done], W[done], J[done])))
+            total += it * finished
+            if finished == rows.size:
+                return norms, total
+            keep = ~done
+            rows, J, V, W = rows[keep], J[keep], V[keep], W[keep]
+            vlo, vhi, wlo, whi = vlo[keep], vhi[keep], wlo[keep], whi[keep]
+            step = step[keep]
+    norms[rows] = np.sqrt(row_dots(_residuals(V, W, J)))
+    return norms, total + maxit * rows.size
 
 
 # ---------------------------------------------------------------------------
@@ -346,127 +364,16 @@ if _nb is not None:
                     out[i] = xi - t * lam if xi > 0.0 else xi + t * lam
         return out
 
-    @_nb.njit(cache=True)
-    def _subgrad_nb(kind, p1, p2, x):
-        n = x.shape[0]
-        lo = np.zeros(n)
-        hi = np.zeros(n)
-        ok = True
-        for i in range(n):
-            xi = x[i]
-            if kind == KIND_ZERO:
-                pass
-            elif kind == KIND_ABS:
-                if xi > 0.0:
-                    lo[i] = p1[i]
-                    hi[i] = p1[i]
-                elif xi < 0.0:
-                    lo[i] = -p1[i]
-                    hi[i] = -p1[i]
-                else:
-                    lo[i] = -p1[i]
-                    hi[i] = p1[i]
-            elif kind == KIND_ENET:
-                if xi > 0.0:
-                    lo[i] = p1[i]
-                    hi[i] = p1[i]
-                elif xi < 0.0:
-                    lo[i] = -p1[i]
-                    hi[i] = -p1[i]
-                else:
-                    lo[i] = -p1[i]
-                    hi[i] = p1[i]
-                lo[i] += p2[i] * xi
-                hi[i] += p2[i] * xi
-            elif kind == KIND_BOX:
-                if xi < p1[i] or xi > p2[i]:
-                    ok = False
-                else:
-                    if xi == p1[i]:
-                        lo[i] = -_INF
-                    if xi == p2[i]:
-                        hi[i] = _INF
-            elif kind == KIND_EPS:
-                eps = p2[i]
-                if xi > eps:
-                    lo[i] = p1[i]
-                    hi[i] = p1[i]
-                elif xi == eps:
-                    lo[i] = 0.0
-                    hi[i] = p1[i]
-                elif xi < -eps:
-                    lo[i] = -p1[i]
-                    hi[i] = -p1[i]
-                elif xi == -eps:
-                    lo[i] = -p1[i]
-                    hi[i] = 0.0
-            elif kind == KIND_CHECK:
-                up = p1[i] * p2[i]
-                dn = p1[i] * (p2[i] - 1.0)
-                if xi > 0.0:
-                    lo[i] = up
-                    hi[i] = up
-                elif xi < 0.0:
-                    lo[i] = dn
-                    hi[i] = dn
-                else:
-                    lo[i] = dn
-                    hi[i] = up
-            else:  # KIND_HUBER
-                g = min(max(xi / p2[i], -p1[i]), p1[i])
-                lo[i] = g
-                hi[i] = g
-        return lo, hi, ok
-
-    @_nb.njit(cache=True)
-    def _minnorm_boxqp_nb(J, vlo, vhi, wlo, whi, step, tol, maxit):
-        m = J.shape[0]
-        n = J.shape[1]
-        JT = np.ascontiguousarray(J.T)
-        v = np.empty(n)
-        w = np.empty(m)
-        for i in range(n):
-            v[i] = min(max(0.0, vlo[i]), vhi[i])
-        for j in range(m):
-            w[j] = min(max(0.0, wlo[j]), whi[j])
-        it = 0
-        for it in range(1, maxit + 1):
-            r = v + np.dot(JT, w)
-            jr = np.dot(J, r)
-            move2 = 0.0
-            for i in range(n):
-                vn = min(max(v[i] - step * r[i], vlo[i]), vhi[i])
-                move2 += (vn - v[i]) * (vn - v[i])
-                v[i] = vn
-            for j in range(m):
-                wn = min(max(w[j] - step * jr[j], wlo[j]), whi[j])
-                move2 += (wn - w[j]) * (wn - w[j])
-                w[j] = wn
-            if math.sqrt(move2) / step <= tol:
-                break
-        r = v + np.dot(JT, w)
-        return math.sqrt(float(np.dot(r, r))), it
-
     def penalty_value_nb(kind, p1, p2, x):
         return _value_nb(kind, p1, p2, x)
 
     def penalty_prox_nb(kind, p1, p2, x, t):
         return _prox_nb(kind, p1, p2, x, t)
 
-    def penalty_subgrad_nb(kind, p1, p2, x):
-        return _subgrad_nb(kind, p1, p2, x)
-
-    def minnorm_boxqp_nb(J, vlo, vhi, wlo, whi, step, tol, maxit):
-        return _minnorm_boxqp_nb(J, vlo, vhi, wlo, whi, step, tol, maxit)
-
 
 if _BACKEND == "numba":
     penalty_value = penalty_value_nb
     penalty_prox = penalty_prox_nb
-    penalty_subgrad = penalty_subgrad_nb
-    minnorm_boxqp = minnorm_boxqp_nb
 else:
     penalty_value = penalty_value_np
     penalty_prox = penalty_prox_np
-    penalty_subgrad = penalty_subgrad_np
-    minnorm_boxqp = minnorm_boxqp_np

@@ -22,7 +22,8 @@ from .errors import ConfigError, ProxboundError
 from .penalties import parse_spec_string, penalty_from_spec
 from .proxgrad import (AdditiveProblem, ProxGradConfig, run_prox_gradient,
                        run_proximal_point)
-from .proxlinear import CompositeProblem, ProxLinearConfig, run_prox_linear
+from .proxlinear import (FINITE_H_KINDS, CompositeProblem, ProxLinearConfig,
+                         run_prox_linear)
 from .smooth import load_dense_vector, map_from_spec, smooth_from_spec
 from .vectors import as_vector
 
@@ -160,6 +161,16 @@ def parse_config(path):
         cfg.map_spec = get("problem", "map") or ""
         if not cfg.h_spec:
             violations.append("[problem] h is required for composite")
+        else:
+            try:
+                h = penalty_from_spec(cfg.h_spec)
+            except ValueError as exc:
+                violations.append(f"[problem] h: {exc}")
+            else:
+                if not isinstance(h, FINITE_H_KINDS):
+                    violations.append(
+                        "[problem] h must be a finite Lipschitz penalty, "
+                        f"got {type(h).__name__}")
         if not cfg.map_spec:
             violations.append("[problem] map is required for composite")
         else:
@@ -209,7 +220,10 @@ def parse_config(path):
         violations.append("[solver] inner_tol must be positive")
     sigma_policy = get("solver", "sigma_policy", "adaptive")
     if sigma_policy != "adaptive":
-        name, params = parse_spec_string(sigma_policy)
+        try:
+            name, params = parse_spec_string(sigma_policy)
+        except ValueError:
+            name, params = None, {}
         if name == "fixed" and "sigma" in params:
             try:
                 cfg.sigma = float(params["sigma"])
@@ -362,10 +376,9 @@ def run_experiment(cfg):
         slack = _tolerance_slack(resid, 1e-10 * phi_scale)
         checks.append(CheckLine("descent_inequality", slack >= 0.0, slack))
         if cfg.method == "proxgrad":
-            margins = []
-            for k in range(len(trace.iterates) - 1):
-                d = diag.dist_to_stationarity(problem, trace.iterates[k + 1])
-                margins.append((1.0 + beta * t_used) * gnorms[k] - d)
+            d = diag.dist_to_stationarity(
+                problem, np.reshape(trace.iterates[1:], (-1, problem.dim)))
+            margins = (1.0 + beta * t_used) * gnorms[:-1] - d
             slack = _tolerance_slack(margins, 1e-8)
             checks.append(CheckLine("improved_certificate", slack >= 0.0, slack))
     else:
@@ -376,11 +389,9 @@ def run_experiment(cfg):
                     * gnorms)
         diff = float(np.max(np.abs(expected - trace.column("certificate"))))
         checks.append(CheckLine("certificate_formula", diff == 0.0, -diff))
-        margins = []
-        for k, x in enumerate(trace.iterates):
-            d = diag.dist_to_stationarity(problem, x)
-            margins.append(d - 0.5 * gnorms[k])
-        slack = _tolerance_slack(margins, 1e-8)
+        d = diag.dist_to_stationarity(
+            problem, np.reshape(trace.iterates, (-1, problem.dim)))
+        slack = _tolerance_slack(d - 0.5 * gnorms, 1e-8)
         checks.append(CheckLine("half_bound", slack >= 0.0, slack))
 
     constants = None

@@ -19,15 +19,15 @@ from .proxgrad import (AdditiveProblem, ProxGradConfig, _prox_point_batch,
 from .proxlinear import (CompositeProblem, ProxLinearConfig,
                          _solve_subproblem_batch, run_prox_linear)
 from .smooth import operator_norm_sq
-from .vectors import as_vector
+from .vectors import as_points, as_vector
 
 GNORM_SKIP = 1e-10
 DIST_SKIP = 1e-8
 MIN_ACCEPTED = 10
 BOXQP_CAP = 10 ** 5
 BOXQP_TOL = 1e-10
-# rows per stacked composite evaluation: bounds the (rows, m, n) Jacobian
-# stacks that phi and the subproblem solves build
+# rows per stacked evaluation: bounds the (rows, m, n) Jacobian stacks that
+# phi, the subproblem solves and dist(0, d phi) build
 ROW_BLOCK = 128
 
 
@@ -121,30 +121,45 @@ def compute_reference(problem, x0=None, t=None, tol=1e-12, max_iter=500000,
 # Stationarity distance dist(0, d phi(x))
 # ---------------------------------------------------------------------------
 
-def dist_to_stationarity(problem, x):
+def dist_to_stationarity(problem, x, counts=None):
     """Distance from 0 to the subdifferential of the objective at x.
 
-    Additive: exact coordinatewise interval projection of -grad f(x) onto
-    d g(x). Composite: min |v + J^T w| over v in d g(x), w in d h(c(x)),
-    solved by projected gradient on the box product (an upper bound on the
-    true distance, exact at convergence since the problem is convex).
+    x is one point (n,), giving a float, or a stack (..., n) of points,
+    giving an array of their leading shape; the rows are worked through in
+    blocks of ROW_BLOCK. Additive: exact coordinatewise interval projection
+    of -grad f(x) onto d g(x). Composite: min |v + J^T w| over v in d g(x),
+    w in d h(c(x)), solved by projected gradient on the box product (an
+    upper bound on the true distance, exact at convergence since the
+    problem is convex). A dict passed as counts receives boxqp_iters, the
+    min-norm QP iterations summed over the rows (0 for additive problems).
     """
-    x = as_vector(x, problem.dim)
+    if not isinstance(problem, (AdditiveProblem, CompositeProblem)):
+        raise TypeError(f"unknown problem type {type(problem).__name__}")
+    x = as_points(x, problem.dim)
+    X = x.reshape(-1, problem.dim)
+    dists = np.empty(X.shape[0])
+    iters = 0
+    for s in range(0, X.shape[0], ROW_BLOCK):
+        dists[s:s + ROW_BLOCK], it = _dist_block(problem, X[s:s + ROW_BLOCK])
+        iters += it
+    if counts is not None:
+        counts["boxqp_iters"] = iters
+    return float(dists[0]) if x.ndim == 1 else dists.reshape(x.shape[:-1])
+
+
+def _dist_block(problem, X):
+    """dist(0, d phi) at the rows of X, plus the min-norm QP iterations."""
     if isinstance(problem, AdditiveProblem):
-        lo, hi = problem.g.subgrad_bounds(x)
-        target = -problem.f.grad(x)
+        lo, hi = problem.g.subgrad_bounds(X)
+        target = -problem.f.grad_batch(X)
         under = np.maximum(lo - target, 0.0)
         over = np.maximum(target - hi, 0.0)
-        return float(np.linalg.norm(np.where(target < lo, under, over)))
-    if isinstance(problem, CompositeProblem):
-        glo, ghi = problem.g.subgrad_bounds(x)
-        cx, J = problem.c.eval_jac(x)
-        hlo, hhi = problem.h.subgrad_bounds(cx)
-        step = 1.0 / (1.0 + operator_norm_sq(J))
-        dist, _ = K.minnorm_boxqp(np.ascontiguousarray(J), glo, ghi, hlo, hhi,
-                                  step, BOXQP_TOL, BOXQP_CAP)
-        return dist
-    raise TypeError(f"unknown problem type {type(problem).__name__}")
+        return np.sqrt(K.row_dots(np.where(target < lo, under, over))), 0
+    glo, ghi = problem.g.subgrad_bounds(X)
+    C, J = problem.c.eval_jac_batch(X)
+    hlo, hhi = problem.h.subgrad_bounds(C)
+    steps = 1.0 / (1.0 + operator_norm_sq(J))
+    return K.minnorm_boxqp(J, glo, ghi, hlo, hhi, steps, BOXQP_TOL, BOXQP_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +377,27 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol,
 
 
 def estimate_subdiff_bound(problem, ref, nu, n_samples=2000, seed=0,
-                           extra_points=None):
-    """Empirical L with dist(x,S) <= L dist(0, d phi(x)) on the sublevel set."""
+                           extra_points=None, counts=None):
+    """Empirical L with dist(x,S) <= L dist(0, d phi(x)) on the sublevel set.
+
+    A dict passed as counts receives subdiff_samples (the accepted samples
+    whose dist(0, d phi) was evaluated) and subdiff_boxqp_iters (the
+    min-norm QP iterations summed over them; 0 for additive problems).
+    """
     X = sample_box(ref, problem.dim, n_samples, seed)
     if extra_points is not None and len(extra_points):
         X = np.vstack([X, extra_points])
     Xa, _ = _accepted(problem, ref, nu, X, None)
-    dists = ref.dist_batch(Xa)
-    ratios = []
-    for x, d in zip(Xa, dists):
-        s = dist_to_stationarity(problem, x)
-        if s > GNORM_SKIP:
-            ratios.append(d / s)
-    if len(ratios) < MIN_ACCEPTED:
-        raise InsufficientData(f"only {len(ratios)} accepted samples for L")
-    return float(np.max(ratios))
+    dist_counts = {}
+    stat = dist_to_stationarity(problem, Xa, counts=dist_counts)
+    if counts is not None:
+        counts["subdiff_samples"] = int(Xa.shape[0])
+        counts["subdiff_boxqp_iters"] = dist_counts["boxqp_iters"]
+    mask = stat > GNORM_SKIP
+    if int(np.sum(mask)) < MIN_ACCEPTED:
+        raise InsufficientData(
+            f"only {int(np.sum(mask))} accepted samples for L")
+    return float(np.max(ref.dist_batch(Xa)[mask] / stat[mask]))
 
 
 def _prox_bound_samples(problem, ref, nu, t, n_samples, seed, inner_tol):
@@ -506,9 +527,10 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
             problem, ref, nu, t, min(n_samples, 500), seed, inner_tol)
         L_extra = (prox_pts if L_extra is None
                    else np.vstack([L_extra, prox_pts]))
+    L_counts = {}
     L = estimate_subdiff_bound(
         problem, ref, nu, n_samples=min(n_samples, 2000), seed=seed,
-        extra_points=L_extra)
+        extra_points=L_extra, counts=L_counts)
     beta = problem.f.beta if is_additive else problem.beta
     report = ConstantsReport(alpha_hat=alpha, gamma_hat=gamma, L_hat_sub=L,
                              nu=nu, sample_count=n_samples)
@@ -517,6 +539,7 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
     report.extras["t"] = float(t)
     report.extras["beta"] = float(beta)
     report.extras.update(gamma_counts)
+    report.extras.update(L_counts)
     report.checks = verify_constant_relations(alpha, gamma, L, L_hat, t, beta,
                                               tol=tol)
     return report

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import DimensionMismatch, DomainError, UnsupportedOperation
-from .vectors import as_vector
+from .vectors import as_points, as_vector
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,16 @@ class SeparablePenalty:
         return K.penalty_prox(kind, p1, p2, x, float(t))
 
     def subgrad_intervals(self, x):
-        x = as_vector(x, name="x")
-        kind, p1, p2 = self._packed(x.shape[0])
-        lo, hi, ok = K.penalty_subgrad(kind, p1, p2, x)
-        if not ok:
-            raise DomainError("x lies outside the penalty domain")
+        lo, hi = self.subgrad_bounds(as_vector(x, name="x"))
         return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
 
     def subgrad_bounds(self, x):
-        """(lo, hi) arrays of the coordinatewise subdifferential."""
-        x = as_vector(x, name="x")
-        kind, p1, p2 = self._packed(x.shape[0])
-        lo, hi, ok = K.penalty_subgrad(kind, p1, p2, x)
+        """(lo, hi) arrays of the coordinatewise subdifferential at every
+        point along the last axis of x: a point (n,) or a stack (..., n).
+        Raises DomainError if any point lies outside the domain."""
+        x = as_points(x, name="x")
+        kind, p1, p2 = self._packed(x.shape[-1])
+        lo, hi, ok = K.penalty_subgrad_rows(kind, p1, p2, x)
         if not ok:
             raise DomainError("x lies outside the penalty domain")
         return lo, hi

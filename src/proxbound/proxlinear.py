@@ -87,7 +87,7 @@ def _solve_subproblem_batch(problem, X, t, inner_tol):
     hdual = problem.h.dual_box(m)
     # dual smooth part has curvature t|J|^2 plus the huber quadratic term
     curv = max(1.0, float(np.max(hdual[3])) if m else 1.0)
-    steps = np.array([1.0 / (t * operator_norm_sq(Jb) + curv) for Jb in J])
+    steps = 1.0 / (t * operator_norm_sq(J) + curv)
     fx = problem.g.value_batch(X) + problem.h.value_batch(C)
     fslack = 1e-12 * (1.0 + np.abs(fx))
     Y, _, _, iters, _ = K.dual_ascent(

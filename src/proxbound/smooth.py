@@ -17,28 +17,59 @@ BETA_FLOOR = 1e-12
 
 
 def lambda_max_sym(M, rel_tol=1e-8, max_iter=10000):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    n = M.shape[0]
+    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+
+    M is one (n, n) matrix, giving a float, or a (B, n, n) stack, giving a
+    (B,) array. Every matrix starts from the same seeded vector and stops
+    on its own test, then retires; a 2-D M is the B = 1 case, and each row
+    of a stack gets the bits a lone call would.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    single = M.ndim == 2
+    if single:
+        M = M[None]
     rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(M.shape[-1])
     v /= np.linalg.norm(v)
-    lam = 0.0
+    # columns (B, n, 1): each product is the BLAS call a lone matrix makes
+    MV = np.matmul(M, np.repeat(v[None, :, None], M.shape[0], axis=0))
+    lam = np.zeros(M.shape[0])
+    out = np.zeros(M.shape[0])
+    rows = np.arange(M.shape[0])
     for _ in range(max_iter):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= rel_tol * max(1.0, abs(lam_new)):
-            return lam_new
+        if not rows.size:
+            break
+        nw = np.sqrt(np.matmul(MV.transpose(0, 2, 1), MV))
+        zero = None
+        if np.count_nonzero(nw) < nw.size:
+            # M v = 0: the eigenvalue is 0, and the row retires with that
+            zero = nw[:, 0, 0] == 0.0
+            nw[zero] = 1.0
+        V = MV / nw
+        # M v at the new v is also the next iteration's product
+        MV = np.matmul(M, V)
+        lam_new = np.matmul(V.transpose(0, 2, 1), MV)[:, 0, 0]
+        done = (np.abs(lam_new - lam)
+                <= rel_tol * np.maximum(1.0, np.abs(lam_new)))
+        if zero is not None:
+            lam_new[zero] = 0.0
+            done |= zero
+        if np.count_nonzero(done):
+            out[rows[done]] = lam_new[done]
+            keep = ~done
+            rows, M, MV = rows[keep], M[keep], MV[keep]
+            lam_new = lam_new[keep]
         lam = lam_new
-    return lam
+    out[rows] = lam
+    return float(out[0]) if single else out
 
 
 def operator_norm_sq(A, rel_tol=1e-8):
-    """Squared spectral norm of A via power iteration on A^T A."""
-    return lambda_max_sym(A.T @ A, rel_tol=rel_tol)
+    """Squared spectral norm of A via power iteration on A^T A: a float for
+    one (m, n) matrix, a (B,) array for a (B, m, n) stack."""
+    A = np.asarray(A, dtype=np.float64)
+    return lambda_max_sym(np.matmul(np.swapaxes(A, -1, -2), A),
+                          rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +285,10 @@ class QuadraticMap(SmoothMap):
         self.b = as_vector(b, Qs.shape[0], "b")
         self.dim_in = Qs.shape[1]
         self.dim_out = Qs.shape[0]
-        sq = 0.0
-        for i in range(self.dim_out):
-            sq += lambda_max_sym(self.Qs[i] @ self.Qs[i])
-        self.jac_beta = float(np.sqrt(sq))
+        # a running total in row order: np.sum's pairwise order would move
+        # the last bit of jac_beta, and with it the default step 1/(L beta)
+        sq = np.cumsum(lambda_max_sym(np.matmul(self.Qs, self.Qs)))
+        self.jac_beta = float(np.sqrt(sq[-1] if sq.size else 0.0))
 
     def eval_jac_batch(self, X):
         X = np.asarray(X, dtype=np.float64)

@@ -23,6 +23,20 @@ def as_vector(x, dim=None, name="x"):
     return v
 
 
+def as_points(x, dim=None, name="x"):
+    """Coerce to a finite float64 array of points along the last axis: one
+    point (n,) or a stack (..., n), with n checked against dim."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim < 2:
+        return as_vector(v, dim, name)
+    if dim is not None and v.shape[-1] != dim:
+        raise DimensionMismatch(
+            f"{name} holds points of dim {v.shape[-1]}, expected {dim}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return v
+
+
 def as_matrix(a, shape=None, name="A"):
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:

@@ -1,0 +1,106 @@
+"""One-point-at-a-time references for the stacked diagnostics kernels.
+
+These are the serial loops that the stacked numpy kernels replaced: a
+scalar subgradient formula per coordinate, the power iteration on one
+matrix, the min-norm box QP on one row, and dist(0, d phi) at one point.
+The stacked code must reproduce them row by row.
+"""
+
+import math
+
+import numpy as np
+
+import proxbound as pb
+from proxbound import _kernels as K
+from proxbound.diagnostics import BOXQP_CAP, BOXQP_TOL
+
+
+def subgrad_interval(kind, a, b, xi):
+    """[lo, hi] of one coordinate's subdifferential, (None, None) outside
+    the domain; a and b are that coordinate's two kernel parameters."""
+    if kind == K.KIND_ZERO:
+        return 0.0, 0.0
+    if kind in (K.KIND_ABS, K.KIND_ENET):
+        lo, hi = (a, a) if xi > 0.0 else (-a, -a) if xi < 0.0 else (-a, a)
+        if kind == K.KIND_ENET:
+            lo, hi = lo + b * xi, hi + b * xi
+        return lo, hi
+    if kind == K.KIND_BOX:
+        if xi < a or xi > b:
+            return None, None
+        return (-np.inf if xi == a else 0.0), (np.inf if xi == b else 0.0)
+    if kind == K.KIND_EPS:
+        if xi > b:
+            return a, a
+        if xi == b:
+            return 0.0, a
+        if xi < -b:
+            return -a, -a
+        if xi == -b:
+            return -a, 0.0
+        return 0.0, 0.0
+    if kind == K.KIND_CHECK:
+        up, dn = a * b, a * (b - 1.0)
+        return (up, up) if xi > 0.0 else (dn, dn) if xi < 0.0 else (dn, up)
+    g = min(max(xi / b, -a), a)  # huber envelope
+    return g, g
+
+
+def subgrad_bounds(penalty, x):
+    """Coordinatewise subdifferential of penalty at the point x."""
+    kind, p1, p2 = penalty._packed(x.shape[0])
+    pairs = [subgrad_interval(kind, a, b, xi) for a, b, xi in zip(p1, p2, x)]
+    if any(lo is None for lo, _ in pairs):
+        raise pb.DomainError("x lies outside the penalty domain")
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def operator_norm_sq(A, rel_tol=1e-8, max_iter=10000):
+    """Power iteration on A^T A from the package's seeded start vector."""
+    M = A.T @ A
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(M.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = M @ v
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        lam_new = float(v @ (M @ v))
+        if abs(lam_new - lam) <= rel_tol * max(1.0, abs(lam_new)):
+            return lam_new
+        lam = lam_new
+    return lam
+
+
+def minnorm_boxqp(J, vlo, vhi, wlo, whi, step, tol, maxit):
+    """min |v + J^T w| over one box product; returns (norm, iterations)."""
+    v = np.minimum(np.maximum(np.zeros(vlo.shape[0]), vlo), vhi)
+    w = np.minimum(np.maximum(np.zeros(J.shape[0]), wlo), whi)
+    it = 0
+    for it in range(1, maxit + 1):
+        r = v + w @ J
+        vn = np.minimum(np.maximum(v - step * r, vlo), vhi)
+        wn = np.minimum(np.maximum(w - step * (J @ r), wlo), whi)
+        move = math.sqrt(float(np.sum((vn - v) ** 2) + np.sum((wn - w) ** 2)))
+        v, w = vn, wn
+        if move / step <= tol:
+            break
+    return float(np.linalg.norm(v + w @ J)), it
+
+
+def dist_to_stationarity(problem, x):
+    """dist(0, d phi(x)) at one point; returns (dist, min-norm iterations)."""
+    if isinstance(problem, pb.AdditiveProblem):
+        lo, hi = subgrad_bounds(problem.g, x)
+        target = -problem.f.grad(x)
+        under = np.maximum(lo - target, 0.0)
+        over = np.maximum(target - hi, 0.0)
+        return float(np.linalg.norm(np.where(target < lo, under, over))), 0
+    glo, ghi = subgrad_bounds(problem.g, x)
+    cx, J = problem.c.eval_jac(x)
+    hlo, hhi = subgrad_bounds(problem.h, cx)
+    step = 1.0 / (1.0 + operator_norm_sq(J))
+    return minnorm_boxqp(J, glo, ghi, hlo, hhi, step, BOXQP_TOL, BOXQP_CAP)

@@ -257,3 +257,36 @@ max_iter = 2000
     out = tmp_path / "pp"
     path = write_cfg(tmp_path, text)
     assert cli.main(["run", path, "--quiet", "--out", str(out)]) == 0
+
+
+COMPOSITE_CFG = """\
+[problem]
+kind = composite
+penalty = zero()
+h = {h}
+map = quadraticmap(rows=4,cols=2,seed=5,curvature=0.5)
+
+[solver]
+method = proxlinear
+sigma_policy = {sigma_policy}
+max_iter = 50
+"""
+
+
+@pytest.mark.parametrize("h,sigma_policy,violation", [
+    ("absvalue(lambda=1)", "fixed(sigma", "[solver] sigma_policy must be"),
+    ("bogus(lambda=1)", "adaptive", "[problem] h: unknown penalty kind"),
+    ("box(lo=-1,hi=1)", "adaptive",
+     "[problem] h must be a finite Lipschitz penalty, got BoxIndicator"),
+], ids=["sigma_unclosed", "h_unknown", "h_not_finite"])
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_bad_h_or_sigma_policy_is_a_config_error(tmp_path, capsys, h,
+                                                 sigma_policy, violation,
+                                                 command):
+    path = write_cfg(tmp_path, COMPOSITE_CFG.format(
+        h=h, sigma_policy=sigma_policy))
+    assert cli.main([command, path, "--quiet", "--out", str(tmp_path / "o")]
+                    if command == "run" else [command, path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {violation}" in err
+    assert "Traceback" not in err

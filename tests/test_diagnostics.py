@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 import proxbound as pb
+import serialref
+from conftest import ALL_PENALTIES
+from proxbound import diagnostics as D
+from proxbound.smooth import operator_norm_sq
 
 
 def vec(*vals):
@@ -219,6 +223,7 @@ def test_estimate_constants_bundle(lasso42, lasso42_run, lasso42_ref):
     assert "alpha_hat=" in text and "check_gamma_vs_alpha=pass" in text
     # the additive G_t is closed form: no dual ascent behind gamma
     assert "gamma_samples=" in text and "gamma_dual_iters=0\n" in text
+    assert "subdiff_samples=" in text and "subdiff_boxqp_iters=0\n" in text
     assert rep.to_csv_row().count(",") == rep.csv_header().count(",")
 
 
@@ -235,7 +240,6 @@ def test_estimate_gamma_composite(robust7, robust7_run):
 
 
 def test_composite_batches_match_per_sample_loop(robust7, monkeypatch):
-    from proxbound import diagnostics as D
     rng = np.random.default_rng(12)
     X = 2.0 + rng.uniform(-3.0, 3.0, size=(130, 10))
     t = 1.0 / (robust7.L * robust7.beta)
@@ -257,3 +261,121 @@ def test_prox_bound_composite_unsupported(robust7):
     ref = pb.ReferenceSolution.computed(np.zeros(10), 0.0, 0.0)
     with pytest.raises(pb.UnsupportedOperation):
         pb.estimate_prox_bound(robust7, ref, 1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# stacked dist(0, d phi) against the one-point-at-a-time loop
+# ---------------------------------------------------------------------------
+
+ADDITIVE_G = dict({name: p for name, (p, _) in ALL_PENALTIES.items()},
+                  halfbox=pb.BoxIndicator([0.0] * 3 + [-np.inf] * 3, np.inf))
+# every kink of the catalog penalties above: 0, the vapnik +-eps, the box ends
+KINKS = np.array([0.0, 0.4, -0.4, -1.2, 0.9])
+
+
+def kinked_points(g, rows, seed, dim=6):
+    """Random points with a third of their coordinates on a kink, pulled
+    into the box for box penalties (so some sit exactly on its ends)."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(rows, dim))
+    snap = rng.random((rows, dim)) < 1.0 / 3.0
+    X[snap] = rng.choice(KINKS, size=int(np.sum(snap)))
+    if isinstance(g, pb.BoxIndicator):
+        _, lo, hi = g._packed(dim)
+        X = np.minimum(np.maximum(X, lo), hi)
+    return X
+
+
+@pytest.mark.parametrize("gname", sorted(ADDITIVE_G))
+def test_dist_additive_batch_matches_serial(gname):
+    g = ADDITIVE_G[gname]
+    A, b = pb.random_least_squares(9, 6, 3)
+    prob = pb.AdditiveProblem(f=pb.Quadratic(A, b), g=g)
+    X = kinked_points(g, 300, seed=len(gname))
+    counts = {}
+    got = pb.dist_to_stationarity(prob, X, counts=counts)
+    want = np.array([serialref.dist_to_stationarity(prob, x)[0] for x in X])
+    assert got.shape == (300,) and counts == {"boxqp_iters": 0}
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    # a lone point still gives a float, a (2, 150, n) stack a (2, 150) array
+    assert pb.dist_to_stationarity(prob, X[7]) == want[7]
+    assert np.array_equal(
+        pb.dist_to_stationarity(prob, X.reshape(2, 150, 6)).ravel(), got)
+
+
+def vapnik_box_problem():
+    c = pb.random_quadratic_map(20, 10, 7, 0.3)
+    return pb.CompositeProblem(g=pb.BoxIndicator(-1.0, 2.5),
+                               h=pb.EpsilonInsensitive(1.0, 0.1), c=c)
+
+
+def composite_points(rows, seed):
+    rng = np.random.default_rng(seed)
+    return np.clip(2.0 + rng.uniform(-4.0, 4.0, size=(rows, 10)), -1.0, 2.5)
+
+
+# the vapnik/box QPs take up to ~1300 iterations, so fewer rows there
+@pytest.mark.parametrize("which,rows", [("robust7", 300), ("vapnik_box", 70)])
+def test_dist_composite_batch_matches_serial_bitwise(which, rows, robust7,
+                                                     monkeypatch):
+    prob = robust7 if which == "robust7" else vapnik_box_problem()
+    X = composite_points(rows, seed=21)
+    counts = {}
+    got = pb.dist_to_stationarity(prob, X, counts=counts)
+    ref = [serialref.dist_to_stationarity(prob, x) for x in X]
+    assert np.array_equal(got, np.array([r[0] for r in ref]))
+    assert counts["boxqp_iters"] == sum(r[1] for r in ref)
+    # rows are independent: one row per block gives the same bits
+    monkeypatch.setattr(D, "ROW_BLOCK", 1)
+    counts1 = {}
+    assert np.array_equal(pb.dist_to_stationarity(prob, X, counts=counts1),
+                          got)
+    assert counts1 == counts
+
+
+def test_stacked_operator_norm_matches_serial_bitwise(robust7):
+    _, J = robust7.c.eval_jac_batch(composite_points(300, seed=4))
+    want = np.array([serialref.operator_norm_sq(Jb) for Jb in J])
+    assert np.array_equal(operator_norm_sq(J), want)
+    assert operator_norm_sq(J[5]) == want[5]
+    # a zero matrix retires at once with eigenvalue 0, the others go on
+    J[3] = 0.0
+    want[3] = 0.0
+    assert np.array_equal(operator_norm_sq(J), want)
+
+
+def test_dist_row_outside_dom_g_raises():
+    A, b = pb.random_least_squares(9, 6, 3)
+    prob = pb.AdditiveProblem(f=pb.Quadratic(A, b),
+                              g=pb.BoxIndicator(-1.2, 0.9))
+    X = kinked_points(prob.g, 200, seed=5)
+    X[170, 2] = 1.0
+    with pytest.raises(pb.DomainError):
+        pb.dist_to_stationarity(prob, X)
+    X = composite_points(200, seed=6)
+    X[150, 0] = 2.6
+    with pytest.raises(pb.DomainError):
+        pb.dist_to_stationarity(vapnik_box_problem(), X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dist_non_finite_row_raises(bad, lasso42, robust7):
+    for prob in (lasso42, robust7):
+        X = np.zeros((200, 10))
+        X[140, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pb.dist_to_stationarity(prob, X)
+        with pytest.raises(ValueError, match="non-finite"):
+            pb.dist_to_stationarity(prob, X[140])
+
+
+def test_estimate_subdiff_bound_counts(robust7, robust7_run):
+    ref = pb.ReferenceSolution.computed(robust7_run.final_x,
+                                        robust7.phi(robust7_run.final_x), 0.0)
+    counts = {}
+    L = pb.estimate_subdiff_bound(robust7, ref, float("inf"), n_samples=300,
+                                  seed=2, counts=counts)
+    assert np.isfinite(L) and L > 0
+    # nu = inf accepts every sample; each QP takes at least one iteration
+    assert counts["subdiff_samples"] == 300
+    assert counts["subdiff_boxqp_iters"] >= 300

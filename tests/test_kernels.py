@@ -1,5 +1,6 @@
-"""Kernel agreement: the numba kernels must match the numpy fallbacks, and
-the stacked dual ascent must match a one-subproblem-at-a-time loop."""
+"""Kernel agreement: the numba penalty kernels must match the numpy ones,
+and the stacked dual ascent and min-norm box QP must match
+one-row-at-a-time loops."""
 
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import proxbound as pb
+import serialref
 from proxbound import _kernels as K
 
 HAS_NUMBA = hasattr(K, "penalty_value_nb")
@@ -34,7 +36,7 @@ def test_backend_flag_reports():
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
 @pytest.mark.parametrize("kind", sorted(KINDS), ids=[
     "zero", "abs", "enet", "box", "eps", "check", "huber"])
-def test_value_prox_subgrad_agree(kind):
+def test_value_prox_agree(kind):
     rng = np.random.default_rng(kind + 1)
     for trial in range(30):
         n = rng.integers(1, 12)
@@ -50,11 +52,6 @@ def test_value_prox_subgrad_agree(kind):
         assert np.allclose(K.penalty_prox_np(kind, p1, p2, x, t),
                            K.penalty_prox_nb(kind, p1, p2, x, t),
                            rtol=1e-14, atol=0)
-        lo1, hi1, ok1 = K.penalty_subgrad_np(kind, p1, p2, x)
-        lo2, hi2, ok2 = K.penalty_subgrad_nb(kind, p1, p2, x)
-        assert ok1 == ok2
-        if ok1:
-            assert np.array_equal(lo1, lo2) and np.array_equal(hi1, hi2)
 
 
 def serial_dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1,
@@ -172,27 +169,63 @@ def test_stacked_dual_ascent_names_worst_residual():
     assert info.value.iterations == 5
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_minnorm_boxqp_agrees():
-    rng = np.random.default_rng(78)
-    m, n = 6, 4
-    J = rng.standard_normal((m, n))
-    vlo, vhi = np.full(n, -0.3), np.full(n, 0.3)
-    wlo, whi = np.full(m, -1.0), np.full(m, 1.0)
-    step = 1.0 / (1.0 + float(np.linalg.norm(J, 2) ** 2))
-    d1, _ = K.minnorm_boxqp_np(J, vlo, vhi, wlo, whi, step, 1e-11, 10 ** 5)
-    d2, _ = K.minnorm_boxqp_nb(J, vlo, vhi, wlo, whi, step, 1e-11, 10 ** 5)
-    assert d1 == pytest.approx(d2, abs=1e-10)
+def stacked_boxqps(rows, seed, m=6, n=4):
+    """Kernel arguments for `rows` random min-norm QPs: v boxes that are
+    two-sided, one-sided (an infinite end) or pinned, and a step per row."""
+    rng = np.random.default_rng(seed)
+    J = np.eye(m, n) + 0.5 * rng.standard_normal((rows, m, n))
+    vlo = rng.choice([-np.inf, -0.3, 0.0], size=(rows, n))
+    vhi = np.where(vlo == 0.0, 0.0, rng.choice([np.inf, 0.3], size=(rows, n)))
+    wlo = -rng.uniform(0.0, 1.0, size=(rows, m))
+    pinned = rng.random((rows, m)) < 0.3
+    whi = np.where(pinned, wlo, rng.uniform(0.0, 1.0, size=(rows, m)))
+    steps = np.array([rng.uniform(0.5, 1.0)
+                      / (1.0 + np.linalg.norm(Jb, 2) ** 2) for Jb in J])
+    return J, vlo, vhi, wlo, whi, steps
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
+def serial_boxqps(J, vlo, vhi, wlo, whi, steps, tol, maxit):
+    return [serialref.minnorm_boxqp(J[b], vlo[b], vhi[b], wlo[b], whi[b],
+                                    steps[b], tol, maxit)
+            for b in range(J.shape[0])]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 60])
+def test_stacked_minnorm_boxqp_matches_serial(rows):
+    args = stacked_boxqps(rows, seed=rows)
+    norms, total = K.minnorm_boxqp(*args, TOL, 10 ** 5)
+    ref = serial_boxqps(*args, TOL, 10 ** 5)
+    assert np.array_equal(norms, np.array([r[0] for r in ref]))
+    assert isinstance(total, int) and total == sum(r[1] for r in ref)
+    # each row alone takes the serial loop's iterations
+    its = [r[1] for r in ref]
+    assert len(set(its)) > 1 or rows == 1
+    for b in range(0, rows, max(1, rows // 10)):
+        one, it = K.minnorm_boxqp(*[a[b:b + 1] for a in args], TOL, 10 ** 5)
+        assert one[0] == ref[b][0] and it == its[b]
+
+
+def test_stacked_minnorm_boxqp_cap_returns_current_norm():
+    args = stacked_boxqps(50, seed=3)
+    ref = serial_boxqps(*args, 1e-11, 4)
+    norms, total = K.minnorm_boxqp(*args, 1e-11, 4)
+    assert np.array_equal(norms, np.array([r[0] for r in ref]))
+    assert total == sum(r[1] for r in ref)
+    # some rows stop early, the rest run into the cap
+    assert 0 < sum(r[1] < 4 for r in ref) < 50
+    assert K.minnorm_boxqp(*[a[:0] for a in args], 1e-11, 4)[1] == 0
+
+
 def test_minnorm_handles_infinite_bounds():
-    J = np.array([[1.0, 0.0], [0.0, 1.0]])
-    vlo = np.array([-np.inf, 0.0])
-    vhi = np.array([np.inf, 0.0])
-    wlo = np.full(2, 0.5)
-    whi = np.full(2, 0.5)
-    step = 0.5
+    J = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+    vlo = np.array([[-np.inf, 0.0]])
+    vhi = np.array([[np.inf, 0.0]])
+    wlo = np.full((1, 2), 0.5)
+    whi = np.full((1, 2), 0.5)
+    steps = np.array([0.5])
     # first coordinate free: can cancel w exactly; second pinned at 0.5
-    d, _ = K.minnorm_boxqp_nb(J, vlo, vhi, wlo, whi, step, 1e-12, 10 ** 5)
-    assert d == pytest.approx(0.5, abs=1e-10)
+    norms, _ = K.minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, 1e-12, 10 ** 5)
+    assert norms[0] == pytest.approx(0.5, abs=1e-10)
+    ref, _ = serialref.minnorm_boxqp(J[0], vlo[0], vhi[0], wlo[0], whi[0],
+                                     0.5, 1e-12, 10 ** 5)
+    assert norms[0] == ref

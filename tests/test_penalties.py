@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import proxbound as pb
+import serialref
 from gridref import SCALAR_VALUES, grid_envelope, grid_prox
 
 
@@ -193,6 +194,30 @@ def test_value_batch_matches_rowwise_value_bitwise(penalty_case):
         assert got.shape == (20,) and np.array_equal(got, want)
         if name == "box":
             assert np.all(got[::2] == 0.0) and np.all(np.isinf(got[1::2]))
+
+
+def test_subgrad_bounds_over_leading_axes_match_scalar_formula(penalty_case):
+    name, p, _ = penalty_case
+    rng = np.random.default_rng(11)
+    # a third of the coordinates on a kink: 0, the vapnik +-eps, the box ends
+    X = rng.normal(size=(4, 30, 5)) * 2
+    snap = rng.random(X.shape) < 1.0 / 3.0
+    X[snap] = rng.choice([0.0, 0.4, -0.4, -1.2, 0.9], size=int(np.sum(snap)))
+    if name == "box":
+        X = np.clip(X, -1.2, 0.9)
+    lo, hi = p.subgrad_bounds(X)
+    assert lo.shape == hi.shape == X.shape
+    for idx in np.ndindex(X.shape[:-1]):
+        want_lo, want_hi = serialref.subgrad_bounds(p, X[idx])
+        assert np.array_equal(lo[idx], want_lo)
+        assert np.array_equal(hi[idx], want_hi)
+        one_lo, one_hi = p.subgrad_bounds(X[idx])
+        assert np.array_equal(one_lo, want_lo) and np.array_equal(one_hi, want_hi)
+    if name == "box":
+        assert np.isinf(lo).any() and np.isinf(hi).any()
+        X[3, 29, 4] = 1.0
+        with pytest.raises(pb.DomainError):
+            p.subgrad_bounds(X)
 
 
 def test_convexity_midpoint_probe(penalty_case):
