@@ -9,12 +9,12 @@ pure numpy. The backend is fixed once at import time from the
 * ``numpy`` - force the vectorized numpy path
 
 Everything else is numpy only: row-wise penalty values and subgradient
-bounds over any leading axes, the dual ascent of the prox-linear subproblem
-and the min-norm box QP behind dist(0, d phi). The last two are one kernel
-each over a stack of rows, used with a single row for one point and with
-blocks of rows by the diagnostics. Penalties are encoded as an integer kind
-plus two per-coordinate parameter arrays; see the table in
-:mod:`proxbound.penalties`.
+bounds over any leading axes, the accelerated dual ascent of the
+prox-linear subproblem and the min-norm box QP behind dist(0, d phi). The
+last two are one kernel each over a stack of rows, used with a single row
+for one point and with blocks of rows by the diagnostics. Penalties are
+encoded as an integer kind plus two per-coordinate parameter arrays; see
+the table in :mod:`proxbound.penalties`.
 """
 
 import os
@@ -155,27 +155,42 @@ def penalty_subgrad_rows(kind, p1, p2, X):
 
 def row_dots(A):
     """A[i] @ A[i] for every row, by the BLAS dot a lone vector would use."""
-    return np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0]
+    return row_inner(A, A)
+
+
+def row_inner(A, C):
+    """A[i] @ C[i] for every row, by the BLAS dot a lone pair would use."""
+    return np.matmul(A[:, None, :], C[:, :, None])[:, 0, 0]
 
 
 def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
                 J, cbar, X, t, steps, tol, fx, fslack, maxit):
-    """Forward-backward ascent on the duals of B linearized subproblems.
+    """Accelerated forward-backward ascent on the duals of B linearized
+    subproblems.
 
     Row b maximizes  <w, cbar_b> - h*(w)
     + min_y { g(y) + <J_b^T w, y - x_b> + |y - x_b|^2/2t }  over the box
     [hlo, hhi], with the extra dual terms hl1*|w|_1 (vapnik) and
-    hquad*|w|^2/2 (huber envelope), by projected gradient with step
-    steps[b]. Primal recovery y = prox_{tg}(x_b - t J_b^T w). A row stops
-    once its dual fixed-point residual is <= tol and its model value
-    g(y) + h(z) + |y - x_b|^2/2t is <= fx[b] + fslack[b]; the model value is
-    evaluated only for rows whose residual passed. Finished rows retire, and
-    the stacked arrays are compacted only when some row finishes.
+    hquad*|w|^2/2 (huber envelope), by FISTA (Beck & Teboulle 2009) with
+    step steps[b] and gradient-mapping adaptive restart (O'Donoghue &
+    Candes 2015). Each row keeps its own momentum theta: the forward-backward
+    map T is applied at the extrapolated point
+    v = w + ((theta_k - 1)/theta_{k+1})(w - w_prev), with theta_1 = 1 and
+    theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2))/2, and the next iterate is
+    T(v); a row whose step turns against its last move,
+    (T(v) - v).(T(v) - w) < 0, restarts at theta = 1, which drops the
+    momentum of its next step. Primal recovery y = prox_{tg}(x_b - t J_b^T v).
+    A row stops once its dual fixed-point residual |T(v) - v|/step is
+    <= tol and its model value g(y) + h(z) + |y - x_b|^2/2t is
+    <= fx[b] + fslack[b]; the model value is evaluated only for rows whose
+    residual passed. Finished rows retire, and the stacked arrays are
+    compacted only when some row finishes.
 
     J is (B, m, n), cbar (B, m), X (B, n); steps, fx and fslack are (B,).
-    Returns (Y, W, residuals, total row iterations, per-row iterations).
-    Raises InnerSolveError naming the worst residual when rows are still
-    running after maxit iterations.
+    Returns (Y, W, residuals, total row iterations, per-row iterations),
+    W holding the dual point v at which each row stopped. Raises
+    InnerSolveError naming the worst residual when rows are still running
+    after maxit iterations.
     """
     B = X.shape[0]
     Y = np.empty_like(X)
@@ -189,16 +204,21 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
     thr = step * hl1 if np.any(hl1) else None
     quad = hquad if np.any(hquad) else None
     w = np.zeros(cbar.shape)
+    w_prev = w
+    theta = np.ones(B)
     for it in range(1, maxit + 1):
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        v = w + ((theta - 1.0) / theta_next)[:, None] * (w - w_prev)
         Yr = penalty_prox_np(gkind, gp1, gp2,
-                             X - t * np.matmul(w[:, None, :], J)[:, 0, :], t)
+                             X - t * np.matmul(v[:, None, :], J)[:, 0, :], t)
         D = Yr - X
         Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
-        wh = w + step * (Z if quad is None else Z - quad * w)
+        vh = v + step * (Z if quad is None else Z - quad * v)
         if thr is not None:
-            wh = np.sign(wh) * np.maximum(np.abs(wh) - thr, 0.0)
-        wnew = np.minimum(np.maximum(wh, hlo), hhi)
-        r = np.sqrt(row_dots(wnew - w)) / step[:, 0]
+            vh = np.sign(vh) * np.maximum(np.abs(vh) - thr, 0.0)
+        Tv = np.minimum(np.maximum(vh, hlo), hhi)
+        G = Tv - v
+        r = np.sqrt(row_dots(G)) / step[:, 0]
         ok = r <= tol
         if ok.any():
             passed = np.flatnonzero(ok)
@@ -209,7 +229,7 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
             if done.size:
                 out = rows[done]
                 Y[out] = Yr[done]
-                W[out] = w[done]
+                W[out] = v[done]
                 resid[out] = r[done]
                 iters[out] = it
                 if done.size == rows.size:
@@ -218,10 +238,12 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
                 keep[done] = False
                 rows, J, cbar, X = rows[keep], J[keep], cbar[keep], X[keep]
                 step, limit = step[keep], limit[keep]
-                r, wnew = r[keep], wnew[keep]
+                r, w, Tv, G = r[keep], w[keep], Tv[keep], G[keep]
+                theta_next = theta_next[keep]
                 if thr is not None:
                     thr = thr[keep]
-        w = wnew
+        theta = np.where(row_inner(G, Tv - w) < 0.0, 1.0, theta_next)
+        w_prev, w = w, Tv
     worst = float(np.max(r))
     raise InnerSolveError(
         f"subproblem dual ascent stalled at residual {worst:.3e}",
@@ -242,12 +264,13 @@ def minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, tol, maxit):
     once its move divided by its step is <= tol and then retires; rows still
     running after maxit iterations return their current norm. Each norm
     upper-bounds the row's true minimum and is exact at convergence, since
-    the problem is convex. Returns (norms, total row iterations as an int).
+    the problem is convex. Returns (norms, total row iterations as an int,
+    number of rows that ran into maxit).
     """
     B = J.shape[0]
     norms = np.empty(B)
     if B == 0:
-        return norms, 0
+        return norms, 0, 0
     V = np.minimum(np.maximum(np.zeros(vlo.shape), vlo), vhi)
     W = np.minimum(np.maximum(np.zeros(wlo.shape), wlo), whi)
     step = np.asarray(steps, dtype=np.float64)[:, None]
@@ -268,13 +291,13 @@ def minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, tol, maxit):
                 _residuals(V[done], W[done], J[done])))
             total += it * finished
             if finished == rows.size:
-                return norms, total
+                return norms, total, 0
             keep = ~done
             rows, J, V, W = rows[keep], J[keep], V[keep], W[keep]
             vlo, vhi, wlo, whi = vlo[keep], vhi[keep], wlo[keep], whi[keep]
             step = step[keep]
     norms[rows] = np.sqrt(row_dots(_residuals(V, W, J)))
-    return norms, total + maxit * rows.size
+    return norms, total + maxit * rows.size, rows.size
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,9 @@ class ExperimentConfig:
     tail_fraction: float = 0.5
     out_dir: str = "out"
     echo: dict = field(default_factory=dict)
+    # built by parse_config from the specs above
+    problem: object = None
+    x0: np.ndarray = None
 
 
 def _parse_bool(text):
@@ -81,22 +84,38 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _check_spec_files(spec, where, violations):
+_BUILD_ERRORS = (ValueError, ProxboundError, OSError)
+
+
+def _build_spec(build, spec, where, violations):
+    """build(spec), or None with the reason added to violations; a missing
+    referenced file is named as such."""
     try:
         _, params = parse_spec_string(spec)
     except ValueError as exc:
         violations.append(f"{where}: {exc}")
-        return
-    for key in _FILE_PARAMS:
-        if key in params and not os.path.isfile(params[key]):
-            violations.append(f"{where}: missing file {params[key]!r}")
+        return None
+    missing = [params[key] for key in _FILE_PARAMS
+               if key in params and not os.path.isfile(params[key])]
+    for path in missing:
+        violations.append(f"{where}: missing file {path!r}")
+    if missing:
+        return None
+    try:
+        return build(spec)
+    except _BUILD_ERRORS as exc:
+        violations.append(f"{where}: {exc}")
+        return None
 
 
 def parse_config(path):
     """Read and fully validate an experiment config.
 
-    Collects every violation found (unknown keys, missing keys, bad values,
-    missing referenced files) before raising.
+    Builds every spec it accepts, the problem instance and x0 included
+    (kept on the returned config), and checks that the method suits the
+    problem kind, so a config that passes can be run. Collects every
+    violation found (unknown keys, missing keys, bad values, missing
+    referenced files, specs that do not build) before raising.
     """
     if not os.path.isfile(path):
         raise ConfigError([f"config file not found: {path}"])
@@ -143,38 +162,36 @@ def parse_config(path):
     if cfg.kind not in ("additive", "composite"):
         violations.append("[problem] kind must be 'additive' or 'composite'")
     cfg.penalty_spec = get("problem", "penalty") or ""
+    built = {}  # the instance's pieces: g, then f or h and c
     if not cfg.penalty_spec:
         violations.append("[problem] penalty is required")
     else:
-        try:
-            penalty_from_spec(cfg.penalty_spec)
-        except ValueError as exc:
-            violations.append(f"[problem] penalty: {exc}")
+        built["g"] = _build_spec(penalty_from_spec, cfg.penalty_spec,
+                                 "[problem] penalty", violations)
     if cfg.kind == "additive":
         cfg.smooth_spec = get("problem", "smooth") or ""
         if not cfg.smooth_spec:
             violations.append("[problem] smooth is required for additive")
         else:
-            _check_spec_files(cfg.smooth_spec, "[problem] smooth", violations)
+            built["f"] = _build_spec(smooth_from_spec, cfg.smooth_spec,
+                                     "[problem] smooth", violations)
     elif cfg.kind == "composite":
         cfg.h_spec = get("problem", "h") or ""
         cfg.map_spec = get("problem", "map") or ""
         if not cfg.h_spec:
             violations.append("[problem] h is required for composite")
         else:
-            try:
-                h = penalty_from_spec(cfg.h_spec)
-            except ValueError as exc:
-                violations.append(f"[problem] h: {exc}")
-            else:
-                if not isinstance(h, FINITE_H_KINDS):
-                    violations.append(
-                        "[problem] h must be a finite Lipschitz penalty, "
-                        f"got {type(h).__name__}")
+            h = built["h"] = _build_spec(penalty_from_spec, cfg.h_spec,
+                                         "[problem] h", violations)
+            if h is not None and not isinstance(h, FINITE_H_KINDS):
+                violations.append(
+                    "[problem] h must be a finite Lipschitz penalty, "
+                    f"got {type(h).__name__}")
         if not cfg.map_spec:
             violations.append("[problem] map is required for composite")
         else:
-            _check_spec_files(cfg.map_spec, "[problem] map", violations)
+            built["c"] = _build_spec(map_from_spec, cfg.map_spec,
+                                     "[problem] map", violations)
     cfg.f_convex = get_typed("problem", "f_convex", _parse_bool, True, "bool")
     cfg.beta_override = get_typed("problem", "beta_override", float, None, "float")
     cfg.x0_spec = get("problem", "x0", "zeros")
@@ -193,6 +210,13 @@ def parse_config(path):
             elif name == "const":
                 if "value" not in params:
                     violations.append("[problem] x0 const(...) needs value=")
+                else:
+                    try:
+                        float(params["value"])
+                    except ValueError:
+                        violations.append(
+                            "[problem] x0 const(...): value is not a number: "
+                            f"{params['value']!r}")
             else:
                 violations.append(f"[problem] x0: unknown form {name!r}")
     cfg.seed = get_typed("problem", "seed", int, 0, "int")
@@ -203,6 +227,12 @@ def parse_config(path):
     if cfg.method not in ("proxgrad", "proxlinear", "proxpoint-oracle"):
         violations.append(
             "[solver] method must be proxgrad|proxlinear|proxpoint-oracle")
+    elif cfg.kind in ("additive", "composite") and (
+            (cfg.method == "proxlinear") != (cfg.kind == "composite")):
+        violations.append(
+            f"[solver] method {cfg.method} does not solve kind = {cfg.kind} "
+            "(proxgrad and proxpoint-oracle solve additive problems, "
+            "proxlinear composite ones)")
     cfg.t0 = get_typed("solver", "t0", float, None, "float")
     if cfg.t0 is not None and cfg.t0 <= 0:
         violations.append("[solver] t0 must be positive")
@@ -264,6 +294,12 @@ def parse_config(path):
         except ValueError:
             violations.append(f"PROXBOUND_SEED is not an integer: {env_seed!r}")
 
+    if not violations:
+        try:
+            cfg.problem = _build_problem(cfg, **built)
+            cfg.x0 = _build_x0(cfg, cfg.problem.dim)
+        except _BUILD_ERRORS as exc:
+            violations.append(f"[problem] {exc}")
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -309,17 +345,13 @@ class RunReport:
         return lines
 
 
-def _build_problem(cfg):
-    g = penalty_from_spec(cfg.penalty_spec)
+def _build_problem(cfg, g, f=None, h=None, c=None):
+    """The instance from the built g and f (additive) or h and c."""
     if cfg.kind == "additive":
-        f = smooth_from_spec(cfg.smooth_spec)
         if cfg.beta_override is not None:
             f.beta = cfg.beta_override
         return AdditiveProblem(f=f, g=g, f_convex=cfg.f_convex)
-    h = penalty_from_spec(cfg.h_spec)
-    c = map_from_spec(cfg.map_spec)
-    beta = cfg.beta_override if cfg.beta_override is not None else None
-    return CompositeProblem(g=g, h=h, c=c, beta=beta)
+    return CompositeProblem(g=g, h=h, c=c, beta=cfg.beta_override)
 
 
 def _build_x0(cfg, dim):
@@ -337,9 +369,9 @@ def _tolerance_slack(values, floor):
 
 
 def run_experiment(cfg):
-    """Build the instance, run the solver, evaluate every enabled check."""
-    problem = _build_problem(cfg)
-    x0 = _build_x0(cfg, problem.dim)
+    """Run the solver on the instance parse_config built and evaluate every
+    enabled check."""
+    problem, x0 = cfg.problem, cfg.x0
     checks = []
 
     if cfg.method == "proxgrad":

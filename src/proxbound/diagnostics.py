@@ -131,30 +131,36 @@ def dist_to_stationarity(problem, x, counts=None):
     w in d h(c(x)), solved by projected gradient on the box product (an
     upper bound on the true distance, exact at convergence since the
     problem is convex). A dict passed as counts receives boxqp_iters, the
-    min-norm QP iterations summed over the rows (0 for additive problems).
+    min-norm QP iterations summed over the rows, and boxqp_capped, the rows
+    whose QP ran into BOXQP_CAP and so report an unconverged upper bound
+    (both 0 for additive problems).
     """
     if not isinstance(problem, (AdditiveProblem, CompositeProblem)):
         raise TypeError(f"unknown problem type {type(problem).__name__}")
     x = as_points(x, problem.dim)
     X = x.reshape(-1, problem.dim)
     dists = np.empty(X.shape[0])
-    iters = 0
+    iters = capped = 0
     for s in range(0, X.shape[0], ROW_BLOCK):
-        dists[s:s + ROW_BLOCK], it = _dist_block(problem, X[s:s + ROW_BLOCK])
+        dists[s:s + ROW_BLOCK], it, cap = _dist_block(problem,
+                                                      X[s:s + ROW_BLOCK])
         iters += it
+        capped += cap
     if counts is not None:
         counts["boxqp_iters"] = iters
+        counts["boxqp_capped"] = capped
     return float(dists[0]) if x.ndim == 1 else dists.reshape(x.shape[:-1])
 
 
 def _dist_block(problem, X):
-    """dist(0, d phi) at the rows of X, plus the min-norm QP iterations."""
+    """dist(0, d phi) at the rows of X, the min-norm QP iterations and the
+    number of capped QP rows."""
     if isinstance(problem, AdditiveProblem):
         lo, hi = problem.g.subgrad_bounds(X)
         target = -problem.f.grad_batch(X)
         under = np.maximum(lo - target, 0.0)
         over = np.maximum(target - hi, 0.0)
-        return np.sqrt(K.row_dots(np.where(target < lo, under, over))), 0
+        return np.sqrt(K.row_dots(np.where(target < lo, under, over))), 0, 0
     glo, ghi = problem.g.subgrad_bounds(X)
     C, J = problem.c.eval_jac_batch(X)
     hlo, hhi = problem.h.subgrad_bounds(C)
@@ -381,8 +387,9 @@ def estimate_subdiff_bound(problem, ref, nu, n_samples=2000, seed=0,
     """Empirical L with dist(x,S) <= L dist(0, d phi(x)) on the sublevel set.
 
     A dict passed as counts receives subdiff_samples (the accepted samples
-    whose dist(0, d phi) was evaluated) and subdiff_boxqp_iters (the
-    min-norm QP iterations summed over them; 0 for additive problems).
+    whose dist(0, d phi) was evaluated), subdiff_boxqp_iters (the min-norm
+    QP iterations summed over them) and subdiff_boxqp_capped (those whose QP
+    ran into BOXQP_CAP); both QP counts are 0 for additive problems.
     """
     X = sample_box(ref, problem.dim, n_samples, seed)
     if extra_points is not None and len(extra_points):
@@ -393,6 +400,7 @@ def estimate_subdiff_bound(problem, ref, nu, n_samples=2000, seed=0,
     if counts is not None:
         counts["subdiff_samples"] = int(Xa.shape[0])
         counts["subdiff_boxqp_iters"] = dist_counts["boxqp_iters"]
+        counts["subdiff_boxqp_capped"] = dist_counts["boxqp_capped"]
     mask = stat > GNORM_SKIP
     if int(np.sum(mask)) < MIN_ACCEPTED:
         raise InsufficientData(

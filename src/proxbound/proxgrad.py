@@ -93,7 +93,7 @@ class IterationTrace:
                 v = self.data[name][i]
                 if name == "elapsed_s" and zero_elapsed:
                     v = 0.0
-                if name in ("k", "backtracks"):
+                if name in ("k", "backtracks", "inner_iters"):
                     vals.append(str(int(v)))
                 else:
                     vals.append(f"{v:.17g}")

@@ -23,8 +23,8 @@ from .vectors import as_vector
 FINITE_H_KINDS = (AbsValue, EpsilonInsensitive, CheckFunction, HuberEnvelope)
 
 PROXLINEAR_HEADER = ("k", "phi", "gnorm", "t_accepted", "backtracks",
-                     "decrease_residual", "certificate", "certificate_sharp",
-                     "elapsed_s")
+                     "inner_iters", "decrease_residual", "certificate",
+                     "certificate_sharp", "elapsed_s")
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,24 @@ def _solve_subproblem_batch(problem, X, t, inner_tol):
     return Y, iters
 
 
-def solve_subproblem(problem, x, t, inner_tol=1e-10):
+def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None):
     """Minimizer of the proximal model at base point x with step t.
 
     The model is solved through its Fenchel dual in w (a box, plus an l1
     term for the vapnik penalty and a quadratic for the huber envelope) by
-    projected gradient ascent with step 1/(t|J|^2 + 1); the primal point is
-    recovered as y = prox_{tg}(x - t J^T w). Terminates once the dual
-    fixed-point residual drops to inner_tol and the model value at y does
-    not exceed phi(x) (y = x is feasible with exactly that value).
+    accelerated projected gradient ascent (FISTA with adaptive restart, see
+    _kernels.dual_ascent) with step 1/(t|J|^2 + curv), |J|^2 from a power
+    iteration and curv the larger of 1 and the huber envelope's dual
+    curvature; the primal point is recovered as y = prox_{tg}(x - t J^T w).
+    Terminates once the dual fixed-point residual drops to inner_tol and the
+    model value at y does not exceed phi(x) (y = x is feasible with exactly
+    that value). A dict passed as counts receives dual_iters, the dual
+    iterations the solve took.
     """
     x = as_vector(x, problem.dim)
-    Y, _ = _solve_subproblem_batch(problem, x[None, :], t, inner_tol)
+    Y, iters = _solve_subproblem_batch(problem, x[None, :], t, inner_tol)
+    if counts is not None:
+        counts["dual_iters"] = iters
     return Y[0]
 
 
@@ -165,9 +171,10 @@ def run_prox_linear(problem, x0, cfg=None):
     """Backtracking prox-linear iteration, terminating on |G_t(x_k)| <= eps.
 
     t is never reset upward between iterations. Each trace row records the
-    accepted step, the backtrack count, the decrease residual
-    phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and both stationarity
-    certificates.
+    accepted step, the backtrack count, the dual-ascent iterations of the
+    step's subproblem solves (summed over its backtracks), the decrease
+    residual phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and both
+    stationarity certificates.
     """
     cfg = cfg or ProxLinearConfig()
     x = as_vector(x0, problem.dim).copy()
@@ -179,15 +186,18 @@ def run_prox_linear(problem, x0, cfg=None):
     trace.meta = {"t0": t, "L": problem.L, "beta": problem.beta}
     start = time.perf_counter()
     phi_x = problem.phi(x)
+    counts = {}
     for k in range(cfg.max_iter + 1):
-        y = solve_subproblem(problem, x, t, cfg.inner_tol)
+        y = solve_subproblem(problem, x, t, cfg.inner_tol, counts)
+        inner_iters = counts["dual_iters"]
         gnorm = float(np.linalg.norm(x - y)) / t
         trace.iterates.append(x.copy())
         cert = near_stationarity_certificate(problem, gnorm, t)
         cert_sharp = sharp_certificate_additive(problem.beta, gnorm, t)
         if gnorm <= cfg.eps or k == cfg.max_iter:
             trace.append(k=k, phi=phi_x, gnorm=gnorm, t_accepted=t,
-                         backtracks=0, decrease_residual=0.0,
+                         backtracks=0, inner_iters=inner_iters,
+                         decrease_residual=0.0,
                          certificate=cert, certificate_sharp=cert_sharp,
                          elapsed_s=time.perf_counter() - start)
             trace.status = "Converged" if gnorm <= cfg.eps else "MaxIter"
@@ -203,14 +213,16 @@ def run_prox_linear(problem, x0, cfg=None):
                 raise InnerSolveError(
                     "backtracking underflow: step fell below 1e-12",
                     residual=gnorm, iterations=k)
-            y = solve_subproblem(problem, x, t, cfg.inner_tol)
+            y = solve_subproblem(problem, x, t, cfg.inner_tol, counts)
+            inner_iters += counts["dual_iters"]
             gnorm = float(np.linalg.norm(x - y)) / t
             backtracks += 1
         cert = near_stationarity_certificate(problem, gnorm, t)
         cert_sharp = sharp_certificate_additive(problem.beta, gnorm, t)
         resid = phi_x - phi_y - 0.5 * sigma * gnorm * gnorm
         trace.append(k=k, phi=phi_x, gnorm=gnorm, t_accepted=t,
-                     backtracks=backtracks, decrease_residual=resid,
+                     backtracks=backtracks, inner_iters=inner_iters,
+                     decrease_residual=resid,
                      certificate=cert, certificate_sharp=cert_sharp,
                      elapsed_s=time.perf_counter() - start)
         x = y

@@ -1,9 +1,11 @@
-"""One-point-at-a-time references for the stacked diagnostics kernels.
+"""One-point-at-a-time references for the stacked kernels.
 
 These are the serial loops that the stacked numpy kernels replaced: a
 scalar subgradient formula per coordinate, the power iteration on one
-matrix, the min-norm box QP on one row, and dist(0, d phi) at one point.
-The stacked code must reproduce them row by row.
+matrix, the min-norm box QP on one row, dist(0, d phi) at one point, and
+the accelerated dual ascent on one subproblem. The stacked code must
+reproduce them row by row. The plain (unaccelerated) dual ascent that the
+accelerated one replaced stays as an accuracy reference.
 """
 
 import math
@@ -104,3 +106,49 @@ def dist_to_stationarity(problem, x):
     hlo, hhi = subgrad_bounds(problem.h, cx)
     step = 1.0 / (1.0 + operator_norm_sq(J))
     return minnorm_boxqp(J, glo, ghi, hlo, hhi, step, BOXQP_TOL, BOXQP_CAP)
+
+
+def _dual_step(pen, J, cbar, x, t, step, w):
+    """Primal point y(w), its model value and the forward-backward map
+    T(w) of one subproblem's dual; pen holds the kernel's ten penalty
+    arguments (g kind and parameters, h kind, parameters and dual box)."""
+    gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad = pen
+    y = K.penalty_prox_np(gkind, gp1, gp2, x - t * (w @ J), t)
+    d = y - x
+    z = cbar + J @ d
+    fy = (K.penalty_value_np(gkind, gp1, gp2, y)
+          + K.penalty_value_np(hkind, hp1, hp2, z) + (d @ d) / (2.0 * t))
+    wh = w + step * (z - hquad * w)
+    wh = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
+    return y, fy, np.minimum(np.maximum(wh, hlo), hhi)
+
+
+def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
+    """FISTA with gradient-mapping restart on one subproblem's dual.
+    Returns (y, v, residual, iterations, converged), v being the dual point
+    at which the loop stopped."""
+    w = w_prev = np.zeros(cbar.shape[0])
+    theta = 1.0
+    for it in range(1, maxit + 1):
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        v = w + ((theta - 1.0) / theta_next) * (w - w_prev)
+        y, fy, tv = _dual_step(pen, J, cbar, x, t, step, v)
+        resid = float(np.linalg.norm(tv - v)) / step
+        if resid <= tol and fy <= fx + fslack:
+            return y, v, resid, it, True
+        theta = 1.0 if (tv - v) @ (tv - w) < 0.0 else theta_next
+        w_prev, w = w, tv
+    return y, v, resid, maxit, False
+
+
+def plain_dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
+    """The projected gradient loop that the accelerated ascent replaced;
+    same arguments and returns as dual_ascent."""
+    w = np.zeros(cbar.shape[0])
+    for it in range(1, maxit + 1):
+        y, fy, wnew = _dual_step(pen, J, cbar, x, t, step, w)
+        resid = float(np.linalg.norm(wnew - w)) / step
+        if resid <= tol and fy <= fx + fslack:
+            return y, w, resid, it, True
+        w = wnew
+    return y, w, resid, maxit, False

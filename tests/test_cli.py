@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,8 +196,9 @@ tail_rate = true
     assert "CHECK certificate_formula: PASS" in report
     assert "CHECK half_bound: PASS" in report
     header = (out / "trace.csv").read_text().splitlines()[0]
-    assert header == ("k,phi,gnorm,t_accepted,backtracks,decrease_residual,"
-                      "certificate,certificate_sharp,elapsed_s")
+    assert header == ("k,phi,gnorm,t_accepted,backtracks,inner_iters,"
+                      "decrease_residual,certificate,certificate_sharp,"
+                      "elapsed_s")
 
 
 def test_runtime_error_exit_code(tmp_path):
@@ -290,3 +293,90 @@ def test_bad_h_or_sigma_policy_is_a_config_error(tmp_path, capsys, h,
     err = capsys.readouterr().err
     assert f"config error: {violation}" in err
     assert "Traceback" not in err
+
+
+ADDITIVE_CFG = """\
+[problem]
+kind = additive
+smooth = {smooth}
+penalty = absvalue(lambda=0.1)
+x0 = {x0}
+
+[solver]
+method = {method}
+max_iter = 50
+"""
+
+
+# each of these passed `check` and then made `run` exit 1 with a traceback
+@pytest.mark.parametrize("text,violation", [
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                         x0="const(value=abc)", method="proxgrad"),
+     "[problem] x0 const(...): value is not a number: 'abc'"),
+    (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+     .replace("quadraticmap(rows=4,cols=2,seed=5,curvature=0.5)",
+              "bogusmap(rows=20)"),
+     "[problem] map: unknown map kind 'bogusmap'"),
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=abc,cols=3,seed=1)",
+                         x0="zeros", method="proxgrad"),
+     "[problem] smooth: invalid literal for int()"),
+    (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+     .replace("method = proxlinear", "method = proxgrad"),
+     "[solver] method proxgrad does not solve kind = composite"),
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                         x0="zeros", method="proxlinear"),
+     "[solver] method proxlinear does not solve kind = additive"),
+], ids=["x0_not_a_number", "map_unknown", "smooth_bad_rows",
+        "composite_proxgrad", "additive_proxlinear"])
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_unbuildable_config_is_a_config_error(tmp_path, capsys, text,
+                                              violation, command):
+    path = write_cfg(tmp_path, text)
+    assert cli.main([command, path, "--quiet", "--out", str(tmp_path / "o")]
+                    if command == "run" else [command, path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {violation}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content,violation", [
+    ("2 1\n1.0\n2.0\n", "x0 has dim 2, expected 3"),
+    ("1.0\n2.0\n1.0\n", "first line must be 'rows cols'"),
+], ids=["wrong_length", "no_header"])
+def test_unloadable_x0_file_is_a_config_error(tmp_path, content, violation):
+    x0 = tmp_path / "x0.txt"
+    x0.write_text(content)
+    text = ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                               x0=f"file(path={x0})", method="proxgrad")
+    with pytest.raises(pb.ConfigError) as err:
+        cli.parse_config(write_cfg(tmp_path, text))
+    assert len(err.value.violations) == 1
+    assert err.value.violations[0].startswith("[problem] ")
+    assert violation in err.value.violations[0]
+
+
+def test_parse_config_builds_the_instance(tmp_path):
+    cfg = cli.parse_config(write_cfg(tmp_path, ADDITIVE_CFG.format(
+        smooth="quadratic(rows=5,cols=3,seed=1)", x0="const(value=2)",
+        method="proxgrad")))
+    assert isinstance(cfg.problem, pb.AdditiveProblem)
+    assert cfg.problem.dim == 3 and np.array_equal(cfg.x0, np.full(3, 2.0))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    path = write_cfg(tmp_path, CORRIDOR_CFG.format(out=tmp_path / "o"))
+    runs = [(["check", path], 0), (["run", path, "--quiet"], 0),
+            (["bogus", path], 2)]
+    for args, code in runs:
+        proc = subprocess.run([sys.executable, "-m", "proxbound", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert (tmp_path / "o" / "report.txt").exists()

@@ -224,6 +224,7 @@ def test_estimate_constants_bundle(lasso42, lasso42_run, lasso42_ref):
     # the additive G_t is closed form: no dual ascent behind gamma
     assert "gamma_samples=" in text and "gamma_dual_iters=0\n" in text
     assert "subdiff_samples=" in text and "subdiff_boxqp_iters=0\n" in text
+    assert "subdiff_boxqp_capped=0\n" in text
     assert rep.to_csv_row().count(",") == rep.csv_header().count(",")
 
 
@@ -295,7 +296,8 @@ def test_dist_additive_batch_matches_serial(gname):
     counts = {}
     got = pb.dist_to_stationarity(prob, X, counts=counts)
     want = np.array([serialref.dist_to_stationarity(prob, x)[0] for x in X])
-    assert got.shape == (300,) and counts == {"boxqp_iters": 0}
+    assert got.shape == (300,) and counts == {"boxqp_iters": 0,
+                                         "boxqp_capped": 0}
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     # a lone point still gives a float, a (2, 150, n) stack a (2, 150) array
     assert pb.dist_to_stationarity(prob, X[7]) == want[7]
@@ -314,6 +316,19 @@ def composite_points(rows, seed):
     return np.clip(2.0 + rng.uniform(-4.0, 4.0, size=(rows, 10)), -1.0, 2.5)
 
 
+def test_dist_counts_capped_rows(monkeypatch):
+    # a QP cut short by the cap is counted instead of passing silently; a
+    # row that converges on the capping iteration itself is not capped
+    prob = vapnik_box_problem()
+    X = composite_points(70, seed=21)
+    full = [serialref.dist_to_stationarity(prob, x)[1] for x in X]
+    monkeypatch.setattr(D, "BOXQP_CAP", 50)
+    counts = {}
+    pb.dist_to_stationarity(prob, X, counts=counts)
+    assert counts["boxqp_capped"] == sum(it > 50 for it in full) > 0
+    assert counts["boxqp_iters"] == sum(min(it, 50) for it in full)
+
+
 # the vapnik/box QPs take up to ~1300 iterations, so fewer rows there
 @pytest.mark.parametrize("which,rows", [("robust7", 300), ("vapnik_box", 70)])
 def test_dist_composite_batch_matches_serial_bitwise(which, rows, robust7,
@@ -325,6 +340,7 @@ def test_dist_composite_batch_matches_serial_bitwise(which, rows, robust7,
     ref = [serialref.dist_to_stationarity(prob, x) for x in X]
     assert np.array_equal(got, np.array([r[0] for r in ref]))
     assert counts["boxqp_iters"] == sum(r[1] for r in ref)
+    assert counts["boxqp_capped"] == 0
     # rows are independent: one row per block gives the same bits
     monkeypatch.setattr(D, "ROW_BLOCK", 1)
     counts1 = {}
@@ -379,3 +395,4 @@ def test_estimate_subdiff_bound_counts(robust7, robust7_run):
     # nu = inf accepts every sample; each QP takes at least one iteration
     assert counts["subdiff_samples"] == 300
     assert counts["subdiff_boxqp_iters"] >= 300
+    assert counts["subdiff_boxqp_capped"] == 0
