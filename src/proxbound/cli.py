@@ -545,6 +545,13 @@ def main(argv=None):
     except ProxboundError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # exit 1 means "a check failed", so no other failure may escape
+        # as a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"runtime error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
     if not args.quiet:
         for line in report.summary_lines():
             print(line)

@@ -5,12 +5,14 @@ optimality surrogate: it vanishes exactly at stationary points, and for
 t <= 1/beta each step decreases the objective by at least |G_t|^2 / (2 beta).
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as K
 from .errors import DomainError, InnerSolveError, UnsupportedOperation
 from .penalties import SeparablePenalty
 from .smooth import SmoothFunction
@@ -45,7 +47,6 @@ class ProxGradConfig:
     t: float = None
     max_iter: int = 20000
     eps: float = 1e-10
-    record_certificates: bool = True
 
     def __post_init__(self):
         if self.t is not None and self.t <= 0:
@@ -131,45 +132,64 @@ def prox_grad_map(problem, x, t):
 def run_prox_gradient(problem, x0, cfg=None):
     """Iterate x_{k+1} = prox_{tg}(x_k - t grad f(x_k)) until |G_t| <= eps.
 
-    The trace records, per iteration, the descent-inequality residual
+    x0 is validated once (finite, of the problem's dimension, inside dom g)
+    and the penalty's kernel parameters are packed once; each step then
+    calls the kernels directly, with no per-call re-validation. The trace
+    records, per iteration, the descent-inequality residual
     phi(x_k) - phi(x_{k+1}) - |G_t(x_k)|^2/(2 beta)  (nonnegative up to
     roundoff whenever t <= 1/beta) and the stationarity certificate
     (1 + beta t)|G_t(x_k)|.
+
+    trace.status is "Converged" once |G_t| <= eps, "MaxIter" after
+    max_iter steps, or "Diverged" once |G_t| or the next phi is not finite
+    (a step too long for the true f makes the iterate overflow). A diverged
+    trace ends on the last iterate with a finite phi, its |G_t| and a zero
+    descent residual; the step that overflowed is dropped.
     """
     cfg = cfg or ProxGradConfig()
     x = as_vector(x0, problem.dim).copy()
     if not problem.g.in_domain(x):
         raise DomainError("x0 lies outside dom g")
-    t = _effective_step(problem, cfg)
-    beta = problem.f.beta
+    t = float(_effective_step(problem, cfg))
+    f = problem.f
+    beta = f.beta
+    kind, p1, p2 = problem.g._packed(problem.dim)
     trace = IterationTrace(PROXGRAD_HEADER)
     trace.meta = {"t": t, "beta": beta}
     start = time.perf_counter()
     phi_x = problem.phi(x)
-    for k in range(cfg.max_iter + 1):
-        y = problem.g.prox(x - t * problem.f.grad(x), t)
-        G = (x - y) / t
-        gnorm = float(np.linalg.norm(G))
-        cert = (1.0 + beta * t) * gnorm if cfg.record_certificates else 0.0
-        trace.iterates.append(x.copy())
-        if gnorm <= cfg.eps:
+    # overflow of a diverging iterate is detected below and reported as
+    # status Diverged, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.max_iter + 1):
+            y = K.penalty_prox(kind, p1, p2,
+                               x - t * f.grad_batch(x[None, :])[0], t)
+            gnorm = float(np.linalg.norm((x - y) / t))
+            cert = (1.0 + beta * t) * gnorm
+            trace.iterates.append(x.copy())
+            if gnorm <= cfg.eps:
+                status = "Converged"
+            elif not math.isfinite(gnorm):
+                status = "Diverged"
+            elif k == cfg.max_iter:
+                status = "MaxIter"
+            else:
+                phi_y = (float(f.value_batch(y[None, :])[0])
+                         + K.penalty_value(kind, p1, p2, y))
+                if math.isfinite(phi_y):
+                    resid = phi_x - phi_y - gnorm * gnorm / (2.0 * beta)
+                    trace.append(k=k, phi=phi_x, gnorm=gnorm,
+                                 descent_residual=resid, certificate=cert,
+                                 elapsed_s=time.perf_counter() - start)
+                    x = y
+                    phi_x = phi_y
+                    continue
+                status = "Diverged"
             trace.append(k=k, phi=phi_x, gnorm=gnorm, descent_residual=0.0,
                          certificate=cert,
                          elapsed_s=time.perf_counter() - start)
-            trace.status = "Converged"
+            trace.status = status
             break
-        if k == cfg.max_iter:
-            trace.append(k=k, phi=phi_x, gnorm=gnorm, descent_residual=0.0,
-                         certificate=cert,
-                         elapsed_s=time.perf_counter() - start)
-            trace.status = "MaxIter"
-            break
-        phi_y = problem.phi(y)
-        resid = phi_x - phi_y - gnorm * gnorm / (2.0 * beta)
-        trace.append(k=k, phi=phi_x, gnorm=gnorm, descent_residual=resid,
-                     certificate=cert, elapsed_s=time.perf_counter() - start)
-        x = y
-        phi_x = phi_y
     trace.final_x = x
     return trace
 

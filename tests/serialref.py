@@ -5,7 +5,8 @@ scalar subgradient formula per coordinate, the power iteration on one
 matrix, the min-norm box QP on one row, dist(0, d phi) at one point, and
 the accelerated dual ascent on one subproblem. The stacked code must
 reproduce them row by row. The plain (unaccelerated) dual ascent that the
-accelerated one replaced stays as an accuracy reference.
+accelerated one replaced stays as an accuracy reference, and so does the
+proximal-gradient loop that re-validated x in every operation.
 """
 
 import math
@@ -15,6 +16,8 @@ import numpy as np
 import proxbound as pb
 from proxbound import _kernels as K
 from proxbound.diagnostics import BOXQP_CAP, BOXQP_TOL
+from proxbound.proxgrad import PROXGRAD_HEADER, _effective_step
+from proxbound.vectors import as_vector
 
 
 def subgrad_interval(kind, a, b, xi):
@@ -152,3 +155,33 @@ def plain_dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
             return y, w, resid, it, True
         w = wnew
     return y, w, resid, maxit, False
+
+
+def prox_gradient(problem, x0, cfg):
+    """The proximal-gradient loop through the public, validating operations
+    g.prox, f.grad and problem.phi; returns an IterationTrace. A diverging
+    iterate makes one of them raise ValueError."""
+    x = as_vector(x0, problem.dim).copy()
+    t = _effective_step(problem, cfg)
+    beta = problem.f.beta
+    trace = pb.IterationTrace(PROXGRAD_HEADER)
+    trace.meta = {"t": t, "beta": beta}
+    phi_x = problem.phi(x)
+    for k in range(cfg.max_iter + 1):
+        y = problem.g.prox(x - t * problem.f.grad(x), t)
+        gnorm = float(np.linalg.norm((x - y) / t))
+        cert = (1.0 + beta * t) * gnorm
+        trace.iterates.append(x.copy())
+        if gnorm <= cfg.eps or k == cfg.max_iter:
+            trace.append(k=k, phi=phi_x, gnorm=gnorm, descent_residual=0.0,
+                         certificate=cert, elapsed_s=0.0)
+            trace.status = "Converged" if gnorm <= cfg.eps else "MaxIter"
+            break
+        phi_y = problem.phi(y)
+        resid = phi_x - phi_y - gnorm * gnorm / (2.0 * beta)
+        trace.append(k=k, phi=phi_x, gnorm=gnorm, descent_residual=resid,
+                     certificate=cert, elapsed_s=0.0)
+        x = y
+        phi_x = phi_y
+    trace.final_x = x
+    return trace

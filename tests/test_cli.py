@@ -364,19 +364,60 @@ def test_parse_config_builds_the_instance(tmp_path):
     assert cfg.problem.dim == 3 and np.array_equal(cfg.x0, np.full(3, 2.0))
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def run_cli_process(*args):
+    """`python -m proxbound args` from this checkout's src."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-m", "proxbound", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
     path = write_cfg(tmp_path, CORRIDOR_CFG.format(out=tmp_path / "o"))
     runs = [(["check", path], 0), (["run", path, "--quiet"], 0),
             (["bogus", path], 2)]
     for args, code in runs:
-        proc = subprocess.run([sys.executable, "-m", "proxbound", *args],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+        proc = run_cli_process(*args)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
     assert (tmp_path / "o" / "report.txt").exists()
+
+
+def test_diverging_run_reports_status_without_traceback(tmp_path):
+    # check accepts it, then the declared beta is ~3e4 times too small for
+    # the true f, and steps of t0 = 1000 overflow: run must report the
+    # divergence (exit 1, failed checks), not raise from a deep call
+    text = ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
+                               x0="zeros", method="proxgrad").replace(
+        "max_iter = 50", "t0 = 1000").replace(
+        "x0 = zeros", "x0 = zeros\nbeta_override = 0.001")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "div"
+    assert run_cli_process("check", path).returncode == 0
+    proc = run_cli_process("run", path, "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "status=Diverged" in proc.stdout
+    report = (out / "report.txt").read_text()
+    assert "status=Diverged" in report
+    for name in ("converged", "monotone_values", "descent_inequality",
+                 "improved_certificate"):
+        assert f"CHECK {name}: FAIL" in report
+    assert (out / "trace.csv").read_text().splitlines()[-1].startswith("34,")
+
+
+def test_unexpected_exception_is_a_runtime_error(tmp_path, capsys,
+                                                 monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("solver state lost\nat step 3")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    path = write_cfg(tmp_path, CORRIDOR_CFG.format(out=tmp_path / "o"))
+    assert cli.main(["run", path, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == "runtime error: RuntimeError: solver state lost at step 3\n"
+    assert not (tmp_path / "o").exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import proxbound as pb
+import serialref
 
 
 def vec(*vals):
@@ -173,3 +174,69 @@ def test_config_validation():
         pb.ProxGradConfig(t=-1.0)
     with pytest.raises(ValueError):
         pb.ProxGradConfig(eps=0.0)
+
+
+def _smooth_case(name):
+    A, b = pb.random_least_squares(20, 10, 42)
+    if name == "quadratic":
+        return pb.Quadratic(A, b)
+    return pb.Logistic(A, np.where(b >= 0.0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("smooth", ["quadratic", "logistic"])
+def test_run_matches_validating_serial_loop(penalty_case, smooth):
+    name, g, _ = penalty_case
+    problem = pb.AdditiveProblem(f=_smooth_case(smooth), g=g)
+    # inside every domain, the box's included; the logistic runs with the
+    # zero and check-function penalties stop at max_iter, the rest converge
+    x0 = np.random.default_rng(5).uniform(-0.8, 0.8, 10)
+    cfg = pb.ProxGradConfig(eps=1e-9, max_iter=400)
+    tr = pb.run_prox_gradient(problem, x0, cfg)
+    ref = serialref.prox_gradient(problem, x0, cfg)
+    assert tr.status == ref.status
+    assert tr.meta == ref.meta
+    for col in tr.header:
+        if col != "elapsed_s":
+            assert tr.data[col] == ref.data[col], col
+    assert len(tr.iterates) == len(ref.iterates)
+    for a, b in zip(tr.iterates, ref.iterates):
+        assert np.array_equal(a, b)
+    assert np.array_equal(tr.final_x, ref.final_x)
+
+
+def _overflowing(case):
+    """(problem, x0, t) whose steps are far too long for the true f."""
+    if case == "gnorm":
+        # declared beta ~3e4 times below the true 32.9: |G_t| overflows first
+        A, b = pb.random_least_squares(20, 10, 42)
+        f = pb.Quadratic(A, b)
+        f.beta = 0.001
+        return pb.AdditiveProblem(f=f, g=pb.AbsValue(0.1)), np.zeros(10), 1e3
+    # x_k = (1 - 1e6)^k: phi = x^2/2 overflows while |G_t| = |x_k| is finite
+    f = shifted_quadratic(0.0)
+    f.beta = 1e-6
+    return pb.AdditiveProblem(f=f, g=pb.Zero()), vec(1.0), 1e6
+
+
+@pytest.mark.parametrize("case,max_iter,iterations", [
+    ("gnorm", 20000, 34), ("gnorm", 34, 34), ("phi", 20000, 25)],
+    ids=["gnorm", "gnorm_at_max_iter", "phi"])
+def test_overflowing_run_reports_diverged(case, max_iter, iterations):
+    problem, x0, t = _overflowing(case)
+    cfg = pb.ProxGradConfig(t=t, max_iter=max_iter)
+    tr = pb.run_prox_gradient(problem, x0, cfg)
+    assert tr.status == "Diverged"
+    assert tr.iterations == iterations
+    last = tr.iterates[-1]
+    assert len(tr.iterates) == len(tr)
+    assert np.all(np.isfinite(last))
+    assert np.array_equal(tr.final_x, last)
+    assert tr.column("descent_residual")[-1] == 0.0
+    assert np.all(np.isfinite(tr.column("gnorm")[:-1]))
+    assert np.isfinite(tr.column("gnorm")[-1]) == (case == "phi")
+    with np.errstate(over="ignore"):
+        assert tr.column("phi")[-1] == problem.phi(last)
+        if max_iter > iterations:
+            # the loop that re-validates x in every operation raises instead
+            with pytest.raises(ValueError, match="non-finite"):
+                serialref.prox_gradient(problem, x0, cfg)
