@@ -6,7 +6,6 @@ that measure error-bound / quadratic-growth constants and check the
 convergence-rate formulas that connect them.
 """
 
-from ._kernels import active_backend
 from .diagnostics import (ConstantsReport, ReferenceSolution,
                           analytic_reference, compute_reference,
                           dist_to_stationarity, estimate_alpha,
@@ -19,10 +18,7 @@ from .errors import (ConfigError, DimensionMismatch, DomainError,
                      UnsupportedOperation)
 from .penalties import (AbsValue, BoxIndicator, CheckFunction, ElasticNet,
                         EpsilonInsensitive, HuberEnvelope, Interval,
-                        SeparablePenalty, Zero, moreau_decomposition_residual,
-                        moreau_envelope, moreau_grad, penalty_eval,
-                        penalty_from_spec, penalty_prox,
-                        penalty_subgrad_interval)
+                        SeparablePenalty, Zero, penalty_from_spec)
 from .proxgrad import (AdditiveProblem, IterationTrace, ProxGradConfig,
                        prox_grad_map, proximal_point_step, run_prox_gradient,
                        run_proximal_point)
@@ -33,9 +29,8 @@ from .proxlinear import (CompositeProblem, ProxLinearConfig, linearized_value,
 from .smooth import (AffineMap, Corridor, HuberLoss, Logistic, Quadratic,
                      QuadraticMap, SmoothFunction, SmoothMap, fd_check,
                      lambda_max_sym, load_dense_matrix, load_dense_vector,
-                     map_eval_jac, map_from_spec, random_least_squares,
-                     random_quadratic_map, save_dense_matrix,
-                     smooth_from_spec)
+                     map_from_spec, random_least_squares, random_quadratic_map,
+                     save_dense_matrix, smooth_from_spec)
 
 __version__ = "0.1.0"
 

@@ -1,23 +1,16 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, numpy only.
 
-The penalty value and prox kernels come in two versions, numba-jitted and
-pure numpy. The backend is fixed once at import time from the
-``PROXBOUND_BACKEND`` environment variable:
-
-* ``auto``  (default) - numba when importable, numpy otherwise
-* ``numba`` - require numba, fail loudly if missing
-* ``numpy`` - force the vectorized numpy path
-
-Everything else is numpy only: row-wise penalty values and subgradient
-bounds over any leading axes, the accelerated dual ascent of the
-prox-linear subproblem and the min-norm box QP behind dist(0, d phi). The
-last two are one kernel each over a stack of rows, used with a single row
-for one point and with blocks of rows by the diagnostics. Penalties are
-encoded as an integer kind plus two per-coordinate parameter arrays; see
-the table in :mod:`proxbound.penalties`.
+Each penalty operation is one vectorised expression per kind over the
+last axis of its input, so a single point (n,) and a stack of points
+(..., n) go through the same code and agree bit for bit: the penalty
+value, the proximal map and the coordinatewise subgradient bounds.
+Penalties are encoded as an integer kind plus two per-coordinate
+parameter arrays of shape (n,), broadcast over the leading axes; see the
+table in :mod:`proxbound.penalties`. The accelerated dual ascent of the
+prox-linear subproblem and the min-norm box QP behind dist(0, d phi) are
+one kernel each over a stack of rows, used with a single row for one
+point and with blocks of rows by the diagnostics.
 """
-
-import os
 
 import numpy as np
 
@@ -34,94 +27,67 @@ KIND_HUBER = 6
 _INF = np.inf
 
 
-def _select_backend():
-    choice = os.environ.get("PROXBOUND_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"PROXBOUND_BACKEND must be auto|numba|numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        if choice == "numba":
-            raise
-        return "numpy"
-    return "numba"
-
-
-_BACKEND = _select_backend()
-
-
-def active_backend():
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations (vectorized over coordinates)
-# ---------------------------------------------------------------------------
-
-def penalty_value_rows(kind, p1, p2, X):
+def penalty_value(kind, p1, p2, X):
     """Penalty value of each point along the last axis of X.
 
-    A (B, n) batch gives a (B,) array, a single point a 0-d one; every row is
-    summed exactly as a lone point would be, so the two agree bit for bit.
+    A stack (..., n) gives an array of the leading shape, a single point
+    (n,) a float; every point is summed exactly as a lone point would be,
+    so the two agree bit for bit.
     """
     if kind == KIND_ZERO:
-        return np.zeros(X.shape[:-1])
-    if kind == KIND_ABS:
-        return np.sum(p1 * np.abs(X), axis=-1)
-    if kind == KIND_ENET:
-        return np.sum(p1 * np.abs(X) + 0.5 * p2 * X * X, axis=-1)
-    if kind == KIND_BOX:
-        return np.where(np.any((X < p1) | (X > p2), axis=-1), _INF, 0.0)
-    if kind == KIND_EPS:
-        return np.sum(p1 * np.maximum(np.abs(X) - p2, 0.0), axis=-1)
-    if kind == KIND_CHECK:
-        return np.sum(p1 * np.maximum(p2 * X, (p2 - 1.0) * X), axis=-1)
-    if kind == KIND_HUBER:
+        v = np.zeros(X.shape[:-1])
+    elif kind == KIND_ABS:
+        v = np.sum(p1 * np.abs(X), axis=-1)
+    elif kind == KIND_ENET:
+        v = np.sum(p1 * np.abs(X) + 0.5 * p2 * X * X, axis=-1)
+    elif kind == KIND_BOX:
+        v = np.where(np.any((X < p1) | (X > p2), axis=-1), _INF, 0.0)
+    elif kind == KIND_EPS:
+        v = np.sum(p1 * np.maximum(np.abs(X) - p2, 0.0), axis=-1)
+    elif kind == KIND_CHECK:
+        v = np.sum(p1 * np.maximum(p2 * X, (p2 - 1.0) * X), axis=-1)
+    elif kind == KIND_HUBER:
         ax = np.abs(X)
         quad = ax <= p1 * p2
-        vals = np.where(quad, X * X / (2.0 * p2), p1 * ax - 0.5 * p1 * p1 * p2)
-        return np.sum(vals, axis=-1)
-    raise ValueError(f"unknown penalty kind code {kind}")
+        v = np.sum(np.where(quad, X * X / (2.0 * p2),
+                            p1 * ax - 0.5 * p1 * p1 * p2), axis=-1)
+    else:
+        raise ValueError(f"unknown penalty kind code {kind}")
+    return float(v) if X.ndim == 1 else v
 
 
-def penalty_value_np(kind, p1, p2, x):
-    return float(penalty_value_rows(kind, p1, p2, x))
-
-
-def penalty_prox_np(kind, p1, p2, x, t):
+def penalty_prox(kind, p1, p2, X, t):
+    """prox_{tg} of every point along the last axis of X, same shape as X."""
     if kind == KIND_ZERO:
-        return x.copy()
+        return X.copy()
     if kind == KIND_ABS:
         thr = t * p1
-        return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
+        return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
     if kind == KIND_ENET:
         thr = t * p1
-        return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0) / (1.0 + t * p2)
+        return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0) / (1.0 + t * p2)
     if kind == KIND_BOX:
-        return np.minimum(np.maximum(x, p1), p2)
+        return np.minimum(np.maximum(X, p1), p2)
     if kind == KIND_EPS:
-        ax = np.abs(x)
-        sx = np.sign(x)
-        out = np.where(ax <= p2, x, sx * p2)
+        ax = np.abs(X)
+        sx = np.sign(X)
+        out = np.where(ax <= p2, X, sx * p2)
         far = ax > p2 + t * p1
-        return np.where(far, x - t * p1 * sx, out)
+        return np.where(far, X - t * p1 * sx, out)
     if kind == KIND_CHECK:
         hi = t * p1 * p2
         lo = t * p1 * (p2 - 1.0)
-        out = np.zeros_like(x)
-        out = np.where(x > hi, x - hi, out)
-        return np.where(x < lo, x - lo, out)
+        out = np.zeros_like(X)
+        out = np.where(X > hi, X - hi, out)
+        return np.where(X < lo, X - lo, out)
     if kind == KIND_HUBER:
-        ax = np.abs(x)
+        ax = np.abs(X)
         inner = ax <= p1 * (p2 + t)
-        return np.where(inner, x * p2 / (p2 + t), x - t * p1 * np.sign(x))
+        return np.where(inner, X * p2 / (p2 + t), X - t * p1 * np.sign(X))
     raise ValueError(f"unknown penalty kind code {kind}")
 
 
-def penalty_subgrad_rows(kind, p1, p2, X):
+def penalty_subgrad(kind, p1, p2, X):
     """Coordinatewise subdifferential [lo, hi] at every point along the last
     axis of X, plus whether every point lies in the penalty's domain (lo
     and hi are meaningless where it does not)."""
@@ -209,8 +175,8 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
     for it in range(1, maxit + 1):
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         v = w + ((theta - 1.0) / theta_next)[:, None] * (w - w_prev)
-        Yr = penalty_prox_np(gkind, gp1, gp2,
-                             X - t * np.matmul(v[:, None, :], J)[:, 0, :], t)
+        Yr = penalty_prox(gkind, gp1, gp2,
+                          X - t * np.matmul(v[:, None, :], J)[:, 0, :], t)
         D = Yr - X
         Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
         vh = v + step * (Z if quad is None else Z - quad * v)
@@ -222,8 +188,8 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
         ok = r <= tol
         if ok.any():
             passed = np.flatnonzero(ok)
-            fy = (penalty_value_rows(gkind, gp1, gp2, Yr[passed])
-                  + penalty_value_rows(hkind, hp1, hp2, Z[passed])
+            fy = (penalty_value(gkind, gp1, gp2, Yr[passed])
+                  + penalty_value(hkind, hp1, hp2, Z[passed])
                   + row_dots(D[passed]) / (2.0 * t))
             done = passed[fy <= limit[passed]]
             if done.size:
@@ -298,105 +264,3 @@ def minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, tol, maxit):
             step = step[keep]
     norms[rows] = np.sqrt(row_dots(_residuals(V, W, J)))
     return norms, total + maxit * rows.size, rows.size
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (explicit loops)
-# ---------------------------------------------------------------------------
-
-try:
-    import numba as _nb
-except ImportError:  # pragma: no cover - exercised via PROXBOUND_BACKEND=numpy
-    _nb = None
-
-if _nb is not None:
-
-    @_nb.njit(cache=True)
-    def _value_nb(kind, p1, p2, x):
-        total = 0.0
-        for i in range(x.shape[0]):
-            xi = x[i]
-            if kind == KIND_ZERO:
-                pass
-            elif kind == KIND_ABS:
-                total += p1[i] * abs(xi)
-            elif kind == KIND_ENET:
-                total += p1[i] * abs(xi) + 0.5 * p2[i] * xi * xi
-            elif kind == KIND_BOX:
-                if xi < p1[i] or xi > p2[i]:
-                    return _INF
-            elif kind == KIND_EPS:
-                total += p1[i] * max(abs(xi) - p2[i], 0.0)
-            elif kind == KIND_CHECK:
-                total += p1[i] * max(p2[i] * xi, (p2[i] - 1.0) * xi)
-            elif kind == KIND_HUBER:
-                if abs(xi) <= p1[i] * p2[i]:
-                    total += xi * xi / (2.0 * p2[i])
-                else:
-                    total += p1[i] * abs(xi) - 0.5 * p1[i] * p1[i] * p2[i]
-        return total
-
-    @_nb.njit(cache=True)
-    def _prox_nb(kind, p1, p2, x, t):
-        n = x.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            xi = x[i]
-            if kind == KIND_ZERO:
-                out[i] = xi
-            elif kind == KIND_ABS:
-                thr = t * p1[i]
-                if abs(xi) <= thr:
-                    out[i] = 0.0
-                else:
-                    out[i] = xi - thr if xi > 0.0 else xi + thr
-            elif kind == KIND_ENET:
-                thr = t * p1[i]
-                if abs(xi) <= thr:
-                    out[i] = 0.0
-                else:
-                    s = xi - thr if xi > 0.0 else xi + thr
-                    out[i] = s / (1.0 + t * p2[i])
-            elif kind == KIND_BOX:
-                out[i] = min(max(xi, p1[i]), p2[i])
-            elif kind == KIND_EPS:
-                eps = p2[i]
-                thr = t * p1[i]
-                axi = abs(xi)
-                if axi <= eps:
-                    out[i] = xi
-                elif axi <= eps + thr:
-                    out[i] = eps if xi > 0.0 else -eps
-                else:
-                    out[i] = xi - thr if xi > 0.0 else xi + thr
-            elif kind == KIND_CHECK:
-                hi = t * p1[i] * p2[i]
-                lo = t * p1[i] * (p2[i] - 1.0)
-                if xi > hi:
-                    out[i] = xi - hi
-                elif xi < lo:
-                    out[i] = xi - lo
-                else:
-                    out[i] = 0.0
-            else:  # KIND_HUBER
-                lam = p1[i]
-                mu = p2[i]
-                if abs(xi) <= lam * (mu + t):
-                    out[i] = xi * mu / (mu + t)
-                else:
-                    out[i] = xi - t * lam if xi > 0.0 else xi + t * lam
-        return out
-
-    def penalty_value_nb(kind, p1, p2, x):
-        return _value_nb(kind, p1, p2, x)
-
-    def penalty_prox_nb(kind, p1, p2, x, t):
-        return _prox_nb(kind, p1, p2, x, t)
-
-
-if _BACKEND == "numba":
-    penalty_value = penalty_value_nb
-    penalty_prox = penalty_prox_nb
-else:
-    penalty_value = penalty_value_np
-    penalty_prox = penalty_prox_np

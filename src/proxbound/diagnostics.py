@@ -468,13 +468,6 @@ class ConstantsReport:
                          f" slack={slack:.17g}")
         return "\n".join(lines) + "\n"
 
-    def csv_header(self):
-        return "alpha_hat,gamma_hat,L_hat_sub,nu,sample_count"
-
-    def to_csv_row(self):
-        return (f"{self.alpha_hat:.17g},{self.gamma_hat:.17g},"
-                f"{self.L_hat_sub:.17g},{self.nu:.17g},{self.sample_count}")
-
 
 def verify_constant_relations(alpha, gamma, L, L_hat, t, beta, tol=1e-3):
     """Boolean checks of the constant-translation formulas.

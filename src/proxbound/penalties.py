@@ -1,13 +1,15 @@
 """Catalog of separable closed convex penalties.
 
 Each penalty knows its exact value, proximal operator, coordinatewise
-subdifferential intervals, Moreau envelope and envelope gradient. The
-AbsValue/BoxIndicator pair additionally exposes the conjugate prox needed
-for the resolvent decomposition identity.
+subdifferential intervals, Moreau envelope and envelope gradient, all as
+methods. The AbsValue/BoxIndicator pair additionally exposes the conjugate
+prox needed for the resolvent decomposition identity.
 
 Penalties are immutable; all operations are pure functions of their inputs.
-The scalar math lives in :mod:`proxbound._kernels` keyed by an integer kind
-code with two per-coordinate parameter arrays:
+The formulas live in :mod:`proxbound._kernels`, one numpy function per
+operation (``penalty_value``, ``penalty_prox``, ``penalty_subgrad``) over
+points along the last axis, keyed by an integer kind code with two
+per-coordinate parameter arrays:
 
 ====================  ====  ==========  ==========
 kind                  code  p1          p2
@@ -108,7 +110,7 @@ class SeparablePenalty:
         Raises DomainError if any point lies outside the domain."""
         x = as_points(x, name="x")
         kind, p1, p2 = self._packed(x.shape[-1])
-        lo, hi, ok = K.penalty_subgrad_rows(kind, p1, p2, x)
+        lo, hi, ok = K.penalty_subgrad(kind, p1, p2, x)
         if not ok:
             raise DomainError("x lies outside the penalty domain")
         return lo, hi
@@ -126,21 +128,17 @@ class SeparablePenalty:
     def in_domain(self, x):
         return np.isfinite(self.value(x))
 
-    # -- batch helpers (rows of X are points) --------------------------------
+    # -- batch helpers (points along the last axis of X) -------------------
 
     def value_batch(self, X):
         X = np.ascontiguousarray(X, dtype=np.float64)
-        kind, p1, p2 = self._packed(X.shape[1])
-        return K.penalty_value_rows(kind, p1, p2, X)
+        kind, p1, p2 = self._packed(X.shape[-1])
+        return K.penalty_value(kind, p1, p2, X)
 
     def prox_batch(self, X, t):
         X = np.ascontiguousarray(X, dtype=np.float64)
-        n = X.shape[1]
-        kind, p1, p2 = self._packed(n)
-        big_p1 = np.tile(p1, X.shape[0])
-        big_p2 = np.tile(p2, X.shape[0])
-        flat = K.penalty_prox(kind, big_p1, big_p2, X.ravel(), float(t))
-        return flat.reshape(X.shape)
+        kind, p1, p2 = self._packed(X.shape[-1])
+        return K.penalty_prox(kind, p1, p2, X, float(t))
 
     # -- conjugate / dual descriptions ---------------------------------------
 
@@ -332,37 +330,6 @@ class HuberEnvelope(SeparablePenalty):
     def dual_box(self, dim):
         lam = self.lam * self._weights(dim)
         return -lam, lam, np.zeros(dim), np.full(dim, self.mu)
-
-
-# ---------------------------------------------------------------------------
-# Operation-style wrappers
-# ---------------------------------------------------------------------------
-
-def penalty_eval(p, x):
-    """g(x) as an extended real; +inf exactly on domain violations."""
-    return p.value(x)
-
-
-def penalty_prox(p, x, t):
-    """prox_{tg}(x), the coordinatewise closed-form minimizer."""
-    return p.prox(x, t)
-
-
-def penalty_subgrad_interval(p, x):
-    """Exact coordinatewise subdifferential [lo_i, hi_i] of g at x."""
-    return p.subgrad_intervals(x)
-
-
-def moreau_envelope(p, x, t):
-    return p.moreau_envelope(x, t)
-
-
-def moreau_grad(p, x, t):
-    return p.moreau_grad(x, t)
-
-
-def moreau_decomposition_residual(p, x, t):
-    return p.decomposition_residual(x, t)
 
 
 # ---------------------------------------------------------------------------

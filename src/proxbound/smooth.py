@@ -299,11 +299,6 @@ class QuadraticMap(SmoothMap):
         return vals, Qx + self.a
 
 
-def map_eval_jac(c, x):
-    """(c(x), Jacobian(x)) for a smooth map."""
-    return c.eval_jac(x)
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference validation
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ matrix, the min-norm box QP on one row, dist(0, d phi) at one point, and
 the accelerated dual ascent on one subproblem. The stacked code must
 reproduce them row by row. The plain (unaccelerated) dual ascent that the
 accelerated one replaced stays as an accuracy reference, and so does the
-proximal-gradient loop that re-validated x in every operation.
+proximal-gradient loop that re-validated x in every operation, and the
+per-cell trace.csv writer that one format call per row replaced.
 """
 
 import math
@@ -116,11 +117,11 @@ def _dual_step(pen, J, cbar, x, t, step, w):
     T(w) of one subproblem's dual; pen holds the kernel's ten penalty
     arguments (g kind and parameters, h kind, parameters and dual box)."""
     gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad = pen
-    y = K.penalty_prox_np(gkind, gp1, gp2, x - t * (w @ J), t)
+    y = K.penalty_prox(gkind, gp1, gp2, x - t * (w @ J), t)
     d = y - x
     z = cbar + J @ d
-    fy = (K.penalty_value_np(gkind, gp1, gp2, y)
-          + K.penalty_value_np(hkind, hp1, hp2, z) + (d @ d) / (2.0 * t))
+    fy = (K.penalty_value(gkind, gp1, gp2, y)
+          + K.penalty_value(hkind, hp1, hp2, z) + (d @ d) / (2.0 * t))
     wh = w + step * (z - hquad * w)
     wh = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
     return y, fy, np.minimum(np.maximum(wh, hlo), hhi)
@@ -155,6 +156,23 @@ def plain_dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
             return y, w, resid, it, True
         w = wnew
     return y, w, resid, maxit, False
+
+
+def trace_csv(trace, zero_elapsed=False):
+    """IterationTrace.to_csv as it was written, one f-string per cell."""
+    lines = [",".join(trace.header)]
+    for i in range(len(trace)):
+        vals = []
+        for name in trace.header:
+            v = trace.data[name][i]
+            if name == "elapsed_s" and zero_elapsed:
+                v = 0.0
+            if name in ("k", "backtracks", "inner_iters"):
+                vals.append(str(int(v)))
+            else:
+                vals.append(f"{v:.17g}")
+        lines.append(",".join(vals))
+    return "\n".join(lines) + "\n"
 
 
 def prox_gradient(problem, x0, cfg):

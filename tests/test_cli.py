@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -408,6 +410,27 @@ def test_diverging_run_reports_status_without_traceback(tmp_path):
                  "improved_certificate"):
         assert f"CHECK {name}: FAIL" in report
     assert (out / "trace.csv").read_text().splitlines()[-1].startswith("34,")
+
+
+def test_diverging_run_with_constants_exits_3_at_once(tmp_path):
+    # the proximal-point steps behind L-hat use the same too-small beta and
+    # overflow; the inner loop must stop on the non-finite residual instead
+    # of running to its 10^6-iteration cap (~87 s)
+    text = ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
+                               x0="zeros", method="proxgrad").replace(
+        "max_iter = 50", "t0 = 1000").replace(
+        "x0 = zeros", "x0 = zeros\nbeta_override = 0.001")
+    path = write_cfg(tmp_path, text + "\n[diagnostics]\nconstants = true\n")
+    start = time.perf_counter()
+    proc = run_cli_process("run", path, "--out", str(tmp_path / "div"))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("runtime error:")]
+    assert len(errors) == 1
+    assert re.search(r"residual is (inf|nan) at iteration", errors[0])
+    assert elapsed < 5.0
 
 
 def test_unexpected_exception_is_a_runtime_error(tmp_path, capsys,

@@ -1,5 +1,4 @@
-"""Kernel agreement: the numba penalty kernels must match the numpy ones,
-and the stacked dual ascent and min-norm box QP must match
+"""Kernel agreement: the stacked dual ascent and min-norm box QP must match
 one-row-at-a-time loops; the accelerated dual ascent must be at least as
 accurate as the plain loop it replaced."""
 
@@ -11,49 +10,6 @@ import pytest
 import proxbound as pb
 import serialref
 from proxbound import _kernels as K
-
-HAS_NUMBA = hasattr(K, "penalty_value_nb")
-
-KINDS = {
-    K.KIND_ZERO: (0.0, 0.0),
-    K.KIND_ABS: (0.7, 0.0),
-    K.KIND_ENET: (0.5, 0.8),
-    K.KIND_BOX: (-1.2, 0.9),
-    K.KIND_EPS: (0.9, 0.4),
-    K.KIND_CHECK: (0.8, 0.3),
-    K.KIND_HUBER: (0.6, 0.5),
-}
-
-
-def _params(kind, n):
-    a, b = KINDS[kind]
-    return np.full(n, a), np.full(n, b)
-
-
-def test_backend_flag_reports():
-    assert K.active_backend() in ("numba", "numpy")
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("kind", sorted(KINDS), ids=[
-    "zero", "abs", "enet", "box", "eps", "check", "huber"])
-def test_value_prox_agree(kind):
-    rng = np.random.default_rng(kind + 1)
-    for trial in range(30):
-        n = rng.integers(1, 12)
-        x = rng.normal(size=n) * 2.0
-        if kind == K.KIND_BOX and trial % 2 == 0:
-            x = np.clip(x, -1.2, 0.9)  # exercise the in-domain branch too
-        p1, p2 = _params(kind, n)
-        t = float(rng.uniform(0.05, 3.0))
-        v_np = K.penalty_value_np(kind, p1, p2, x)
-        v_nb = K.penalty_value_nb(kind, p1, p2, x)
-        assert v_np == pytest.approx(v_nb, rel=1e-14) or (
-            np.isinf(v_np) and np.isinf(v_nb))
-        assert np.allclose(K.penalty_prox_np(kind, p1, p2, x, t),
-                           K.penalty_prox_nb(kind, p1, p2, x, t),
-                           rtol=1e-14, atol=0)
-
 
 DUAL_H = {"absvalue": pb.AbsValue(0.9),
           "epsiloninsensitive": pb.EpsilonInsensitive(0.9, 0.2),

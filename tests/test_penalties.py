@@ -15,27 +15,27 @@ def vec(*vals):
 # ----------------------------------------------------------------------------
 
 def test_eval_absvalue():
-    assert pb.penalty_eval(pb.AbsValue(1.0), vec(2.0, -3.0)) == 5.0
+    assert pb.AbsValue(1.0).value(vec(2.0, -3.0)) == 5.0
 
 
 def test_eval_box_violation_is_inf():
-    assert pb.penalty_eval(pb.BoxIndicator(0.0, 1.0), vec(0.5, 2.0)) == np.inf
+    assert pb.BoxIndicator(0.0, 1.0).value(vec(0.5, 2.0)) == np.inf
 
 
 def test_eval_box_boundary_is_finite():
-    assert pb.penalty_eval(pb.BoxIndicator(0.0, 1.0), vec(0.0, 1.0)) == 0.0
+    assert pb.BoxIndicator(0.0, 1.0).value(vec(0.0, 1.0)) == 0.0
 
 
 def test_eval_huber_envelope_matches_grid():
     p = pb.HuberEnvelope(1.0, 1.0)
-    val = pb.penalty_eval(p, vec(2.0))
+    val = p.value(vec(2.0))
     oracle = grid_envelope(SCALAR_VALUES["absvalue"], 2.0, 1.0, lam=1.0)
     assert val == pytest.approx(1.5, abs=1e-12)
     assert val == pytest.approx(oracle, abs=1e-4)
 
 
 def test_prox_absvalue_soft_threshold():
-    y = pb.penalty_prox(pb.AbsValue(1.0), vec(2.0), 0.5)
+    y = pb.AbsValue(1.0).prox(vec(2.0), 0.5)
     assert y == pytest.approx([1.5], abs=0)
     oracle = grid_prox(SCALAR_VALUES["absvalue"], 2.0, 0.5, lam=1.0)
     assert y[0] == pytest.approx(oracle, abs=1e-3)
@@ -44,37 +44,36 @@ def test_prox_absvalue_soft_threshold():
 def test_prox_fixed_point_at_minimizer(penalty_case):
     name, p, _ = penalty_case
     x = np.zeros(3) if name != "box" else np.full(3, 0.5)
-    y = pb.penalty_prox(p, x, 3.7)
+    y = p.prox(x, 3.7)
     assert np.allclose(y, x, atol=1e-14)
 
 
 def test_prox_box_projection_t_independent():
     p = pb.BoxIndicator(-1.0, 1.0)
     for t in (7.0, 0.01):
-        assert np.allclose(pb.penalty_prox(p, vec(3.0, -0.2), t), [1.0, -0.2])
+        assert np.allclose(p.prox(vec(3.0, -0.2), t), [1.0, -0.2])
 
 
 def test_prox_kink_tie_breaks_to_zero():
     # exactly at |x| = t*lambda the sparse branch wins
-    assert pb.penalty_prox(pb.AbsValue(2.0), vec(1.0), 0.5)[0] == 0.0
+    assert pb.AbsValue(2.0).prox(vec(1.0), 0.5)[0] == 0.0
 
 
 def test_subgrad_absvalue():
     p = pb.AbsValue(1.0)
-    iv = pb.penalty_subgrad_interval(p, vec(0.0))
+    iv = p.subgrad_intervals(vec(0.0))
     assert (iv[0].lo, iv[0].hi) == (-1.0, 1.0)
-    iv = pb.penalty_subgrad_interval(p, vec(2.0))
+    iv = p.subgrad_intervals(vec(2.0))
     assert (iv[0].lo, iv[0].hi) == (1.0, 1.0)
 
 
 def test_subgrad_epsilon_insensitive_kink():
-    iv = pb.penalty_subgrad_interval(pb.EpsilonInsensitive(1.0, 0.5), vec(0.5))
+    iv = pb.EpsilonInsensitive(1.0, 0.5).subgrad_intervals(vec(0.5))
     assert (iv[0].lo, iv[0].hi) == (0.0, 1.0)
 
 
 def test_subgrad_box_boundary_unbounded():
-    iv = pb.penalty_subgrad_interval(pb.BoxIndicator(-1.0, 1.0),
-                                     vec(-1.0, 0.0, 1.0))
+    iv = pb.BoxIndicator(-1.0, 1.0).subgrad_intervals(vec(-1.0, 0.0, 1.0))
     assert iv[0].lo == -np.inf and iv[0].hi == 0.0
     assert iv[1].lo == 0.0 and iv[1].hi == 0.0
     assert iv[2].lo == 0.0 and iv[2].hi == np.inf
@@ -82,29 +81,29 @@ def test_subgrad_box_boundary_unbounded():
 
 def test_subgrad_outside_domain_raises():
     with pytest.raises(pb.DomainError):
-        pb.penalty_subgrad_interval(pb.BoxIndicator(0.0, 1.0), vec(2.0))
+        pb.BoxIndicator(0.0, 1.0).subgrad_intervals(vec(2.0))
 
 
 def test_moreau_envelope_values():
     p = pb.AbsValue(1.0)
-    assert pb.moreau_envelope(p, vec(2.0), 1.0) == pytest.approx(1.5, abs=1e-12)
-    assert pb.moreau_envelope(p, vec(0.3), 1.0) == pytest.approx(0.045, abs=1e-12)
-    assert pb.moreau_envelope(pb.Zero(), vec(5.0), 2.3) == 0.0
+    assert p.moreau_envelope(vec(2.0), 1.0) == pytest.approx(1.5, abs=1e-12)
+    assert p.moreau_envelope(vec(0.3), 1.0) == pytest.approx(0.045, abs=1e-12)
+    assert pb.Zero().moreau_envelope(vec(5.0), 2.3) == 0.0
     oracle = grid_envelope(SCALAR_VALUES["absvalue"], 0.3, 1.0, lam=1.0)
     assert oracle == pytest.approx(0.045, abs=1e-6)
 
 
 def test_moreau_grad_values():
     p = pb.AbsValue(1.0)
-    assert pb.moreau_grad(p, vec(2.0), 1.0) == pytest.approx([1.0])
-    assert pb.moreau_grad(p, vec(0.3), 1.0) == pytest.approx([0.3])
-    assert pb.moreau_grad(p, vec(0.0), 0.7) == pytest.approx([0.0])
+    assert p.moreau_grad(vec(2.0), 1.0) == pytest.approx([1.0])
+    assert p.moreau_grad(vec(0.3), 1.0) == pytest.approx([0.3])
+    assert p.moreau_grad(vec(0.0), 0.7) == pytest.approx([0.0])
 
 
 def test_moreau_decomposition_examples():
-    assert pb.moreau_decomposition_residual(pb.AbsValue(1.0), vec(2.0), 1.0) == 0.0
-    assert pb.moreau_decomposition_residual(pb.AbsValue(1.0), vec(0.0), 0.5) == 0.0
-    assert pb.moreau_decomposition_residual(pb.AbsValue(3.0), vec(-7.0), 2.0) <= 1e-12
+    assert pb.AbsValue(1.0).decomposition_residual(vec(2.0), 1.0) == 0.0
+    assert pb.AbsValue(1.0).decomposition_residual(vec(0.0), 0.5) == 0.0
+    assert pb.AbsValue(3.0).decomposition_residual(vec(-7.0), 2.0) <= 1e-12
 
 
 def test_moreau_decomposition_box():
@@ -118,7 +117,7 @@ def test_moreau_decomposition_box():
 
 def test_moreau_decomposition_unsupported():
     with pytest.raises(pb.UnsupportedOperation):
-        pb.moreau_decomposition_residual(pb.CheckFunction(1.0, 0.3), vec(1.0), 1.0)
+        pb.CheckFunction(1.0, 0.3).decomposition_residual(vec(1.0), 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def test_prox_matches_grid_oracle(penalty_case):
     for _ in range(25):
         t = rng.uniform(0.1, 1.5)
         x = rng.uniform(-4, 4)
-        got = pb.penalty_prox(p, vec(x), t)[0]
+        got = p.prox(vec(x), t)[0]
         if name == "box":
             # restrict the grid to the domain, where the objective is finite
             want = grid_prox(lambda y, **kw: np.zeros_like(y), x, t,
@@ -181,19 +180,29 @@ def test_moreau_grad_matches_central_differences(penalty_case):
 
 
 def test_value_batch_matches_rowwise_value_bitwise(penalty_case):
+    # value_batch and prox_batch against row-wise value and prox, on
+    # (20, n) batches and on (4, 30, n) stacks
     name, p, _ = penalty_case
     rng = np.random.default_rng(9)
     for n in range(1, 34):
-        X = rng.normal(size=(20, n)) * 2
-        if name == "box":
-            # even rows inside the box, odd rows with a coordinate outside
-            X[::2] = np.clip(X[::2], -1.2, 0.9)
-            X[1::2, rng.integers(n)] = 1.5
-        got = p.value_batch(X)
-        want = np.array([p.value(x) for x in X])
-        assert got.shape == (20,) and np.array_equal(got, want)
-        if name == "box":
-            assert np.all(got[::2] == 0.0) and np.all(np.isinf(got[1::2]))
+        for shape in ((20, n), (4, 30, n)):
+            X = rng.normal(size=shape) * 2
+            rows = X.reshape(-1, n)
+            if name == "box":
+                # even rows inside the box, odd rows with a coordinate outside
+                rows[::2] = np.clip(rows[::2], -1.2, 0.9)
+                rows[1::2, rng.integers(n)] = 1.5
+            t = float(rng.uniform(0.05, 3.0))
+            got = p.value_batch(X)
+            want = np.array([p.value(x) for x in rows]).reshape(shape[:-1])
+            assert got.shape == shape[:-1] and got.tobytes() == want.tobytes()
+            if name == "box":
+                flat = got.ravel()
+                assert np.all(flat[::2] == 0.0)
+                assert np.all(np.isinf(flat[1::2]))
+            got = p.prox_batch(X, t)
+            want = np.array([p.prox(x, t) for x in rows]).reshape(shape)
+            assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
 def test_subgrad_bounds_over_leading_axes_match_scalar_formula(penalty_case):
@@ -237,8 +246,8 @@ def test_convexity_midpoint_probe(penalty_case):
 
 def test_weighted_penalty_scales_lambda():
     p = pb.AbsValue(2.0, weights=vec(1.0, 0.5))
-    assert pb.penalty_eval(p, vec(1.0, 1.0)) == pytest.approx(3.0)
-    y = pb.penalty_prox(p, vec(3.0, 3.0), 1.0)
+    assert p.value(vec(1.0, 1.0)) == pytest.approx(3.0)
+    y = p.prox(vec(3.0, 3.0), 1.0)
     assert y == pytest.approx([1.0, 2.0])
 
 

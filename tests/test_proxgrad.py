@@ -159,6 +159,23 @@ def test_trace_csv_zero_elapsed(lasso42_run):
         assert line.rsplit(",", 1)[1] == "0"
 
 
+@pytest.mark.parametrize("header", [
+    pb.proxgrad.PROXGRAD_HEADER, pb.proxlinear.PROXLINEAR_HEADER],
+    ids=["proxgrad", "proxlinear"])
+@pytest.mark.parametrize("zero_elapsed", [False, True])
+def test_trace_csv_matches_per_cell_formatter(lasso42_run, header,
+                                              zero_elapsed):
+    # every float column, elapsed_s included, takes each special value
+    floats = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, -1.5e308, 1.0 / 3]
+    tr = pb.IterationTrace(header)
+    for i, v in enumerate(floats):
+        tr.append(**{name: i if name in ("k", "backtracks", "inner_iters")
+                     else v for name in header})
+    for run in (tr, lasso42_run, pb.IterationTrace(header)):
+        assert (run.to_csv(zero_elapsed)
+                == serialref.trace_csv(run, zero_elapsed))
+
+
 def test_proximal_point_runner(lasso42):
     cfg = pb.ProxGradConfig(t=0.1, eps=1e-8, max_iter=3000)
     tr = pb.run_proximal_point(lasso42, np.zeros(10), cfg)

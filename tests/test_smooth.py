@@ -104,7 +104,7 @@ def test_affine_map_exact():
     b = rng.standard_normal(4)
     c = pb.AffineMap(A, b)
     x = rng.standard_normal(3)
-    val, J = pb.map_eval_jac(c, x)
+    val, J = c.eval_jac(x)
     assert val == pytest.approx(A @ x + b)
     assert np.array_equal(J, A)
     assert c.jac_beta == 0.0
@@ -112,14 +112,14 @@ def test_affine_map_exact():
 
 def test_quadratic_map_example():
     c = pb.QuadraticMap(np.array([[[2.0]]]), np.array([[0.0]]), vec(-1.0))
-    val, J = pb.map_eval_jac(c, vec(1.0))
+    val, J = c.eval_jac(vec(1.0))
     assert val == pytest.approx([0.0])
     assert J.ravel() == pytest.approx([2.0])
 
 
 def test_zero_quadratic_map():
     c = pb.QuadraticMap(np.zeros((2, 3, 3)), np.zeros((2, 3)), np.zeros(2))
-    val, J = pb.map_eval_jac(c, vec(1.0, -2.0, 0.5))
+    val, J = c.eval_jac(vec(1.0, -2.0, 0.5))
     assert np.all(val == 0) and np.all(J == 0)
     assert c.jac_beta == 0.0
 
