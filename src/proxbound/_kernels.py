@@ -6,10 +6,12 @@ last axis of its input, so a single point (n,) and a stack of points
 value, the proximal map and the coordinatewise subgradient bounds.
 Penalties are encoded as an integer kind plus two per-coordinate
 parameter arrays of shape (n,), broadcast over the leading axes; see the
-table in :mod:`proxbound.penalties`. The accelerated dual ascent of the
-prox-linear subproblem and the min-norm box QP behind dist(0, d phi) are
-one kernel each over a stack of rows, used with a single row for one
-point and with blocks of rows by the diagnostics.
+table in :mod:`proxbound.penalties`; the derivative of the proximal map
+serves the Newton steps of the dual ascent. The dual ascent of the
+prox-linear subproblem (FISTA finished by semismooth Newton steps) and the
+min-norm box QP behind dist(0, d phi) are one kernel each over a stack of
+rows, used with a single row for one point and with blocks of rows by the
+diagnostics.
 """
 
 import numpy as np
@@ -25,6 +27,11 @@ KIND_CHECK = 5
 KIND_HUBER = 6
 
 _INF = np.inf
+
+# dual_ascent tries Newton steps on a row once its residual is this small:
+# FISTA has then identified the active pieces; at 1e-2 or 1e-3 most steps
+# are rejected and the solve gets slower
+NEWTON_SWITCH = 1e-4
 
 
 def penalty_value(kind, p1, p2, X):
@@ -129,10 +136,73 @@ def row_inner(A, C):
     return np.matmul(A[:, None, :], C[:, :, None])[:, 0, 0]
 
 
+def penalty_prox_deriv(kind, p1, p2, X, t):
+    """Derivative of each coordinate of prox_{tg} at every point along the
+    last axis of X, same shape as X: 0 or 1 on the pieces of the
+    thresholding kinds, the shrink factor on the quadratic pieces. At a
+    kink it is the derivative of the piece penalty_prox selects there."""
+    if kind == KIND_ZERO:
+        return np.ones(X.shape)
+    if kind == KIND_ABS:
+        return (np.abs(X) > t * p1).astype(np.float64)
+    if kind == KIND_ENET:
+        return (np.abs(X) > t * p1) / (1.0 + t * p2)
+    if kind == KIND_BOX:
+        return ((X > p1) & (X < p2)).astype(np.float64)
+    if kind == KIND_EPS:
+        ax = np.abs(X)
+        return ((ax <= p2) | (ax > p2 + t * p1)).astype(np.float64)
+    if kind == KIND_CHECK:
+        return ((X > t * p1 * p2) | (X < t * p1 * (p2 - 1.0))).astype(
+            np.float64)
+    if kind == KIND_HUBER:
+        inner = np.abs(X) <= p1 * (p2 + t)
+        return np.where(inner, p2 / (p2 + t), 1.0)
+    raise ValueError(f"unknown penalty kind code {kind}")
+
+
+def _forward_backward(gkind, gp1, gp2, J, cbar, X, t, step, thr, quad,
+                      hlo, hhi, V):
+    """The dual's forward-backward map T at the rows of V, with the pieces
+    the stop test and the Newton step need: the prox argument
+    U = X - t J^T v, the primal point y(v) = prox_{tg}(U), D = y - X, the
+    model's inner value Z = cbar + J D, the pre-clip point S (the ascent
+    step, soft-thresholded by thr) and T(v), S clipped to [hlo, hhi]."""
+    U = X - t * np.matmul(V[:, None, :], J)[:, 0, :]
+    Yr = penalty_prox(gkind, gp1, gp2, U, t)
+    D = Yr - X
+    Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
+    S = V + step * (Z if quad is None else Z - quad * V)
+    if thr is not None:
+        S = np.sign(S) * np.maximum(np.abs(S) - thr, 0.0)
+    return U, Yr, D, Z, S, np.minimum(np.maximum(S, hlo), hhi)
+
+
+def _newton_points(gkind, gp1, gp2, J, t, step, thr, quad, hlo, hhi,
+                   V, U, S, G):
+    """Semismooth Newton points u = v + pinv(M)(T(v) - v) on the residual
+    R(w) = w - T(w) at the rows of V, where
+    M = (I - P) + s P (t J diag(D_g) J^T + diag(quad)), P being the 0/1
+    derivative of the clip and soft-threshold at S and D_g that of
+    prox_{tg} at U. M is singular once more than n duals are free (J has
+    rank <= n), so the step is the pseudo-inverse (least-squares) one."""
+    P = (S > hlo) & (S < hhi)
+    if thr is not None:
+        P &= S != 0.0
+    Dg = penalty_prox_deriv(gkind, gp1, gp2, U, t)
+    A = t * np.matmul(J * Dg[:, None, :], J.transpose(0, 2, 1))
+    diag = np.arange(A.shape[1])
+    if quad is not None:
+        A[:, diag, diag] += quad
+    M = (step * P)[:, :, None] * A
+    M[:, diag, diag] += 1.0 - P
+    return V + np.matmul(np.linalg.pinv(M), G[:, :, None])[:, :, 0]
+
+
 def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
                 J, cbar, X, t, steps, tol, fx, fslack, maxit):
     """Accelerated forward-backward ascent on the duals of B linearized
-    subproblems.
+    subproblems, finished by semismooth Newton steps.
 
     Row b maximizes  <w, cbar_b> - h*(w)
     + min_y { g(y) + <J_b^T w, y - x_b> + |y - x_b|^2/2t }  over the box
@@ -146,23 +216,33 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
     T(v); a row whose step turns against its last move,
     (T(v) - v).(T(v) - w) < 0, restarts at theta = 1, which drops the
     momentum of its next step. Primal recovery y = prox_{tg}(x_b - t J_b^T v).
-    A row stops once its dual fixed-point residual |T(v) - v|/step is
+    A row stops once its dual fixed-point residual r = |T(v) - v|/step is
     <= tol and its model value g(y) + h(z) + |y - x_b|^2/2t is
     <= fx[b] + fslack[b]; the model value is evaluated only for rows whose
     residual passed. Finished rows retire, and the stacked arrays are
     compacted only when some row finishes.
 
+    A row still running with r <= NEWTON_SWITCH also tries a semismooth
+    Newton step u on R(w) = w - T(w) from v (see _newton_points), all such
+    rows in one batched pseudo-inverse. u is taken only if
+    |T(u) - u|/step < r, and the row then restarts its momentum at u
+    (theta = 1, w_prev = w = u); otherwise the FISTA step stands. FISTA's
+    warm-up identifies the active pieces; a Newton step from w = 0 is
+    almost always rejected.
+
     J is (B, m, n), cbar (B, m), X (B, n); steps, fx and fslack are (B,).
-    Returns (Y, W, residuals, total row iterations, per-row iterations),
-    W holding the dual point v at which each row stopped. Raises
-    InnerSolveError naming the worst residual when rows are still running
-    after maxit iterations.
+    Returns (Y, W, residuals, total row iterations, per-row iterations,
+    Newton steps tried), W holding the dual point v at which each row
+    stopped; the two totals are ints. Raises InnerSolveError at once when
+    a residual is not finite, naming it and the iteration, and naming the
+    worst residual when rows are still running after maxit iterations.
     """
     B = X.shape[0]
     Y = np.empty_like(X)
     W = np.zeros(cbar.shape)
     resid = np.full(B, _INF)
     iters = np.zeros(B, dtype=np.int64)
+    newton = 0
     rows = np.arange(B)
     step = np.asarray(steps, dtype=np.float64)[:, None]
     limit = np.asarray(fx, dtype=np.float64) + fslack
@@ -175,19 +255,17 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
     for it in range(1, maxit + 1):
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         v = w + ((theta - 1.0) / theta_next)[:, None] * (w - w_prev)
-        Yr = penalty_prox(gkind, gp1, gp2,
-                          X - t * np.matmul(v[:, None, :], J)[:, 0, :], t)
-        D = Yr - X
-        Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
-        vh = v + step * (Z if quad is None else Z - quad * v)
-        if thr is not None:
-            vh = np.sign(vh) * np.maximum(np.abs(vh) - thr, 0.0)
-        Tv = np.minimum(np.maximum(vh, hlo), hhi)
+        U, Yr, D, Z, S, Tv = _forward_backward(
+            gkind, gp1, gp2, J, cbar, X, t, step, thr, quad, hlo, hhi, v)
         G = Tv - v
         r = np.sqrt(row_dots(G)) / step[:, 0]
-        ok = r <= tol
-        if ok.any():
-            passed = np.flatnonzero(ok)
+        worst = r.max()
+        if not worst < _INF:
+            raise InnerSolveError(
+                f"subproblem dual ascent residual is {worst} at iteration "
+                f"{it}", residual=float(worst), iterations=it)
+        if r.min() <= tol:
+            passed = np.flatnonzero(r <= tol)
             fy = (penalty_value(gkind, gp1, gp2, Yr[passed])
                   + penalty_value(hkind, hp1, hp2, Z[passed])
                   + row_dots(D[passed]) / (2.0 * t))
@@ -199,17 +277,32 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
                 resid[out] = r[done]
                 iters[out] = it
                 if done.size == rows.size:
-                    return Y, W, resid, int(np.sum(iters)), iters
+                    return Y, W, resid, int(np.sum(iters)), iters, newton
                 keep = np.ones(rows.size, dtype=bool)
                 keep[done] = False
-                rows, J, cbar, X = rows[keep], J[keep], cbar[keep], X[keep]
-                step, limit = step[keep], limit[keep]
-                r, w, Tv, G = r[keep], w[keep], Tv[keep], G[keep]
-                theta_next = theta_next[keep]
+                (rows, J, cbar, X, step, limit, r, v, w, U, S, Tv, G,
+                 theta_next) = (a[keep] for a in (
+                     rows, J, cbar, X, step, limit, r, v, w, U, S, Tv, G,
+                     theta_next))
                 if thr is not None:
                     thr = thr[keep]
         theta = np.where(row_inner(G, Tv - w) < 0.0, 1.0, theta_next)
         w_prev, w = w, Tv
+        if r.min() <= NEWTON_SWITCH:
+            near = np.flatnonzero(r <= NEWTON_SWITCH)
+            newton += near.size
+            Jn, sn = J[near], step[near]
+            tn = None if thr is None else thr[near]
+            u = _newton_points(gkind, gp1, gp2, Jn, t, sn, tn, quad, hlo, hhi,
+                               v[near], U[near], S[near], G[near])
+            Tu = _forward_backward(gkind, gp1, gp2, Jn, cbar[near], X[near],
+                                   t, sn, tn, quad, hlo, hhi, u)[5]
+            better = np.sqrt(row_dots(Tu - u)) / sn[:, 0] < r[near]
+            if better.any():
+                took = near[better]
+                w_prev = w_prev.copy()
+                w[took] = w_prev[took] = u[better]
+                theta[took] = 1.0
     worst = float(np.max(r))
     raise InnerSolveError(
         f"subproblem dual ascent stalled at residual {worst:.3e}",
@@ -231,7 +324,8 @@ def minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, tol, maxit):
     running after maxit iterations return their current norm. Each norm
     upper-bounds the row's true minimum and is exact at convergence, since
     the problem is convex. Returns (norms, total row iterations as an int,
-    number of rows that ran into maxit).
+    number of rows that ran into maxit). Raises InnerSolveError at once
+    when a move is not finite, naming it and the iteration.
     """
     B = J.shape[0]
     norms = np.empty(B)
@@ -249,6 +343,11 @@ def minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, tol, maxit):
             W - step * np.matmul(J, R[:, :, None])[:, :, 0], wlo), whi)
         move = np.sqrt(np.sum((VN - V) ** 2, axis=1)
                        + np.sum((WN - W) ** 2, axis=1))
+        worst = float(np.max(move))
+        if not worst < _INF:
+            raise InnerSolveError(
+                f"min-norm box QP move is {worst} at iteration {it}",
+                residual=worst, iterations=it)
         V, W = VN, WN
         done = move / step[:, 0] <= tol
         finished = int(np.count_nonzero(done))

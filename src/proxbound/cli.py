@@ -408,8 +408,11 @@ def run_experiment(cfg):
         slack = _tolerance_slack(resid, 1e-10 * phi_scale)
         checks.append(CheckLine("descent_inequality", slack >= 0.0, slack))
         if cfg.method == "proxgrad":
-            d = diag.dist_to_stationarity(
-                problem, np.reshape(trace.iterates[1:], (-1, problem.dim)))
+            # a diverged run's iterates overflow here; their inf distance
+            # FAILs the check, which says more than a numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = diag.dist_to_stationarity(
+                    problem, np.reshape(trace.iterates[1:], (-1, problem.dim)))
             margins = (1.0 + beta * t_used) * gnorms[:-1] - d
             slack = _tolerance_slack(margins, 1e-8)
             checks.append(CheckLine("improved_certificate", slack >= 0.0, slack))
@@ -429,12 +432,15 @@ def run_experiment(cfg):
     constants = None
     ref = None
     diag_seed = cfg.diag_seed if cfg.diag_seed is not None else cfg.seed
-    if cfg.constants or cfg.sandwich or cfg.tail_rate:
+    # a diverged solve's verdict is its failed converged check; nothing can
+    # be measured around its overflowing iterates
+    diagnose = trace.status != "Diverged"
+    if diagnose and (cfg.constants or cfg.sandwich or cfg.tail_rate):
         ref = diag.analytic_reference(problem)
         if ref is None:
             ref = diag.compute_reference(problem, x0=trace.final_x, t=cfg.t0,
                                          tol=1e-12)
-    if cfg.constants:
+    if diagnose and cfg.constants:
         gap0 = float(phis[0] - ref.phi_star)
         if cfg.nu_spec == "gap0":
             nu = gap0 if gap0 > 0 else float("inf")
@@ -454,7 +460,7 @@ def run_experiment(cfg):
         constants.extras["iteration_bound"] = bound
         for name, (ok, slack) in constants.checks.items():
             checks.append(CheckLine(f"constants_{name}", ok, slack))
-    if cfg.sandwich:
+    if diagnose and cfg.sandwich:
         if cfg.method == "proxlinear" or not problem.f_convex:
             checks.append(CheckLine("sandwich_skipped_nonconvex", True,
                                     float("inf")))
@@ -472,7 +478,7 @@ def run_experiment(cfg):
             checks.append(CheckLine("sandwich_upper",
                                     rep.min_upper_slack >= -1e-8,
                                     rep.min_upper_slack + 1e-8))
-    if cfg.tail_rate:
+    if diagnose and cfg.tail_rate:
         try:
             rate = diag.fit_tail_rate(trace, ref.phi_star, cfg.tail_fraction)
             checks.append(CheckLine("tail_rate", rate < 1.0, 1.0 - rate))

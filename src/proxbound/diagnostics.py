@@ -192,20 +192,23 @@ def _phi_batch(problem, X):
 
 
 def _gnorm_batch(problem, X, t, inner_tol):
-    """|G_t| at every row of X, plus the dual-ascent iterations it took
-    (summed over rows; 0 for additive problems, whose G_t is closed form)."""
+    """|G_t| at every row of X, plus a dict of the work it took summed over
+    the rows: dual_iters, the dual-ascent iterations (0 for additive
+    problems, whose G_t is closed form), and for composite problems
+    newton_steps, the Newton steps tried."""
     if isinstance(problem, AdditiveProblem):
         V = X - t * problem.f.grad_batch(X)
         P = problem.g.prox_batch(V, t)
-        return np.linalg.norm(X - P, axis=1) / t, 0
+        return np.linalg.norm(X - P, axis=1) / t, {"dual_iters": 0}
     gnorms = np.empty(X.shape[0])
-    iters = 0
+    counts = {"dual_iters": 0, "newton_steps": 0}
     for s in range(0, X.shape[0], ROW_BLOCK):
         B = X[s:s + ROW_BLOCK]
-        Y, it = _solve_subproblem_batch(problem, B, t, inner_tol)
+        Y, iters, newton = _solve_subproblem_batch(problem, B, t, inner_tol)
         gnorms[s:s + ROW_BLOCK] = np.sqrt(K.row_dots((B - Y) / t))
-        iters += it
-    return gnorms, iters
+        counts["dual_iters"] += iters
+        counts["newton_steps"] += newton
+    return gnorms, counts
 
 
 def _gaps(problem, X, phi_star, tilt):
@@ -271,7 +274,8 @@ def estimate_gamma(problem, ref, nu, t, n_samples=10000, seed=0,
 
     A dict passed as counts receives gamma_samples (the accepted samples
     whose |G_t| was evaluated) and gamma_dual_iters (the dual-ascent
-    iterations summed over them).
+    iterations summed over them), and for composite problems
+    gamma_newton_steps (the Newton steps tried, summed over them).
     """
     X = sample_box(ref, problem.dim, n_samples, seed)
     if extra_points is not None and len(extra_points):
@@ -279,10 +283,10 @@ def estimate_gamma(problem, ref, nu, t, n_samples=10000, seed=0,
     Xa, _ = _accepted(problem, ref, nu, X, None)
     if Xa.shape[0] == 0:
         raise InsufficientData("no samples accepted for gamma")
-    gnorms, iters = _gnorm_batch(problem, Xa, t, inner_tol)
+    gnorms, work = _gnorm_batch(problem, Xa, t, inner_tol)
     if counts is not None:
         counts["gamma_samples"] = int(Xa.shape[0])
-        counts["gamma_dual_iters"] = int(iters)
+        counts.update({f"gamma_{key}": int(v) for key, v in work.items()})
     dists = ref.dist_batch(Xa)
     mask = gnorms > GNORM_SKIP
     if int(np.sum(mask)) < MIN_ACCEPTED:

@@ -94,7 +94,7 @@ class IterationTrace:
             vals = self.data[name]
             if name == "elapsed_s" and zero_elapsed:
                 vals = [0.0] * len(vals)
-            if name in ("k", "backtracks", "inner_iters"):
+            if name in ("k", "backtracks", "inner_iters", "inner_newton"):
                 cols.append(map(int, vals))
                 specs.append("{:d}")
             else:

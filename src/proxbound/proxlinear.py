@@ -23,8 +23,8 @@ from .vectors import as_vector
 FINITE_H_KINDS = (AbsValue, EpsilonInsensitive, CheckFunction, HuberEnvelope)
 
 PROXLINEAR_HEADER = ("k", "phi", "gnorm", "t_accepted", "backtracks",
-                     "inner_iters", "decrease_residual", "certificate",
-                     "certificate_sharp", "elapsed_s")
+                     "inner_iters", "inner_newton", "decrease_residual",
+                     "certificate", "certificate_sharp", "elapsed_s")
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ def linearized_value(problem, x, y):
 
 def _solve_subproblem_batch(problem, X, t, inner_tol):
     """Subproblem minimizers at every row of X for one step t, from one
-    stacked dual ascent. Returns (Y, total dual iterations over the rows)."""
+    stacked dual ascent. Returns (Y, total dual iterations over the rows,
+    total Newton steps tried over the rows)."""
     if t <= 0:
         raise ValueError("t must be positive")
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -90,10 +91,10 @@ def _solve_subproblem_batch(problem, X, t, inner_tol):
     steps = 1.0 / (t * operator_norm_sq(J) + curv)
     fx = problem.g.value_batch(X) + problem.h.value_batch(C)
     fslack = 1e-12 * (1.0 + np.abs(fx))
-    Y, _, _, iters, _ = K.dual_ascent(
+    Y, _, _, iters, _, newton = K.dual_ascent(
         *problem.g._packed(problem.dim), *problem.h._packed(m), *hdual,
         J, C, X, float(t), steps, float(inner_tol), fx, fslack, INNER_CAP)
-    return Y, iters
+    return Y, iters, newton
 
 
 def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None):
@@ -101,19 +102,23 @@ def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None):
 
     The model is solved through its Fenchel dual in w (a box, plus an l1
     term for the vapnik penalty and a quadratic for the huber envelope) by
-    accelerated projected gradient ascent (FISTA with adaptive restart, see
-    _kernels.dual_ascent) with step 1/(t|J|^2 + curv), |J|^2 from a power
-    iteration and curv the larger of 1 and the huber envelope's dual
-    curvature; the primal point is recovered as y = prox_{tg}(x - t J^T w).
-    Terminates once the dual fixed-point residual drops to inner_tol and the
-    model value at y does not exceed phi(x) (y = x is feasible with exactly
-    that value). A dict passed as counts receives dual_iters, the dual
-    iterations the solve took.
+    accelerated projected gradient ascent (FISTA with adaptive restart) with
+    step 1/(t|J|^2 + curv), |J|^2 from a power iteration and curv the larger
+    of 1 and the huber envelope's dual curvature. Once the dual fixed-point
+    residual is below _kernels.NEWTON_SWITCH, semismooth Newton steps on it
+    finish the solve (see _kernels.dual_ascent). The primal point is
+    recovered as y = prox_{tg}(x - t J^T w). Terminates once the residual
+    drops to inner_tol and the model value at y does not exceed phi(x)
+    (y = x is feasible with exactly that value). A dict passed as counts
+    receives dual_iters and newton_steps, the dual iterations and the
+    Newton steps tried that the solve took.
     """
     x = as_vector(x, problem.dim)
-    Y, iters = _solve_subproblem_batch(problem, x[None, :], t, inner_tol)
+    Y, iters, newton = _solve_subproblem_batch(problem, x[None, :], t,
+                                               inner_tol)
     if counts is not None:
         counts["dual_iters"] = iters
+        counts["newton_steps"] = newton
     return Y[0]
 
 
@@ -166,15 +171,27 @@ class ProxLinearConfig:
 
 T_UNDERFLOW = 1e-12
 
+# an Armijo test whose required decrease (sigma/2)|G_t|^2 is below this many
+# ulp(phi(x)) cannot pass or fail on anything but roundoff
+STALL_ULPS = 4
+
 
 def run_prox_linear(problem, x0, cfg=None):
     """Backtracking prox-linear iteration, terminating on |G_t(x_k)| <= eps.
 
-    t is never reset upward between iterations. Each trace row records the
-    accepted step, the backtrack count, the dual-ascent iterations of the
-    step's subproblem solves (summed over its backtracks), the decrease
-    residual phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and both
+    t is never reset upward between iterations: the tail rate is set by
+    t, so a run's rate is that of its smallest accepted step. Each trace
+    row records the accepted step, the backtrack
+    count, the dual-ascent iterations and the Newton steps tried in the
+    step's subproblem solves (both summed over its backtracks), the
+    decrease residual phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and both
     stationarity certificates.
+
+    Ends with status Converged, MaxIter, or Stalled when an Armijo test
+    fails while its required decrease (sigma/2)|G_t|^2 lies below
+    STALL_ULPS ulp(phi(x_k)): x_k is then as stationary as floating point
+    can certify, and its row (with the current t, the backtracks so far
+    and decrease_residual 0) is the last one.
     """
     cfg = cfg or ProxLinearConfig()
     x = as_vector(x0, problem.dim).copy()
@@ -190,23 +207,23 @@ def run_prox_linear(problem, x0, cfg=None):
     for k in range(cfg.max_iter + 1):
         y = solve_subproblem(problem, x, t, cfg.inner_tol, counts)
         inner_iters = counts["dual_iters"]
+        inner_newton = counts["newton_steps"]
         gnorm = float(np.linalg.norm(x - y)) / t
         trace.iterates.append(x.copy())
-        cert = near_stationarity_certificate(problem, gnorm, t)
-        cert_sharp = sharp_certificate_additive(problem.beta, gnorm, t)
-        if gnorm <= cfg.eps or k == cfg.max_iter:
-            trace.append(k=k, phi=phi_x, gnorm=gnorm, t_accepted=t,
-                         backtracks=0, inner_iters=inner_iters,
-                         decrease_residual=0.0,
-                         certificate=cert, certificate_sharp=cert_sharp,
-                         elapsed_s=time.perf_counter() - start)
-            trace.status = "Converged" if gnorm <= cfg.eps else "MaxIter"
-            break
+        status = None
+        if gnorm <= cfg.eps:
+            status = "Converged"
+        elif k == cfg.max_iter:
+            status = "MaxIter"
         backtracks = 0
-        while True:
+        while status is None:
             sigma = t if cfg.sigma is None else cfg.sigma
             phi_y = problem.phi(y)
-            if phi_y <= phi_x - 0.5 * sigma * gnorm * gnorm:
+            required = 0.5 * sigma * gnorm * gnorm
+            if phi_y <= phi_x - required:
+                break
+            if required < STALL_ULPS * np.spacing(abs(phi_x)):
+                status = "Stalled"
                 break
             t *= cfg.q
             if t < T_UNDERFLOW:
@@ -215,16 +232,20 @@ def run_prox_linear(problem, x0, cfg=None):
                     residual=gnorm, iterations=k)
             y = solve_subproblem(problem, x, t, cfg.inner_tol, counts)
             inner_iters += counts["dual_iters"]
+            inner_newton += counts["newton_steps"]
             gnorm = float(np.linalg.norm(x - y)) / t
             backtracks += 1
         cert = near_stationarity_certificate(problem, gnorm, t)
         cert_sharp = sharp_certificate_additive(problem.beta, gnorm, t)
-        resid = phi_x - phi_y - 0.5 * sigma * gnorm * gnorm
+        resid = 0.0 if status else phi_x - phi_y - 0.5 * sigma * gnorm * gnorm
         trace.append(k=k, phi=phi_x, gnorm=gnorm, t_accepted=t,
                      backtracks=backtracks, inner_iters=inner_iters,
-                     decrease_residual=resid,
+                     inner_newton=inner_newton, decrease_residual=resid,
                      certificate=cert, certificate_sharp=cert_sharp,
                      elapsed_s=time.perf_counter() - start)
+        if status:
+            trace.status = status
+            break
         x = y
         phi_x = phi_y
     trace.final_x = x

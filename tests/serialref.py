@@ -3,11 +3,12 @@
 These are the serial loops that the stacked numpy kernels replaced: a
 scalar subgradient formula per coordinate, the power iteration on one
 matrix, the min-norm box QP on one row, dist(0, d phi) at one point, and
-the accelerated dual ascent on one subproblem. The stacked code must
-reproduce them row by row. The plain (unaccelerated) dual ascent that the
-accelerated one replaced stays as an accuracy reference, and so does the
-proximal-gradient loop that re-validated x in every operation, and the
-per-cell trace.csv writer that one format call per row replaced.
+the accelerated dual ascent with its Newton finish on one subproblem. The
+stacked code must reproduce them row by row. The plain (unaccelerated)
+dual ascent that the accelerated one replaced stays as an accuracy
+reference, and so do the proximal-gradient loop that re-validated x in
+every operation and the per-cell trace.csv writer that one format call
+per row replaced.
 """
 
 import math
@@ -127,22 +128,49 @@ def _dual_step(pen, J, cbar, x, t, step, w):
     return y, fy, np.minimum(np.maximum(wh, hlo), hhi)
 
 
+def _newton_matrix(pen, J, cbar, x, t, step, w):
+    """Generalized Jacobian (I - P) + s P (t J diag(D_g) J^T + diag(hquad))
+    of w - T(w) at w, with P the 0/1 derivative of the dual's clip and
+    soft-threshold and D_g that of prox_{tg}."""
+    gkind, gp1, gp2, _, _, _, hlo, hhi, hl1, hquad = pen
+    u = x - t * (w @ J)
+    z = cbar + J @ (K.penalty_prox(gkind, gp1, gp2, u, t) - x)
+    wh = w + step * (z - hquad * w)
+    s = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
+    p = (s > hlo) & (s < hhi)
+    if np.any(hl1):
+        p &= s != 0.0
+    dg = K.penalty_prox_deriv(gkind, gp1, gp2, u, t)
+    A = t * (J * dg) @ J.T + np.diag(hquad)
+    return np.diag(1.0 - p) + (step * p)[:, None] * A
+
+
 def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
-    """FISTA with gradient-mapping restart on one subproblem's dual.
-    Returns (y, v, residual, iterations, converged), v being the dual point
-    at which the loop stopped."""
+    """FISTA with gradient-mapping restart on one subproblem's dual, with a
+    semismooth Newton step tried at every iteration whose residual is at
+    most K.NEWTON_SWITCH and kept if it lowers the residual. Returns
+    (y, v, residual, iterations, converged, Newton steps tried), v being
+    the dual point at which the loop stopped."""
     w = w_prev = np.zeros(cbar.shape[0])
     theta = 1.0
+    newton = 0
     for it in range(1, maxit + 1):
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         v = w + ((theta - 1.0) / theta_next) * (w - w_prev)
         y, fy, tv = _dual_step(pen, J, cbar, x, t, step, v)
         resid = float(np.linalg.norm(tv - v)) / step
         if resid <= tol and fy <= fx + fslack:
-            return y, v, resid, it, True
+            return y, v, resid, it, True, newton
         theta = 1.0 if (tv - v) @ (tv - w) < 0.0 else theta_next
         w_prev, w = w, tv
-    return y, v, resid, maxit, False
+        if resid <= K.NEWTON_SWITCH:
+            newton += 1
+            M = _newton_matrix(pen, J, cbar, x, t, step, v)
+            u = v + np.linalg.pinv(M) @ (tv - v)
+            tu = _dual_step(pen, J, cbar, x, t, step, u)[2]
+            if float(np.linalg.norm(tu - u)) / step < resid:
+                theta, w_prev, w = 1.0, u, u
+    return y, v, resid, maxit, False, newton
 
 
 def plain_dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
@@ -167,7 +195,7 @@ def trace_csv(trace, zero_elapsed=False):
             v = trace.data[name][i]
             if name == "elapsed_s" and zero_elapsed:
                 v = 0.0
-            if name in ("k", "backtracks", "inner_iters"):
+            if name in ("k", "backtracks", "inner_iters", "inner_newton"):
                 vals.append(str(int(v)))
             else:
                 vals.append(f"{v:.17g}")

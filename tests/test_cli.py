@@ -1,5 +1,4 @@
 import os
-import re
 import subprocess
 import sys
 import time
@@ -199,8 +198,8 @@ tail_rate = true
     assert "CHECK half_bound: PASS" in report
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header == ("k,phi,gnorm,t_accepted,backtracks,inner_iters,"
-                      "decrease_residual,certificate,certificate_sharp,"
-                      "elapsed_s")
+                      "inner_newton,decrease_residual,certificate,"
+                      "certificate_sharp,elapsed_s")
 
 
 def test_runtime_error_exit_code(tmp_path):
@@ -412,25 +411,61 @@ def test_diverging_run_reports_status_without_traceback(tmp_path):
     assert (out / "trace.csv").read_text().splitlines()[-1].startswith("34,")
 
 
-def test_diverging_run_with_constants_exits_3_at_once(tmp_path):
-    # the proximal-point steps behind L-hat use the same too-small beta and
-    # overflow; the inner loop must stop on the non-finite residual instead
-    # of running to its 10^6-iteration cap (~87 s)
+def test_diverging_run_with_diagnostics_ends_on_its_verdict(tmp_path):
+    # the diagnostics would step from the overflowing iterates with the same
+    # too-small beta; after a diverged solve they are skipped, and the run
+    # ends on the failed converged check
     text = ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
                                x0="zeros", method="proxgrad").replace(
         "max_iter = 50", "t0 = 1000").replace(
         "x0 = zeros", "x0 = zeros\nbeta_override = 0.001")
-    path = write_cfg(tmp_path, text + "\n[diagnostics]\nconstants = true\n")
+    path = write_cfg(tmp_path, text + "\n[diagnostics]\nconstants = true\n"
+                     "sandwich = true\ntail_rate = true\n")
+    out = tmp_path / "div"
     start = time.perf_counter()
-    proc = run_cli_process("run", path, "--out", str(tmp_path / "div"))
+    proc = run_cli_process("run", path, "--out", str(out))
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines()
-              if line.startswith("runtime error:")]
-    assert len(errors) == 1
-    assert re.search(r"residual is (inf|nan) at iteration", errors[0])
+    assert "runtime error:" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "status=Diverged" in proc.stdout
+    assert "CHECK converged: FAIL" in proc.stdout
+    assert (out / "constants.txt").read_text() == ""
     assert elapsed < 5.0
+
+
+def test_run_at_the_floating_point_floor_reports_stalled(tmp_path):
+    # with h = checkfunction the model's required decrease (t/2)|G_t|^2
+    # falls below ulp(phi) at |G_t| ~ 8e-8, long before eps = 1e-10: the
+    # run ends as Stalled (exit 1) instead of backtracking into underflow
+    text = """\
+[problem]
+kind = composite
+map = quadraticmap(rows=20,cols=10,seed=7,curvature=0.3)
+h = checkfunction(lambda=1,tau=0.3)
+penalty = absvalue(lambda=0.05)
+x0 = const(value=2)
+
+[solver]
+method = proxlinear
+eps = 1e-10
+max_iter = 2000
+inner_tol = 1e-11
+"""
+    out = tmp_path / "stall"
+    start = time.perf_counter()
+    proc = run_cli_process("run", write_cfg(tmp_path, text), "--out",
+                           str(out))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "runtime error:" not in proc.stderr
+    assert "status=Stalled" in proc.stdout
+    assert "CHECK converged: FAIL" in proc.stdout
+    last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+    assert 0.0 < float(last[2]) < 1e-6
+    assert elapsed < 30.0
 
 
 def test_unexpected_exception_is_a_runtime_error(tmp_path, capsys,

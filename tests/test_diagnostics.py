@@ -223,6 +223,7 @@ def test_estimate_constants_bundle(lasso42, lasso42_run, lasso42_ref):
     assert "alpha_hat=" in text and "check_gamma_vs_alpha=pass" in text
     # the additive G_t is closed form: no dual ascent behind gamma
     assert "gamma_samples=" in text and "gamma_dual_iters=0\n" in text
+    assert "gamma_newton_steps" not in text
     assert "subdiff_samples=" in text and "subdiff_boxqp_iters=0\n" in text
     assert "subdiff_boxqp_capped=0\n" in text
 
@@ -237,6 +238,7 @@ def test_estimate_gamma_composite(robust7, robust7_run):
     assert np.isfinite(g) and g > 0
     # nu = inf accepts every sample
     assert counts["gamma_samples"] == 150 and counts["gamma_dual_iters"] > 150
+    assert 0 < counts["gamma_newton_steps"] < counts["gamma_dual_iters"]
 
 
 def test_composite_batches_match_per_sample_loop(robust7, monkeypatch):

@@ -1,6 +1,8 @@
 """Kernel agreement: the stacked dual ascent and min-norm box QP must match
-one-row-at-a-time loops; the accelerated dual ascent must be at least as
-accurate as the plain loop it replaced."""
+one-row-at-a-time loops; the dual ascent must be at least as accurate as
+the plain loop it replaced and, with its Newton finish, match a
+tolerance-1e-15 solve to 1e-12; the prox derivative behind the Newton steps
+must match central differences."""
 
 import re
 
@@ -47,11 +49,12 @@ def run_serial(penalty_args, J, cbar, X, steps, tol, fx, fslack, maxit, rows,
 
 
 def assert_matches_serial(hname, gname, rows, tol):
-    """Stacked kernel vs the serial accelerated loop: same iterations, y
-    and w within 1e-12 relative. Returns the kernel's per-row iterations."""
+    """Stacked kernel vs the serial accelerated loop: same iterations and
+    Newton steps, y and w within 1e-12 relative. Returns the kernel's
+    per-row iterations."""
     args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
         DUAL_H[hname], DUAL_G[gname], rows, seed=rows)
-    Y, W, resid, total, iters = K.dual_ascent(
+    Y, W, resid, total, iters, newton = K.dual_ascent(
         *args, J, cbar, X, T, steps, tol, fx, fslack, 10 ** 5)
     assert isinstance(total, int) and total == int(np.sum(iters))
     # a row's result does not depend on the other rows, so the 300-row
@@ -61,6 +64,9 @@ def assert_matches_serial(hname, gname, rows, tol):
                      check)
     assert all(r[4] for r in ref)
     assert iters[check].tolist() == [r[3] for r in ref]
+    assert isinstance(newton, int)
+    if rows <= 100:
+        assert newton == sum(r[5] for r in ref)
     for got, want in ((Y[check], np.array([r[0] for r in ref])),
                       (W[check], np.array([r[1] for r in ref]))):
         err = np.abs(got - want)
@@ -73,6 +79,15 @@ def assert_matches_serial(hname, gname, rows, tol):
 @pytest.mark.parametrize("hname", sorted(DUAL_H))
 def test_stacked_dual_ascent_matches_serial(hname, gname, rows):
     assert_matches_serial(hname, gname, rows, TOL)
+
+
+@pytest.mark.parametrize("hname", sorted(DUAL_H))
+def test_rejected_newton_steps_match_serial(hname, monkeypatch):
+    # at a switch of 0.1 many Newton steps start from wrongly identified
+    # pieces: the FISTA step that stands after a rejected one, and the
+    # momentum restart after a kept one, must match the serial loop
+    monkeypatch.setattr(K, "NEWTON_SWITCH", 0.1)
+    assert_matches_serial(hname, "absvalue", 60, TOL)
 
 
 @pytest.mark.parametrize("hname", ["absvalue", "checkfunction"])
@@ -99,8 +114,8 @@ def test_accelerated_dual_ascent_as_accurate_as_plain(hname, gname):
         DUAL_H[hname], DUAL_G[gname], 20, seed=11)
     Y_star = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, fslack,
                            10 ** 6)[0]
-    Y, _, _, total, _ = K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx,
-                                      fslack, 10 ** 5)
+    Y, _, _, total, _, _ = K.dual_ascent(*args, J, cbar, X, T, steps, TOL,
+                                         fx, fslack, 10 ** 5)
     plain = run_serial(args, J, cbar, X, steps, TOL, fx, fslack, 10 ** 5,
                        range(20), loop=serialref.plain_dual_ascent)
     assert all(r[4] for r in plain)
@@ -108,6 +123,69 @@ def test_accelerated_dual_ascent_as_accurate_as_plain(hname, gname):
     err_plain = np.max(np.abs(np.array([r[0] for r in plain]) - Y_star))
     assert err <= 2.0 * err_plain
     assert total < sum(r[3] for r in plain)
+
+
+@pytest.mark.parametrize("gname", sorted(DUAL_G))
+@pytest.mark.parametrize("hname", sorted(DUAL_H))
+def test_newton_finish_matches_tight_solve(hname, gname):
+    # at the workloads' inner_tol 1e-11 the kernel's y and w match a
+    # tol-1e-15 solve to 1e-12 relative, and the Newton steps do the work
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H[hname], DUAL_G[gname], 20, seed=11)
+    tight = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, fslack,
+                          10 ** 6)
+    got = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
+                        10 ** 5)
+    for a, b in ((got[0], tight[0]), (got[1], tight[1])):
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(b), 1.0))
+    assert got[5] > 0
+    plain = run_serial(args, J, cbar, X, steps, 1e-11, fx, fslack, 10 ** 5,
+                       range(20), loop=serialref.plain_dual_ascent)
+    assert got[3] < sum(r[3] for r in plain)
+
+
+# points at least 0.02 from every kink of the prox of each kind at T = 1
+# with the parameters below (kinks at +-0.9; +-0.2 and +-1.1; -0.56 and
+# 0.24; +-0.98; the box ends -1.2 and 0.9)
+DERIV_POINTS = np.array([-2.0, -1.0, -0.7, -0.4, -0.1, 0.1, 0.15, 0.5, 0.8,
+                         1.0, 1.5, 2.5, -1.5, -0.3, 0.35])
+
+
+@pytest.mark.parametrize("penalty", [
+    pb.Zero(), pb.AbsValue(0.9), pb.ElasticNet(0.9, 0.6),
+    pb.BoxIndicator(-1.2, 0.9), pb.EpsilonInsensitive(0.9, 0.2),
+    pb.CheckFunction(0.8, 0.3), pb.HuberEnvelope(0.7, 0.4)],
+    ids=lambda p: type(p).__name__)
+def test_prox_deriv_matches_central_differences(penalty):
+    n = DERIV_POINTS.size
+    kind, p1, p2 = penalty._packed(n)
+    X = np.stack([DERIV_POINTS, -DERIV_POINTS])
+    h = 1e-6
+    fd = (K.penalty_prox(kind, p1, p2, X + h, T)
+          - K.penalty_prox(kind, p1, p2, X - h, T)) / (2.0 * h)
+    got = K.penalty_prox_deriv(kind, p1, p2, X, T)
+    assert got.shape == X.shape
+    assert np.allclose(got, fd, rtol=0.0, atol=1e-8)
+    assert np.array_equal(got[0], K.penalty_prox_deriv(kind, p1, p2, X[0], T))
+
+
+def test_dual_ascent_stops_on_a_nan_row():
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H["epsiloninsensitive"], DUAL_G["absvalue"], 7, seed=3)
+    X[4, 2] = np.nan
+    with pytest.raises(pb.InnerSolveError,
+                       match="residual is nan at iteration 1$") as info:
+        K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, fslack, 10 ** 5)
+    assert info.value.iterations == 1
+
+
+def test_minnorm_boxqp_stops_on_a_nan_row():
+    J, vlo, vhi, wlo, whi, steps = stacked_boxqps(7, seed=3)
+    J[5, 0, 0] = np.nan
+    with pytest.raises(pb.InnerSolveError,
+                       match="move is nan at iteration 1$") as info:
+        K.minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, TOL, 10 ** 5)
+    assert info.value.iterations == 1
 
 
 def test_stacked_dual_ascent_names_worst_residual():

@@ -169,7 +169,8 @@ def test_trace_csv_matches_per_cell_formatter(lasso42_run, header,
     floats = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, -1.5e308, 1.0 / 3]
     tr = pb.IterationTrace(header)
     for i, v in enumerate(floats):
-        tr.append(**{name: i if name in ("k", "backtracks", "inner_iters")
+        tr.append(**{name: i if name in ("k", "backtracks", "inner_iters",
+                                         "inner_newton")
                      else v for name in header})
     for run in (tr, lasso42_run, pb.IterationTrace(header)):
         assert (run.to_csv(zero_elapsed)
@@ -257,3 +258,12 @@ def test_overflowing_run_reports_diverged(case, max_iter, iterations):
             # the loop that re-validates x in every operation raises instead
             with pytest.raises(ValueError, match="non-finite"):
                 serialref.prox_gradient(problem, x0, cfg)
+
+
+def test_prox_point_batch_stops_on_a_nan_row(lasso42):
+    X = np.zeros((3, 10))
+    X[1, 4] = np.nan
+    with pytest.raises(pb.InnerSolveError,
+                       match="residual is nan at iteration 1$") as info:
+        pb.proxgrad._prox_point_batch(lasso42, X, 0.1, 1e-10)
+    assert info.value.iterations == 1

@@ -167,27 +167,30 @@ def test_backtracking_lower_bound(scalar_square):
 
 
 def test_inner_iters_column_sums_dual_iterations(scalar_square, monkeypatch):
-    # each trace row holds the dual iterations of its step's subproblem
-    # solves: the first solve plus one per backtrack
-    calls = []
+    # each trace row holds the dual iterations and the Newton steps of its
+    # step's subproblem solves: the first solve plus one per backtrack
+    calls, newton = [], []
     dual_ascent = K.dual_ascent
 
     def counted(*args):
         out = dual_ascent(*args)
         calls.append(out[3])
+        newton.append(out[5])
         return out
 
     monkeypatch.setattr(K, "dual_ascent", counted)
     cfg = pb.ProxLinearConfig(t0=100.0, q=0.5, eps=1e-9, max_iter=100,
                               inner_tol=1e-10)
     tr = pb.run_prox_linear(scalar_square, vec(0.1), cfg)
-    per_step, i = [], 0
+    per_step, newton_per_step, i = [], [], 0
     for b in tr.column("backtracks").astype(int):
         per_step.append(sum(calls[i:i + b + 1]))
+        newton_per_step.append(sum(newton[i:i + b + 1]))
         i += b + 1
     assert i == len(calls) and tr.column("backtracks").sum() > 0
     assert tr.column("inner_iters").tolist() == per_step
-    assert min(per_step) > 0
+    assert tr.column("inner_newton").tolist() == newton_per_step
+    assert min(per_step) > 0 and sum(newton_per_step) > 0
 
 
 def test_backtracking_underflow_raises(scalar_square):
