@@ -27,17 +27,6 @@ from .proxlinear import (FINITE_H_KINDS, CompositeProblem, ProxLinearConfig,
 from .smooth import load_dense_vector, map_from_spec, smooth_from_spec
 from .vectors import as_vector
 
-_KNOWN_KEYS = {
-    "problem": {"kind", "penalty", "smooth", "h", "map", "f_convex",
-                "beta_override", "x0", "seed"},
-    "solver": {"method", "t0", "q", "eps", "max_iter", "inner_tol",
-               "sigma_policy"},
-    "diagnostics": {"constants", "samples", "nu", "seed", "sandwich",
-                    "sandwich_points", "sandwich_t", "tail_rate",
-                    "tail_fraction"},
-    "output": {"dir"},
-}
-
 _FILE_PARAMS = ("file", "rhs", "labels", "path")
 
 
@@ -61,7 +50,7 @@ class ExperimentConfig:
     sigma: float = None
     constants: bool = False
     samples: int = 10000
-    nu_spec: str = "gap0"
+    nu_spec: object = "gap0"  # "gap0" or a float
     diag_seed: int = None
     sandwich: bool = False
     sandwich_points: int = 100
@@ -82,6 +71,72 @@ def _parse_bool(text):
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_nu(text):
+    return text if text == "gap0" else float(text)
+
+
+def _parse_number(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"value is not a number: {text!r}") from None
+
+
+# (requirement, predicate) pairs; each predicate states what is allowed, so
+# NaN fails every one of them
+_INF = float("inf")
+_FINITE = ("must be finite", lambda v: -_INF < v < _INF)
+_POSITIVE = ("must be finite and > 0", lambda v: 0 < v < _INF)
+_NONNEGATIVE = ("must be a nonnegative integer", lambda v: v >= 0)
+
+# every scalar key: (section, key) -> (ExperimentConfig field, parser,
+# admissibility rule or None); a key left out keeps the field's default
+_SCALARS = {
+    ("problem", "f_convex"): ("f_convex", _parse_bool, None),
+    ("problem", "beta_override"): ("beta_override", float, _POSITIVE),
+    ("problem", "seed"): ("seed", int, _NONNEGATIVE),
+    ("solver", "t0"): ("t0", float, _POSITIVE),
+    ("solver", "q"): ("q", float, ("must lie in (0,1)", lambda v: 0 < v < 1)),
+    ("solver", "eps"): ("eps", float, _POSITIVE),
+    ("solver", "max_iter"): ("max_iter", int, _POSITIVE),
+    ("solver", "inner_tol"): ("inner_tol", float, _POSITIVE),
+    ("diagnostics", "constants"): ("constants", _parse_bool, None),
+    ("diagnostics", "samples"): ("samples", int, _POSITIVE),
+    ("diagnostics", "nu"): ("nu_spec", _parse_nu, (
+        "must be gap0, inf or > 0", lambda v: v == "gap0" or v > 0)),
+    ("diagnostics", "seed"): ("diag_seed", int, _NONNEGATIVE),
+    ("diagnostics", "sandwich"): ("sandwich", _parse_bool, None),
+    ("diagnostics", "sandwich_points"): ("sandwich_points", int, _POSITIVE),
+    ("diagnostics", "sandwich_t"): ("sandwich_t", float, _POSITIVE),
+    ("diagnostics", "tail_rate"): ("tail_rate", _parse_bool, None),
+    ("diagnostics", "tail_fraction"): ("tail_fraction", float, (
+        "must lie in (0,1]", lambda v: 0 < v <= 1)),
+}
+
+_SPEC_KEYS = {
+    "problem": {"kind", "penalty", "smooth", "h", "map", "x0"},
+    "solver": {"method", "sigma_policy"},
+    "diagnostics": set(),
+    "output": {"dir"},
+}
+_KNOWN_KEYS = {section: keys | {k for s, k in _SCALARS if s == section}
+               for section, keys in _SPEC_KEYS.items()}
+
+
+def _admit(where, raw, parse, rule, violations):
+    """parse(raw) if it meets rule = (requirement, predicate), else None
+    with the reason added to violations."""
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        violations.append(f"{where}: {exc}")
+        return None
+    if rule is not None and not rule[1](value):
+        violations.append(f"{where} {rule[0]}")
+        return None
+    return value
 
 
 _BUILD_ERRORS = (ValueError, ProxboundError, OSError)
@@ -108,6 +163,36 @@ def _build_spec(build, spec, where, violations):
         return None
 
 
+def _x0_builder(spec, violations):
+    """The function dim -> x0 that spec names, or None with the reason
+    added to violations."""
+    if spec == "zeros":
+        return np.zeros
+    try:
+        name, params = parse_spec_string(spec)
+    except ValueError as exc:
+        violations.append(f"[problem] x0: {exc}")
+        return None
+    if name == "const":
+        if "value" not in params:
+            violations.append("[problem] x0 const(...) needs value=")
+            return None
+        value = _admit("[problem] x0 const(...)", params["value"],
+                       _parse_number, _FINITE, violations)
+        return None if value is None else lambda dim: np.full(dim, value)
+    if name == "file":
+        path = params.get("path")
+        if path is None:
+            violations.append("[problem] x0 file(...) needs path=")
+        elif not os.path.isfile(path):
+            violations.append(f"[problem] x0: missing file {path!r}")
+        else:
+            return lambda dim: as_vector(load_dense_vector(path), dim, "x0")
+        return None
+    violations.append(f"[problem] x0: unknown form {name!r}")
+    return None
+
+
 def parse_config(path):
     """Read and fully validate an experiment config.
 
@@ -128,30 +213,32 @@ def parse_config(path):
     violations = []
     cfg = ExperimentConfig()
 
+    def set_scalar(section, key, where, raw):
+        attr, parse, rule = _SCALARS[section, key]
+        value = _admit(where, raw.strip(), parse, rule, violations)
+        if value is not None:
+            setattr(cfg, attr, value)
+
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             violations.append(f"unknown section [{section}]")
             continue
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _KNOWN_KEYS[section]:
                 violations.append(f"unknown key {key!r} in [{section}]")
-            else:
-                cfg.echo[f"{section}.{key}"] = parser[section][key]
+                continue
+            cfg.echo[f"{section}.{key}"] = raw
+            if (section, key) in _SCALARS:
+                set_scalar(section, key, f"[{section}] {key}", raw)
+    env_seed = os.environ.get("PROXBOUND_SEED")
+    if env_seed is not None:
+        cfg.echo["problem.seed"] = env_seed
+        set_scalar("problem", "seed", "PROXBOUND_SEED", env_seed)
 
     def get(section, key, default=None):
         if parser.has_option(section, key):
             return parser.get(section, key).strip()
         return default
-
-    def get_typed(section, key, conv, default, desc):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            violations.append(f"[{section}] {key}: {exc}")
-            return default
 
     if not parser.has_section("problem"):
         violations.append("missing required section [problem]")
@@ -192,36 +279,8 @@ def parse_config(path):
         else:
             built["c"] = _build_spec(map_from_spec, cfg.map_spec,
                                      "[problem] map", violations)
-    cfg.f_convex = get_typed("problem", "f_convex", _parse_bool, True, "bool")
-    cfg.beta_override = get_typed("problem", "beta_override", float, None, "float")
-    cfg.x0_spec = get("problem", "x0", "zeros")
-    if cfg.x0_spec not in ("zeros",):
-        try:
-            name, params = parse_spec_string(cfg.x0_spec)
-        except ValueError as exc:
-            violations.append(f"[problem] x0: {exc}")
-        else:
-            if name == "file":
-                if "path" not in params:
-                    violations.append("[problem] x0 file(...) needs path=")
-                elif not os.path.isfile(params["path"]):
-                    violations.append(
-                        f"[problem] x0: missing file {params['path']!r}")
-            elif name == "const":
-                if "value" not in params:
-                    violations.append("[problem] x0 const(...) needs value=")
-                else:
-                    try:
-                        float(params["value"])
-                    except ValueError:
-                        violations.append(
-                            "[problem] x0 const(...): value is not a number: "
-                            f"{params['value']!r}")
-            else:
-                violations.append(f"[problem] x0: unknown form {name!r}")
-    cfg.seed = get_typed("problem", "seed", int, 0, "int")
-    if cfg.seed is not None and cfg.seed < 0:
-        violations.append("[problem] seed must be a nonnegative integer")
+    cfg.x0_spec = get("problem", "x0", cfg.x0_spec)
+    x0 = _x0_builder(cfg.x0_spec, violations)
 
     cfg.method = (get("solver", "method") or "").lower()
     if cfg.method not in ("proxgrad", "proxlinear", "proxpoint-oracle"):
@@ -233,21 +292,6 @@ def parse_config(path):
             f"[solver] method {cfg.method} does not solve kind = {cfg.kind} "
             "(proxgrad and proxpoint-oracle solve additive problems, "
             "proxlinear composite ones)")
-    cfg.t0 = get_typed("solver", "t0", float, None, "float")
-    if cfg.t0 is not None and cfg.t0 <= 0:
-        violations.append("[solver] t0 must be positive")
-    cfg.q = get_typed("solver", "q", float, 0.5, "float")
-    if not 0.0 < cfg.q < 1.0:
-        violations.append("q must lie in (0,1)")
-    cfg.eps = get_typed("solver", "eps", float, 1e-10, "float")
-    if cfg.eps <= 0:
-        violations.append("[solver] eps must be positive")
-    cfg.max_iter = get_typed("solver", "max_iter", int, 20000, "int")
-    if cfg.max_iter <= 0:
-        violations.append("[solver] max_iter must be positive")
-    cfg.inner_tol = get_typed("solver", "inner_tol", float, 1e-10, "float")
-    if cfg.inner_tol <= 0:
-        violations.append("[solver] inner_tol must be positive")
     sigma_policy = get("solver", "sigma_policy", "adaptive")
     if sigma_policy != "adaptive":
         try:
@@ -255,49 +299,18 @@ def parse_config(path):
         except ValueError:
             name, params = None, {}
         if name == "fixed" and "sigma" in params:
-            try:
-                cfg.sigma = float(params["sigma"])
-                if cfg.sigma <= 0:
-                    violations.append("[solver] fixed sigma must be positive")
-            except ValueError:
-                violations.append("[solver] sigma_policy: bad sigma value")
+            cfg.sigma = _admit("[solver] fixed sigma", params["sigma"], float,
+                               _POSITIVE, violations)
         else:
             violations.append(
                 "[solver] sigma_policy must be 'adaptive' or 'fixed(sigma=V)'")
 
-    cfg.constants = get_typed("diagnostics", "constants", _parse_bool, False, "bool")
-    cfg.samples = get_typed("diagnostics", "samples", int, 10000, "int")
-    if cfg.samples <= 0:
-        violations.append("[diagnostics] samples must be positive")
-    cfg.nu_spec = get("diagnostics", "nu", "gap0")
-    if cfg.nu_spec not in ("gap0", "inf"):
-        try:
-            float(cfg.nu_spec)
-        except ValueError:
-            violations.append("[diagnostics] nu must be gap0|inf|<float>")
-    cfg.diag_seed = get_typed("diagnostics", "seed", int, None, "int")
-    cfg.sandwich = get_typed("diagnostics", "sandwich", _parse_bool, False, "bool")
-    cfg.sandwich_points = get_typed("diagnostics", "sandwich_points", int, 100, "int")
-    cfg.sandwich_t = get_typed("diagnostics", "sandwich_t", float, None, "float")
-    cfg.tail_rate = get_typed("diagnostics", "tail_rate", _parse_bool, False, "bool")
-    cfg.tail_fraction = get_typed("diagnostics", "tail_fraction", float, 0.5, "float")
-    if not 0.0 < cfg.tail_fraction <= 1.0:
-        violations.append("[diagnostics] tail_fraction must lie in (0,1]")
-
-    cfg.out_dir = get("output", "dir", "out")
-
-    env_seed = os.environ.get("PROXBOUND_SEED")
-    if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-            cfg.echo["problem.seed"] = env_seed
-        except ValueError:
-            violations.append(f"PROXBOUND_SEED is not an integer: {env_seed!r}")
+    cfg.out_dir = get("output", "dir", cfg.out_dir)
 
     if not violations:
         try:
             cfg.problem = _build_problem(cfg, **built)
-            cfg.x0 = _build_x0(cfg, cfg.problem.dim)
+            cfg.x0 = x0(cfg.problem.dim)
         except _BUILD_ERRORS as exc:
             violations.append(f"[problem] {exc}")
     if violations:
@@ -354,15 +367,6 @@ def _build_problem(cfg, g, f=None, h=None, c=None):
     return CompositeProblem(g=g, h=h, c=c, beta=cfg.beta_override)
 
 
-def _build_x0(cfg, dim):
-    if cfg.x0_spec == "zeros":
-        return np.zeros(dim)
-    name, params = parse_spec_string(cfg.x0_spec)
-    if name == "const":
-        return np.full(dim, float(params["value"]))
-    return as_vector(load_dense_vector(params["path"]), dim, "x0")
-
-
 def _tolerance_slack(values, floor):
     """Smallest margin of values >= -floor (pass when nonnegative)."""
     return float(np.min(np.asarray(values) + floor)) if len(values) else 0.0
@@ -374,23 +378,19 @@ def run_experiment(cfg):
     problem, x0 = cfg.problem, cfg.x0
     checks = []
 
-    if cfg.method == "proxgrad":
-        solver_cfg = ProxGradConfig(t=cfg.t0, max_iter=cfg.max_iter, eps=cfg.eps)
-        trace = run_prox_gradient(problem, x0, solver_cfg)
-        t_used = trace.meta["t"]
-        beta = problem.f.beta
-    elif cfg.method == "proxpoint-oracle":
-        solver_cfg = ProxGradConfig(t=cfg.t0, max_iter=cfg.max_iter, eps=cfg.eps)
-        trace = run_proximal_point(problem, x0, solver_cfg)
-        t_used = trace.meta["t"]
-        beta = problem.f.beta
-    else:
+    if cfg.method == "proxlinear":
         solver_cfg = ProxLinearConfig(t0=cfg.t0, q=cfg.q, eps=cfg.eps,
                                       max_iter=cfg.max_iter,
                                       inner_tol=cfg.inner_tol, sigma=cfg.sigma)
         trace = run_prox_linear(problem, x0, solver_cfg)
         t_used = trace.column("t_accepted")[-1]
-        beta = problem.beta
+    else:
+        solve = (run_prox_gradient if cfg.method == "proxgrad"
+                 else run_proximal_point)
+        trace = solve(problem, x0, ProxGradConfig(
+            t=cfg.t0, max_iter=cfg.max_iter, eps=cfg.eps))
+        t_used = trace.meta["t"]
+    beta = problem.beta
 
     phis = trace.column("phi")
     gnorms = trace.column("gnorm")
@@ -442,12 +442,9 @@ def run_experiment(cfg):
                                          tol=1e-12)
     if diagnose and cfg.constants:
         gap0 = float(phis[0] - ref.phi_star)
-        if cfg.nu_spec == "gap0":
+        nu = cfg.nu_spec
+        if nu == "gap0":
             nu = gap0 if gap0 > 0 else float("inf")
-        elif cfg.nu_spec == "inf":
-            nu = float("inf")
-        else:
-            nu = float(cfg.nu_spec)
         constants = diag.estimate_constants(problem, ref, nu, t_used,
                                             n_samples=cfg.samples,
                                             seed=diag_seed,
@@ -466,11 +463,8 @@ def run_experiment(cfg):
                                     float("inf")))
         else:
             s_t = cfg.sandwich_t if cfg.sandwich_t is not None else 0.5 / beta
-            rng = np.random.default_rng(diag_seed)
-            center = ref.center()
-            radius = 1.0 + float(np.max(np.abs(center)))
-            pts = center + rng.uniform(-radius, radius,
-                                       size=(cfg.sandwich_points, problem.dim))
+            pts = diag.sample_box(ref, problem.dim, cfg.sandwich_points,
+                                  diag_seed, radius_scale=1.0)
             rep = diag.verify_sandwich(problem, s_t, pts, cfg.inner_tol)
             checks.append(CheckLine("sandwich_lower",
                                     rep.min_lower_slack >= -1e-8,

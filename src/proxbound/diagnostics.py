@@ -536,17 +536,16 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
     L = estimate_subdiff_bound(
         problem, ref, nu, n_samples=min(n_samples, 2000), seed=seed,
         extra_points=L_extra, counts=L_counts)
-    beta = problem.f.beta if is_additive else problem.beta
     report = ConstantsReport(alpha_hat=alpha, gamma_hat=gamma, L_hat_sub=L,
                              nu=nu, sample_count=n_samples)
     if L_hat is not None:
         report.extras["L_hat_prox"] = L_hat
     report.extras["t"] = float(t)
-    report.extras["beta"] = float(beta)
+    report.extras["beta"] = float(problem.beta)
     report.extras.update(gamma_counts)
     report.extras.update(L_counts)
-    report.checks = verify_constant_relations(alpha, gamma, L, L_hat, t, beta,
-                                              tol=tol)
+    report.checks = verify_constant_relations(alpha, gamma, L, L_hat, t,
+                                              problem.beta, tol=tol)
     return report
 
 

@@ -72,7 +72,6 @@ class SeparablePenalty:
     """Base class: a separable closed convex function g(x) = sum_i g_i(x_i)."""
 
     kind_code = None
-    finite_everywhere = True
 
     # -- packing -----------------------------------------------------------
 
@@ -234,7 +233,6 @@ class BoxIndicator(SeparablePenalty):
     hi: object
 
     kind_code = K.KIND_BOX
-    finite_everywhere = False
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=np.float64))

@@ -33,6 +33,11 @@ class AdditiveProblem:
     def dim(self):
         return self.f.dim
 
+    @property
+    def beta(self):
+        """Lipschitz modulus of grad f."""
+        return self.f.beta
+
     def phi(self, x):
         return self.f.value(x) + self.g.value(x)
 

@@ -1,4 +1,6 @@
+import configparser
 import os
+import re
 import subprocess
 import sys
 import time
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import proxbound as pb
-from proxbound import cli
+from proxbound import cli, proxgrad, proxlinear
 
 
 CORRIDOR_CFG = """\
@@ -479,3 +481,142 @@ def test_unexpected_exception_is_a_runtime_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == "runtime error: RuntimeError: solver state lost at step 3\n"
     assert not (tmp_path / "o").exists()
+
+
+# each of these passed `check` and then either ran to a false PASS, ran
+# with a negative certificate, spun in an inner loop or exited 3 from a deep
+# call; the violation names the key, or the environment variable it came from
+@pytest.mark.parametrize("text,env_seed,violation", [
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
+                         x0="zeros", method="proxgrad")
+     + "\n[diagnostics]\nsandwich = true\nsandwich_t = -1\n", None,
+     "[diagnostics] sandwich_t must be finite and > 0"),
+    (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+     .replace("penalty = zero()", "penalty = zero()\nbeta_override = -1"),
+     None, "[problem] beta_override must be finite and > 0"),
+    (COMPOSITE_CFG.format(h="epsiloninsensitive(lambda=1,epsilon=0.1)",
+                          sigma_policy="adaptive") + "inner_tol = nan\n",
+     None, "[solver] inner_tol must be finite and > 0"),
+    (CORRIDOR_CFG.format(out="o").replace("nu = inf", "nu = inf\nseed = -1"),
+     None, "[diagnostics] seed must be a nonnegative integer"),
+    (CORRIDOR_CFG.format(out="o"), "-3",
+     "PROXBOUND_SEED must be a nonnegative integer"),
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                         x0="zeros", method="proxgrad")
+     + "\n[diagnostics]\nsandwich = true\nsandwich_points = 0\n", None,
+     "[diagnostics] sandwich_points must be finite and > 0"),
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                         x0="zeros\nbeta_override = 0", method="proxgrad"),
+     None, "[problem] beta_override must be finite and > 0"),
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                         x0="const(value=nan)", method="proxgrad"),
+     None, "[problem] x0 const(...) must be finite"),
+], ids=["sandwich_t_negative", "composite_beta_negative", "inner_tol_nan",
+        "diag_seed_negative", "env_seed_negative", "sandwich_points_zero",
+        "additive_beta_zero", "x0_const_nan"])
+def test_check_rejects_values_run_cannot_use(tmp_path, capsys, monkeypatch,
+                                             text, env_seed, violation):
+    if env_seed is not None:
+        monkeypatch.setenv("PROXBOUND_SEED", env_seed)
+    assert cli.main(["check", write_cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {violation}" in err
+
+
+# the admissibility sweep: tiny instances, one per method, with every
+# diagnostic on, so that each scalar key is read by the run
+SWEEP_DIAGNOSTICS = """
+[diagnostics]
+constants = true
+samples = 20
+sandwich = true
+sandwich_points = 4
+tail_rate = true
+"""
+SWEEP_BASES = {
+    method: ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                                x0="zeros", method=method) + SWEEP_DIAGNOSTICS
+    for method in ("proxgrad", "proxpoint-oracle")}
+SWEEP_BASES["proxlinear"] = COMPOSITE_CFG.format(
+    h="absvalue(lambda=1)", sigma_policy="adaptive") + SWEEP_DIAGNOSTICS
+SWEEP_EDGES = ("0", "-1", "nan", "inf", "abc")
+# one admissible value per scalar key
+SWEEP_VALID = {
+    ("problem", "f_convex"): "false",
+    ("problem", "beta_override"): "5",
+    ("problem", "seed"): "5",
+    ("solver", "t0"): "0.2",
+    ("solver", "q"): "0.3",
+    ("solver", "eps"): "1e-6",
+    ("solver", "max_iter"): "7",
+    ("solver", "inner_tol"): "1e-8",
+    ("diagnostics", "constants"): "yes",
+    ("diagnostics", "samples"): "3",
+    ("diagnostics", "nu"): "0.5",
+    ("diagnostics", "seed"): "11",
+    ("diagnostics", "sandwich"): "off",
+    ("diagnostics", "sandwich_points"): "1",
+    ("diagnostics", "sandwich_t"): "0.02",
+    ("diagnostics", "tail_rate"): "on",
+    ("diagnostics", "tail_fraction"): "0.1",
+}
+ENV_SEED = ("env", "PROXBOUND_SEED")
+
+
+def sweep_cases(seed=0, n_mixed=30, keys_per_mixed=3):
+    """(method, {key: value}) pairs: every edge and valid value of every
+    scalar key alone, then seeded draws that set several keys at once."""
+    valid = {**SWEEP_VALID, ENV_SEED: "9"}
+    keys = sorted(valid)
+    values = {key: SWEEP_EDGES + (valid[key],) for key in keys}
+    cases = [(method, {key: value}) for method in sorted(SWEEP_BASES)
+             for key in keys for value in values[key]]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_mixed):
+        method = sorted(SWEEP_BASES)[rng.integers(len(SWEEP_BASES))]
+        picked = rng.choice(len(keys), size=keys_per_mixed, replace=False)
+        cases.append((method, {keys[i]: str(rng.choice(values[keys[i]]))
+                               for i in picked}))
+    return cases
+
+
+def test_check_accepts_only_values_run_can_use(tmp_path, capsys,
+                                               monkeypatch):
+    assert set(SWEEP_VALID) == set(cli._SCALARS)
+    # an accepted config must never spin: a capped inner loop is a
+    # readable runtime error
+    monkeypatch.setattr(proxgrad, "INNER_CAP", 2000)
+    monkeypatch.setattr(proxlinear, "INNER_CAP", 2000)
+    ran = 0
+    for n, (method, overrides) in enumerate(sweep_cases()):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(SWEEP_BASES[method])
+        monkeypatch.delenv("PROXBOUND_SEED", raising=False)
+        for (section, key), value in overrides.items():
+            if (section, key) == ENV_SEED:
+                monkeypatch.setenv("PROXBOUND_SEED", value)
+            else:
+                parser[section][key] = value
+        path = tmp_path / f"case{n}.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        code = cli.main(["check", str(path)])
+        err = capsys.readouterr().err
+        case = f"{method} {overrides}"
+        assert code in (0, 2), case
+        if code == 2:
+            assert err.startswith("config error: "), case
+            continue
+        ran += 1
+        code = cli.main(["run", str(path), "--quiet", "--out",
+                         str(tmp_path / f"out{n}")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 3), case
+        assert "Traceback" not in err, case
+        if code == 3:
+            # one readable line, not the `runtime error: <Type>: ...` form
+            # of an exception the run did not expect
+            assert err.count("\n") == 1, case
+            assert err.startswith("runtime error: "), case
+            assert not re.match(r"runtime error: [A-Z]\w*: ", err), case
+    assert ran > 50
