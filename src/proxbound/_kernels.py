@@ -44,20 +44,20 @@ def penalty_value(kind, p1, p2, X):
     if kind == KIND_ZERO:
         v = np.zeros(X.shape[:-1])
     elif kind == KIND_ABS:
-        v = np.sum(p1 * np.abs(X), axis=-1)
+        v = (p1 * np.abs(X)).sum(axis=-1)
     elif kind == KIND_ENET:
-        v = np.sum(p1 * np.abs(X) + 0.5 * p2 * X * X, axis=-1)
+        v = (p1 * np.abs(X) + 0.5 * p2 * X * X).sum(axis=-1)
     elif kind == KIND_BOX:
         v = np.where(np.any((X < p1) | (X > p2), axis=-1), _INF, 0.0)
     elif kind == KIND_EPS:
-        v = np.sum(p1 * np.maximum(np.abs(X) - p2, 0.0), axis=-1)
+        v = (p1 * np.maximum(np.abs(X) - p2, 0.0)).sum(axis=-1)
     elif kind == KIND_CHECK:
-        v = np.sum(p1 * np.maximum(p2 * X, (p2 - 1.0) * X), axis=-1)
+        v = (p1 * np.maximum(p2 * X, (p2 - 1.0) * X)).sum(axis=-1)
     elif kind == KIND_HUBER:
         ax = np.abs(X)
         quad = ax <= p1 * p2
-        v = np.sum(np.where(quad, X * X / (2.0 * p2),
-                            p1 * ax - 0.5 * p1 * p1 * p2), axis=-1)
+        v = np.where(quad, X * X / (2.0 * p2),
+                     p1 * ax - 0.5 * p1 * p1 * p2).sum(axis=-1)
     else:
         raise ValueError(f"unknown penalty kind code {kind}")
     return float(v) if X.ndim == 1 else v
@@ -89,8 +89,9 @@ def penalty_prox(kind, p1, p2, X, t):
         return np.where(X < lo, X - lo, out)
     if kind == KIND_HUBER:
         ax = np.abs(X)
-        inner = ax <= p1 * (p2 + t)
-        return np.where(inner, X * p2 / (p2 + t), X - t * p1 * np.sign(X))
+        pt = p2 + t
+        inner = ax <= p1 * pt
+        return np.where(inner, X * p2 / pt, X - t * p1 * np.sign(X))
     raise ValueError(f"unknown penalty kind code {kind}")
 
 

@@ -372,6 +372,10 @@ def _tolerance_slack(values, floor):
     return float(np.min(np.asarray(values) + floor)) if len(values) else 0.0
 
 
+# |G_t| the reference solve must reach for its x* to count as converged
+REFERENCE_TOL = 1e-12
+
+
 def run_experiment(cfg):
     """Run the solver on the instance parse_config built and evaluate every
     enabled check."""
@@ -439,7 +443,14 @@ def run_experiment(cfg):
         ref = diag.analytic_reference(problem)
         if ref is None:
             ref = diag.compute_reference(problem, x0=trace.final_x, t=cfg.t0,
-                                         tol=1e-12)
+                                         tol=REFERENCE_TOL)
+            # every constant below is measured around x*: one that is not
+            # converged must not pass silently
+            checks.append(CheckLine("reference_converged",
+                                    ref.status == "Converged",
+                                    REFERENCE_TOL - ref.accuracy))
+        else:
+            checks.append(CheckLine("reference_converged", True, _INF))
     if diagnose and cfg.constants:
         gap0 = float(phis[0] - ref.phi_star)
         nu = cfg.nu_spec

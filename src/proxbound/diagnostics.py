@@ -41,7 +41,9 @@ class ReferenceSolution:
 
     For computed references dist(x, S) is reported as |x - x*|, an upper
     bound on the true distance; this only makes gamma-type estimates more
-    conservative.
+    conservative. A computed reference keeps the terminal status of the
+    solve that found it and the |G_t| it reached there (accuracy); an
+    analytic one has neither.
     """
 
     kind: str
@@ -50,6 +52,7 @@ class ReferenceSolution:
     hi: np.ndarray = None
     x_star: np.ndarray = None
     accuracy: float = None
+    status: str = None
     description: str = ""
 
     @classmethod
@@ -62,10 +65,10 @@ class ReferenceSolution:
                    description=description)
 
     @classmethod
-    def computed(cls, x_star, phi_star, accuracy):
+    def computed(cls, x_star, phi_star, accuracy, status="Converged"):
         return cls(kind="computed", phi_star=float(phi_star),
                    x_star=as_vector(x_star, name="x_star"),
-                   accuracy=float(accuracy))
+                   accuracy=float(accuracy), status=status)
 
     def center(self):
         if self.kind == "computed":
@@ -101,7 +104,8 @@ def analytic_reference(problem):
 
 def compute_reference(problem, x0=None, t=None, tol=1e-12, max_iter=500000,
                       inner_tol=1e-12):
-    """High-accuracy solve pinning x*, phi* and the achieved |G_t(x*)|."""
+    """High-accuracy solve pinning x*, phi*, the achieved |G_t(x*)| and the
+    solve's terminal status."""
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0, problem.dim)
     if isinstance(problem, AdditiveProblem):
         cfg = ProxGradConfig(t=t, max_iter=max_iter, eps=tol)
@@ -114,7 +118,8 @@ def compute_reference(problem, x0=None, t=None, tol=1e-12, max_iter=500000,
         raise TypeError(f"unknown problem type {type(problem).__name__}")
     x_star = trace.final_x
     return ReferenceSolution.computed(x_star, problem.phi(x_star),
-                                      accuracy=trace.column("gnorm")[-1])
+                                      accuracy=trace.column("gnorm")[-1],
+                                      status=trace.status)
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,13 @@ def run_prox_gradient(problem, x0, cfg=None):
 
     x0 is validated once (finite, of the problem's dimension, inside dom g)
     and the penalty's kernel parameters are packed once; each step then
-    calls the kernels directly, with no per-call re-validation. The trace
-    records, per iteration, the descent-inequality residual
+    calls the kernels directly, with no per-call re-validation. The smooth
+    part is evaluated once per step: f.grad_batch runs once, at x0, and
+    each accepted step's f.value_grad_batch at the new iterate gives both
+    phi there and the gradient for the next step. value_grad_batch is
+    bit-identical to value_batch and grad_batch called separately, so the
+    trace is the one those two calls would give. The trace records, per
+    iteration, the descent-inequality residual
     phi(x_k) - phi(x_{k+1}) - |G_t(x_k)|^2/(2 beta)  (nonnegative up to
     roundoff whenever t <= 1/beta) and the stationarity certificate
     (1 + beta t)|G_t(x_k)|.
@@ -160,20 +165,34 @@ def run_prox_gradient(problem, x0, cfg=None):
     t = float(_effective_step(problem, cfg))
     f = problem.f
     beta = f.beta
+    cert_scale = 1.0 + beta * t
+    two_beta = 2.0 * beta
     kind, p1, p2 = problem.g._packed(problem.dim)
+    prox, penalty_value = K.penalty_prox, K.penalty_value
+    value_grad = f.value_grad_batch
     trace = IterationTrace(PROXGRAD_HEADER)
     trace.meta = {"t": t, "beta": beta}
-    start = time.perf_counter()
+    add_k, add_phi, add_gnorm, add_resid, add_cert, add_elapsed = (
+        trace.data[name].append for name in PROXGRAD_HEADER)
+    iterates = trace.iterates
+    clock = time.perf_counter
+    start = clock()
     phi_x = problem.phi(x)
     # overflow of a diverging iterate is detected below and reported as
     # status Diverged, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
+        grad = f.grad_batch(x[None, :])[0]
         for k in range(cfg.max_iter + 1):
-            y = K.penalty_prox(kind, p1, p2,
-                               x - t * f.grad_batch(x[None, :])[0], t)
-            gnorm = float(np.linalg.norm((x - y) / t))
-            cert = (1.0 + beta * t) * gnorm
-            trace.iterates.append(x.copy())
+            y = prox(kind, p1, p2, x - t * grad, t)
+            d = (x - y) / t
+            # what np.linalg.norm computes for a 1-D float vector
+            gnorm = math.sqrt(d.dot(d))
+            iterates.append(x.copy())
+            # the residual and the time follow once the step's fate is known
+            add_k(float(k))
+            add_phi(phi_x)
+            add_gnorm(gnorm)
+            add_cert(cert_scale * gnorm)
             if gnorm <= cfg.eps:
                 status = "Converged"
             elif not math.isfinite(gnorm):
@@ -181,20 +200,18 @@ def run_prox_gradient(problem, x0, cfg=None):
             elif k == cfg.max_iter:
                 status = "MaxIter"
             else:
-                phi_y = (float(f.value_batch(y[None, :])[0])
-                         + K.penalty_value(kind, p1, p2, y))
+                values, grads = value_grad(y[None, :])
+                phi_y = float(values[0]) + penalty_value(kind, p1, p2, y)
                 if math.isfinite(phi_y):
-                    resid = phi_x - phi_y - gnorm * gnorm / (2.0 * beta)
-                    trace.append(k=k, phi=phi_x, gnorm=gnorm,
-                                 descent_residual=resid, certificate=cert,
-                                 elapsed_s=time.perf_counter() - start)
+                    add_resid(phi_x - phi_y - gnorm * gnorm / two_beta)
+                    add_elapsed(clock() - start)
                     x = y
                     phi_x = phi_y
+                    grad = grads[0]
                     continue
                 status = "Diverged"
-            trace.append(k=k, phi=phi_x, gnorm=gnorm, descent_residual=0.0,
-                         certificate=cert,
-                         elapsed_s=time.perf_counter() - start)
+            add_resid(0.0)
+            add_elapsed(clock() - start)
             trace.status = status
             break
     trace.final_x = x

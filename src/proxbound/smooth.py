@@ -3,6 +3,13 @@
 Every loss carries an analytically derived Lipschitz modulus of its gradient
 (beta); every map carries one for its Jacobian (jac_beta, exactly 0 for
 affine maps). Dense matrices only; problems are desk-scale.
+
+A loss evaluates rows of a stack X: value_batch gives f at each row,
+grad_batch its gradient, and value_grad_batch both at once. The catalog
+losses form their affine residual (Ax - b, Ax or the corridor's z) once
+in value_grad_batch and then run the same numpy operations as the two
+separate methods, so its pair is bit-identical to
+(value_batch(X), grad_batch(X)).
 """
 
 import numpy as np
@@ -123,6 +130,10 @@ class SmoothFunction:
     def grad_batch(self, X):
         raise NotImplementedError
 
+    def value_grad_batch(self, X):
+        """(value_batch(X), grad_batch(X)), bit for bit."""
+        return self.value_batch(X), self.grad_batch(X)
+
 
 class Quadratic(SmoothFunction):
     """f(x) = |Ax - b|^2 / 2, beta = lambda_max(A^T A)."""
@@ -135,10 +146,14 @@ class Quadratic(SmoothFunction):
 
     def value_batch(self, X):
         R = X @ self.A.T - self.b
-        return 0.5 * np.sum(R * R, axis=1)
+        return 0.5 * (R * R).sum(axis=1)
 
     def grad_batch(self, X):
         return (X @ self.A.T - self.b) @ self.A
+
+    def value_grad_batch(self, X):
+        R = X @ self.A.T - self.b
+        return 0.5 * (R * R).sum(axis=1), R @ self.A
 
 
 class Logistic(SmoothFunction):
@@ -153,12 +168,17 @@ class Logistic(SmoothFunction):
         self.beta = max(0.25 * lambda_max_sym(self.A.T @ self.A), BETA_FLOOR)
 
     def value_batch(self, X):
-        margins = -(X @ self.A.T) * self.y
-        return np.sum(np.logaddexp(0.0, margins), axis=1)
+        return np.logaddexp(0.0, -(X @ self.A.T) * self.y).sum(axis=1)
 
     def grad_batch(self, X):
-        margins = (X @ self.A.T) * self.y
-        s = 1.0 / (1.0 + np.exp(margins))
+        return self._grad(X @ self.A.T)
+
+    def value_grad_batch(self, X):
+        XA = X @ self.A.T
+        return np.logaddexp(0.0, -XA * self.y).sum(axis=1), self._grad(XA)
+
+    def _grad(self, XA):
+        s = 1.0 / (1.0 + np.exp(XA * self.y))
         return -(s * self.y) @ self.A
 
 
@@ -191,11 +211,19 @@ class Corridor(SmoothFunction):
 
     def value_batch(self, X):
         e = np.maximum(np.abs(self._z(X)) - 1.0, 0.0)
-        return np.sum(e * e, axis=1)
+        return (e * e).sum(axis=1)
 
     def grad_batch(self, X):
         Z = self._z(X)
-        G = 2.0 * np.sign(Z) * np.maximum(np.abs(Z) - 1.0, 0.0)
+        return self._grad(Z, np.maximum(np.abs(Z) - 1.0, 0.0))
+
+    def value_grad_batch(self, X):
+        Z = self._z(X)
+        e = np.maximum(np.abs(Z) - 1.0, 0.0)
+        return (e * e).sum(axis=1), self._grad(Z, e)
+
+    def _grad(self, Z, e):
+        G = 2.0 * np.sign(Z) * e
         if self.A is None:
             return G
         return G @ self.A
@@ -214,14 +242,20 @@ class HuberLoss(SmoothFunction):
         self.beta = max(lambda_max_sym(self.A.T @ self.A) / self.mu, BETA_FLOOR)
 
     def value_batch(self, X):
-        Z = X @ self.A.T - self.b
-        az = np.abs(Z)
-        vals = np.where(az <= self.mu, Z * Z / (2.0 * self.mu), az - self.mu / 2.0)
-        return np.sum(vals, axis=1)
+        return self._value(X @ self.A.T - self.b)
 
     def grad_batch(self, X):
         Z = X @ self.A.T - self.b
         return np.clip(Z / self.mu, -1.0, 1.0) @ self.A
+
+    def value_grad_batch(self, X):
+        Z = X @ self.A.T - self.b
+        return self._value(Z), np.clip(Z / self.mu, -1.0, 1.0) @ self.A
+
+    def _value(self, Z):
+        az = np.abs(Z)
+        return np.where(az <= self.mu, Z * Z / (2.0 * self.mu),
+                        az - self.mu / 2.0).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import configparser
+import functools
 import os
 import re
 import subprocess
@@ -122,6 +123,8 @@ def test_run_corridor_experiment(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "CHECK converged: PASS" in report
     assert "CHECK descent_inequality: PASS" in report
+    # the corridor's minimizer set is known exactly: nothing to converge
+    assert "CHECK reference_converged: PASS slack=inf" in report
     assert (out / "trace.csv").exists()
     constants = (out / "constants.txt").read_text()
     assert "alpha_hat=" in constants and "gamma_hat=" in constants
@@ -435,6 +438,31 @@ def test_diverging_run_with_diagnostics_ends_on_its_verdict(tmp_path):
     assert "CHECK converged: FAIL" in proc.stdout
     assert (out / "constants.txt").read_text() == ""
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("ref_max_iter,code", [(3, 1), (None, 0)],
+                         ids=["capped", "default"])
+def test_reference_status_is_checked(tmp_path, capsys, monkeypatch,
+                                     ref_max_iter, code):
+    # tail_rate needs phi*, so the run solves for a reference; one that
+    # stops short of its tolerance fails the run instead of silently
+    # serving as x*
+    if ref_max_iter is not None:
+        monkeypatch.setattr(pb.diagnostics, "compute_reference",
+                            functools.partial(pb.diagnostics.compute_reference,
+                                              max_iter=ref_max_iter))
+    text = ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
+                               x0="zeros", method="proxgrad").replace(
+        "max_iter = 50", "max_iter = 1000")
+    path = write_cfg(tmp_path, text + "\n[diagnostics]\ntail_rate = true\n")
+    out = tmp_path / "ref"
+    assert cli.main(["run", path, "--quiet", "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    lines = [ln for ln in (out / "report.txt").read_text().splitlines()
+             if ln.startswith("CHECK reference_converged: ")]
+    assert len(lines) == 1
+    slack = float(lines[0].split("slack=")[1])
+    assert (("PASS" in lines[0]) == (slack >= 0.0) == (ref_max_iter is None))
 
 
 def test_run_at_the_floating_point_floor_reports_stalled(tmp_path):

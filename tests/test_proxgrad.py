@@ -198,15 +198,22 @@ def _smooth_case(name):
     A, b = pb.random_least_squares(20, 10, 42)
     if name == "quadratic":
         return pb.Quadratic(A, b)
+    if name == "huberloss":
+        return pb.HuberLoss(A, b, 0.5)
+    if name == "corridor":
+        return pb.Corridor(A=A, b=b)
     return pb.Logistic(A, np.where(b >= 0.0, 1.0, -1.0))
 
 
-@pytest.mark.parametrize("smooth", ["quadratic", "logistic"])
+# one loss per value_grad_batch override; the corridor's is the affine one
+@pytest.mark.parametrize("smooth",
+                         ["quadratic", "logistic", "huberloss", "corridor"])
 def test_run_matches_validating_serial_loop(penalty_case, smooth):
     name, g, _ = penalty_case
     problem = pb.AdditiveProblem(f=_smooth_case(smooth), g=g)
-    # inside every domain, the box's included; the logistic runs with the
-    # zero and check-function penalties stop at max_iter, the rest converge
+    # inside every domain, the box's included; some runs stop at max_iter
+    # (the logistic ones with the zero and check-function penalties), the
+    # rest converge
     x0 = np.random.default_rng(5).uniform(-0.8, 0.8, 10)
     cfg = pb.ProxGradConfig(eps=1e-9, max_iter=400)
     tr = pb.run_prox_gradient(problem, x0, cfg)
@@ -220,6 +227,23 @@ def test_run_matches_validating_serial_loop(penalty_case, smooth):
     for a, b in zip(tr.iterates, ref.iterates):
         assert np.array_equal(a, b)
     assert np.array_equal(tr.final_x, ref.final_x)
+
+
+def test_one_smooth_evaluation_per_step(lasso42, monkeypatch):
+    # phi at x0 and the gradient there, then one value_grad_batch per
+    # accepted step: no step forms the residual A y - b twice
+    f = lasso42.f
+    calls = dict.fromkeys(("value_batch", "grad_batch", "value_grad_batch"), 0)
+    for name in calls:
+        def counted(X, method=getattr(f, name), name=name):
+            calls[name] += 1
+            return method(X)
+        monkeypatch.setattr(f, name, counted)
+    tr = pb.run_prox_gradient(lasso42, np.zeros(10),
+                              pb.ProxGradConfig(eps=1e-10, max_iter=50000))
+    assert tr.status == "Converged" and tr.iterations > 100
+    assert calls == {"value_batch": 1, "grad_batch": 1,
+                     "value_grad_batch": tr.iterations}
 
 
 def _overflowing(case):

@@ -23,6 +23,19 @@ def losses():
     }
 
 
+@pytest.mark.parametrize("rows", [1, 300])
+@pytest.mark.parametrize("name", ["quadratic", "logistic", "corridor",
+                                  "corridor_affine", "huberloss"])
+def test_value_grad_batch_is_the_two_calls_bitwise(losses, name, rows):
+    # wide enough that every piece shows: both sides of the corridor's and
+    # the Huber loss's kinks, both tails of the logistic
+    f = losses[name]
+    X = np.random.default_rng(rows).uniform(-3, 3, size=(rows, f.dim))
+    values, grads = f.value_grad_batch(X)
+    assert np.array_equal(values, f.value_batch(X))
+    assert np.array_equal(grads, f.grad_batch(X))
+
+
 def test_corridor_values_and_grads():
     f = pb.Corridor(dim=1)
     assert f.value(vec(3.0)) == 4.0
