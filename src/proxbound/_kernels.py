@@ -4,14 +4,14 @@ Each penalty operation is one vectorised expression per kind over the
 last axis of its input, so a single point (n,) and a stack of points
 (..., n) go through the same code and agree bit for bit: the penalty
 value, the proximal map and the coordinatewise subgradient bounds.
-Penalties are encoded as an integer kind plus two per-coordinate
-parameter arrays of shape (n,), broadcast over the leading axes; see the
-table in :mod:`proxbound.penalties`; the derivative of the proximal map
-serves the Newton steps of the dual ascent. The dual ascent of the
-prox-linear subproblem (FISTA finished by semismooth Newton steps) and the
-min-norm box QP behind dist(0, d phi) are one kernel each over a stack of
-rows, used with a single row for one point and with blocks of rows by the
-diagnostics.
+Penalties are encoded as a triple (kind, p1, p2): an integer kind and two
+parameters, each a float or an (n,) array broadcast over the leading
+axes; see the table in :mod:`proxbound.penalties`. The derivative of the
+proximal map serves the Newton steps of the dual ascent. The dual ascent
+of the prox-linear subproblem (FISTA finished by semismooth Newton steps)
+and the min-norm box QP behind dist(0, d phi) are one kernel each over a
+stack of rows, used with a single row for one point and with blocks of
+rows by the diagnostics.
 """
 
 import numpy as np
@@ -162,35 +162,33 @@ def penalty_prox_deriv(kind, p1, p2, X, t):
     raise ValueError(f"unknown penalty kind code {kind}")
 
 
-def _forward_backward(gkind, gp1, gp2, J, cbar, X, t, step, thr, quad,
-                      hlo, hhi, V):
+def _forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V):
     """The dual's forward-backward map T at the rows of V, with the pieces
     the stop test and the Newton step need: the prox argument
     U = X - t J^T v, the primal point y(v) = prox_{tg}(U), D = y - X, the
     model's inner value Z = cbar + J D, the pre-clip point S (the ascent
-    step, soft-thresholded by thr) and T(v), S clipped to [hlo, hhi]."""
+    step, soft-thresholded by thr) and T(v), S clipped to h's dual box."""
     U = X - t * np.matmul(V[:, None, :], J)[:, 0, :]
-    Yr = penalty_prox(gkind, gp1, gp2, U, t)
+    Yr = penalty_prox(*g, U, t)
     D = Yr - X
     Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
     S = V + step * (Z if quad is None else Z - quad * V)
     if thr is not None:
         S = np.sign(S) * np.maximum(np.abs(S) - thr, 0.0)
-    return U, Yr, D, Z, S, np.minimum(np.maximum(S, hlo), hhi)
+    return U, Yr, D, Z, S, np.minimum(np.maximum(S, hbox[0]), hbox[1])
 
 
-def _newton_points(gkind, gp1, gp2, J, t, step, thr, quad, hlo, hhi,
-                   V, U, S, G):
+def _newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
     """Semismooth Newton points u = v + pinv(M)(T(v) - v) on the residual
     R(w) = w - T(w) at the rows of V, where
     M = (I - P) + s P (t J diag(D_g) J^T + diag(quad)), P being the 0/1
     derivative of the clip and soft-threshold at S and D_g that of
     prox_{tg} at U. M is singular once more than n duals are free (J has
     rank <= n), so the step is the pseudo-inverse (least-squares) one."""
-    P = (S > hlo) & (S < hhi)
+    P = (S > hbox[0]) & (S < hbox[1])
     if thr is not None:
         P &= S != 0.0
-    Dg = penalty_prox_deriv(gkind, gp1, gp2, U, t)
+    Dg = penalty_prox_deriv(*g, U, t)
     A = t * np.matmul(J * Dg[:, None, :], J.transpose(0, 2, 1))
     diag = np.arange(A.shape[1])
     if quad is not None:
@@ -200,8 +198,7 @@ def _newton_points(gkind, gp1, gp2, J, t, step, thr, quad, hlo, hhi,
     return V + np.matmul(np.linalg.pinv(M), G[:, :, None])[:, :, 0]
 
 
-def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
-                J, cbar, X, t, steps, tol, fx, fslack, maxit):
+def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit):
     """Accelerated forward-backward ascent on the duals of B linearized
     subproblems, finished by semismooth Newton steps.
 
@@ -231,6 +228,8 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
     warm-up identifies the active pieces; a Newton step from w = 0 is
     almost always rejected.
 
+    g and h are the kernel triples (kind, p1, p2) of the two penalties and
+    hbox is h.dual_box(m), the (m,) arrays (hlo, hhi, hl1, hquad).
     J is (B, m, n), cbar (B, m), X (B, n); steps, fx and fslack are (B,).
     Returns (Y, W, residuals, total row iterations, per-row iterations,
     Newton steps tried), W holding the dual point v at which each row
@@ -247,6 +246,7 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
     rows = np.arange(B)
     step = np.asarray(steps, dtype=np.float64)[:, None]
     limit = np.asarray(fx, dtype=np.float64) + fslack
+    _, _, hl1, hquad = hbox
     # zero l1 / quadratic dual terms drop out of the update exactly
     thr = step * hl1 if np.any(hl1) else None
     quad = hquad if np.any(hquad) else None
@@ -257,7 +257,7 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         v = w + ((theta - 1.0) / theta_next)[:, None] * (w - w_prev)
         U, Yr, D, Z, S, Tv = _forward_backward(
-            gkind, gp1, gp2, J, cbar, X, t, step, thr, quad, hlo, hhi, v)
+            g, hbox, J, cbar, X, t, step, thr, quad, v)
         G = Tv - v
         r = np.sqrt(row_dots(G)) / step[:, 0]
         worst = r.max()
@@ -267,8 +267,8 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
                 f"{it}", residual=float(worst), iterations=it)
         if r.min() <= tol:
             passed = np.flatnonzero(r <= tol)
-            fy = (penalty_value(gkind, gp1, gp2, Yr[passed])
-                  + penalty_value(hkind, hp1, hp2, Z[passed])
+            fy = (penalty_value(*g, Yr[passed])
+                  + penalty_value(*h, Z[passed])
                   + row_dots(D[passed]) / (2.0 * t))
             done = passed[fy <= limit[passed]]
             if done.size:
@@ -294,10 +294,10 @@ def dual_ascent(gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad,
             newton += near.size
             Jn, sn = J[near], step[near]
             tn = None if thr is None else thr[near]
-            u = _newton_points(gkind, gp1, gp2, Jn, t, sn, tn, quad, hlo, hhi,
-                               v[near], U[near], S[near], G[near])
-            Tu = _forward_backward(gkind, gp1, gp2, Jn, cbar[near], X[near],
-                                   t, sn, tn, quad, hlo, hhi, u)[5]
+            u = _newton_points(g, hbox, Jn, t, sn, tn, quad, v[near],
+                               U[near], S[near], G[near])
+            Tu = _forward_backward(g, hbox, Jn, cbar[near], X[near], t, sn,
+                                   tn, quad, u)[5]
             better = np.sqrt(row_dots(Tu - u)) / sn[:, 0] < r[near]
             if better.any():
                 took = near[better]

@@ -29,6 +29,12 @@ BOXQP_TOL = 1e-10
 # rows per stacked evaluation: bounds the (rows, m, n) Jacobian stacks that
 # phi, the subproblem solves and dist(0, d phi) build
 ROW_BLOCK = 128
+# radial pulls of a sample above the nu level before it is dropped
+SHRINK_ROUNDS = 80
+# ray search: climbing rounds, candidate directions per round, restarts
+RAY_ROUNDS = 60
+RAY_POOL = 48
+RAY_RESTARTS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -53,16 +59,14 @@ class ReferenceSolution:
     x_star: np.ndarray = None
     accuracy: float = None
     status: str = None
-    description: str = ""
 
     @classmethod
-    def analytic_box(cls, lo, hi, phi_star, description=""):
+    def analytic_box(cls, lo, hi, phi_star):
         lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
         hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ValueError("analytic box needs lo <= hi of equal shapes")
-        return cls(kind="analytic-box", phi_star=float(phi_star), lo=lo, hi=hi,
-                   description=description)
+        return cls(kind="analytic-box", phi_star=float(phi_star), lo=lo, hi=hi)
 
     @classmethod
     def computed(cls, x_star, phi_star, accuracy, status="Converged"):
@@ -97,8 +101,7 @@ def analytic_reference(problem):
     if (isinstance(problem, AdditiveProblem) and isinstance(problem.g, Zero)
             and isinstance(problem.f, Corridor) and problem.f.A is None):
         n = problem.dim
-        return ReferenceSolution.analytic_box(-np.ones(n), np.ones(n), 0.0,
-                                              description="unit box")
+        return ReferenceSolution.analytic_box(-np.ones(n), np.ones(n), 0.0)
     return None
 
 
@@ -223,7 +226,7 @@ def _gaps(problem, X, phi_star, tilt):
     return phis - phi_star
 
 
-def _accepted(problem, ref, nu, X, tilt, shrink_rounds=80):
+def _accepted(problem, ref, nu, X, tilt):
     """Sublevel-set realization of the box samples.
 
     Samples above the nu level are pulled radially toward the reference
@@ -236,7 +239,7 @@ def _accepted(problem, ref, nu, X, tilt, shrink_rounds=80):
     gaps = _gaps(problem, X, ref.phi_star, tilt)
     if not math.isinf(nu):
         X = X.copy()
-        for _ in range(shrink_rounds):
+        for _ in range(SHRINK_ROUNDS):
             bad = ~(gaps <= nu)
             if not np.any(bad):
                 break
@@ -300,8 +303,7 @@ def estimate_gamma(problem, ref, nu, t, n_samples=10000, seed=0,
     return float(np.max(dists[mask] / gnorms[mask]))
 
 
-def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol,
-                          rounds=60, pool=48, restarts=2):
+def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
     """Seeded hill-climb over ray directions for the two extremal ratios.
 
     Random box directions rarely align with the eigen-directions where the
@@ -341,8 +343,9 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol,
         best = float(np.max(s0))
         d = X0[int(np.argmax(s0))] - center
         sigma = 1.0
-        for _ in range(rounds):
-            P = d + sigma * np.linalg.norm(d) * rng.standard_normal((pool, dim))
+        for _ in range(RAY_ROUNDS):
+            P = d + sigma * np.linalg.norm(d) * rng.standard_normal(
+                (RAY_POOL, dim))
             C, _ = _accepted(problem, ref, nu, center + P, None)
             if C.shape[0] == 0:
                 sigma *= 0.75
@@ -360,7 +363,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol,
         return d
 
     for want_gamma in (True, False):
-        for restart in range(restarts):
+        for restart in range(RAY_RESTARTS):
             base_seed = int(seed) + 11 * (1 + restart) + (0 if want_gamma else 7)
             X0 = sample_box(ref, dim, 256, base_seed)
             # cross-seed with directions already found: the two extremes
@@ -503,20 +506,19 @@ def verify_constant_relations(alpha, gamma, L, L_hat, t, beta, tol=1e-3):
 
 
 def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
-                       inner_tol=1e-10, with_prox_bound=None, tol=1e-3,
-                       refine=True):
+                       inner_tol=1e-10):
     """Bundle the constant estimators into one report.
 
     For additive problems the shared sample set is sharpened by a seeded
-    ray search toward the extremal directions (refine=True); alpha and
-    gamma are then taken over the union of box samples and probes.
-    with_prox_bound defaults to True exactly when the prox_{t phi} oracle
-    is available (convex additive problems).
+    ray search toward the extremal directions; alpha and gamma are then
+    taken over the union of box samples and probes. L-hat is measured
+    exactly when the prox_{t phi} oracle is available (convex additive
+    problems).
     """
     is_additive = isinstance(problem, AdditiveProblem)
     composite_samples = min(n_samples, 500)
     extra = None
-    if refine and is_additive:
+    if is_additive:
         extra = _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol)
     alpha = estimate_alpha(problem, ref, nu, n_samples=n_samples, seed=seed,
                            extra_points=extra)
@@ -526,11 +528,9 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
         n_samples=n_samples if is_additive else composite_samples,
         seed=seed, inner_tol=inner_tol, extra_points=extra,
         counts=gamma_counts)
-    if with_prox_bound is None:
-        with_prox_bound = is_additive and problem.f_convex
     L_hat = None
     L_extra = extra
-    if with_prox_bound:
+    if is_additive and problem.f_convex:
         # the L-hat <= L + t chain evaluates the subdifferential ratio at
         # the prox points, so fold those into the L sample set
         L_hat, prox_pts = _prox_bound_samples(
@@ -550,7 +550,7 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
     report.extras.update(gamma_counts)
     report.extras.update(L_counts)
     report.checks = verify_constant_relations(alpha, gamma, L, L_hat, t,
-                                              problem.beta, tol=tol)
+                                              problem.beta)
     return report
 
 

@@ -9,21 +9,24 @@ Penalties are immutable; all operations are pure functions of their inputs.
 The formulas live in :mod:`proxbound._kernels`, one numpy function per
 operation (``penalty_value``, ``penalty_prox``, ``penalty_subgrad``) over
 points along the last axis, keyed by an integer kind code with two
-per-coordinate parameter arrays:
+parameters, w being the weights (1 when none are given):
 
 ====================  ====  ==========  ==========
 kind                  code  p1          p2
 ====================  ====  ==========  ==========
 Zero                  0     --          --
-AbsValue              1     lam_i       --
-ElasticNet            2     lam1_i      lam2_i
-BoxIndicator          3     lo_i        hi_i
-EpsilonInsensitive    4     lam_i       eps
-CheckFunction         5     lam_i       tau
-HuberEnvelope         6     lam_i       mu
+AbsValue              1     lam * w     --
+ElasticNet            2     lam1 * w    lam2 * w
+BoxIndicator          3     lo          hi
+EpsilonInsensitive    4     lam * w     eps
+CheckFunction         5     lam * w     tau
+HuberEnvelope         6     lam * w     mu
 ====================  ====  ==========  ==========
 
-Per-coordinate weights scale the lambda-type parameter (p1).
+Each penalty fixes its triple (kind, p1, p2) once, at construction. p1 and
+p2 are floats, or float64 (n,) arrays where a weight or a box bound is per
+coordinate; an operation on points whose dimension is not that n raises
+DimensionMismatch.
 """
 
 import re
@@ -59,31 +62,34 @@ class Interval:
         return self.lo - tol <= v <= self.hi + tol
 
 
-def _broadcast(val, dim, name):
+def _param(val):
+    """val as a float, or as a float64 array where it is per coordinate."""
     a = np.asarray(val, dtype=np.float64)
-    if a.ndim == 0:
-        return np.full(dim, float(a))
-    if a.shape != (dim,):
-        raise DimensionMismatch(f"{name} has shape {a.shape}, expected ({dim},)")
-    return a.copy()
+    return float(a) if a.ndim == 0 else a.copy()
+
+
+def _weighted(lam, weights):
+    """lam scaled by the weights: a float unless they are per coordinate."""
+    return float(lam) if weights is None else lam * _param(weights)
 
 
 class SeparablePenalty:
     """Base class: a separable closed convex function g(x) = sum_i g_i(x_i)."""
 
-    kind_code = None
+    # -- kernel parameters ---------------------------------------------------
 
-    # -- packing -----------------------------------------------------------
-
-    def _weights(self, dim):
-        w = getattr(self, "weights", None)
-        if w is None:
-            return np.ones(dim)
-        return _broadcast(w, dim, "weights")
+    def _fix(self, kind, p1=0.0, p2=0.0):
+        """Store the kernel triple; called once, at construction."""
+        object.__setattr__(self, "_params", (kind, p1, p2))
 
     def _packed(self, dim):
-        """(kind, p1, p2) arrays for the kernel layer."""
-        raise NotImplementedError
+        """The (kind, p1, p2) triple for points of dimension dim."""
+        for p in self._params[1:]:
+            if isinstance(p, np.ndarray) and p.shape != (dim,):
+                raise DimensionMismatch(
+                    f"{type(self).__name__} parameter has shape {p.shape}, "
+                    f"expected ({dim},)")
+        return self._params
 
     # -- core operations ----------------------------------------------------
 
@@ -169,13 +175,15 @@ class SeparablePenalty:
         return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
 
 
+def _dual_arrays(dim, lo, hi, l1=0.0, quad=0.0):
+    """dual_box's four (dim,) arrays from floats or (dim,) arrays."""
+    return tuple(np.full(dim, v) for v in (lo, hi, l1, quad))
+
+
 @dataclass(frozen=True)
 class Zero(SeparablePenalty):
-    kind_code = K.KIND_ZERO
-
-    def _packed(self, dim):
-        z = np.zeros(dim)
-        return self.kind_code, z, z
+    def __post_init__(self):
+        self._fix(K.KIND_ZERO)
 
 
 @dataclass(frozen=True)
@@ -188,22 +196,17 @@ class AbsValue(SeparablePenalty):
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
-
-    kind_code = K.KIND_ABS
-
-    def _packed(self, dim):
-        return self.kind_code, self.lam * self._weights(dim), np.zeros(dim)
+        self._fix(K.KIND_ABS, _weighted(self.lam, self.weights))
 
     def conjugate_prox(self, z, s):
         # conjugate is the indicator of [-lam, lam]; prox is projection
         z = as_vector(z, name="z")
-        lam = self.lam * self._weights(z.shape[0])
+        _, lam, _ = self._packed(z.shape[0])
         return np.minimum(np.maximum(z, -lam), lam)
 
     def dual_box(self, dim):
-        lam = self.lam * self._weights(dim)
-        zero = np.zeros(dim)
-        return -lam, lam, zero, zero
+        _, lam, _ = self._packed(dim)
+        return _dual_arrays(dim, -lam, lam)
 
 
 @dataclass(frozen=True)
@@ -217,12 +220,8 @@ class ElasticNet(SeparablePenalty):
     def __post_init__(self):
         if self.lam1 <= 0 or self.lam2 <= 0:
             raise ValueError("lambda1 and lambda2 must be positive")
-
-    kind_code = K.KIND_ENET
-
-    def _packed(self, dim):
-        w = self._weights(dim)
-        return self.kind_code, self.lam1 * w, self.lam2 * w
+        self._fix(K.KIND_ENET, _weighted(self.lam1, self.weights),
+                  _weighted(self.lam2, self.weights))
 
 
 @dataclass(frozen=True)
@@ -232,25 +231,19 @@ class BoxIndicator(SeparablePenalty):
     lo: object
     hi: object
 
-    kind_code = K.KIND_BOX
-
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=np.float64))
+        lo, hi = _param(self.lo), _param(self.hi)
         if np.any(lo > hi):
             raise ValueError("box requires lo <= hi componentwise")
-
-    def _packed(self, dim):
-        return (self.kind_code, _broadcast(self.lo, dim, "lo"),
-                _broadcast(self.hi, dim, "hi"))
+        self._fix(K.KIND_BOX, lo, hi)
 
     def conjugate_prox(self, z, s):
         # g* is the support function of the box; Moreau decomposition gives
         # prox_{s g*}(z) = z - s * proj_box(z / s)
         z = as_vector(z, name="z")
         s = float(s)
-        kind, p1, p2 = self._packed(z.shape[0])
-        return z - s * np.minimum(np.maximum(z / s, p1), p2)
+        _, lo, hi = self._packed(z.shape[0])
+        return z - s * np.minimum(np.maximum(z / s, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -264,16 +257,12 @@ class EpsilonInsensitive(SeparablePenalty):
     def __post_init__(self):
         if self.lam <= 0 or self.eps <= 0:
             raise ValueError("lambda and epsilon must be positive")
-
-    kind_code = K.KIND_EPS
-
-    def _packed(self, dim):
-        return (self.kind_code, self.lam * self._weights(dim),
-                np.full(dim, self.eps))
+        self._fix(K.KIND_EPS, _weighted(self.lam, self.weights),
+                  float(self.eps))
 
     def dual_box(self, dim):
-        lam = self.lam * self._weights(dim)
-        return -lam, lam, np.full(dim, self.eps), np.zeros(dim)
+        _, lam, eps = self._packed(dim)
+        return _dual_arrays(dim, -lam, lam, l1=eps)
 
 
 @dataclass(frozen=True)
@@ -289,17 +278,12 @@ class CheckFunction(SeparablePenalty):
             raise ValueError("lambda must be positive")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0,1)")
-
-    kind_code = K.KIND_CHECK
-
-    def _packed(self, dim):
-        return (self.kind_code, self.lam * self._weights(dim),
-                np.full(dim, self.tau))
+        self._fix(K.KIND_CHECK, _weighted(self.lam, self.weights),
+                  float(self.tau))
 
     def dual_box(self, dim):
-        lam = self.lam * self._weights(dim)
-        zero = np.zeros(dim)
-        return lam * (self.tau - 1.0), lam * self.tau, zero, zero
+        _, lam, tau = self._packed(dim)
+        return _dual_arrays(dim, lam * (tau - 1.0), lam * tau)
 
 
 @dataclass(frozen=True)
@@ -318,16 +302,12 @@ class HuberEnvelope(SeparablePenalty):
     def __post_init__(self):
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("lambda and mu must be positive")
-
-    kind_code = K.KIND_HUBER
-
-    def _packed(self, dim):
-        return (self.kind_code, self.lam * self._weights(dim),
-                np.full(dim, self.mu))
+        self._fix(K.KIND_HUBER, _weighted(self.lam, self.weights),
+                  float(self.mu))
 
     def dual_box(self, dim):
-        lam = self.lam * self._weights(dim)
-        return -lam, lam, np.zeros(dim), np.full(dim, self.mu)
+        _, lam, mu = self._packed(dim)
+        return _dual_arrays(dim, -lam, lam, quad=mu)
 
 
 # ---------------------------------------------------------------------------

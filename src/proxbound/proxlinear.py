@@ -92,7 +92,7 @@ def _solve_subproblem_batch(problem, X, t, inner_tol):
     fx = problem.g.value_batch(X) + problem.h.value_batch(C)
     fslack = 1e-12 * (1.0 + np.abs(fx))
     Y, _, _, iters, _, newton = K.dual_ascent(
-        *problem.g._packed(problem.dim), *problem.h._packed(m), *hdual,
+        problem.g._packed(problem.dim), problem.h._packed(m), hdual,
         J, C, X, float(t), steps, float(inner_tol), fx, fslack, INNER_CAP)
     return Y, iters, newton
 

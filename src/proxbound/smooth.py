@@ -21,9 +21,13 @@ from .vectors import as_matrix, as_vector
 # declared moduli are floored here so degenerate (constant/affine) smooth
 # parts keep beta positive and default steps 1/beta finite
 BETA_FLOOR = 1e-12
+# the power iteration stops once the eigenvalue estimate moves by at most
+# POWER_REL_TOL relative (to max(1, |lambda|)), or after POWER_MAX_ITER steps
+POWER_REL_TOL = 1e-8
+POWER_MAX_ITER = 10000
 
 
-def lambda_max_sym(M, rel_tol=1e-8, max_iter=10000):
+def lambda_max_sym(M):
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
     M is one (n, n) matrix, giving a float, or a (B, n, n) stack, giving a
@@ -43,7 +47,7 @@ def lambda_max_sym(M, rel_tol=1e-8, max_iter=10000):
     lam = np.zeros(M.shape[0])
     out = np.zeros(M.shape[0])
     rows = np.arange(M.shape[0])
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         if not rows.size:
             break
         nw = np.sqrt(np.matmul(MV.transpose(0, 2, 1), MV))
@@ -57,7 +61,7 @@ def lambda_max_sym(M, rel_tol=1e-8, max_iter=10000):
         MV = np.matmul(M, V)
         lam_new = np.matmul(V.transpose(0, 2, 1), MV)[:, 0, 0]
         done = (np.abs(lam_new - lam)
-                <= rel_tol * np.maximum(1.0, np.abs(lam_new)))
+                <= POWER_REL_TOL * np.maximum(1.0, np.abs(lam_new)))
         if zero is not None:
             lam_new[zero] = 0.0
             done |= zero
@@ -71,12 +75,11 @@ def lambda_max_sym(M, rel_tol=1e-8, max_iter=10000):
     return float(out[0]) if single else out
 
 
-def operator_norm_sq(A, rel_tol=1e-8):
+def operator_norm_sq(A):
     """Squared spectral norm of A via power iteration on A^T A: a float for
     one (m, n) matrix, a (B,) array for a (B, m, n) stack."""
     A = np.asarray(A, dtype=np.float64)
-    return lambda_max_sym(np.matmul(np.swapaxes(A, -1, -2), A),
-                          rel_tol=rel_tol)
+    return lambda_max_sym(np.matmul(np.swapaxes(A, -1, -2), A))
 
 
 # ---------------------------------------------------------------------------

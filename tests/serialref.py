@@ -56,6 +56,7 @@ def subgrad_interval(kind, a, b, xi):
 def subgrad_bounds(penalty, x):
     """Coordinatewise subdifferential of penalty at the point x."""
     kind, p1, p2 = penalty._packed(x.shape[0])
+    p1, p2 = np.broadcast_to(p1, x.shape), np.broadcast_to(p2, x.shape)
     pairs = [subgrad_interval(kind, a, b, xi) for a, b, xi in zip(p1, p2, x)]
     if any(lo is None for lo, _ in pairs):
         raise pb.DomainError("x lies outside the penalty domain")
@@ -115,14 +116,14 @@ def dist_to_stationarity(problem, x):
 
 def _dual_step(pen, J, cbar, x, t, step, w):
     """Primal point y(w), its model value and the forward-backward map
-    T(w) of one subproblem's dual; pen holds the kernel's ten penalty
-    arguments (g kind and parameters, h kind, parameters and dual box)."""
-    gkind, gp1, gp2, hkind, hp1, hp2, hlo, hhi, hl1, hquad = pen
-    y = K.penalty_prox(gkind, gp1, gp2, x - t * (w @ J), t)
+    T(w) of one subproblem's dual; pen holds the kernel's three penalty
+    arguments (g's and h's kernel triples and h's dual box)."""
+    g, h, (hlo, hhi, hl1, hquad) = pen
+    y = K.penalty_prox(*g, x - t * (w @ J), t)
     d = y - x
     z = cbar + J @ d
-    fy = (K.penalty_value(gkind, gp1, gp2, y)
-          + K.penalty_value(hkind, hp1, hp2, z) + (d @ d) / (2.0 * t))
+    fy = (K.penalty_value(*g, y) + K.penalty_value(*h, z)
+          + (d @ d) / (2.0 * t))
     wh = w + step * (z - hquad * w)
     wh = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
     return y, fy, np.minimum(np.maximum(wh, hlo), hhi)
@@ -132,15 +133,15 @@ def _newton_matrix(pen, J, cbar, x, t, step, w):
     """Generalized Jacobian (I - P) + s P (t J diag(D_g) J^T + diag(hquad))
     of w - T(w) at w, with P the 0/1 derivative of the dual's clip and
     soft-threshold and D_g that of prox_{tg}."""
-    gkind, gp1, gp2, _, _, _, hlo, hhi, hl1, hquad = pen
+    g, _, (hlo, hhi, hl1, hquad) = pen
     u = x - t * (w @ J)
-    z = cbar + J @ (K.penalty_prox(gkind, gp1, gp2, u, t) - x)
+    z = cbar + J @ (K.penalty_prox(*g, u, t) - x)
     wh = w + step * (z - hquad * w)
     s = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
     p = (s > hlo) & (s < hhi)
     if np.any(hl1):
         p &= s != 0.0
-    dg = K.penalty_prox_deriv(gkind, gp1, gp2, u, t)
+    dg = K.penalty_prox_deriv(*g, u, t)
     A = t * (J * dg) @ J.T + np.diag(hquad)
     return np.diag(1.0 - p) + (step * p)[:, None] * A
 

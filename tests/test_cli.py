@@ -465,6 +465,32 @@ def test_reference_status_is_checked(tmp_path, capsys, monkeypatch,
     assert (("PASS" in lines[0]) == (slack >= 0.0) == (ref_max_iter is None))
 
 
+def test_unconverged_reference_stops_the_diagnostics(tmp_path, capsys,
+                                                     monkeypatch):
+    # constants, sandwich and tail rate are all measured around x*; a
+    # reference that stops short of its tolerance FAILs the run and nothing
+    # is measured around it
+    monkeypatch.setattr(pb.diagnostics, "compute_reference",
+                        functools.partial(pb.diagnostics.compute_reference,
+                                          max_iter=3))
+    text = ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
+                               x0="zeros", method="proxgrad").replace(
+        "max_iter = 50", "max_iter = 1000")
+    path = write_cfg(tmp_path, text + "\n[diagnostics]\nconstants = true\n"
+                     "sandwich = true\ntail_rate = true\n")
+    out = tmp_path / "ref"
+    assert cli.main(["run", path, "--quiet", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    assert (out / "constants.txt").read_text() == ""
+    checks = [ln for ln in (out / "report.txt").read_text().splitlines()
+              if ln.startswith("CHECK ")]
+    assert any(ln.startswith("CHECK reference_converged: FAIL")
+               for ln in checks)
+    assert not [ln for ln in checks
+                if ln.startswith(("CHECK constants_", "CHECK sandwich_",
+                                  "CHECK tail_rate"))]
+
+
 def test_run_at_the_floating_point_floor_reports_stalled(tmp_path):
     # with h = checkfunction the model's required decrease (t/2)|G_t|^2
     # falls below ulp(phi) at |G_t| ~ 8e-8, long before eps = 1e-10: the

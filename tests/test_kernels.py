@@ -38,7 +38,7 @@ def stacked_subproblems(h, g, rows, seed):
                                                + curv) for Jb in J])
     fx = g.value_batch(X) + h.value_batch(cbar)
     fslack = 1e-12 * (1.0 + np.abs(fx))
-    return (*gpack, *hpack, *hdual), J, cbar, X, steps, fx, fslack
+    return (gpack, hpack, hdual), J, cbar, X, steps, fx, fslack
 
 
 def run_serial(penalty_args, J, cbar, X, steps, tol, fx, fslack, maxit, rows,
@@ -267,3 +267,77 @@ def test_minnorm_handles_infinite_bounds():
     ref, _ = serialref.minnorm_boxqp(J[0], vlo[0], vhi[0], wlo[0], whi[0],
                                      0.5, 1e-12, 10 ** 5)
     assert norms[0] == ref
+
+
+# every kind, with weights or vector bounds where the kind takes them, and
+# which of its two kernel parameters are (n,) arrays; the kinks of their
+# prox at t = 1 and t = 0.5 are among PARAM_KINKS
+PARAM_N = 5
+PARAM_PENALTIES = {
+    "zero": (pb.Zero(), (False, False)),
+    "absvalue": (pb.AbsValue(0.9), (False, False)),
+    "absvalue-weighted": (
+        pb.AbsValue(0.9, weights=np.array([1.0, 0.5, 2.0, 0.0, 1.5])),
+        (True, False)),
+    "elasticnet": (pb.ElasticNet(0.9, 0.6), (False, False)),
+    "elasticnet-weighted": (
+        pb.ElasticNet(0.9, 0.6, weights=np.array([0.3, 1.0, 1.0, 2.0, 0.7])),
+        (True, True)),
+    "box": (pb.BoxIndicator(-1.2, 0.9), (False, False)),
+    "box-vector": (pb.BoxIndicator(np.array([-1.2, -0.5, 0.0, -2.0, -0.9]),
+                                   np.array([0.9, 0.5, 1.2, -1.0, 0.9])),
+                   (True, True)),
+    "epsiloninsensitive": (pb.EpsilonInsensitive(0.9, 0.2), (False, False)),
+    "checkfunction": (pb.CheckFunction(0.8, 0.3), (False, False)),
+    "huberenvelope": (pb.HuberEnvelope(0.7, 0.4), (False, False)),
+}
+PARAM_KINKS = np.array([0.0, 0.2, -0.2, 0.45, -0.45, 0.9, -0.9, 1.1, -1.1,
+                        -1.2, 0.5, -0.5, 1.2, -2.0, -1.0, 0.28, -0.28,
+                        0.24, -0.56, 0.12, 0.63, -0.63, 0.98, -0.98])
+
+
+def widened(pack, n):
+    """A kernel triple with both parameters broadcast to (n,) arrays."""
+    kind, p1, p2 = pack
+    return kind, np.full(n, p1), np.full(n, p2)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_PENALTIES))
+def test_stored_parameters_match_broadcast(name):
+    # a penalty keeps float parameters unless they are per coordinate; the
+    # four kernels give the same bits as with the parameters broadcast to
+    # (n,) arrays, at single points and at stacks with kink points
+    penalty, per_coordinate = PARAM_PENALTIES[name]
+    pack = penalty._packed(PARAM_N)
+    assert tuple(isinstance(p, np.ndarray) for p in pack[1:]) == per_coordinate
+    assert all(isinstance(p, float) for p in pack[1:]
+               if not isinstance(p, np.ndarray))
+    wide = widened(pack, PARAM_N)
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-2.0, 2.0, size=(4, 30, PARAM_N))
+    snap = rng.random(X.shape) < 0.5
+    X[snap] = rng.choice(PARAM_KINKS, size=int(np.sum(snap)))
+    for points in (X, X[2, 7]):
+        for t in (T, 0.5):
+            for op in (K.penalty_prox, K.penalty_prox_deriv):
+                assert np.array_equal(op(*pack, points, t),
+                                      op(*wide, points, t))
+        assert np.array_equal(K.penalty_value(*pack, points),
+                              K.penalty_value(*wide, points))
+        got, want = (K.penalty_subgrad(*p, points) for p in (pack, wide))
+        assert got[2] == want[2]
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("gname", sorted(DUAL_G))
+@pytest.mark.parametrize("hname", sorted(DUAL_H))
+def test_dual_ascent_stored_parameters_match_broadcast(hname, gname):
+    (g, h, hbox), J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H[hname], DUAL_G[gname], 7, seed=5)
+    got = K.dual_ascent(g, h, hbox, J, cbar, X, T, steps, TOL, fx, fslack,
+                        10 ** 5)
+    want = K.dual_ascent(widened(g, N), widened(h, M), hbox, J, cbar, X, T,
+                         steps, TOL, fx, fslack, 10 ** 5)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)

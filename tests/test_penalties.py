@@ -299,10 +299,49 @@ def test_penalty_from_spec_errors():
         pb.penalty_from_spec("absvalue(lambda)")
 
 
-def test_dimension_mismatch_raises():
-    p = pb.AbsValue(1.0, weights=vec(1.0, 2.0))
+# a wrong-length vector parameter on every kind that takes one; each is
+# built from a vector of the given length for points of dimension 3
+MISMATCHED = {
+    "absvalue": lambda w: pb.AbsValue(1.0, weights=w),
+    "elasticnet": lambda w: pb.ElasticNet(1.0, 0.5, weights=w),
+    "epsiloninsensitive": lambda w: pb.EpsilonInsensitive(1.0, 0.2,
+                                                          weights=w),
+    "checkfunction": lambda w: pb.CheckFunction(1.0, 0.3, weights=w),
+    "huberenvelope": lambda w: pb.HuberEnvelope(1.0, 0.5, weights=w),
+    "box_lo": lambda w: pb.BoxIndicator(-w, 1.0),
+    "box_hi": lambda w: pb.BoxIndicator(-1.0, w),
+}
+
+X3 = vec(0.5, -0.25, 0.75)
+
+
+def run_prox_gradient_3(p):
+    A, b = pb.random_least_squares(5, 3, 1)
+    prob = pb.AdditiveProblem(f=pb.Quadratic(A, b), g=p)
+    pb.run_prox_gradient(prob, np.zeros(3), pb.ProxGradConfig(max_iter=5))
+
+
+ENTRY_POINTS = {
+    "value": lambda p: p.value(X3),
+    "prox": lambda p: p.prox(X3, 0.5),
+    "subgrad_bounds": lambda p: p.subgrad_bounds(X3),
+    "value_batch": lambda p: p.value_batch(np.stack([X3, X3])),
+    "prox_batch": lambda p: p.prox_batch(np.stack([X3, X3]), 0.5),
+    "dual_box": lambda p: p.dual_box(3),
+    "run_prox_gradient": run_prox_gradient_3,
+}
+
+
+@pytest.mark.parametrize("length", [2, 1])
+@pytest.mark.parametrize("entry,kind", [
+    (entry, kind)
+    for entry in sorted(ENTRY_POINTS) for kind in sorted(MISMATCHED)
+    # only the kinds that can act as h have a dual box
+    if entry != "dual_box" or kind not in ("elasticnet", "box_lo", "box_hi")])
+def test_dimension_mismatch_raises(entry, kind, length):
+    p = MISMATCHED[kind](np.full(length, 0.5))
     with pytest.raises(pb.DimensionMismatch):
-        p.value(vec(1.0, 2.0, 3.0))
+        ENTRY_POINTS[entry](p)
 
 
 def test_lipschitz_bound_values():
