@@ -198,7 +198,8 @@ def _newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
     return V + np.matmul(np.linalg.pinv(M), G[:, :, None])[:, :, 0]
 
 
-def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit):
+def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
+                W0=None):
     """Accelerated forward-backward ascent on the duals of B linearized
     subproblems, finished by semismooth Newton steps.
 
@@ -228,6 +229,14 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit):
     warm-up identifies the active pieces; a Newton step from w = 0 is
     almost always rejected.
 
+    W0 is a (B, m) start dual, or None for w = 0. A start is first
+    clipped to h's dual box: the W a solve returns is an extrapolated
+    point and may lie outside it. A start taken from a nearby solve
+    carries the active pieces that the FISTA warm-up exists to find, so at
+    iteration 1 every row of a started solve tries the Newton step
+    whatever its residual, under the same acceptance rule; from iteration
+    2 on NEWTON_SWITCH applies.
+
     g and h are the kernel triples (kind, p1, p2) of the two penalties and
     hbox is h.dual_box(m), the (m,) arrays (hlo, hhi, hl1, hquad).
     J is (B, m, n), cbar (B, m), X (B, n); steps, fx and fslack are (B,).
@@ -250,7 +259,8 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit):
     # zero l1 / quadratic dual terms drop out of the update exactly
     thr = step * hl1 if np.any(hl1) else None
     quad = hquad if np.any(hquad) else None
-    w = np.zeros(cbar.shape)
+    w = (np.zeros(cbar.shape) if W0 is None
+         else np.minimum(np.maximum(W0, hbox[0]), hbox[1]))
     w_prev = w
     theta = np.ones(B)
     for it in range(1, maxit + 1):
@@ -289,8 +299,10 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit):
                     thr = thr[keep]
         theta = np.where(row_inner(G, Tv - w) < 0.0, 1.0, theta_next)
         w_prev, w = w, Tv
-        if r.min() <= NEWTON_SWITCH:
-            near = np.flatnonzero(r <= NEWTON_SWITCH)
+        warm = it == 1 and W0 is not None
+        if warm or r.min() <= NEWTON_SWITCH:
+            near = (np.arange(r.size) if warm
+                    else np.flatnonzero(r <= NEWTON_SWITCH))
             newton += near.size
             Jn, sn = J[near], step[near]
             tn = None if thr is None else thr[near]

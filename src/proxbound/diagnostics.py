@@ -212,7 +212,8 @@ def _gnorm_batch(problem, X, t, inner_tol):
     counts = {"dual_iters": 0, "newton_steps": 0}
     for s in range(0, X.shape[0], ROW_BLOCK):
         B = X[s:s + ROW_BLOCK]
-        Y, iters, newton = _solve_subproblem_batch(problem, B, t, inner_tol)
+        Y, _, iters, newton = _solve_subproblem_batch(problem, B, t,
+                                                      inner_tol)
         gnorms[s:s + ROW_BLOCK] = np.sqrt(K.row_dots((B - Y) / t))
         counts["dual_iters"] += iters
         counts["newton_steps"] += newton
@@ -549,6 +550,14 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
     report.extras["beta"] = float(problem.beta)
     report.extras.update(gamma_counts)
     report.extras.update(L_counts)
+    for name, value in (("alpha_hat", alpha), ("gamma_hat", gamma),
+                        ("L_hat_sub", L)):
+        if not value > 0.0:
+            # the relations divide by these; a value at or below 0 means
+            # the samples' gaps or distances are at the roundoff floor
+            raise InsufficientData(
+                f"measured {name} = {value:.6g} is not positive at "
+                f"nu = {nu:.6g}")
     report.checks = verify_constant_relations(alpha, gamma, L, L_hat, t,
                                               problem.beta)
     return report

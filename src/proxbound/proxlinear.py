@@ -76,10 +76,11 @@ def linearized_value(problem, x, y):
     return gy + problem.h.value(cx + J @ (y - x))
 
 
-def _solve_subproblem_batch(problem, X, t, inner_tol):
+def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None):
     """Subproblem minimizers at every row of X for one step t, from one
-    stacked dual ascent. Returns (Y, total dual iterations over the rows,
-    total Newton steps tried over the rows)."""
+    stacked dual ascent started at the (B, m) duals W0 (None: zeros).
+    Returns (Y, the duals W at which the rows stopped, total dual
+    iterations over the rows, total Newton steps tried over the rows)."""
     if t <= 0:
         raise ValueError("t must be positive")
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -91,34 +92,42 @@ def _solve_subproblem_batch(problem, X, t, inner_tol):
     steps = 1.0 / (t * operator_norm_sq(J) + curv)
     fx = problem.g.value_batch(X) + problem.h.value_batch(C)
     fslack = 1e-12 * (1.0 + np.abs(fx))
-    Y, _, _, iters, _, newton = K.dual_ascent(
+    Y, W, _, iters, _, newton = K.dual_ascent(
         problem.g._packed(problem.dim), problem.h._packed(m), hdual,
-        J, C, X, float(t), steps, float(inner_tol), fx, fslack, INNER_CAP)
-    return Y, iters, newton
+        J, C, X, float(t), steps, float(inner_tol), fx, fslack, INNER_CAP,
+        W0)
+    return Y, W, iters, newton
 
 
-def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None):
+def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None,
+                     dual=None):
     """Minimizer of the proximal model at base point x with step t.
 
     The model is solved through its Fenchel dual in w (a box, plus an l1
     term for the vapnik penalty and a quadratic for the huber envelope) by
     accelerated projected gradient ascent (FISTA with adaptive restart) with
-    step 1/(t|J|^2 + curv), |J|^2 from a power iteration and curv the larger
-    of 1 and the huber envelope's dual curvature. Once the dual fixed-point
-    residual is below _kernels.NEWTON_SWITCH, semismooth Newton steps on it
-    finish the solve (see _kernels.dual_ascent). The primal point is
-    recovered as y = prox_{tg}(x - t J^T w). Terminates once the residual
-    drops to inner_tol and the model value at y does not exceed phi(x)
-    (y = x is feasible with exactly that value). A dict passed as counts
-    receives dual_iters and newton_steps, the dual iterations and the
-    Newton steps tried that the solve took.
+    step 1/(t|J|^2 + curv), |J|^2 the exact squared spectral norm
+    (smooth.operator_norm_sq) and curv the larger of 1 and the huber
+    envelope's dual curvature. Once the dual fixed-point residual is below
+    _kernels.NEWTON_SWITCH, semismooth Newton steps on it finish the solve
+    (see _kernels.dual_ascent). The ascent starts from the (m,) dual `dual`,
+    typically where a nearby solve stopped, or from zeros when it is None;
+    a start is clipped to h's dual box and tries a Newton step at once.
+    The primal point is recovered as y = prox_{tg}(x - t J^T w).
+    Terminates once the residual drops to inner_tol and the model value at
+    y does not exceed phi(x) (y = x is feasible with exactly that value).
+    A dict passed as counts receives dual_iters and newton_steps, the dual
+    iterations and the Newton steps tried that the solve took, and dual,
+    the (m,) dual at which it stopped.
     """
     x = as_vector(x, problem.dim)
-    Y, iters, newton = _solve_subproblem_batch(problem, x[None, :], t,
-                                               inner_tol)
+    W0 = None if dual is None else np.asarray(dual, dtype=np.float64)[None]
+    Y, W, iters, newton = _solve_subproblem_batch(problem, x[None, :], t,
+                                                  inner_tol, W0)
     if counts is not None:
         counts["dual_iters"] = iters
         counts["newton_steps"] = newton
+        counts["dual"] = W[0]
     return Y[0]
 
 
@@ -180,7 +189,11 @@ def run_prox_linear(problem, x0, cfg=None):
     """Backtracking prox-linear iteration, terminating on |G_t(x_k)| <= eps.
 
     t is never reset upward between iterations: the tail rate is set by
-    t, so a run's rate is that of its smallest accepted step. Each trace
+    t, so a run's rate is that of its smallest accepted step. Every
+    subproblem solve after the first starts from the dual at which the
+    previous one stopped, at the next x or, after a backtrack, at the same
+    x with the smaller t: consecutive subproblems differ little, and the
+    start carries the active pieces of their duals. Each trace
     row records the accepted step, the backtrack
     count, the dual-ascent iterations and the Newton steps tried in the
     step's subproblem solves (both summed over its backtracks), the
@@ -203,9 +216,10 @@ def run_prox_linear(problem, x0, cfg=None):
     trace.meta = {"t0": t, "L": problem.L, "beta": problem.beta}
     start = time.perf_counter()
     phi_x = problem.phi(x)
-    counts = {}
+    counts = {"dual": None}
     for k in range(cfg.max_iter + 1):
-        y = solve_subproblem(problem, x, t, cfg.inner_tol, counts)
+        y = solve_subproblem(problem, x, t, cfg.inner_tol, counts,
+                             counts["dual"])
         inner_iters = counts["dual_iters"]
         inner_newton = counts["newton_steps"]
         gnorm = float(np.linalg.norm(x - y)) / t
@@ -230,7 +244,8 @@ def run_prox_linear(problem, x0, cfg=None):
                 raise InnerSolveError(
                     "backtracking underflow: step fell below 1e-12",
                     residual=gnorm, iterations=k)
-            y = solve_subproblem(problem, x, t, cfg.inner_tol, counts)
+            y = solve_subproblem(problem, x, t, cfg.inner_tol, counts,
+                                 counts["dual"])
             inner_iters += counts["dual_iters"]
             inner_newton += counts["newton_steps"]
             gnorm = float(np.linalg.norm(x - y)) / t

@@ -76,10 +76,13 @@ def lambda_max_sym(M):
 
 
 def operator_norm_sq(A):
-    """Squared spectral norm of A via power iteration on A^T A: a float for
-    one (m, n) matrix, a (B,) array for a (B, m, n) stack."""
+    """Squared spectral norm of A, the largest eigenvalue of A^T A by
+    eigvalsh: a float for one (m, n) matrix, a (B,) array for a (B, m, n)
+    stack, each row bit for bit a lone call's. It sets only inner solver
+    steps; the moduli beta and jac_beta come from lambda_max_sym."""
     A = np.asarray(A, dtype=np.float64)
-    return lambda_max_sym(np.matmul(np.swapaxes(A, -1, -2), A))
+    lam = np.linalg.eigvalsh(np.matmul(np.swapaxes(A, -1, -2), A))[..., -1]
+    return float(lam) if A.ndim == 2 else lam
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """One-point-at-a-time references for the stacked kernels.
 
 These are the serial loops that the stacked numpy kernels replaced: a
-scalar subgradient formula per coordinate, the power iteration on one
-matrix, the min-norm box QP on one row, dist(0, d phi) at one point, and
-the accelerated dual ascent with its Newton finish on one subproblem. The
+scalar subgradient formula per coordinate, the min-norm box QP on one row
+(with its step from one matrix's squared norm), dist(0, d phi) at one
+point, and the accelerated dual ascent with its Newton finish on one
+subproblem, cold or from a start dual. The
 stacked code must reproduce them row by row. The plain (unaccelerated)
 dual ascent that the accelerated one replaced stays as an accuracy
 reference, and so do the proximal-gradient loop that re-validated x in
@@ -63,24 +64,10 @@ def subgrad_bounds(penalty, x):
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
 
-def operator_norm_sq(A, rel_tol=1e-8, max_iter=10000):
-    """Power iteration on A^T A from the package's seeded start vector."""
-    M = A.T @ A
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= rel_tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+def operator_norm_sq(A):
+    """Squared spectral norm of one matrix, by eigvalsh as the package
+    takes it; it sets the min-norm box QP's step."""
+    return float(np.linalg.eigvalsh(A.T @ A)[-1])
 
 
 def minnorm_boxqp(J, vlo, vhi, wlo, whi, step, tol, maxit):
@@ -146,13 +133,18 @@ def _newton_matrix(pen, J, cbar, x, t, step, w):
     return np.diag(1.0 - p) + (step * p)[:, None] * A
 
 
-def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
+def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
     """FISTA with gradient-mapping restart on one subproblem's dual, with a
     semismooth Newton step tried at every iteration whose residual is at
-    most K.NEWTON_SWITCH and kept if it lowers the residual. Returns
-    (y, v, residual, iterations, converged, Newton steps tried), v being
-    the dual point at which the loop stopped."""
-    w = w_prev = np.zeros(cbar.shape[0])
+    most K.NEWTON_SWITCH and kept if it lowers the residual. A start dual
+    w0 (None: zeros) is clipped to h's dual box and tries the Newton step
+    at iteration 1 whatever its residual. Returns (y, v, residual,
+    iterations, converged, Newton steps tried), v being the dual point at
+    which the loop stopped."""
+    hlo, hhi = pen[2][:2]
+    w = (np.zeros(cbar.shape[0]) if w0 is None
+         else np.minimum(np.maximum(w0, hlo), hhi))
+    w_prev = w
     theta = 1.0
     newton = 0
     for it in range(1, maxit + 1):
@@ -164,7 +156,7 @@ def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
             return y, v, resid, it, True, newton
         theta = 1.0 if (tv - v) @ (tv - w) < 0.0 else theta_next
         w_prev, w = w, tv
-        if resid <= K.NEWTON_SWITCH:
+        if resid <= K.NEWTON_SWITCH or (w0 is not None and it == 1):
             newton += 1
             M = _newton_matrix(pen, J, cbar, x, t, step, v)
             u = v + np.linalg.pinv(M) @ (tv - v)

@@ -491,6 +491,40 @@ def test_unconverged_reference_stops_the_diagnostics(tmp_path, capsys,
                                   "CHECK tail_rate"))]
 
 
+def test_nonpositive_measured_constant_is_a_readable_runtime_error(
+        tmp_path, capsys):
+    # at nu = 2e-6 the alpha climb reaches a point whose gap phi - phi* is
+    # one ulp below zero, so alpha_hat comes out negative; check accepts the
+    # config, and run must exit 3 with one line naming the constant
+    text = """\
+[problem]
+kind = additive
+smooth = quadratic(rows=20,cols=10,seed=42)
+penalty = absvalue(lambda=0.1)
+seed = 42
+
+[solver]
+method = proxgrad
+eps = 1e-10
+
+[diagnostics]
+constants = true
+samples = 10000
+sandwich = true
+tail_rate = true
+nu = 2e-6
+"""
+    path = write_cfg(tmp_path, text)
+    assert cli.main(["check", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", path, "--quiet", "--out",
+                     str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("runtime error: ") and "alpha_hat" in err
+    assert "ValueError:" not in err and "nu = 2e-06" in err
+
+
 def test_run_at_the_floating_point_floor_reports_stalled(tmp_path):
     # with h = checkfunction the model's required decrease (t/2)|G_t|^2
     # falls below ulp(phi) at |G_t| ~ 8e-8, long before eps = 1e-10: the

@@ -1,8 +1,8 @@
 """Kernel agreement: the stacked dual ascent and min-norm box QP must match
 one-row-at-a-time loops; the dual ascent must be at least as accurate as
 the plain loop it replaced and, with its Newton finish, match a
-tolerance-1e-15 solve to 1e-12; the prox derivative behind the Newton steps
-must match central differences."""
+tolerance-1e-15 solve to 1e-12, from zeros and from a start dual; the prox
+derivative behind the Newton steps must match central differences."""
 
 import re
 
@@ -142,6 +142,69 @@ def test_newton_finish_matches_tight_solve(hname, gname):
     plain = run_serial(args, J, cbar, X, steps, 1e-11, fx, fslack, 10 ** 5,
                        range(20), loop=serialref.plain_dual_ascent)
     assert got[3] < sum(r[3] for r in plain)
+
+
+def warm_subproblems(hname, gname, rows, seed):
+    """The duals W at which a cold solve of `rows` random subproblems
+    stopped, and the kernel arguments of the same subproblems at slightly
+    moved data, as consecutive prox-linear steps pose them."""
+    h, g = DUAL_H[hname], DUAL_G[gname]
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(h, g, rows,
+                                                              seed)
+    W = K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, fslack,
+                      10 ** 5)[1]
+    rng = np.random.default_rng(seed + 1)
+    J2 = J + 0.01 * rng.standard_normal(J.shape)
+    cbar2 = cbar + 0.01 * rng.standard_normal(cbar.shape)
+    X2 = X + 0.01 * rng.standard_normal(X.shape)
+    # each row keeps its fraction of the largest safe step
+    curv = max(1.0, float(np.max(args[2][3])))
+    safe = [(T * np.linalg.norm(a, 2) ** 2 + curv)
+            / (T * np.linalg.norm(b, 2) ** 2 + curv) for a, b in zip(J, J2)]
+    fx2 = g.value_batch(X2) + h.value_batch(cbar2)
+    return W, (args, J2, cbar2, X2, steps * np.array(safe), fx2,
+               1e-12 * (1.0 + np.abs(fx2)))
+
+
+def assert_close(got, want):
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("gname", sorted(DUAL_G))
+@pytest.mark.parametrize("hname", sorted(DUAL_H))
+def test_warm_dual_ascent_matches_serial_and_tight_solve(hname, gname, rows):
+    # started from a nearby solve's duals, with a Newton step tried at
+    # iteration 1: the serial loop's iterations and Newton steps, and the
+    # y and w of a cold tol-1e-15 solve
+    W0, (args, J, cbar, X, steps, fx, fslack) = warm_subproblems(
+        hname, gname, rows, seed=rows)
+    Y, W, _, total, iters, newton = K.dual_ascent(
+        *args, J, cbar, X, T, steps, 1e-11, fx, fslack, 10 ** 5, W0)
+    ref = [serialref.dual_ascent(args, J[b], cbar[b], X[b], T, steps[b],
+                                 1e-11, fx[b], fslack[b], 10 ** 5, W0[b])
+           for b in range(rows)]
+    assert all(r[4] for r in ref)
+    assert iters.tolist() == [r[3] for r in ref]
+    # every row that did not stop at its start tried a Newton step there
+    assert newton == sum(r[5] for r in ref) >= np.count_nonzero(iters > 1)
+    assert_close(Y, np.array([r[0] for r in ref]))
+    assert_close(W, np.array([r[1] for r in ref]))
+    tight = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, fslack,
+                          10 ** 6)
+    assert_close(Y, tight[0])
+    assert_close(W, tight[1])
+    assert total < K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx,
+                                 fslack, 10 ** 5)[3]
+    # a start outside h's dual box is clipped to it first
+    hlo, hhi = args[2][0], args[2][1]
+    edge = np.where(W0 >= 0.0, hhi, hlo)
+    far = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
+                        10 ** 5, 10.0 * edge)
+    clipped = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
+                            10 ** 5, edge)
+    for a, b in zip(far, clipped):
+        assert np.array_equal(a, b)
 
 
 # points at least 0.02 from every kink of the prox of each kind at T = 1

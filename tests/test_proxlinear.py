@@ -193,6 +193,43 @@ def test_inner_iters_column_sums_dual_iterations(scalar_square, monkeypatch):
     assert min(per_step) > 0 and sum(newton_per_step) > 0
 
 
+def vapnik_problem():
+    """The vapnik-solve instance: eps-insensitive h over the robust7 map,
+    with an l1 g."""
+    return pb.CompositeProblem(g=pb.AbsValue(0.05),
+                               h=pb.EpsilonInsensitive(1.0, 0.1),
+                               c=pb.random_quadratic_map(20, 10, 7, 0.3))
+
+
+@pytest.mark.parametrize("which", ["robust7", "vapnik"])
+def test_warm_started_run_matches_cold_run(which, robust7, robust7_run,
+                                           monkeypatch):
+    # each subproblem starts from the last solve's dual; a run whose dual
+    # ascents all start from zeros takes the same steps in over twice the
+    # dual iterations. gnorm is compared to 1e-9 relative down to the
+    # 1e-13 at which the last steps' |x - y| is roundoff
+    if which == "robust7":
+        prob, warm = robust7, robust7_run
+        cfg = pb.ProxLinearConfig(eps=1e-10, max_iter=300, inner_tol=1e-11)
+    else:
+        prob = vapnik_problem()
+        cfg = pb.ProxLinearConfig(eps=1e-10, max_iter=2000, inner_tol=1e-11)
+        warm = pb.run_prox_linear(prob, np.full(10, 2.0), cfg)
+    dual_ascent = K.dual_ascent
+    monkeypatch.setattr(K, "dual_ascent",
+                        lambda *args: dual_ascent(*args[:12]))
+    cold = pb.run_prox_linear(prob, np.full(10, 2.0), cfg)
+    assert warm.status == cold.status == "Converged"
+    assert warm.iterations == cold.iterations
+    phi_w, phi_c = warm.column("phi"), cold.column("phi")
+    assert np.all(np.abs(phi_w - phi_c) <= 1e-9 * np.abs(phi_c))
+    g_w, g_c = warm.column("gnorm"), cold.column("gnorm")
+    assert np.all(np.abs(g_w - g_c) <= 1e-13 + 1e-9 * g_c)
+    assert np.all(np.abs(warm.final_x - cold.final_x) <= 1e-9)
+    assert 2 * warm.column("inner_iters").sum() <= \
+        cold.column("inner_iters").sum()
+
+
 def test_backtracking_underflow_raises(scalar_square):
     cfg = pb.ProxLinearConfig(t0=1.0, q=0.5, eps=1e-12, max_iter=50,
                               sigma=1e8)
