@@ -415,8 +415,7 @@ def run_experiment(cfg):
             # a diverged run's iterates overflow here; their inf distance
             # FAILs the check, which says more than a numpy warning
             with np.errstate(over="ignore", invalid="ignore"):
-                d = diag.dist_to_stationarity(
-                    problem, np.reshape(trace.iterates[1:], (-1, problem.dim)))
+                d = diag.dist_to_stationarity(problem, trace.iterates[1:])
             margins = (1.0 + beta * t_used) * gnorms[:-1] - d
             slack = _tolerance_slack(margins, 1e-8)
             checks.append(CheckLine("improved_certificate", slack >= 0.0, slack))
@@ -428,8 +427,7 @@ def run_experiment(cfg):
                     * gnorms)
         diff = float(np.max(np.abs(expected - trace.column("certificate"))))
         checks.append(CheckLine("certificate_formula", diff == 0.0, -diff))
-        d = diag.dist_to_stationarity(
-            problem, np.reshape(trace.iterates, (-1, problem.dim)))
+        d = diag.dist_to_stationarity(problem, trace.iterates)
         slack = _tolerance_slack(d - 0.5 * gnorms, 1e-8)
         checks.append(CheckLine("half_bound", slack >= 0.0, slack))
 

@@ -19,6 +19,8 @@ from .smooth import SmoothFunction
 from .vectors import as_vector
 
 INNER_CAP = 10 ** 6
+# rows of run_prox_gradient's first iterate array; it doubles when full
+_FIRST_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,15 @@ class IterationTrace:
 
     One row per visited iterate; the residual columns describe the step
     leaving that iterate (zero on the terminal row). Objective values are
-    nonincreasing up to roundoff.
+    nonincreasing up to roundoff. data maps each header name to a list of
+    floats; a solver sets iterates to a (len(trace), n) float array whose
+    row k is the iterate of row k.
     """
 
     def __init__(self, header):
         self.header = tuple(header)
         self.data = {name: [] for name in self.header}
-        self.iterates = []
+        self.iterates = None
         self.status = "MaxIter"
         self.final_x = None
         self.meta = {}
@@ -141,22 +145,28 @@ def run_prox_gradient(problem, x0, cfg=None):
 
     x0 is validated once (finite, of the problem's dimension, inside dom g)
     and the penalty's kernel parameters are packed once; each step then
-    calls the kernels directly, with no per-call re-validation. The smooth
-    part is evaluated once per step: f.grad_batch runs once, at x0, and
-    each accepted step's f.value_grad_batch at the new iterate gives both
-    phi there and the gradient for the next step. value_grad_batch is
-    bit-identical to value_batch and grad_batch called separately, so the
-    trace is the one those two calls would give. The trace records, per
-    iteration, the descent-inequality residual
+    calls the kernels directly, with no per-call re-validation. The loop
+    keeps only what the recursion and its stop tests need: the prox step,
+    |G_t(x_k)|, f.value_grad_batch at the new iterate (f there, and the
+    gradient for the next step) and the iterate itself, stored as a row of
+    an array that doubles when full. f.grad_batch runs once, at x0.
+    value_grad_batch is bit-identical to value_batch and grad_batch called
+    separately, so the trace is the one those two calls would give.
+
+    g is never evaluated inside the loop. After it, one kernel call over
+    all accepted iterates gives g there (a stack is summed exactly as each
+    lone point would be), and phi = f + g, the descent-inequality residual
     phi(x_k) - phi(x_{k+1}) - |G_t(x_k)|^2/(2 beta)  (nonnegative up to
     roundoff whenever t <= 1/beta) and the stationarity certificate
-    (1 + beta t)|G_t(x_k)|.
+    (1 + beta t)|G_t(x_k)| are formed as whole columns.
 
     trace.status is "Converged" once |G_t| <= eps, "MaxIter" after
-    max_iter steps, or "Diverged" once |G_t| or the next phi is not finite
-    (a step too long for the true f makes the iterate overflow). A diverged
-    trace ends on the last iterate with a finite phi, its |G_t| and a zero
-    descent residual; the step that overflowed is dropped.
+    max_iter steps, or "Diverged" once |G_t| or phi at the next iterate is
+    not finite (a step too long for the true f makes the iterate overflow).
+    A diverged trace ends on the last iterate with a finite phi, its |G_t|
+    and a zero descent residual; the step that overflowed is dropped. A
+    non-finite f stops the loop at once; a non-finite g, found after it,
+    cuts the trace at the iterate before the first such point.
     """
     cfg = cfg or ProxGradConfig()
     x = as_vector(x0, problem.dim).copy()
@@ -165,19 +175,16 @@ def run_prox_gradient(problem, x0, cfg=None):
     t = float(_effective_step(problem, cfg))
     f = problem.f
     beta = f.beta
-    cert_scale = 1.0 + beta * t
-    two_beta = 2.0 * beta
     kind, p1, p2 = problem.g._packed(problem.dim)
-    prox, penalty_value = K.penalty_prox, K.penalty_value
+    prox = K.penalty_prox
     value_grad = f.value_grad_batch
-    trace = IterationTrace(PROXGRAD_HEADER)
-    trace.meta = {"t": t, "beta": beta}
-    add_k, add_phi, add_gnorm, add_resid, add_cert, add_elapsed = (
-        trace.data[name].append for name in PROXGRAD_HEADER)
-    iterates = trace.iterates
+    X = np.empty((min(cfg.max_iter + 1, _FIRST_ROWS), problem.dim))
+    X[0] = x
+    fvals, gnorms, elapsed = [], [], []
+    add_f, add_gnorm, add_elapsed = fvals.append, gnorms.append, elapsed.append
     clock = time.perf_counter
     start = clock()
-    phi_x = problem.phi(x)
+    phi0 = problem.phi(x)
     # overflow of a diverging iterate is detected below and reported as
     # status Diverged, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -187,12 +194,7 @@ def run_prox_gradient(problem, x0, cfg=None):
             d = (x - y) / t
             # what np.linalg.norm computes for a 1-D float vector
             gnorm = math.sqrt(d.dot(d))
-            iterates.append(x.copy())
-            # the residual and the time follow once the step's fate is known
-            add_k(float(k))
-            add_phi(phi_x)
             add_gnorm(gnorm)
-            add_cert(cert_scale * gnorm)
             if gnorm <= cfg.eps:
                 status = "Converged"
             elif not math.isfinite(gnorm):
@@ -201,20 +203,42 @@ def run_prox_gradient(problem, x0, cfg=None):
                 status = "MaxIter"
             else:
                 values, grads = value_grad(y[None, :])
-                phi_y = float(values[0]) + penalty_value(kind, p1, p2, y)
-                if math.isfinite(phi_y):
-                    add_resid(phi_x - phi_y - gnorm * gnorm / two_beta)
+                fy = float(values[0])
+                if math.isfinite(fy):
                     add_elapsed(clock() - start)
+                    if k + 1 == X.shape[0]:
+                        X = np.concatenate((X, np.empty_like(X)))
+                    X[k + 1] = y
+                    add_f(fy)
                     x = y
-                    phi_x = phi_y
                     grad = grads[0]
                     continue
                 status = "Diverged"
-            add_resid(0.0)
             add_elapsed(clock() - start)
-            trace.status = status
             break
-    trace.final_x = x
+        rows = k + 1
+        phi = np.empty(rows)
+        phi[0] = phi0
+        phi[1:] = np.array(fvals) + K.penalty_value(kind, p1, p2, X[1:rows])
+        bad = np.flatnonzero(~np.isfinite(phi[1:]))
+        if bad.size:
+            rows = int(bad[0]) + 1
+            status = "Diverged"
+        phi = phi[:rows]
+        gn = np.array(gnorms[:rows])
+        resid = np.zeros(rows)
+        resid[:-1] = phi[:-1] - phi[1:] - gn[:-1] * gn[:-1] / (2.0 * beta)
+        cert = (1.0 + beta * t) * gn
+    trace = IterationTrace(PROXGRAD_HEADER)
+    trace.meta = {"t": t, "beta": beta}
+    trace.data = {"k": np.arange(rows, dtype=np.float64).tolist(),
+                  "phi": phi.tolist(), "gnorm": gnorms[:rows],
+                  "descent_residual": resid.tolist(),
+                  "certificate": cert.tolist(),
+                  "elapsed_s": elapsed[:rows]}
+    trace.iterates = X[:rows]
+    trace.status = status
+    trace.final_x = X[rows - 1].copy()
     return trace
 
 
@@ -272,10 +296,11 @@ def run_proximal_point(problem, x0, cfg=None):
     trace.meta = {"t": t, "beta": problem.f.beta}
     start = time.perf_counter()
     phi_x = problem.phi(x)
+    iterates = []
     for k in range(cfg.max_iter + 1):
         y = proximal_point_step(problem, x, t, inner_tol)
         pnorm = float(np.linalg.norm(x - y)) / t
-        trace.iterates.append(x.copy())
+        iterates.append(x)
         if pnorm <= cfg.eps or k == cfg.max_iter:
             trace.append(k=k, phi=phi_x, gnorm=pnorm, descent_residual=0.0,
                          certificate=pnorm,
@@ -288,5 +313,6 @@ def run_proximal_point(problem, x0, cfg=None):
                      certificate=pnorm, elapsed_s=time.perf_counter() - start)
         x = y
         phi_x = phi_y
+    trace.iterates = np.array(iterates)
     trace.final_x = x
     return trace

@@ -217,13 +217,14 @@ def run_prox_linear(problem, x0, cfg=None):
     start = time.perf_counter()
     phi_x = problem.phi(x)
     counts = {"dual": None}
+    iterates = []
     for k in range(cfg.max_iter + 1):
         y = solve_subproblem(problem, x, t, cfg.inner_tol, counts,
                              counts["dual"])
         inner_iters = counts["dual_iters"]
         inner_newton = counts["newton_steps"]
         gnorm = float(np.linalg.norm(x - y)) / t
-        trace.iterates.append(x.copy())
+        iterates.append(x)
         status = None
         if gnorm <= cfg.eps:
             status = "Converged"
@@ -263,5 +264,6 @@ def run_prox_linear(problem, x0, cfg=None):
             break
         x = y
         phi_x = phi_y
+    trace.iterates = np.array(iterates)
     trace.final_x = x
     return trace

@@ -198,29 +198,39 @@ def trace_csv(trace, zero_elapsed=False):
 
 def prox_gradient(problem, x0, cfg):
     """The proximal-gradient loop through the public, validating operations
-    g.prox, f.grad and problem.phi; returns an IterationTrace. A diverging
-    iterate makes one of them raise ValueError."""
+    g.prox, f.grad, f.value and g.value, with phi formed at every step;
+    returns an IterationTrace. A diverging iterate makes one of them raise
+    ValueError. A non-finite g at the next iterate ends the run Diverged on
+    the current one, with a zero descent residual."""
     x = as_vector(x0, problem.dim).copy()
     t = _effective_step(problem, cfg)
     beta = problem.f.beta
     trace = pb.IterationTrace(PROXGRAD_HEADER)
     trace.meta = {"t": t, "beta": beta}
     phi_x = problem.phi(x)
+    iterates = []
     for k in range(cfg.max_iter + 1):
         y = problem.g.prox(x - t * problem.f.grad(x), t)
         gnorm = float(np.linalg.norm((x - y) / t))
         cert = (1.0 + beta * t) * gnorm
-        trace.iterates.append(x.copy())
-        if gnorm <= cfg.eps or k == cfg.max_iter:
+        iterates.append(x.copy())
+        status = ("Converged" if gnorm <= cfg.eps
+                  else "MaxIter" if k == cfg.max_iter else None)
+        if status is None:
+            g_y = problem.g.value(y)
+            if not math.isfinite(g_y):
+                status = "Diverged"
+        if status:
             trace.append(k=k, phi=phi_x, gnorm=gnorm, descent_residual=0.0,
                          certificate=cert, elapsed_s=0.0)
-            trace.status = "Converged" if gnorm <= cfg.eps else "MaxIter"
+            trace.status = status
             break
-        phi_y = problem.phi(y)
+        phi_y = problem.f.value(y) + g_y
         resid = phi_x - phi_y - gnorm * gnorm / (2.0 * beta)
         trace.append(k=k, phi=phi_x, gnorm=gnorm, descent_residual=resid,
                      certificate=cert, elapsed_s=0.0)
         x = y
         phi_x = phi_y
+    trace.iterates = np.array(iterates)
     trace.final_x = x
     return trace

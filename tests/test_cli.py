@@ -696,15 +696,40 @@ def test_check_accepts_only_values_run_can_use(tmp_path, capsys,
             assert err.startswith("config error: "), case
             continue
         ran += 1
-        code = cli.main(["run", str(path), "--quiet", "--out",
-                         str(tmp_path / f"out{n}")])
-        err = capsys.readouterr().err
-        assert code in (0, 1, 3), case
-        assert "Traceback" not in err, case
-        if code == 3:
-            # one readable line, not the `runtime error: <Type>: ...` form
-            # of an exception the run did not expect
-            assert err.count("\n") == 1, case
-            assert err.startswith("runtime error: "), case
-            assert not re.match(r"runtime error: [A-Z]\w*: ", err), case
+        assert_run_contract(path, tmp_path / f"out{n}", capsys, case)
     assert ran > 50
+
+
+def assert_run_contract(path, out, capsys, case):
+    """`run` on an accepted config exits 0, 1 or 3, never with a
+    traceback."""
+    code = cli.main(["run", str(path), "--quiet", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3), case
+    assert "Traceback" not in err, case
+    if code == 3:
+        # one readable line, not the `runtime error: <Type>: ...` form
+        # of an exception the run did not expect
+        assert err.count("\n") == 1, case
+        assert err.startswith("runtime error: "), case
+        assert not re.match(r"runtime error: [A-Z]\w*: ", err), case
+
+
+# admissible nu far below the sampled gaps: the alpha estimator then sees
+# few or no samples inside the level set, or a negative growth ratio
+@pytest.mark.parametrize("nu", ["2e-4", "2e-6", "1e-8", "1e-12"])
+@pytest.mark.parametrize("method", sorted(SWEEP_BASES))
+def test_small_nu_keeps_the_run_contract(tmp_path, capsys, monkeypatch,
+                                         method, nu):
+    monkeypatch.setattr(proxgrad, "INNER_CAP", 2000)
+    monkeypatch.setattr(proxlinear, "INNER_CAP", 2000)
+    monkeypatch.delenv("PROXBOUND_SEED", raising=False)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(SWEEP_BASES[method])
+    parser["diagnostics"]["nu"] = nu
+    path = tmp_path / "case.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert_run_contract(path, tmp_path / "out", capsys, f"{method} nu={nu}")

@@ -291,3 +291,99 @@ def test_prox_point_batch_stops_on_a_nan_row(lasso42):
                        match="residual is nan at iteration 1$") as info:
         pb.proxgrad._prox_point_batch(lasso42, X, 0.1, 1e-10)
     assert info.value.iterations == 1
+
+
+def _assert_same_trace(tr, ref):
+    """tr and ref agree on status, every column but elapsed_s, every
+    iterate and final_x, bit for bit."""
+    assert tr.status == ref.status
+    assert tr.meta == ref.meta
+    for col in tr.header:
+        if col != "elapsed_s":
+            assert tr.data[col] == ref.data[col], col
+    assert tr.iterates.shape == ref.iterates.shape == (len(tr), tr.final_x.size)
+    assert np.array_equal(tr.iterates, ref.iterates)
+    assert np.array_equal(tr.final_x, ref.final_x)
+
+
+def _slow_huber():
+    # huber-solve's pairing of a least-squares f and a huber envelope g; its
+    # |G_t| falls strictly for hundreds of steps
+    A, b = pb.random_least_squares(20, 10, 42)
+    return pb.AdditiveProblem(f=pb.Quadratic(A, b),
+                              g=pb.HuberEnvelope(0.05, 0.1))
+
+
+FIRST = pb.proxgrad._FIRST_ROWS
+
+
+# the iterate array holds FIRST rows, then 2 FIRST, then 4 FIRST: each
+# count puts the last row just before, on or just past one of its ends
+@pytest.mark.parametrize("iterations", [
+    FIRST - 2, FIRST - 1, FIRST, 2 * FIRST - 2, 2 * FIRST - 1, 2 * FIRST])
+@pytest.mark.parametrize("status", ["MaxIter", "Converged"])
+def test_deferred_bookkeeping_matches_serial_loop_across_growth(iterations,
+                                                                status):
+    problem, x0 = _slow_huber(), np.zeros(10)
+    if status == "MaxIter":
+        cfg = pb.ProxGradConfig(eps=1e-300, max_iter=iterations)
+    else:
+        # |G_t| is strictly decreasing here, so eps at its value on row
+        # `iterations` stops the run exactly there
+        probe = serialref.prox_gradient(
+            problem, x0, pb.ProxGradConfig(eps=1e-300, max_iter=iterations))
+        cfg = pb.ProxGradConfig(eps=probe.data["gnorm"][-1], max_iter=10000)
+    tr = pb.run_prox_gradient(problem, x0, cfg)
+    assert tr.status == status and tr.iterations == iterations
+    _assert_same_trace(tr, serialref.prox_gradient(problem, x0, cfg))
+
+
+def test_stationary_start_matches_serial_loop(corridor10):
+    cfg = pb.ProxGradConfig(t=0.5)
+    tr = pb.run_prox_gradient(corridor10, np.zeros(10), cfg)
+    assert tr.status == "Converged" and tr.iterations == 0
+    assert tr.column("descent_residual").tolist() == [0.0]
+    _assert_same_trace(tr, serialref.prox_gradient(corridor10, np.zeros(10),
+                                                   cfg))
+
+
+def test_one_penalty_evaluation_after_the_loop(lasso42, monkeypatch):
+    # x0's domain test and phi there, then g at every accepted iterate in
+    # one stacked call
+    shapes = []
+    real = pb._kernels.penalty_value
+
+    def counted(kind, p1, p2, X):
+        shapes.append(X.shape)
+        return real(kind, p1, p2, X)
+
+    monkeypatch.setattr(pb._kernels, "penalty_value", counted)
+    tr = pb.run_prox_gradient(lasso42, np.zeros(10),
+                              pb.ProxGradConfig(eps=1e-10, max_iter=50000))
+    assert tr.status == "Converged" and tr.iterations > 100
+    assert shapes == [(10,), (10,), (tr.iterations, 10)]
+
+
+@pytest.mark.parametrize("cut", [0.5, 3.0, 4.8])
+def test_g_only_overflow_cuts_the_trace_like_the_serial_loop(cut,
+                                                             monkeypatch):
+    # x_k rises monotonically from 0 toward 4.9 in every coordinate; g is
+    # made infinite past x[0] = cut, while f stays finite everywhere
+    f = pb.Quadratic(np.eye(3), vec(5.0, 5.0, 5.0))
+    f.beta = 20.0
+    problem = pb.AdditiveProblem(f=f, g=pb.AbsValue(0.1))
+    real = pb._kernels.penalty_value
+
+    def overflowing(kind, p1, p2, X):
+        v = np.where(X[..., 0] > cut, np.inf, real(kind, p1, p2, X))
+        return float(v) if X.ndim == 1 else v
+
+    monkeypatch.setattr(pb._kernels, "penalty_value", overflowing)
+    cfg = pb.ProxGradConfig(eps=1e-9, max_iter=5000)
+    tr = pb.run_prox_gradient(problem, np.zeros(3), cfg)
+    ref = serialref.prox_gradient(problem, np.zeros(3), cfg)
+    assert tr.status == "Diverged"
+    assert tr.column("descent_residual")[-1] == 0.0
+    assert tr.final_x[0] <= cut < tr.final_x[0] + tr.data["gnorm"][-1] / 20
+    assert np.all(np.isfinite(tr.column("phi")))
+    _assert_same_trace(tr, ref)
