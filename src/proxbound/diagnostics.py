@@ -5,6 +5,12 @@ bound constant gamma (max of dist/|G_t|), the subdifferential and proximal
 error-bound constants, and checks the translation formulas that tie them
 together, all on seeded sublevel-set samples. Sampling can only falsify the
 set-wide conditions, never certify them; reports carry sample counts.
+
+A constants run draws and accepts one sample pool; each constant is a
+reduction over a prefix of it (a seeded box draw of m rows is the first m
+rows of a larger one, and every row is accepted on its own). alpha counts
+only gaps above a roundoff floor, since phi(x) - phi* is formed by
+subtraction and near S is rounding error alone.
 """
 
 import math
@@ -23,6 +29,9 @@ from .vectors import as_points, as_vector
 
 GNORM_SKIP = 1e-10
 DIST_SKIP = 1e-8
+# alpha counts a gap only above GAP_ULPS ulp(max(|phi(x)|, |phi*|)): a gap
+# with at most 4 ulp of rounding error is then known to 1e-6 relative
+GAP_ULPS = 4e6
 MIN_ACCEPTED = 10
 BOXQP_CAP = 10 ** 5
 BOXQP_TOL = 1e-10
@@ -234,7 +243,8 @@ def _accepted(problem, ref, nu, X, tilt):
     center: for convex phi, gap(s*d) <= s*gap(d), so a single proportional
     scaling lands inside; the loop covers nonconvex and infinite-valued
     cases. Plain rejection starves on instances whose sublevel set is tiny
-    relative to the fixed sampling box.
+    relative to the fixed sampling box. Every row is pulled and judged on
+    its own. Returns the kept rows, their gaps and their indices in X.
     """
     center = ref.center()
     gaps = _gaps(problem, X, ref.phi_star, tilt)
@@ -250,58 +260,99 @@ def _accepted(problem, ref, nu, X, tilt):
             X[bad] = center + scale[:, None] * (X[bad] - center)
             gaps[bad] = _gaps(problem, X[bad], ref.phi_star, tilt)
     keep = np.isfinite(gaps) & (gaps <= nu)
-    return X[keep], gaps[keep]
+    return X[keep], gaps[keep], np.flatnonzero(keep)
 
 
-def estimate_alpha(problem, ref, nu, n_samples=10000, seed=0, tilt=None,
-                   extra_points=None):
+def _sample_pool(problem, ref, nu, n_samples, seed, extra=None, tilt=None):
+    """The accepted sample pool of a constants run.
+
+    The seeded box draw of n_samples rows, with the extra rows stacked
+    under it, is pulled into the nu-sublevel set once. Returns the kept
+    rows, their gaps, their distances to S and drawn, each kept row's index
+    in the stacked draw. A seeded draw of m rows is the first m rows of a
+    larger one, so the rows with drawn < m are the accepted m-row draw.
+    """
+    X = sample_box(ref, problem.dim, n_samples, seed)
+    if extra is not None:
+        X = np.vstack([X, extra])
+    Xa, gaps, drawn = _accepted(problem, ref, nu, X, tilt)
+    return Xa, gaps, ref.dist_batch(Xa), drawn
+
+
+def _max_ratio(dists, denom, what):
+    """max of dists/denom over the rows whose denom exceeds GNORM_SKIP."""
+    mask = denom > GNORM_SKIP
+    if int(np.sum(mask)) < MIN_ACCEPTED:
+        raise InsufficientData(
+            f"only {int(np.sum(mask))} accepted samples for {what}")
+    return float(np.max(dists[mask] / denom[mask]))
+
+
+def _growth_min(gaps, dists, phi_star, counts):
+    """alpha's reduction: min of 2 gap/dist^2 over the rows farther than
+    DIST_SKIP from S whose gap clears the roundoff floor
+    GAP_ULPS ulp(max(|phi(x)|, |phi*|)). counts receives alpha_samples, the
+    rows the min ran over, and alpha_roundoff_skips, the rows under the
+    floor."""
+    floor = GAP_ULPS * np.spacing(np.maximum(np.abs(gaps + phi_star),
+                                             abs(phi_star)))
+    above = gaps > floor
+    mask = above & (dists > DIST_SKIP)
+    counts["alpha_samples"] = int(np.sum(mask))
+    counts["alpha_roundoff_skips"] = int(np.sum(~above))
+    if counts["alpha_samples"] < MIN_ACCEPTED:
+        raise InsufficientData(
+            f"only {counts['alpha_samples']} accepted samples for alpha")
+    return float(np.min(2.0 * gaps[mask] / dists[mask] ** 2))
+
+
+def _gamma_max(problem, X, dists, t, inner_tol, counts):
+    """gamma's reduction: max of dist/|G_t| over the rows of X. counts
+    receives gamma_samples, gamma_dual_iters and, for composite problems,
+    gamma_newton_steps."""
+    gnorms, work = _gnorm_batch(problem, X, t, inner_tol)
+    counts["gamma_samples"] = int(X.shape[0])
+    counts.update({f"gamma_{key}": int(v) for key, v in work.items()})
+    return _max_ratio(dists, gnorms, "gamma")
+
+
+def _subdiff_max(problem, X, dists, counts):
+    """L's reduction: max of dist/dist(0, d phi) over the rows of X. counts
+    receives subdiff_samples, subdiff_boxqp_iters and subdiff_boxqp_capped."""
+    work = {}
+    stat = dist_to_stationarity(problem, X, counts=work)
+    counts["subdiff_samples"] = int(X.shape[0])
+    counts.update({f"subdiff_{key}": v for key, v in work.items()})
+    return _max_ratio(dists, stat, "L")
+
+
+def estimate_alpha(problem, ref, nu, n_samples=10000, seed=0, tilt=None):
     """Empirical quadratic-growth constant on the nu-sublevel set.
 
     alpha_hat = min over accepted samples of 2 (phi(x) - phi*) / dist(x,S)^2;
-    samples closer than 1e-8 to S are skipped. With a tilt vector v the
-    values phi(x) - <v, x> are used and ref must describe the tilted
-    problem's minimizer. extra_points are appended to the box samples and go
-    through the same sublevel acceptance.
+    samples closer than DIST_SKIP to S, or whose gap is under the roundoff
+    floor GAP_ULPS ulp(max(|phi(x)|, |phi*|)), are skipped. With a tilt
+    vector v the values phi(x) - <v, x> are used and ref must describe the
+    tilted problem's minimizer.
     """
-    X = sample_box(ref, problem.dim, n_samples, seed)
-    if extra_points is not None and len(extra_points):
-        X = np.vstack([X, extra_points])
-    Xa, gaps = _accepted(problem, ref, nu, X, tilt)
-    dists = ref.dist_batch(Xa)
-    mask = dists > DIST_SKIP
-    if int(np.sum(mask)) < MIN_ACCEPTED:
-        raise InsufficientData(
-            f"only {int(np.sum(mask))} accepted samples for alpha")
-    ratios = 2.0 * gaps[mask] / dists[mask] ** 2
-    return float(np.min(ratios))
+    _, gaps, dists, _ = _sample_pool(problem, ref, nu, n_samples, seed,
+                                     tilt=tilt)
+    return _growth_min(gaps, dists, ref.phi_star, {})
 
 
 def estimate_gamma(problem, ref, nu, t, n_samples=10000, seed=0,
-                   inner_tol=1e-10, extra_points=None, counts=None):
+                   inner_tol=1e-10, counts=None):
     """Empirical error-bound constant: max of dist(x,S)/|G_t(x)| on the
-    nu-sublevel set, skipping samples with |G_t(x)| <= 1e-10.
+    nu-sublevel set, skipping samples with |G_t(x)| <= GNORM_SKIP.
 
     A dict passed as counts receives gamma_samples (the accepted samples
     whose |G_t| was evaluated) and gamma_dual_iters (the dual-ascent
     iterations summed over them), and for composite problems
     gamma_newton_steps (the Newton steps tried, summed over them).
     """
-    X = sample_box(ref, problem.dim, n_samples, seed)
-    if extra_points is not None and len(extra_points):
-        X = np.vstack([X, extra_points])
-    Xa, _ = _accepted(problem, ref, nu, X, None)
-    if Xa.shape[0] == 0:
-        raise InsufficientData("no samples accepted for gamma")
-    gnorms, work = _gnorm_batch(problem, Xa, t, inner_tol)
-    if counts is not None:
-        counts["gamma_samples"] = int(Xa.shape[0])
-        counts.update({f"gamma_{key}": int(v) for key, v in work.items()})
-    dists = ref.dist_batch(Xa)
-    mask = gnorms > GNORM_SKIP
-    if int(np.sum(mask)) < MIN_ACCEPTED:
-        raise InsufficientData(
-            f"only {int(np.sum(mask))} accepted samples for gamma")
-    return float(np.max(dists[mask] / gnorms[mask]))
+    X, _, dists, _ = _sample_pool(problem, ref, nu, n_samples, seed)
+    return _gamma_max(problem, X, dists, t, inner_tol,
+                      {} if counts is None else counts)
 
 
 def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
@@ -334,7 +385,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
     best_dirs = []
 
     def climb(want_gamma, X0):
-        X0, _ = _accepted(problem, ref, nu, X0, None)
+        X0 = _accepted(problem, ref, nu, X0, None)[0]
         if X0.shape[0] == 0:
             return None
         collected.append(X0)
@@ -347,7 +398,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
         for _ in range(RAY_ROUNDS):
             P = d + sigma * np.linalg.norm(d) * rng.standard_normal(
                 (RAY_POOL, dim))
-            C, _ = _accepted(problem, ref, nu, center + P, None)
+            C = _accepted(problem, ref, nu, center + P, None)[0]
             if C.shape[0] == 0:
                 sigma *= 0.75
                 continue
@@ -386,7 +437,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
         u = d / nd
         radii = np.geomspace(1e-2, radius, 40)
         line = center + np.concatenate([radii, -radii])[:, None] * u
-        L, _ = _accepted(problem, ref, nu, line, None)
+        L = _accepted(problem, ref, nu, line, None)[0]
         if L.shape[0]:
             collected.append(L)
 
@@ -396,7 +447,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
 
 
 def estimate_subdiff_bound(problem, ref, nu, n_samples=2000, seed=0,
-                           extra_points=None, counts=None):
+                           counts=None):
     """Empirical L with dist(x,S) <= L dist(0, d phi(x)) on the sublevel set.
 
     A dict passed as counts receives subdiff_samples (the accepted samples
@@ -404,37 +455,18 @@ def estimate_subdiff_bound(problem, ref, nu, n_samples=2000, seed=0,
     QP iterations summed over them) and subdiff_boxqp_capped (those whose QP
     ran into BOXQP_CAP); both QP counts are 0 for additive problems.
     """
-    X = sample_box(ref, problem.dim, n_samples, seed)
-    if extra_points is not None and len(extra_points):
-        X = np.vstack([X, extra_points])
-    Xa, _ = _accepted(problem, ref, nu, X, None)
-    dist_counts = {}
-    stat = dist_to_stationarity(problem, Xa, counts=dist_counts)
-    if counts is not None:
-        counts["subdiff_samples"] = int(Xa.shape[0])
-        counts["subdiff_boxqp_iters"] = dist_counts["boxqp_iters"]
-        counts["subdiff_boxqp_capped"] = dist_counts["boxqp_capped"]
-    mask = stat > GNORM_SKIP
-    if int(np.sum(mask)) < MIN_ACCEPTED:
-        raise InsufficientData(
-            f"only {int(np.sum(mask))} accepted samples for L")
-    return float(np.max(ref.dist_batch(Xa)[mask] / stat[mask]))
+    X, _, dists, _ = _sample_pool(problem, ref, nu, n_samples, seed)
+    return _subdiff_max(problem, X, dists, {} if counts is None else counts)
 
 
-def _prox_bound_samples(problem, ref, nu, t, n_samples, seed, inner_tol):
-    if not (isinstance(problem, AdditiveProblem) and problem.f_convex):
-        raise UnsupportedOperation("prox_{t phi} oracle needs convex f + g")
-    X = sample_box(ref, problem.dim, n_samples, seed)
-    Xa, _ = _accepted(problem, ref, nu, X, None)
-    if Xa.shape[0] < MIN_ACCEPTED:
-        raise InsufficientData(f"only {Xa.shape[0]} accepted samples for L-hat")
-    P = _prox_point_batch(problem, Xa, t, inner_tol)
-    steps = np.linalg.norm(Xa - P, axis=1) / t
-    dists = ref.dist_batch(Xa)
-    mask = steps > GNORM_SKIP
-    if int(np.sum(mask)) < MIN_ACCEPTED:
-        raise InsufficientData("too few samples with nonzero prox-point step")
-    return float(np.max(dists[mask] / steps[mask])), P
+def _prox_bound_samples(problem, X, dists, t, inner_tol):
+    """L-hat's reduction: max of dist/(|x - prox_{t phi}(x)|/t) over the
+    rows of X, and the prox points."""
+    if X.shape[0] < MIN_ACCEPTED:
+        raise InsufficientData(f"only {X.shape[0]} accepted samples for L-hat")
+    P = _prox_point_batch(problem, X, t, inner_tol)
+    steps = np.linalg.norm(X - P, axis=1) / t
+    return _max_ratio(dists, steps, "L-hat"), P
 
 
 def estimate_prox_bound(problem, ref, nu, t, n_samples=500, seed=0,
@@ -444,9 +476,10 @@ def estimate_prox_bound(problem, ref, nu, t, n_samples=500, seed=0,
     Needs the prox_{t phi} oracle, so only convex additive problems are
     supported.
     """
-    value, _ = _prox_bound_samples(problem, ref, nu, t, n_samples, seed,
-                                   inner_tol)
-    return value
+    if not (isinstance(problem, AdditiveProblem) and problem.f_convex):
+        raise UnsupportedOperation("prox_{t phi} oracle needs convex f + g")
+    X, _, dists, _ = _sample_pool(problem, ref, nu, n_samples, seed)
+    return _prox_bound_samples(problem, X, dists, t, inner_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -510,46 +543,47 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
                        inner_tol=1e-10):
     """Bundle the constant estimators into one report.
 
-    For additive problems the shared sample set is sharpened by a seeded
-    ray search toward the extremal directions; alpha and gamma are then
-    taken over the union of box samples and probes. L-hat is measured
-    exactly when the prox_{t phi} oracle is available (convex additive
-    problems).
+    One pool is drawn and accepted: the seeded box draw of n_samples rows,
+    plus, for additive problems, the points of a seeded ray search toward
+    the extremal directions. Each constant is a reduction over a part of
+    it, picked by each row's index in the draw: alpha over the whole pool
+    (less the rows under the roundoff floor); gamma over the whole pool for
+    additive problems and over the first 500 box rows for composite ones;
+    L-hat over the first 500 box rows, measured exactly when the
+    prox_{t phi} oracle is available (convex additive problems); L over the
+    first 2000 box rows and the probes, plus the accepted prox points.
     """
     is_additive = isinstance(problem, AdditiveProblem)
-    composite_samples = min(n_samples, 500)
     extra = None
     if is_additive:
         extra = _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol)
-    alpha = estimate_alpha(problem, ref, nu, n_samples=n_samples, seed=seed,
-                           extra_points=extra)
-    gamma_counts = {}
-    gamma = estimate_gamma(
-        problem, ref, nu, t,
-        n_samples=n_samples if is_additive else composite_samples,
-        seed=seed, inner_tol=inner_tol, extra_points=extra,
-        counts=gamma_counts)
+    X, gaps, dists, drawn = _sample_pool(problem, ref, nu, n_samples, seed,
+                                         extra)
+    counts = {}
+    alpha = _growth_min(gaps, dists, ref.phi_star, counts)
+    head = drawn < min(n_samples, 500)
+    rows = slice(None) if is_additive else head
+    gamma = _gamma_max(problem, X[rows], dists[rows], t, inner_tol, counts)
+    L_rows = (drawn < min(n_samples, 2000)) | (drawn >= n_samples)
+    LX, L_dists = X[L_rows], dists[L_rows]
     L_hat = None
-    L_extra = extra
     if is_additive and problem.f_convex:
         # the L-hat <= L + t chain evaluates the subdifferential ratio at
         # the prox points, so fold those into the L sample set
-        L_hat, prox_pts = _prox_bound_samples(
-            problem, ref, nu, t, min(n_samples, 500), seed, inner_tol)
-        L_extra = (prox_pts if L_extra is None
-                   else np.vstack([L_extra, prox_pts]))
-    L_counts = {}
-    L = estimate_subdiff_bound(
-        problem, ref, nu, n_samples=min(n_samples, 2000), seed=seed,
-        extra_points=L_extra, counts=L_counts)
+        L_hat, P = _prox_bound_samples(problem, X[head], dists[head], t,
+                                       inner_tol)
+        counts["prox_samples"] = int(np.sum(head))
+        P = _accepted(problem, ref, nu, P, None)[0]
+        LX = np.vstack([LX, P])
+        L_dists = np.concatenate([L_dists, ref.dist_batch(P)])
+    L = _subdiff_max(problem, LX, L_dists, counts)
     report = ConstantsReport(alpha_hat=alpha, gamma_hat=gamma, L_hat_sub=L,
                              nu=nu, sample_count=n_samples)
     if L_hat is not None:
         report.extras["L_hat_prox"] = L_hat
     report.extras["t"] = float(t)
     report.extras["beta"] = float(problem.beta)
-    report.extras.update(gamma_counts)
-    report.extras.update(L_counts)
+    report.extras.update(counts)
     for name, value in (("alpha_hat", alpha), ("gamma_hat", gamma),
                         ("L_hat_sub", L)):
         if not value > 0.0:

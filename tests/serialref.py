@@ -9,7 +9,8 @@ stacked code must reproduce them row by row. The plain (unaccelerated)
 dual ascent that the accelerated one replaced stays as an accuracy
 reference, and so do the proximal-gradient loop that re-validated x in
 every operation and the per-cell trace.csv writer that one format call
-per row replaced.
+per row replaced. The constants bundle's one sample pool is pinned against
+the per-estimator draws it replaced.
 """
 
 import math
@@ -18,8 +19,10 @@ import numpy as np
 
 import proxbound as pb
 from proxbound import _kernels as K
+from proxbound import diagnostics as D
 from proxbound.diagnostics import BOXQP_CAP, BOXQP_TOL
-from proxbound.proxgrad import PROXGRAD_HEADER, _effective_step
+from proxbound.proxgrad import (PROXGRAD_HEADER, _effective_step,
+                                _prox_point_batch)
 from proxbound.vectors import as_vector
 
 
@@ -234,3 +237,54 @@ def prox_gradient(problem, x0, cfg):
     trace.iterates = np.array(iterates)
     trace.final_x = x
     return trace
+
+
+def constants_by_estimator(problem, ref, nu, t, n_samples, seed,
+                           inner_tol=1e-10):
+    """The bundle's constants and counters from one seeded draw per
+    estimator, each accepted on its own: box(n) plus the ray probes for
+    alpha and for additive gamma, box(min(n, 500)) for composite gamma and
+    for L-hat, and box(min(n, 2000)) plus the probes and the prox points
+    for L. Returns a dict keyed like constants.txt."""
+    additive = isinstance(problem, pb.AdditiveProblem)
+    probes = np.empty((0, problem.dim))
+    if additive:
+        probes = D._refine_extremal_rays(problem, ref, nu, t, seed, inner_tol)
+
+    def draw(n, *extra):
+        X = np.vstack([D.sample_box(ref, problem.dim, n, seed), *extra])
+        Xa, gaps, _ = D._accepted(problem, ref, nu, X, None)
+        return Xa, gaps, ref.dist_batch(Xa)
+
+    def max_ratio(dists, denom):
+        keep = denom > D.GNORM_SKIP
+        return float(np.max(dists[keep] / denom[keep]))
+
+    out = {}
+    X, gaps, dists = draw(n_samples, probes)
+    phi_mag = np.maximum(np.abs(gaps + ref.phi_star), abs(ref.phi_star))
+    above = gaps > D.GAP_ULPS * np.spacing(phi_mag)
+    keep = above & (dists > D.DIST_SKIP)
+    out["alpha_hat"] = float(np.min(2.0 * gaps[keep] / dists[keep] ** 2))
+    out["alpha_samples"] = int(np.sum(keep))
+    out["alpha_roundoff_skips"] = int(np.sum(~above))
+    if not additive:
+        X, _, dists = draw(min(n_samples, 500))
+    gnorms, work = D._gnorm_batch(problem, X, t, inner_tol)
+    out["gamma_hat"] = max_ratio(dists, gnorms)
+    out["gamma_samples"] = X.shape[0]
+    out.update({f"gamma_{key}": v for key, v in work.items()})
+    L_extra = [probes]
+    if additive and problem.f_convex:
+        X, _, dists = draw(min(n_samples, 500))
+        P = _prox_point_batch(problem, X, t, inner_tol)
+        out["L_hat_prox"] = max_ratio(dists, np.linalg.norm(X - P, axis=1) / t)
+        out["prox_samples"] = X.shape[0]
+        L_extra.append(P)
+    X, _, dists = draw(min(n_samples, 2000), *L_extra)
+    work = {}
+    out["L_hat_sub"] = max_ratio(dists, D.dist_to_stationarity(problem, X,
+                                                               counts=work))
+    out["subdiff_samples"] = X.shape[0]
+    out.update({f"subdiff_{key}": v for key, v in work.items()})
+    return out

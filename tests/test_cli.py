@@ -491,12 +491,7 @@ def test_unconverged_reference_stops_the_diagnostics(tmp_path, capsys,
                                   "CHECK tail_rate"))]
 
 
-def test_nonpositive_measured_constant_is_a_readable_runtime_error(
-        tmp_path, capsys):
-    # at nu = 2e-6 the alpha climb reaches a point whose gap phi - phi* is
-    # one ulp below zero, so alpha_hat comes out negative; check accepts the
-    # config, and run must exit 3 with one line naming the constant
-    text = """\
+SMALL_NU_LASSO = """\
 [problem]
 kind = additive
 smooth = quadratic(rows=20,cols=10,seed=42)
@@ -512,9 +507,17 @@ constants = true
 samples = 10000
 sandwich = true
 tail_rate = true
-nu = 2e-6
+nu = {nu}
 """
-    path = write_cfg(tmp_path, text)
+
+
+def test_nonpositive_measured_constant_is_a_readable_runtime_error(
+        tmp_path, capsys, monkeypatch):
+    # a reduction that comes out at or below 0 (a roundoff-level gap or
+    # distance) reaches the guard: check accepts the config, and run must
+    # exit 3 with one line naming the constant
+    monkeypatch.setattr(pb.diagnostics, "_growth_min", lambda *args: -15.7)
+    path = write_cfg(tmp_path, SMALL_NU_LASSO.format(nu="2e-6"))
     assert cli.main(["check", path]) == 0
     capsys.readouterr()
     assert cli.main(["run", path, "--quiet", "--out",
@@ -523,6 +526,24 @@ nu = 2e-6
     assert len(err.splitlines()) == 1
     assert err.startswith("runtime error: ") and "alpha_hat" in err
     assert "ValueError:" not in err and "nu = 2e-06" in err
+
+
+@pytest.mark.parametrize("nu", ["2e-4", "2e-6"])
+def test_small_nu_alpha_stays_above_the_strong_convexity_modulus(tmp_path,
+                                                                  nu):
+    # f is mu-strongly convex with mu = lambda_min(A^T A) and g is convex,
+    # so alpha >= mu; the roundoff floor keeps the gaps that cancellation
+    # would push below it out of the min
+    path = write_cfg(tmp_path, SMALL_NU_LASSO.format(nu=nu))
+    out = tmp_path / "o"
+    assert cli.main(["run", path, "--quiet", "--out", str(out)]) == 0
+    consts = dict(line.split("=", 1) for line in
+                  (out / "constants.txt").read_text().splitlines())
+    A, _ = pb.random_least_squares(20, 10, 42)
+    mu = np.linalg.eigvalsh(A.T @ A)[0]
+    assert float(consts["alpha_hat"]) >= mu * (1.0 - 1e-6)
+    assert int(consts["alpha_samples"]) >= 10
+    assert int(consts["alpha_roundoff_skips"]) > 0
 
 
 def test_run_at_the_floating_point_floor_reports_stalled(tmp_path):

@@ -212,9 +212,18 @@ def test_corridor_duality_both_directions(corridor10):
     assert a >= (1 - 1e-3) / g
 
 
-def test_estimate_constants_bundle(lasso42, lasso42_run, lasso42_ref):
+def test_estimate_constants_bundle(lasso42, lasso42_run, lasso42_ref,
+                                   monkeypatch):
     gap0 = lasso42.phi(np.zeros(10)) - lasso42_ref.phi_star
     t = 1.0 / lasso42.f.beta
+    pools = []
+    inner = D._sample_pool
+
+    def sample_pool(*args, **kwargs):
+        pools.append(inner(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(D, "_sample_pool", sample_pool)
     rep = pb.estimate_constants(lasso42, lasso42_ref, gap0, t,
                                 n_samples=4000, seed=5)
     assert rep.alpha_hat > 0 and rep.gamma_hat > 0 and rep.L_hat_sub > 0
@@ -226,6 +235,69 @@ def test_estimate_constants_bundle(lasso42, lasso42_run, lasso42_ref):
     assert "gamma_newton_steps" not in text
     assert "subdiff_samples=" in text and "subdiff_boxqp_iters=0\n" in text
     assert "subdiff_boxqp_capped=0\n" in text
+    # one pool per run; every pool row is counted by alpha, skipped under
+    # the roundoff floor, or within DIST_SKIP of S
+    assert len(pools) == 1
+    X, gaps, dists, drawn = pools[0]
+    floor = D.GAP_ULPS * np.spacing(np.maximum(
+        np.abs(gaps + lasso42_ref.phi_star), abs(lasso42_ref.phi_star)))
+    near = int(np.sum((gaps > floor) & (dists <= D.DIST_SKIP)))
+    ex = rep.extras
+    assert ex["alpha_samples"] + ex["alpha_roundoff_skips"] + near == len(X)
+    assert ex["prox_samples"] == int(np.sum(drawn < 500)) > 0
+
+
+@pytest.fixture(scope="module")
+def robust7_ref(robust7, robust7_run):
+    return pb.compute_reference(robust7, x0=robust7_run.final_x, tol=1e-12,
+                                inner_tol=1e-13)
+
+
+def bundle_case(name, lasso42, lasso42_ref, robust7, robust7_ref):
+    """(problem, reference, finite level of the run's start, t)."""
+    if name == "lasso42":
+        prob, ref, x0 = lasso42, lasso42_ref, np.zeros(10)
+        t = 1.0 / lasso42.f.beta
+    else:
+        prob, ref, x0 = robust7, robust7_ref, np.full(10, 2.0)
+        t = 1.0 / (robust7.L * robust7.beta)
+    return prob, ref, prob.phi(x0) - ref.phi_star, t
+
+
+@pytest.mark.parametrize("name,level,n", [
+    ("lasso42", "gap0", 4000), ("lasso42", "inf", 4000),
+    ("robust7", "gap0", 2000), ("lasso42", "gap0", 300)])
+def test_sample_pool_matches_per_estimator_draws(name, level, n, lasso42,
+                                                 lasso42_ref, robust7,
+                                                 robust7_ref):
+    prob, ref, gap0, t = bundle_case(name, lasso42, lasso42_ref, robust7,
+                                     robust7_ref)
+    nu = gap0 if level == "gap0" else float("inf")
+    rep = pb.estimate_constants(prob, ref, nu, t, n_samples=n, seed=3)
+    want = serialref.constants_by_estimator(prob, ref, nu, t, n, seed=3)
+    got = dict(rep.extras, alpha_hat=rep.alpha_hat, gamma_hat=rep.gamma_hat,
+               L_hat_sub=rep.L_hat_sub)
+    assert {key: got[key] for key in want} == want
+
+
+@pytest.mark.parametrize("name", ["lasso42", "robust7"])
+def test_pool_prefix_is_the_accepted_smaller_draw(name, lasso42, lasso42_ref,
+                                                  robust7, robust7_ref):
+    prob, ref, gap0, _ = bundle_case(name, lasso42, lasso42_ref, robust7,
+                                     robust7_ref)
+    big = D.sample_box(ref, prob.dim, 2500, 4)
+    X, gaps, dists, drawn = D._sample_pool(prob, ref, gap0, 2500, 4)
+    for m in (500, 2000):
+        small = D.sample_box(ref, prob.dim, m, 4)
+        assert np.array_equal(small, big[:m])
+        Xm, gaps_m, drawn_m = D._accepted(prob, ref, gap0, small, None)
+        head = drawn < m
+        assert np.array_equal(X[head], Xm)
+        assert np.array_equal(gaps[head], gaps_m)
+        assert np.array_equal(drawn[head], drawn_m)
+        assert np.array_equal(dists[head], ref.dist_batch(Xm))
+        # the level is finite and the pull rounds moved some rows
+        assert not np.array_equal(Xm, small[drawn_m])
 
 
 def test_estimate_gamma_composite(robust7, robust7_run):
