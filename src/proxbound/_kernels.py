@@ -11,7 +11,10 @@ proximal map serves the Newton steps of the dual ascent. The dual ascent
 of the prox-linear subproblem (FISTA finished by semismooth Newton steps)
 and the min-norm box QP behind dist(0, d phi) are one kernel each over a
 stack of rows, used with a single row for one point and with blocks of
-rows by the diagnostics.
+rows by the diagnostics. A Newton step forms no pseudo-inverse: the clipped
+duals take their step exactly, and the free ones are solved through the
+n x n Gram matrix of the Jacobian's free rows (one batched eigh), or by
+one batched solve when h's dual has a quadratic term.
 """
 
 import numpy as np
@@ -32,6 +35,10 @@ _INF = np.inf
 # FISTA has then identified the active pieces; at 1e-2 or 1e-3 most steps
 # are rejected and the solve gets slower
 NEWTON_SWITCH = 1e-4
+
+# a Newton step's Gram eigenvalues at most this times the largest count as
+# zero: the relative cut numpy's pseudo-inverse makes on singular values
+RANK_RCOND = 1e-15
 
 
 def penalty_value(kind, p1, p2, X):
@@ -179,23 +186,47 @@ def _forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V):
 
 
 def _newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
-    """Semismooth Newton points u = v + pinv(M)(T(v) - v) on the residual
-    R(w) = w - T(w) at the rows of V, where
-    M = (I - P) + s P (t J diag(D_g) J^T + diag(quad)), P being the 0/1
-    derivative of the clip and soft-threshold at S and D_g that of
-    prox_{tg} at U. M is singular once more than n duals are free (J has
-    rank <= n), so the step is the pseudo-inverse (least-squares) one."""
+    """Semismooth Newton points u = v + delta on the residual
+    R(w) = w - T(w) at the rows of V, where M delta = G = T(v) - v and
+    M = (I - P) + s P A, A = t J diag(D_g) J^T + diag(quad), P being the
+    0/1 derivative of the clip and soft-threshold at S and D_g that of
+    prox_{tg} at U.
+
+    M is block triangular: on the clipped duals N it is the identity, so
+    delta_N = G_N exactly, and on the free duals F
+    s A_FF delta_F = G_F - s A_FN G_N. With a quadratic dual term A_FF is
+    positive definite and M is solved as it stands. Without one
+    A_FF = t K_F K_F^T with K = J diag(D_g)^(1/2), singular once more than
+    n duals are free, and delta_F is its min-norm least-squares solution
+    K_F (K_F^T K_F)^+2 K_F^T r / (s t), taken through one batched eigh of
+    the n x n Gram matrices K_F^T K_F (the rows of K outside F zeroed);
+    eigenvalues at most RANK_RCOND times the largest count as zero."""
     P = (S > hbox[0]) & (S < hbox[1])
     if thr is not None:
         P &= S != 0.0
     Dg = penalty_prox_deriv(*g, U, t)
-    A = t * np.matmul(J * Dg[:, None, :], J.transpose(0, 2, 1))
-    diag = np.arange(A.shape[1])
     if quad is not None:
+        A = t * np.matmul(J * Dg[:, None, :], J.transpose(0, 2, 1))
+        diag = np.arange(A.shape[1])
         A[:, diag, diag] += quad
-    M = (step * P)[:, :, None] * A
-    M[:, diag, diag] += 1.0 - P
-    return V + np.matmul(np.linalg.pinv(M), G[:, :, None])[:, :, 0]
+        M = (step * P)[:, :, None] * A
+        M[:, diag, diag] += 1.0 - P
+        return V + np.linalg.solve(M, G[:, :, None])[:, :, 0]
+    Kj = J * np.sqrt(Dg)[:, None, :]
+    KF = Kj * P[:, :, None]
+    KFt = KF.transpose(0, 2, 1)
+    GN = np.where(P, 0.0, G)
+    st = step * t
+    # r = G - s t K K_N^T G_N; its entries on N meet the zero rows of K_F
+    r = G - st * np.matmul(Kj, np.matmul(Kj.transpose(0, 2, 1),
+                                         GN[:, :, None]))[:, :, 0]
+    lam, Q = np.linalg.eigh(np.matmul(KFt, KF))
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam),
+                    where=lam > RANK_RCOND * lam[:, -1:])[:, :, None]
+    c = inv * inv * np.matmul(Q.transpose(0, 2, 1),
+                              np.matmul(KFt, r[:, :, None]))
+    dF = np.matmul(KF, np.matmul(Q, c))[:, :, 0]
+    return V + GN + dF / st
 
 
 def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
@@ -223,7 +254,8 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
 
     A row still running with r <= NEWTON_SWITCH also tries a semismooth
     Newton step u on R(w) = w - T(w) from v (see _newton_points), all such
-    rows in one batched pseudo-inverse. u is taken only if
+    rows in one batched eigh of their n x n Gram matrices (one batched
+    solve with h's quadratic dual term). u is taken only if
     |T(u) - u|/step < r, and the row then restarts its momentum at u
     (theta = 1, w_prev = w = u); otherwise the FISTA step stands. FISTA's
     warm-up identifies the active pieces; a Newton step from w = 0 is

@@ -370,13 +370,12 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
     dim = problem.dim
     radius = 5.0 * (1.0 + float(np.max(np.abs(center)))) * np.sqrt(dim)
 
-    def scores(X, want_gamma):
+    def scores(X, gaps, want_gamma):
         dists = ref.dist_batch(X)
         if want_gamma:
             gn, _ = _gnorm_batch(problem, X, t, inner_tol)
             good = (gn > GNORM_SKIP) & (dists > DIST_SKIP)
             return np.where(good, dists / np.maximum(gn, GNORM_SKIP), -np.inf)
-        gaps = _gaps(problem, X, ref.phi_star, None)
         good = dists > DIST_SKIP
         return np.where(good, -2.0 * gaps / np.maximum(dists, DIST_SKIP) ** 2,
                         -np.inf)
@@ -385,11 +384,11 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
     best_dirs = []
 
     def climb(want_gamma, X0):
-        X0 = _accepted(problem, ref, nu, X0, None)[0]
+        X0, gaps, _ = _accepted(problem, ref, nu, X0, None)
         if X0.shape[0] == 0:
             return None
         collected.append(X0)
-        s0 = scores(X0, want_gamma)
+        s0 = scores(X0, gaps, want_gamma)
         if not np.any(np.isfinite(s0)):
             return None
         best = float(np.max(s0))
@@ -398,12 +397,12 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
         for _ in range(RAY_ROUNDS):
             P = d + sigma * np.linalg.norm(d) * rng.standard_normal(
                 (RAY_POOL, dim))
-            C = _accepted(problem, ref, nu, center + P, None)[0]
+            C, gaps, _ = _accepted(problem, ref, nu, center + P, None)
             if C.shape[0] == 0:
                 sigma *= 0.75
                 continue
             collected.append(C)
-            sc = scores(C, want_gamma)
+            sc = scores(C, gaps, want_gamma)
             top = float(np.max(sc))
             if top > best:
                 best = top

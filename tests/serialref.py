@@ -119,21 +119,43 @@ def _dual_step(pen, J, cbar, x, t, step, w):
     return y, fy, np.minimum(np.maximum(wh, hlo), hhi)
 
 
-def _newton_matrix(pen, J, cbar, x, t, step, w):
-    """Generalized Jacobian (I - P) + s P (t J diag(D_g) J^T + diag(hquad))
-    of w - T(w) at w, with P the 0/1 derivative of the dual's clip and
-    soft-threshold and D_g that of prox_{tg}."""
+def _newton_delta(pen, J, cbar, x, t, step, w, d):
+    """Semismooth Newton step of one subproblem's dual at w: the solution
+    of M delta = d = T(w) - w for the generalized Jacobian
+    M = (I - P) + s P (t J diag(D_g) J^T + diag(hquad)) of w - T(w), with P
+    the 0/1 derivative of the dual's clip and soft-threshold and D_g that
+    of prox_{tg}. M is the identity on the clipped duals, so delta = d
+    there. On the free duals F, delta_F is the min-norm least-squares
+    solution of M_FF delta_F = d_F - M_FN d_N: by lstsq when hquad makes
+    M_FF nonsingular, and otherwise, with M_FF = s t k k^T for k the free
+    rows of J diag(D_g)^(1/2), as k (k^T k)^+2 k^T rhs / (s t), (k^T k)^+
+    from eigh with the kernel's rank cut. The step then agrees with the
+    kernel's to roundoff, which decides whether a step that is zero in
+    exact arithmetic (d orthogonal to the range of M_FF) is kept."""
     g, _, (hlo, hhi, hl1, hquad) = pen
     u = x - t * (w @ J)
     z = cbar + J @ (K.penalty_prox(*g, u, t) - x)
     wh = w + step * (z - hquad * w)
     s = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
-    p = (s > hlo) & (s < hhi)
+    free = (s > hlo) & (s < hhi)
     if np.any(hl1):
-        p &= s != 0.0
+        free &= s != 0.0
     dg = K.penalty_prox_deriv(*g, u, t)
-    A = t * (J * dg) @ J.T + np.diag(hquad)
-    return np.diag(1.0 - p) + (step * p)[:, None] * A
+    # M's free rows are those of sA
+    sA = step * (t * (J * dg) @ J.T + np.diag(hquad))
+    clipped = ~free
+    delta = d.copy()
+    rhs = d[free] - sA[np.ix_(free, clipped)] @ d[clipped]
+    if np.any(hquad):
+        delta[free] = np.linalg.lstsq(sA[np.ix_(free, free)], rhs,
+                                      rcond=None)[0]
+        return delta
+    k = (J * np.sqrt(dg))[free]
+    lam, Q = np.linalg.eigh(k.T @ k)
+    inv = np.array([1.0 / v if v > K.RANK_RCOND * lam[-1] else 0.0
+                    for v in lam])
+    delta[free] = k @ (Q @ (inv * inv * (Q.T @ (k.T @ rhs)))) / (step * t)
+    return delta
 
 
 def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
@@ -161,8 +183,7 @@ def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
         w_prev, w = w, tv
         if resid <= K.NEWTON_SWITCH or (w0 is not None and it == 1):
             newton += 1
-            M = _newton_matrix(pen, J, cbar, x, t, step, v)
-            u = v + np.linalg.pinv(M) @ (tv - v)
+            u = v + _newton_delta(pen, J, cbar, x, t, step, v, tv - v)
             tu = _dual_step(pen, J, cbar, x, t, step, u)[2]
             if float(np.linalg.norm(tu - u)) / step < resid:
                 theta, w_prev, w = 1.0, u, u

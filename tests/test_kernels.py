@@ -2,7 +2,9 @@
 one-row-at-a-time loops; the dual ascent must be at least as accurate as
 the plain loop it replaced and, with its Newton finish, match a
 tolerance-1e-15 solve to 1e-12, from zeros and from a start dual; the prox
-derivative behind the Newton steps must match central differences."""
+derivative behind the Newton steps must match central differences, and the
+Newton points must be the pseudo-inverse (min-norm least-squares) steps of
+the generalized Jacobian."""
 
 import re
 
@@ -205,6 +207,106 @@ def test_warm_dual_ascent_matches_serial_and_tight_solve(hname, gname, rows):
                             10 ** 5, edge)
     for a, b in zip(far, clipped):
         assert np.array_equal(a, b)
+
+
+def newton_args(h, g, m, n, rows, seed, free=0.7, dg_zero=0.0):
+    """_newton_points arguments for `rows` random rows: a fraction `free`
+    of the pre-clip points S inside h's dual box (the rest outside it, and
+    a tenth of all at zero), and prox arguments U of which a fraction
+    `dg_zero` has D_g = 0 (g being absvalue(0.1) there). Returns them, the
+    stacked matrices M of M delta = G, built row by row, and the free
+    duals P."""
+    rng = np.random.default_rng(seed)
+    gpack, hbox = g._packed(n), h.dual_box(m)
+    hlo, hhi, hl1, hquad = hbox
+    J = rng.standard_normal((rows, m, n))
+    step = rng.uniform(0.5, 1.0, size=(rows, 1)) / (T * n + 1.0)
+    thr = step * hl1 if np.any(hl1) else None
+    quad = hquad if np.any(hquad) else None
+    inside = rng.random((rows, m)) < free
+    S = np.where(inside, rng.uniform(0.1, 0.9, size=(rows, m)) * hhi,
+                 hhi + rng.uniform(0.1, 1.0, size=(rows, m)))
+    S = np.where(rng.random((rows, m)) < 0.5, S, hlo / hhi * S)
+    # a zero is inside the box but clipped by an l1 dual term's threshold
+    S[rng.random((rows, m)) < 0.1] = 0.0
+    U = rng.choice([-1.0, 1.0], size=(rows, n)) * np.where(
+        rng.random((rows, n)) < dg_zero, 0.05, rng.uniform(0.2, 2.0,
+                                                           size=(rows, n)))
+    V = rng.uniform(-0.5, 0.5, size=(rows, m)) * hhi
+    G = 1e-3 * rng.standard_normal((rows, m))
+    P = (S > hlo) & (S < hhi)
+    if thr is not None:
+        P &= S != 0.0
+    Dg = K.penalty_prox_deriv(*gpack, U, T)
+    M = np.empty((rows, m, m))
+    for b in range(rows):
+        A = T * (J[b] * Dg[b]) @ J[b].T + np.diag(hquad)
+        M[b] = np.diag(1.0 - P[b]) + (step[b] * P[b])[:, None] * A
+    args = (gpack, hbox, J, T, step, thr, quad, V, U, S, G)
+    return args, M, P
+
+
+@pytest.mark.parametrize("hname", sorted(DUAL_H))
+def test_newton_points_match_pinv_where_the_free_block_is_regular(hname):
+    # at most m = 3 < n = 4 duals free and D_g = 1: the free block
+    # t J_F J_F^T is nonsingular, and so is M; huberenvelope's quadratic
+    # dual term takes the nonsingular solve
+    args, M, P = newton_args(DUAL_H[hname], pb.Zero(), 3, 4, 40, seed=1)
+    V, G = args[7], args[10]
+    assert 0 < np.sum(P) < P.size
+    assert np.all(np.linalg.matrix_rank(M) == 3)
+    got = K._newton_points(*args)
+    want = V + np.array([np.linalg.pinv(Mb) @ Gb for Mb, Gb in zip(M, G)])
+    assert_close(got, want)
+
+
+def assert_min_norm_least_squares(args, M, P):
+    """Each row's point is v + G on the clipped duals, exactly, and its
+    step on the free ones is the min-norm least-squares solution of
+    M_FF delta_F = G_F - M_FN G_N: it meets the normal equations, has no
+    part in the null space of M_FF, and equals lstsq's. Returns the number
+    of rows whose M_FF is singular."""
+    V, G = args[7], args[10]
+    u = K._newton_points(*args)
+    assert np.array_equal(u[~P], (V + G)[~P])
+    singular = 0
+    for Mb, Pb, Gb, db in zip(M, P, G, u - V):
+        F, N = Pb, ~Pb
+        if not F.any():
+            continue
+        A = Mb[np.ix_(F, F)]
+        r = Gb[F] - Mb[np.ix_(F, N)] @ Gb[N]
+        scale = np.linalg.norm(A, 2)
+        assert (np.linalg.norm(A.T @ (A @ db[F] - r))
+                <= 1e-12 * scale * (scale * np.linalg.norm(db[F])
+                                    + np.linalg.norm(r)))
+        Uf, sv, _ = np.linalg.svd(A)
+        null = Uf[:, sv <= 1e-12 * sv[0]]
+        singular += null.shape[1] > 0
+        assert np.linalg.norm(null.T @ db[F]) <= 1e-12 * np.linalg.norm(db[F])
+        want = np.linalg.lstsq(A, r, rcond=None)[0]
+        assert np.allclose(db[F], want, rtol=0.0,
+                           atol=1e-10 * np.linalg.norm(want))
+    return singular
+
+
+def test_newton_points_are_min_norm_with_more_free_duals_than_n():
+    # m = 20 > n = 10 with every dual free: t J J^T has rank 10 of 20 and
+    # G is not in its range
+    args, M, P = newton_args(DUAL_H["absvalue"], pb.Zero(), 20, 10, 30,
+                             seed=2, free=1.0)
+    assert np.all(P)
+    assert assert_min_norm_least_squares(args, M, P) == 30
+
+
+@pytest.mark.parametrize("hname", ["absvalue", "epsiloninsensitive",
+                                   "checkfunction"])
+def test_newton_points_are_min_norm_where_d_g_vanishes(hname):
+    # m = 3 < n = 4, but D_g = 0 on about half of the coordinates, so the
+    # free block t J_F diag(D_g) J_F^T is singular on many rows
+    args, M, P = newton_args(DUAL_H[hname], pb.AbsValue(0.1), 3, 4, 60,
+                             seed=3, dg_zero=0.5)
+    assert assert_min_norm_least_squares(args, M, P) >= 10
 
 
 # points at least 0.02 from every kink of the prox of each kind at T = 1
