@@ -17,15 +17,14 @@ from .errors import (ConfigError, DimensionMismatch, DomainError,
                      InnerSolveError, InsufficientData, ProxboundError,
                      UnsupportedOperation)
 from .penalties import (AbsValue, BoxIndicator, CheckFunction, ElasticNet,
-                        EpsilonInsensitive, HuberEnvelope, Interval,
-                        SeparablePenalty, Zero, penalty_from_spec)
+                        EpsilonInsensitive, HuberEnvelope, SeparablePenalty,
+                        Zero, penalty_from_spec)
 from .proxgrad import (AdditiveProblem, IterationTrace, ProxGradConfig,
                        prox_grad_map, proximal_point_step, run_prox_gradient,
                        run_proximal_point)
 from .proxlinear import (CompositeProblem, ProxLinearConfig, linearized_value,
                          near_stationarity_certificate, prox_linear_map,
-                         run_prox_linear, sharp_certificate_additive,
-                         solve_subproblem)
+                         run_prox_linear, solve_subproblem)
 from .smooth import (AffineMap, Corridor, HuberLoss, Logistic, Quadratic,
                      QuadraticMap, SmoothFunction, SmoothMap, fd_check,
                      lambda_max_sym, load_dense_matrix, load_dense_vector,

@@ -1,33 +1,22 @@
 """Hot numeric kernels, numpy only.
 
-Each penalty operation is one vectorised expression per kind over the
-last axis of its input, so a single point (n,) and a stack of points
-(..., n) go through the same code and agree bit for bit: the penalty
-value, the proximal map and the coordinatewise subgradient bounds.
-Penalties are encoded as a triple (kind, p1, p2): an integer kind and two
-parameters, each a float or an (n,) array broadcast over the leading
-axes; see the table in :mod:`proxbound.penalties`. The derivative of the
-proximal map serves the Newton steps of the dual ascent. The dual ascent
-of the prox-linear subproblem (FISTA finished by semismooth Newton steps)
-and the min-norm box QP behind dist(0, d phi) are one kernel each over a
-stack of rows, used with a single row for one point and with blocks of
-rows by the diagnostics. A Newton step forms no pseudo-inverse: the clipped
-duals take their step exactly, and the free ones are solved through the
-n x n Gram matrix of the Jacobian's free rows (one batched eigh), or by
-one batched solve when h's dual has a quadratic term.
+Every penalty value and proximal map goes through penalty_value and
+penalty_prox, which call the penalty's own formulas (see
+:mod:`proxbound.penalties`); those work over the last axis of their input,
+so a single point (n,) and a stack of points (..., n) go through the same
+code and agree bit for bit. The dual ascent of the prox-linear subproblem
+(FISTA finished by semismooth Newton steps) and the min-norm box QP behind
+dist(0, d phi) are one kernel each over a stack of rows, used with a
+single row for one point and with blocks of rows by the diagnostics. A
+Newton step forms no pseudo-inverse: the clipped duals take their step
+exactly, and the free ones are solved through the n x n Gram matrix of the
+Jacobian's free rows (one batched eigh), or by one batched solve when h's
+dual has a quadratic term.
 """
 
 import numpy as np
 
 from .errors import InnerSolveError
-
-KIND_ZERO = 0
-KIND_ABS = 1
-KIND_ENET = 2
-KIND_BOX = 3
-KIND_EPS = 4
-KIND_CHECK = 5
-KIND_HUBER = 6
 
 _INF = np.inf
 
@@ -41,97 +30,20 @@ NEWTON_SWITCH = 1e-4
 RANK_RCOND = 1e-15
 
 
-def penalty_value(kind, p1, p2, X):
-    """Penalty value of each point along the last axis of X.
+def penalty_value(g, X):
+    """Value of the penalty g at each point along the last axis of X.
 
     A stack (..., n) gives an array of the leading shape, a single point
     (n,) a float; every point is summed exactly as a lone point would be,
     so the two agree bit for bit.
     """
-    if kind == KIND_ZERO:
-        v = np.zeros(X.shape[:-1])
-    elif kind == KIND_ABS:
-        v = (p1 * np.abs(X)).sum(axis=-1)
-    elif kind == KIND_ENET:
-        v = (p1 * np.abs(X) + 0.5 * p2 * X * X).sum(axis=-1)
-    elif kind == KIND_BOX:
-        v = np.where(np.any((X < p1) | (X > p2), axis=-1), _INF, 0.0)
-    elif kind == KIND_EPS:
-        v = (p1 * np.maximum(np.abs(X) - p2, 0.0)).sum(axis=-1)
-    elif kind == KIND_CHECK:
-        v = (p1 * np.maximum(p2 * X, (p2 - 1.0) * X)).sum(axis=-1)
-    elif kind == KIND_HUBER:
-        ax = np.abs(X)
-        quad = ax <= p1 * p2
-        v = np.where(quad, X * X / (2.0 * p2),
-                     p1 * ax - 0.5 * p1 * p1 * p2).sum(axis=-1)
-    else:
-        raise ValueError(f"unknown penalty kind code {kind}")
+    v = g._value(X)
     return float(v) if X.ndim == 1 else v
 
 
-def penalty_prox(kind, p1, p2, X, t):
+def penalty_prox(g, X, t):
     """prox_{tg} of every point along the last axis of X, same shape as X."""
-    if kind == KIND_ZERO:
-        return X.copy()
-    if kind == KIND_ABS:
-        thr = t * p1
-        return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
-    if kind == KIND_ENET:
-        thr = t * p1
-        return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0) / (1.0 + t * p2)
-    if kind == KIND_BOX:
-        return np.minimum(np.maximum(X, p1), p2)
-    if kind == KIND_EPS:
-        ax = np.abs(X)
-        sx = np.sign(X)
-        out = np.where(ax <= p2, X, sx * p2)
-        far = ax > p2 + t * p1
-        return np.where(far, X - t * p1 * sx, out)
-    if kind == KIND_CHECK:
-        hi = t * p1 * p2
-        lo = t * p1 * (p2 - 1.0)
-        out = np.zeros_like(X)
-        out = np.where(X > hi, X - hi, out)
-        return np.where(X < lo, X - lo, out)
-    if kind == KIND_HUBER:
-        ax = np.abs(X)
-        pt = p2 + t
-        inner = ax <= p1 * pt
-        return np.where(inner, X * p2 / pt, X - t * p1 * np.sign(X))
-    raise ValueError(f"unknown penalty kind code {kind}")
-
-
-def penalty_subgrad(kind, p1, p2, X):
-    """Coordinatewise subdifferential [lo, hi] at every point along the last
-    axis of X, plus whether every point lies in the penalty's domain (lo
-    and hi are meaningless where it does not)."""
-    if kind == KIND_ZERO:
-        return np.zeros(X.shape), np.zeros(X.shape), True
-    if kind in (KIND_ABS, KIND_ENET):
-        s = np.sign(X) * p1
-        lo = np.where(X == 0.0, -p1, s)
-        hi = np.where(X == 0.0, p1, s)
-        if kind == KIND_ENET:
-            lo = lo + p2 * X
-            hi = hi + p2 * X
-        return lo, hi, True
-    if kind == KIND_BOX:
-        inside = not (np.any(X < p1) or np.any(X > p2))
-        return (np.where(X == p1, -_INF, 0.0), np.where(X == p2, _INF, 0.0),
-                inside)
-    if kind == KIND_EPS:
-        lo = np.where(X > p2, p1, np.where(X <= -p2, -p1, 0.0))
-        hi = np.where(X >= p2, p1, np.where(X < -p2, -p1, 0.0))
-        return lo, hi, True
-    if kind == KIND_CHECK:
-        up = p1 * p2
-        dn = p1 * (p2 - 1.0)
-        return np.where(X > 0.0, up, dn), np.where(X < 0.0, dn, up), True
-    if kind == KIND_HUBER:
-        g = np.minimum(np.maximum(X / p2, -p1), p1)
-        return g, g.copy(), True
-    raise ValueError(f"unknown penalty kind code {kind}")
+    return g._prox(X, t)
 
 
 def row_dots(A):
@@ -144,31 +56,6 @@ def row_inner(A, C):
     return np.matmul(A[:, None, :], C[:, :, None])[:, 0, 0]
 
 
-def penalty_prox_deriv(kind, p1, p2, X, t):
-    """Derivative of each coordinate of prox_{tg} at every point along the
-    last axis of X, same shape as X: 0 or 1 on the pieces of the
-    thresholding kinds, the shrink factor on the quadratic pieces. At a
-    kink it is the derivative of the piece penalty_prox selects there."""
-    if kind == KIND_ZERO:
-        return np.ones(X.shape)
-    if kind == KIND_ABS:
-        return (np.abs(X) > t * p1).astype(np.float64)
-    if kind == KIND_ENET:
-        return (np.abs(X) > t * p1) / (1.0 + t * p2)
-    if kind == KIND_BOX:
-        return ((X > p1) & (X < p2)).astype(np.float64)
-    if kind == KIND_EPS:
-        ax = np.abs(X)
-        return ((ax <= p2) | (ax > p2 + t * p1)).astype(np.float64)
-    if kind == KIND_CHECK:
-        return ((X > t * p1 * p2) | (X < t * p1 * (p2 - 1.0))).astype(
-            np.float64)
-    if kind == KIND_HUBER:
-        inner = np.abs(X) <= p1 * (p2 + t)
-        return np.where(inner, p2 / (p2 + t), 1.0)
-    raise ValueError(f"unknown penalty kind code {kind}")
-
-
 def _forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V):
     """The dual's forward-backward map T at the rows of V, with the pieces
     the stop test and the Newton step need: the prox argument
@@ -176,7 +63,7 @@ def _forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V):
     model's inner value Z = cbar + J D, the pre-clip point S (the ascent
     step, soft-thresholded by thr) and T(v), S clipped to h's dual box."""
     U = X - t * np.matmul(V[:, None, :], J)[:, 0, :]
-    Yr = penalty_prox(*g, U, t)
+    Yr = penalty_prox(g, U, t)
     D = Yr - X
     Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
     S = V + step * (Z if quad is None else Z - quad * V)
@@ -204,7 +91,7 @@ def _newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
     P = (S > hbox[0]) & (S < hbox[1])
     if thr is not None:
         P &= S != 0.0
-    Dg = penalty_prox_deriv(*g, U, t)
+    Dg = g._prox_deriv(U, t)
     if quad is not None:
         A = t * np.matmul(J * Dg[:, None, :], J.transpose(0, 2, 1))
         diag = np.arange(A.shape[1])
@@ -269,7 +156,7 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
     whatever its residual, under the same acceptance rule; from iteration
     2 on NEWTON_SWITCH applies.
 
-    g and h are the kernel triples (kind, p1, p2) of the two penalties and
+    g and h are the two penalties, whose parameters must fit n and m, and
     hbox is h.dual_box(m), the (m,) arrays (hlo, hhi, hl1, hquad).
     J is (B, m, n), cbar (B, m), X (B, n); steps, fx and fslack are (B,).
     Returns (Y, W, residuals, total row iterations, per-row iterations,
@@ -309,8 +196,8 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
                 f"{it}", residual=float(worst), iterations=it)
         if r.min() <= tol:
             passed = np.flatnonzero(r <= tol)
-            fy = (penalty_value(*g, Yr[passed])
-                  + penalty_value(*h, Z[passed])
+            fy = (penalty_value(g, Yr[passed])
+                  + penalty_value(h, Z[passed])
                   + row_dots(D[passed]) / (2.0 * t))
             done = passed[fy <= limit[passed]]
             if done.size:

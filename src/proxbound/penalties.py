@@ -6,27 +6,15 @@ methods. The AbsValue/BoxIndicator pair additionally exposes the conjugate
 prox needed for the resolvent decomposition identity.
 
 Penalties are immutable; all operations are pure functions of their inputs.
-The formulas live in :mod:`proxbound._kernels`, one numpy function per
-operation (``penalty_value``, ``penalty_prox``, ``penalty_subgrad``) over
-points along the last axis, keyed by an integer kind code with two
-parameters, w being the weights (1 when none are given):
-
-====================  ====  ==========  ==========
-kind                  code  p1          p2
-====================  ====  ==========  ==========
-Zero                  0     --          --
-AbsValue              1     lam * w     --
-ElasticNet            2     lam1 * w    lam2 * w
-BoxIndicator          3     lo          hi
-EpsilonInsensitive    4     lam * w     eps
-CheckFunction         5     lam * w     tau
-HuberEnvelope         6     lam * w     mu
-====================  ====  ==========  ==========
-
-Each penalty fixes its triple (kind, p1, p2) once, at construction. p1 and
-p2 are floats, or float64 (n,) arrays where a weight or a box bound is per
-coordinate; an operation on points whose dimension is not that n raises
-DimensionMismatch.
+Each class holds its own formulas as private methods over points along the
+last axis of X, a single point (n,) or a stack (..., n): ``_value``,
+``_prox``, ``_subgrad`` and ``_prox_deriv``, the derivative of the
+proximal map that the dual ascent's Newton steps use. Every value and prox
+goes through :func:`proxbound._kernels.penalty_value` and
+:func:`proxbound._kernels.penalty_prox`, which call them. The formulas read
+parameters fixed once, at construction: floats, or float64 (n,) arrays
+where a weight (lam * w) or a box bound is per coordinate. An operation on
+points whose dimension is not that n raises DimensionMismatch.
 """
 
 import re
@@ -37,29 +25,6 @@ import numpy as np
 from . import _kernels as K
 from .errors import DimensionMismatch, DomainError, UnsupportedOperation
 from .vectors import as_points, as_vector
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval with extended-real ends, lo <= hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"interval ends out of order: [{self.lo}, {self.hi}]")
-
-    def dist(self, v):
-        """Distance from v to the interval."""
-        if v < self.lo:
-            return self.lo - v
-        if v > self.hi:
-            return v - self.hi
-        return 0.0
-
-    def contains(self, v, tol=0.0):
-        return self.lo - tol <= v <= self.hi + tol
 
 
 def _param(val):
@@ -74,48 +39,57 @@ def _weighted(lam, weights):
 
 
 class SeparablePenalty:
-    """Base class: a separable closed convex function g(x) = sum_i g_i(x_i)."""
+    """Base class: a separable closed convex function g(x) = sum_i g_i(x_i).
 
-    # -- kernel parameters ---------------------------------------------------
+    Each subclass defines its formulas over the points along the last axis
+    of X: _value(X), g at each point; _prox(X, t), prox_{tg}; _subgrad(X),
+    the coordinatewise subdifferential (lo, hi) plus whether every point
+    lies in the domain (lo and hi mean nothing where one does not); and
+    _prox_deriv(X, t), the derivative of each coordinate of prox_{tg}, at a
+    kink that of the piece _prox selects there.
+    """
 
-    def _fix(self, kind, p1=0.0, p2=0.0):
-        """Store the kernel triple; called once, at construction."""
-        object.__setattr__(self, "_params", (kind, p1, p2))
+    # names of the parameters the formulas read
+    _params = ()
 
-    def _packed(self, dim):
-        """The (kind, p1, p2) triple for points of dimension dim."""
-        for p in self._params[1:]:
+    def _store(self, **params):
+        """Fix the parameters the formulas read; called once, at
+        construction."""
+        for name, p in params.items():
+            object.__setattr__(self, name, p)
+        object.__setattr__(self, "_params", tuple(params))
+
+    def _check(self, dim):
+        """Raise DimensionMismatch unless every per-coordinate parameter
+        fits points of dimension dim."""
+        for name in self._params:
+            p = getattr(self, name)
             if isinstance(p, np.ndarray) and p.shape != (dim,):
                 raise DimensionMismatch(
                     f"{type(self).__name__} parameter has shape {p.shape}, "
                     f"expected ({dim},)")
-        return self._params
 
     # -- core operations ----------------------------------------------------
 
     def value(self, x):
         x = as_vector(x, name="x")
-        kind, p1, p2 = self._packed(x.shape[0])
-        return K.penalty_value(kind, p1, p2, x)
+        self._check(x.shape[0])
+        return K.penalty_value(self, x)
 
     def prox(self, x, t):
         if t <= 0:
             raise ValueError("prox step t must be positive")
         x = as_vector(x, name="x")
-        kind, p1, p2 = self._packed(x.shape[0])
-        return K.penalty_prox(kind, p1, p2, x, float(t))
-
-    def subgrad_intervals(self, x):
-        lo, hi = self.subgrad_bounds(as_vector(x, name="x"))
-        return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
+        self._check(x.shape[0])
+        return K.penalty_prox(self, x, float(t))
 
     def subgrad_bounds(self, x):
         """(lo, hi) arrays of the coordinatewise subdifferential at every
         point along the last axis of x: a point (n,) or a stack (..., n).
         Raises DomainError if any point lies outside the domain."""
         x = as_points(x, name="x")
-        kind, p1, p2 = self._packed(x.shape[-1])
-        lo, hi, ok = K.penalty_subgrad(kind, p1, p2, x)
+        self._check(x.shape[-1])
+        lo, hi, ok = self._subgrad(x)
         if not ok:
             raise DomainError("x lies outside the penalty domain")
         return lo, hi
@@ -137,13 +111,13 @@ class SeparablePenalty:
 
     def value_batch(self, X):
         X = np.ascontiguousarray(X, dtype=np.float64)
-        kind, p1, p2 = self._packed(X.shape[-1])
-        return K.penalty_value(kind, p1, p2, X)
+        self._check(X.shape[-1])
+        return K.penalty_value(self, X)
 
     def prox_batch(self, X, t):
         X = np.ascontiguousarray(X, dtype=np.float64)
-        kind, p1, p2 = self._packed(X.shape[-1])
-        return K.penalty_prox(kind, p1, p2, X, float(t))
+        self._check(X.shape[-1])
+        return K.penalty_prox(self, X, float(t))
 
     # -- conjugate / dual descriptions ---------------------------------------
 
@@ -180,10 +154,25 @@ def _dual_arrays(dim, lo, hi, l1=0.0, quad=0.0):
     return tuple(np.full(dim, v) for v in (lo, hi, l1, quad))
 
 
+def _abs_subgrad(lam, X):
+    """Subdifferential bounds of lam * |x|: the kink at 0 spans [-lam, lam]."""
+    s = np.sign(X) * lam
+    return np.where(X == 0.0, -lam, s), np.where(X == 0.0, lam, s)
+
+
 @dataclass(frozen=True)
 class Zero(SeparablePenalty):
-    def __post_init__(self):
-        self._fix(K.KIND_ZERO)
+    def _value(self, X):
+        return np.zeros(X.shape[:-1])
+
+    def _prox(self, X, t):
+        return X.copy()
+
+    def _subgrad(self, X):
+        return np.zeros(X.shape), np.zeros(X.shape), True
+
+    def _prox_deriv(self, X, t):
+        return np.ones(X.shape)
 
 
 @dataclass(frozen=True)
@@ -196,17 +185,30 @@ class AbsValue(SeparablePenalty):
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
-        self._fix(K.KIND_ABS, _weighted(self.lam, self.weights))
+        self._store(_lam=_weighted(self.lam, self.weights))
+
+    def _value(self, X):
+        return (self._lam * np.abs(X)).sum(axis=-1)
+
+    def _prox(self, X, t):
+        thr = t * self._lam
+        return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
+
+    def _subgrad(self, X):
+        return (*_abs_subgrad(self._lam, X), True)
+
+    def _prox_deriv(self, X, t):
+        return (np.abs(X) > t * self._lam).astype(np.float64)
 
     def conjugate_prox(self, z, s):
         # conjugate is the indicator of [-lam, lam]; prox is projection
         z = as_vector(z, name="z")
-        _, lam, _ = self._packed(z.shape[0])
-        return np.minimum(np.maximum(z, -lam), lam)
+        self._check(z.shape[0])
+        return np.minimum(np.maximum(z, -self._lam), self._lam)
 
     def dual_box(self, dim):
-        _, lam, _ = self._packed(dim)
-        return _dual_arrays(dim, -lam, lam)
+        self._check(dim)
+        return _dual_arrays(dim, -self._lam, self._lam)
 
 
 @dataclass(frozen=True)
@@ -220,8 +222,23 @@ class ElasticNet(SeparablePenalty):
     def __post_init__(self):
         if self.lam1 <= 0 or self.lam2 <= 0:
             raise ValueError("lambda1 and lambda2 must be positive")
-        self._fix(K.KIND_ENET, _weighted(self.lam1, self.weights),
-                  _weighted(self.lam2, self.weights))
+        self._store(_lam1=_weighted(self.lam1, self.weights),
+                    _lam2=_weighted(self.lam2, self.weights))
+
+    def _value(self, X):
+        return (self._lam1 * np.abs(X) + 0.5 * self._lam2 * X * X).sum(axis=-1)
+
+    def _prox(self, X, t):
+        thr = t * self._lam1
+        return (np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
+                / (1.0 + t * self._lam2))
+
+    def _subgrad(self, X):
+        lo, hi = _abs_subgrad(self._lam1, X)
+        return lo + self._lam2 * X, hi + self._lam2 * X, True
+
+    def _prox_deriv(self, X, t):
+        return (np.abs(X) > t * self._lam1) / (1.0 + t * self._lam2)
 
 
 @dataclass(frozen=True)
@@ -235,15 +252,31 @@ class BoxIndicator(SeparablePenalty):
         lo, hi = _param(self.lo), _param(self.hi)
         if np.any(lo > hi):
             raise ValueError("box requires lo <= hi componentwise")
-        self._fix(K.KIND_BOX, lo, hi)
+        self._store(_lo=lo, _hi=hi)
+
+    def _value(self, X):
+        return np.where(np.any((X < self._lo) | (X > self._hi), axis=-1),
+                        np.inf, 0.0)
+
+    def _prox(self, X, t):
+        return np.minimum(np.maximum(X, self._lo), self._hi)
+
+    def _subgrad(self, X):
+        lo, hi = self._lo, self._hi
+        inside = not (np.any(X < lo) or np.any(X > hi))
+        return (np.where(X == lo, -np.inf, 0.0),
+                np.where(X == hi, np.inf, 0.0), inside)
+
+    def _prox_deriv(self, X, t):
+        return ((X > self._lo) & (X < self._hi)).astype(np.float64)
 
     def conjugate_prox(self, z, s):
         # g* is the support function of the box; Moreau decomposition gives
         # prox_{s g*}(z) = z - s * proj_box(z / s)
         z = as_vector(z, name="z")
         s = float(s)
-        _, lo, hi = self._packed(z.shape[0])
-        return z - s * np.minimum(np.maximum(z / s, lo), hi)
+        self._check(z.shape[0])
+        return z - s * np.minimum(np.maximum(z / s, self._lo), self._hi)
 
 
 @dataclass(frozen=True)
@@ -257,12 +290,35 @@ class EpsilonInsensitive(SeparablePenalty):
     def __post_init__(self):
         if self.lam <= 0 or self.eps <= 0:
             raise ValueError("lambda and epsilon must be positive")
-        self._fix(K.KIND_EPS, _weighted(self.lam, self.weights),
-                  float(self.eps))
+        self._store(_lam=_weighted(self.lam, self.weights),
+                    _eps=float(self.eps))
+
+    def _value(self, X):
+        return (self._lam * np.maximum(np.abs(X) - self._eps, 0.0)).sum(
+            axis=-1)
+
+    def _prox(self, X, t):
+        lam, eps = self._lam, self._eps
+        ax = np.abs(X)
+        sx = np.sign(X)
+        out = np.where(ax <= eps, X, sx * eps)
+        far = ax > eps + t * lam
+        return np.where(far, X - t * lam * sx, out)
+
+    def _subgrad(self, X):
+        lam, eps = self._lam, self._eps
+        lo = np.where(X > eps, lam, np.where(X <= -eps, -lam, 0.0))
+        hi = np.where(X >= eps, lam, np.where(X < -eps, -lam, 0.0))
+        return lo, hi, True
+
+    def _prox_deriv(self, X, t):
+        ax = np.abs(X)
+        return ((ax <= self._eps)
+                | (ax > self._eps + t * self._lam)).astype(np.float64)
 
     def dual_box(self, dim):
-        _, lam, eps = self._packed(dim)
-        return _dual_arrays(dim, -lam, lam, l1=eps)
+        self._check(dim)
+        return _dual_arrays(dim, -self._lam, self._lam, l1=self._eps)
 
 
 @dataclass(frozen=True)
@@ -278,12 +334,34 @@ class CheckFunction(SeparablePenalty):
             raise ValueError("lambda must be positive")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0,1)")
-        self._fix(K.KIND_CHECK, _weighted(self.lam, self.weights),
-                  float(self.tau))
+        self._store(_lam=_weighted(self.lam, self.weights),
+                    _tau=float(self.tau))
+
+    def _value(self, X):
+        lam, tau = self._lam, self._tau
+        return (lam * np.maximum(tau * X, (tau - 1.0) * X)).sum(axis=-1)
+
+    def _prox(self, X, t):
+        hi = t * self._lam * self._tau
+        lo = t * self._lam * (self._tau - 1.0)
+        out = np.zeros_like(X)
+        out = np.where(X > hi, X - hi, out)
+        return np.where(X < lo, X - lo, out)
+
+    def _subgrad(self, X):
+        up = self._lam * self._tau
+        dn = self._lam * (self._tau - 1.0)
+        return np.where(X > 0.0, up, dn), np.where(X < 0.0, dn, up), True
+
+    def _prox_deriv(self, X, t):
+        lam, tau = self._lam, self._tau
+        return ((X > t * lam * tau) | (X < t * lam * (tau - 1.0))).astype(
+            np.float64)
 
     def dual_box(self, dim):
-        _, lam, tau = self._packed(dim)
-        return _dual_arrays(dim, lam * (tau - 1.0), lam * tau)
+        self._check(dim)
+        return _dual_arrays(dim, self._lam * (self._tau - 1.0),
+                            self._lam * self._tau)
 
 
 @dataclass(frozen=True)
@@ -302,12 +380,35 @@ class HuberEnvelope(SeparablePenalty):
     def __post_init__(self):
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("lambda and mu must be positive")
-        self._fix(K.KIND_HUBER, _weighted(self.lam, self.weights),
-                  float(self.mu))
+        self._store(_lam=_weighted(self.lam, self.weights),
+                    _mu=float(self.mu))
+
+    def _value(self, X):
+        lam, mu = self._lam, self._mu
+        ax = np.abs(X)
+        quad = ax <= lam * mu
+        return np.where(quad, X * X / (2.0 * mu),
+                        lam * ax - 0.5 * lam * lam * mu).sum(axis=-1)
+
+    def _prox(self, X, t):
+        lam, mu = self._lam, self._mu
+        ax = np.abs(X)
+        pt = mu + t
+        inner = ax <= lam * pt
+        return np.where(inner, X * mu / pt, X - t * lam * np.sign(X))
+
+    def _subgrad(self, X):
+        g = np.minimum(np.maximum(X / self._mu, -self._lam), self._lam)
+        return g, g.copy(), True
+
+    def _prox_deriv(self, X, t):
+        mu = self._mu
+        inner = np.abs(X) <= self._lam * (mu + t)
+        return np.where(inner, mu / (mu + t), 1.0)
 
     def dual_box(self, dim):
-        _, lam, mu = self._packed(dim)
-        return _dual_arrays(dim, -lam, lam, quad=mu)
+        self._check(dim)
+        return _dual_arrays(dim, -self._lam, self._lam, quad=self._mu)
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def run_prox_gradient(problem, x0, cfg=None):
     t = float(_effective_step(problem, cfg))
     f = problem.f
     beta = f.beta
-    kind, p1, p2 = problem.g._packed(problem.dim)
+    g = problem.g
     prox = K.penalty_prox
     value_grad = f.value_grad_batch
     X = np.empty((min(cfg.max_iter + 1, _FIRST_ROWS), problem.dim))
@@ -190,7 +190,7 @@ def run_prox_gradient(problem, x0, cfg=None):
     with np.errstate(over="ignore", invalid="ignore"):
         grad = f.grad_batch(x[None, :])[0]
         for k in range(cfg.max_iter + 1):
-            y = prox(kind, p1, p2, x - t * grad, t)
+            y = prox(g, x - t * grad, t)
             d = (x - y) / t
             # what np.linalg.norm computes for a 1-D float vector
             gnorm = math.sqrt(d.dot(d))
@@ -219,7 +219,7 @@ def run_prox_gradient(problem, x0, cfg=None):
         rows = k + 1
         phi = np.empty(rows)
         phi[0] = phi0
-        phi[1:] = np.array(fvals) + K.penalty_value(kind, p1, p2, X[1:rows])
+        phi[1:] = np.array(fvals) + K.penalty_value(g, X[1:rows])
         bad = np.flatnonzero(~np.isfinite(phi[1:]))
         if bad.size:
             rows = int(bad[0]) + 1

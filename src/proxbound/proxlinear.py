@@ -24,7 +24,7 @@ FINITE_H_KINDS = (AbsValue, EpsilonInsensitive, CheckFunction, HuberEnvelope)
 
 PROXLINEAR_HEADER = ("k", "phi", "gnorm", "t_accepted", "backtracks",
                      "inner_iters", "inner_newton", "decrease_residual",
-                     "certificate", "certificate_sharp", "elapsed_s")
+                     "certificate", "elapsed_s")
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,8 @@ def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None):
     fx = problem.g.value_batch(X) + problem.h.value_batch(C)
     fslack = 1e-12 * (1.0 + np.abs(fx))
     Y, W, _, iters, _, newton = K.dual_ascent(
-        problem.g._packed(problem.dim), problem.h._packed(m), hdual,
-        J, C, X, float(t), steps, float(inner_tol), fx, fslack, INNER_CAP,
-        W0)
+        problem.g, problem.h, hdual, J, C, X, float(t), steps,
+        float(inner_tol), fx, fslack, INNER_CAP, W0)
     return Y, W, iters, newton
 
 
@@ -146,11 +145,6 @@ def near_stationarity_certificate(problem, gnorm, t):
     return (3.0 * problem.L * problem.beta * t + 2.0) * gnorm
 
 
-def sharp_certificate_additive(beta, gnorm, t):
-    """(1 + beta t) |G_t(x)|: the tighter additive-case bound, valid at x^t."""
-    return (1.0 + beta * t) * gnorm
-
-
 @dataclass(frozen=True)
 class ProxLinearConfig:
     """Algorithm knobs: initial step, backtracking factor, tolerances.
@@ -197,8 +191,8 @@ def run_prox_linear(problem, x0, cfg=None):
     row records the accepted step, the backtrack
     count, the dual-ascent iterations and the Newton steps tried in the
     step's subproblem solves (both summed over its backtracks), the
-    decrease residual phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and both
-    stationarity certificates.
+    decrease residual phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and the
+    near-stationarity certificate.
 
     Ends with status Converged, MaxIter, or Stalled when an Armijo test
     fails while its required decrease (sigma/2)|G_t|^2 lies below
@@ -252,13 +246,11 @@ def run_prox_linear(problem, x0, cfg=None):
             gnorm = float(np.linalg.norm(x - y)) / t
             backtracks += 1
         cert = near_stationarity_certificate(problem, gnorm, t)
-        cert_sharp = sharp_certificate_additive(problem.beta, gnorm, t)
         resid = 0.0 if status else phi_x - phi_y - 0.5 * sigma * gnorm * gnorm
         trace.append(k=k, phi=phi_x, gnorm=gnorm, t_accepted=t,
                      backtracks=backtracks, inner_iters=inner_iters,
                      inner_newton=inner_newton, decrease_residual=resid,
-                     certificate=cert, certificate_sharp=cert_sharp,
-                     elapsed_s=time.perf_counter() - start)
+                     certificate=cert, elapsed_s=time.perf_counter() - start)
         if status:
             trace.status = status
             break

@@ -5,10 +5,11 @@ Every loss carries an analytically derived Lipschitz modulus of its gradient
 affine maps). Dense matrices only; problems are desk-scale.
 
 A loss evaluates rows of a stack X: value_batch gives f at each row,
-grad_batch its gradient, and value_grad_batch both at once. The catalog
-losses form their affine residual (Ax - b, Ax or the corridor's z) once
-in value_grad_batch and then run the same numpy operations as the two
-separate methods, so its pair is bit-identical to
+grad_batch its gradient, and value_grad_batch both at once. Each catalog
+loss writes its formulas once, as three hooks: its affine residual (Ax - b,
+Ax or the corridor's z), f from the residual and the gradient from it.
+value_grad_batch forms the residual once and runs the same two hooks as
+the separate methods, so its pair is bit-identical to
 (value_batch(X), grad_batch(X)).
 """
 
@@ -119,7 +120,10 @@ def load_dense_vector(path):
 # ---------------------------------------------------------------------------
 
 class SmoothFunction:
-    """Base class: smooth f with analytic gradient and declared beta."""
+    """Base class: smooth f with analytic gradient and declared beta.
+
+    A loss defines _residual(X), its affine residual at the rows of X, and
+    _value_at(R) and _grad_at(R), f and its gradient from that residual."""
 
     dim = None
     beta = None
@@ -131,14 +135,15 @@ class SmoothFunction:
         return self.grad_batch(as_vector(x, self.dim)[None, :])[0]
 
     def value_batch(self, X):
-        raise NotImplementedError
+        return self._value_at(self._residual(X))
 
     def grad_batch(self, X):
-        raise NotImplementedError
+        return self._grad_at(self._residual(X))
 
     def value_grad_batch(self, X):
         """(value_batch(X), grad_batch(X)), bit for bit."""
-        return self.value_batch(X), self.grad_batch(X)
+        R = self._residual(X)
+        return self._value_at(R), self._grad_at(R)
 
 
 class Quadratic(SmoothFunction):
@@ -150,16 +155,14 @@ class Quadratic(SmoothFunction):
         self.dim = self.A.shape[1]
         self.beta = max(lambda_max_sym(self.A.T @ self.A), BETA_FLOOR)
 
-    def value_batch(self, X):
-        R = X @ self.A.T - self.b
+    def _residual(self, X):
+        return X @ self.A.T - self.b
+
+    def _value_at(self, R):
         return 0.5 * (R * R).sum(axis=1)
 
-    def grad_batch(self, X):
-        return (X @ self.A.T - self.b) @ self.A
-
-    def value_grad_batch(self, X):
-        R = X @ self.A.T - self.b
-        return 0.5 * (R * R).sum(axis=1), R @ self.A
+    def _grad_at(self, R):
+        return R @ self.A
 
 
 class Logistic(SmoothFunction):
@@ -173,17 +176,13 @@ class Logistic(SmoothFunction):
         self.dim = self.A.shape[1]
         self.beta = max(0.25 * lambda_max_sym(self.A.T @ self.A), BETA_FLOOR)
 
-    def value_batch(self, X):
-        return np.logaddexp(0.0, -(X @ self.A.T) * self.y).sum(axis=1)
+    def _residual(self, X):
+        return X @ self.A.T
 
-    def grad_batch(self, X):
-        return self._grad(X @ self.A.T)
+    def _value_at(self, XA):
+        return np.logaddexp(0.0, -XA * self.y).sum(axis=1)
 
-    def value_grad_batch(self, X):
-        XA = X @ self.A.T
-        return np.logaddexp(0.0, -XA * self.y).sum(axis=1), self._grad(XA)
-
-    def _grad(self, XA):
+    def _grad_at(self, XA):
         s = 1.0 / (1.0 + np.exp(XA * self.y))
         return -(s * self.y) @ self.A
 
@@ -210,26 +209,17 @@ class Corridor(SmoothFunction):
             self.dim = self.A.shape[1]
             self.beta = max(2.0 * lambda_max_sym(self.A.T @ self.A), BETA_FLOOR)
 
-    def _z(self, X):
+    def _residual(self, X):
         if self.A is None:
             return X
         return X @ self.A.T - self.b
 
-    def value_batch(self, X):
-        e = np.maximum(np.abs(self._z(X)) - 1.0, 0.0)
+    def _value_at(self, Z):
+        e = np.maximum(np.abs(Z) - 1.0, 0.0)
         return (e * e).sum(axis=1)
 
-    def grad_batch(self, X):
-        Z = self._z(X)
-        return self._grad(Z, np.maximum(np.abs(Z) - 1.0, 0.0))
-
-    def value_grad_batch(self, X):
-        Z = self._z(X)
-        e = np.maximum(np.abs(Z) - 1.0, 0.0)
-        return (e * e).sum(axis=1), self._grad(Z, e)
-
-    def _grad(self, Z, e):
-        G = 2.0 * np.sign(Z) * e
+    def _grad_at(self, Z):
+        G = 2.0 * np.sign(Z) * np.maximum(np.abs(Z) - 1.0, 0.0)
         if self.A is None:
             return G
         return G @ self.A
@@ -247,21 +237,16 @@ class HuberLoss(SmoothFunction):
         self.dim = self.A.shape[1]
         self.beta = max(lambda_max_sym(self.A.T @ self.A) / self.mu, BETA_FLOOR)
 
-    def value_batch(self, X):
-        return self._value(X @ self.A.T - self.b)
+    def _residual(self, X):
+        return X @ self.A.T - self.b
 
-    def grad_batch(self, X):
-        Z = X @ self.A.T - self.b
-        return np.clip(Z / self.mu, -1.0, 1.0) @ self.A
-
-    def value_grad_batch(self, X):
-        Z = X @ self.A.T - self.b
-        return self._value(Z), np.clip(Z / self.mu, -1.0, 1.0) @ self.A
-
-    def _value(self, Z):
+    def _value_at(self, Z):
         az = np.abs(Z)
         return np.where(az <= self.mu, Z * Z / (2.0 * self.mu),
                         az - self.mu / 2.0).sum(axis=1)
+
+    def _grad_at(self, Z):
+        return np.clip(Z / self.mu, -1.0, 1.0) @ self.A
 
 
 # ---------------------------------------------------------------------------

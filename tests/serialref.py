@@ -26,21 +26,22 @@ from proxbound.proxgrad import (PROXGRAD_HEADER, _effective_step,
 from proxbound.vectors import as_vector
 
 
-def subgrad_interval(kind, a, b, xi):
-    """[lo, hi] of one coordinate's subdifferential, (None, None) outside
-    the domain; a and b are that coordinate's two kernel parameters."""
-    if kind == K.KIND_ZERO:
+def subgrad_interval(cls, a, b, xi):
+    """[lo, hi] of one coordinate's subdifferential for a penalty of class
+    cls, (None, None) outside the domain; a and b are that coordinate's
+    parameters in the order the class stores them (0 where it has fewer)."""
+    if cls is pb.Zero:
         return 0.0, 0.0
-    if kind in (K.KIND_ABS, K.KIND_ENET):
+    if cls in (pb.AbsValue, pb.ElasticNet):
         lo, hi = (a, a) if xi > 0.0 else (-a, -a) if xi < 0.0 else (-a, a)
-        if kind == K.KIND_ENET:
+        if cls is pb.ElasticNet:
             lo, hi = lo + b * xi, hi + b * xi
         return lo, hi
-    if kind == K.KIND_BOX:
+    if cls is pb.BoxIndicator:
         if xi < a or xi > b:
             return None, None
         return (-np.inf if xi == a else 0.0), (np.inf if xi == b else 0.0)
-    if kind == K.KIND_EPS:
+    if cls is pb.EpsilonInsensitive:
         if xi > b:
             return a, a
         if xi == b:
@@ -50,7 +51,7 @@ def subgrad_interval(kind, a, b, xi):
         if xi == -b:
             return -a, 0.0
         return 0.0, 0.0
-    if kind == K.KIND_CHECK:
+    if cls is pb.CheckFunction:
         up, dn = a * b, a * (b - 1.0)
         return (up, up) if xi > 0.0 else (dn, dn) if xi < 0.0 else (dn, up)
     g = min(max(xi / b, -a), a)  # huber envelope
@@ -59,9 +60,10 @@ def subgrad_interval(kind, a, b, xi):
 
 def subgrad_bounds(penalty, x):
     """Coordinatewise subdifferential of penalty at the point x."""
-    kind, p1, p2 = penalty._packed(x.shape[0])
-    p1, p2 = np.broadcast_to(p1, x.shape), np.broadcast_to(p2, x.shape)
-    pairs = [subgrad_interval(kind, a, b, xi) for a, b, xi in zip(p1, p2, x)]
+    params = [getattr(penalty, name) for name in penalty._params]
+    p1, p2 = (np.broadcast_to(p, x.shape) for p in (params + [0.0, 0.0])[:2])
+    pairs = [subgrad_interval(type(penalty), a, b, xi)
+             for a, b, xi in zip(p1, p2, x)]
     if any(lo is None for lo, _ in pairs):
         raise pb.DomainError("x lies outside the penalty domain")
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
@@ -107,12 +109,12 @@ def dist_to_stationarity(problem, x):
 def _dual_step(pen, J, cbar, x, t, step, w):
     """Primal point y(w), its model value and the forward-backward map
     T(w) of one subproblem's dual; pen holds the kernel's three penalty
-    arguments (g's and h's kernel triples and h's dual box)."""
+    arguments (the penalties g and h and h's dual box)."""
     g, h, (hlo, hhi, hl1, hquad) = pen
-    y = K.penalty_prox(*g, x - t * (w @ J), t)
+    y = K.penalty_prox(g, x - t * (w @ J), t)
     d = y - x
     z = cbar + J @ d
-    fy = (K.penalty_value(*g, y) + K.penalty_value(*h, z)
+    fy = (K.penalty_value(g, y) + K.penalty_value(h, z)
           + (d @ d) / (2.0 * t))
     wh = w + step * (z - hquad * w)
     wh = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
@@ -134,13 +136,13 @@ def _newton_delta(pen, J, cbar, x, t, step, w, d):
     exact arithmetic (d orthogonal to the range of M_FF) is kept."""
     g, _, (hlo, hhi, hl1, hquad) = pen
     u = x - t * (w @ J)
-    z = cbar + J @ (K.penalty_prox(*g, u, t) - x)
+    z = cbar + J @ (K.penalty_prox(g, u, t) - x)
     wh = w + step * (z - hquad * w)
     s = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
     free = (s > hlo) & (s < hhi)
     if np.any(hl1):
         free &= s != 0.0
-    dg = K.penalty_prox_deriv(*g, u, t)
+    dg = g._prox_deriv(u, t)
     # M's free rows are those of sA
     sA = step * (t * (J * dg) @ J.T + np.diag(hquad))
     clipped = ~free

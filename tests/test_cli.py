@@ -204,7 +204,7 @@ tail_rate = true
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header == ("k,phi,gnorm,t_accepted,backtracks,inner_iters,"
                       "inner_newton,decrease_residual,certificate,"
-                      "certificate_sharp,elapsed_s")
+                      "elapsed_s")
 
 
 def test_runtime_error_exit_code(tmp_path):

@@ -355,8 +355,7 @@ def kinked_points(g, rows, seed, dim=6):
     snap = rng.random((rows, dim)) < 1.0 / 3.0
     X[snap] = rng.choice(KINKS, size=int(np.sum(snap)))
     if isinstance(g, pb.BoxIndicator):
-        _, lo, hi = g._packed(dim)
-        X = np.minimum(np.maximum(X, lo), hi)
+        X = np.minimum(np.maximum(X, g._lo), g._hi)
     return X
 
 

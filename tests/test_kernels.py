@@ -6,6 +6,7 @@ derivative behind the Newton steps must match central differences, and the
 Newton points must be the pseudo-inverse (min-norm least-squares) steps of
 the generalized Jacobian."""
 
+import copy
 import re
 
 import numpy as np
@@ -34,13 +35,13 @@ def stacked_subproblems(h, g, rows, seed):
     # so there the value test, not the residual, decides when a row stops
     cbar[1::3] = 0.0
     X = rng.uniform(-1.0, 0.8, size=(rows, N))
-    gpack, hpack, hdual = g._packed(N), h._packed(M), h.dual_box(M)
+    hdual = h.dual_box(M)
     curv = max(1.0, float(np.max(hdual[3])))
     steps = np.array([rng.uniform(0.5, 1.0) / (T * np.linalg.norm(Jb, 2) ** 2
                                                + curv) for Jb in J])
     fx = g.value_batch(X) + h.value_batch(cbar)
     fslack = 1e-12 * (1.0 + np.abs(fx))
-    return (gpack, hpack, hdual), J, cbar, X, steps, fx, fslack
+    return (g, h, hdual), J, cbar, X, steps, fx, fslack
 
 
 def run_serial(penalty_args, J, cbar, X, steps, tol, fx, fslack, maxit, rows,
@@ -217,7 +218,7 @@ def newton_args(h, g, m, n, rows, seed, free=0.7, dg_zero=0.0):
     stacked matrices M of M delta = G, built row by row, and the free
     duals P."""
     rng = np.random.default_rng(seed)
-    gpack, hbox = g._packed(n), h.dual_box(m)
+    hbox = h.dual_box(m)
     hlo, hhi, hl1, hquad = hbox
     J = rng.standard_normal((rows, m, n))
     step = rng.uniform(0.5, 1.0, size=(rows, 1)) / (T * n + 1.0)
@@ -237,12 +238,12 @@ def newton_args(h, g, m, n, rows, seed, free=0.7, dg_zero=0.0):
     P = (S > hlo) & (S < hhi)
     if thr is not None:
         P &= S != 0.0
-    Dg = K.penalty_prox_deriv(*gpack, U, T)
+    Dg = g._prox_deriv(U, T)
     M = np.empty((rows, m, m))
     for b in range(rows):
         A = T * (J[b] * Dg[b]) @ J[b].T + np.diag(hquad)
         M[b] = np.diag(1.0 - P[b]) + (step[b] * P[b])[:, None] * A
-    args = (gpack, hbox, J, T, step, thr, quad, V, U, S, G)
+    args = (g, hbox, J, T, step, thr, quad, V, U, S, G)
     return args, M, P
 
 
@@ -322,16 +323,14 @@ DERIV_POINTS = np.array([-2.0, -1.0, -0.7, -0.4, -0.1, 0.1, 0.15, 0.5, 0.8,
     pb.CheckFunction(0.8, 0.3), pb.HuberEnvelope(0.7, 0.4)],
     ids=lambda p: type(p).__name__)
 def test_prox_deriv_matches_central_differences(penalty):
-    n = DERIV_POINTS.size
-    kind, p1, p2 = penalty._packed(n)
     X = np.stack([DERIV_POINTS, -DERIV_POINTS])
     h = 1e-6
-    fd = (K.penalty_prox(kind, p1, p2, X + h, T)
-          - K.penalty_prox(kind, p1, p2, X - h, T)) / (2.0 * h)
-    got = K.penalty_prox_deriv(kind, p1, p2, X, T)
+    fd = (K.penalty_prox(penalty, X + h, T)
+          - K.penalty_prox(penalty, X - h, T)) / (2.0 * h)
+    got = penalty._prox_deriv(X, T)
     assert got.shape == X.shape
     assert np.allclose(got, fd, rtol=0.0, atol=1e-8)
-    assert np.array_equal(got[0], K.penalty_prox_deriv(kind, p1, p2, X[0], T))
+    assert np.array_equal(got[0], penalty._prox_deriv(X[0], T))
 
 
 def test_dual_ascent_stops_on_a_nan_row():
@@ -439,11 +438,11 @@ def test_minnorm_handles_infinite_bounds():
 # prox at t = 1 and t = 0.5 are among PARAM_KINKS
 PARAM_N = 5
 PARAM_PENALTIES = {
-    "zero": (pb.Zero(), (False, False)),
-    "absvalue": (pb.AbsValue(0.9), (False, False)),
+    "zero": (pb.Zero(), ()),
+    "absvalue": (pb.AbsValue(0.9), (False,)),
     "absvalue-weighted": (
         pb.AbsValue(0.9, weights=np.array([1.0, 0.5, 2.0, 0.0, 1.5])),
-        (True, False)),
+        (True,)),
     "elasticnet": (pb.ElasticNet(0.9, 0.6), (False, False)),
     "elasticnet-weighted": (
         pb.ElasticNet(0.9, 0.6, weights=np.array([0.3, 1.0, 1.0, 2.0, 0.7])),
@@ -461,35 +460,40 @@ PARAM_KINKS = np.array([0.0, 0.2, -0.2, 0.45, -0.45, 0.9, -0.9, 1.1, -1.1,
                         0.24, -0.56, 0.12, 0.63, -0.63, 0.98, -0.98])
 
 
-def widened(pack, n):
-    """A kernel triple with both parameters broadcast to (n,) arrays."""
-    kind, p1, p2 = pack
-    return kind, np.full(n, p1), np.full(n, p2)
+def widened(penalty, n):
+    """A copy of penalty with every stored parameter broadcast to an (n,)
+    array."""
+    wide = copy.copy(penalty)
+    wide._store(**{name: np.full(n, getattr(penalty, name))
+                   for name in penalty._params})
+    return wide
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_PENALTIES))
 def test_stored_parameters_match_broadcast(name):
     # a penalty keeps float parameters unless they are per coordinate; the
-    # four kernels give the same bits as with the parameters broadcast to
+    # four formulas give the same bits as with the parameters broadcast to
     # (n,) arrays, at single points and at stacks with kink points
     penalty, per_coordinate = PARAM_PENALTIES[name]
-    pack = penalty._packed(PARAM_N)
-    assert tuple(isinstance(p, np.ndarray) for p in pack[1:]) == per_coordinate
-    assert all(isinstance(p, float) for p in pack[1:]
+    params = [getattr(penalty, p) for p in penalty._params]
+    assert tuple(isinstance(p, np.ndarray) for p in params) == per_coordinate
+    assert all(isinstance(p, float) for p in params
                if not isinstance(p, np.ndarray))
-    wide = widened(pack, PARAM_N)
+    wide = widened(penalty, PARAM_N)
+    assert all(getattr(wide, p).shape == (PARAM_N,) for p in wide._params)
     rng = np.random.default_rng(17)
     X = rng.uniform(-2.0, 2.0, size=(4, 30, PARAM_N))
     snap = rng.random(X.shape) < 0.5
     X[snap] = rng.choice(PARAM_KINKS, size=int(np.sum(snap)))
     for points in (X, X[2, 7]):
         for t in (T, 0.5):
-            for op in (K.penalty_prox, K.penalty_prox_deriv):
-                assert np.array_equal(op(*pack, points, t),
-                                      op(*wide, points, t))
-        assert np.array_equal(K.penalty_value(*pack, points),
-                              K.penalty_value(*wide, points))
-        got, want = (K.penalty_subgrad(*p, points) for p in (pack, wide))
+            assert np.array_equal(K.penalty_prox(penalty, points, t),
+                                  K.penalty_prox(wide, points, t))
+            assert np.array_equal(penalty._prox_deriv(points, t),
+                                  wide._prox_deriv(points, t))
+        assert np.array_equal(K.penalty_value(penalty, points),
+                              K.penalty_value(wide, points))
+        got, want = (p._subgrad(points) for p in (penalty, wide))
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])

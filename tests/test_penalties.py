@@ -61,27 +61,27 @@ def test_prox_kink_tie_breaks_to_zero():
 
 def test_subgrad_absvalue():
     p = pb.AbsValue(1.0)
-    iv = p.subgrad_intervals(vec(0.0))
-    assert (iv[0].lo, iv[0].hi) == (-1.0, 1.0)
-    iv = p.subgrad_intervals(vec(2.0))
-    assert (iv[0].lo, iv[0].hi) == (1.0, 1.0)
+    lo, hi = p.subgrad_bounds(vec(0.0))
+    assert (lo[0], hi[0]) == (-1.0, 1.0)
+    lo, hi = p.subgrad_bounds(vec(2.0))
+    assert (lo[0], hi[0]) == (1.0, 1.0)
 
 
 def test_subgrad_epsilon_insensitive_kink():
-    iv = pb.EpsilonInsensitive(1.0, 0.5).subgrad_intervals(vec(0.5))
-    assert (iv[0].lo, iv[0].hi) == (0.0, 1.0)
+    lo, hi = pb.EpsilonInsensitive(1.0, 0.5).subgrad_bounds(vec(0.5))
+    assert (lo[0], hi[0]) == (0.0, 1.0)
 
 
 def test_subgrad_box_boundary_unbounded():
-    iv = pb.BoxIndicator(-1.0, 1.0).subgrad_intervals(vec(-1.0, 0.0, 1.0))
-    assert iv[0].lo == -np.inf and iv[0].hi == 0.0
-    assert iv[1].lo == 0.0 and iv[1].hi == 0.0
-    assert iv[2].lo == 0.0 and iv[2].hi == np.inf
+    lo, hi = pb.BoxIndicator(-1.0, 1.0).subgrad_bounds(vec(-1.0, 0.0, 1.0))
+    assert lo[0] == -np.inf and hi[0] == 0.0
+    assert lo[1] == 0.0 and hi[1] == 0.0
+    assert lo[2] == 0.0 and hi[2] == np.inf
 
 
 def test_subgrad_outside_domain_raises():
     with pytest.raises(pb.DomainError):
-        pb.BoxIndicator(0.0, 1.0).subgrad_intervals(vec(2.0))
+        pb.BoxIndicator(0.0, 1.0).subgrad_bounds(vec(2.0))
 
 
 def test_moreau_envelope_values():
@@ -266,11 +266,6 @@ def test_invalid_parameters_raise():
         pb.HuberEnvelope(1.0, 0.0)
 
 
-def test_interval_ordering_enforced():
-    with pytest.raises(ValueError):
-        pb.Interval(2.0, 1.0)
-
-
 def test_penalty_from_spec_roundtrip():
     p = pb.penalty_from_spec("absvalue(lambda=0.1)")
     assert isinstance(p, pb.AbsValue) and p.lam == 0.1
@@ -328,7 +323,15 @@ ENTRY_POINTS = {
     "value_batch": lambda p: p.value_batch(np.stack([X3, X3])),
     "prox_batch": lambda p: p.prox_batch(np.stack([X3, X3]), 0.5),
     "dual_box": lambda p: p.dual_box(3),
+    "conjugate_prox": lambda p: p.conjugate_prox(X3, 0.5),
     "run_prox_gradient": run_prox_gradient_3,
+}
+# only the kinds that can act as h have a dual box, and only absvalue and
+# box a conjugate prox
+ONLY_KINDS = {
+    "dual_box": ("absvalue", "epsiloninsensitive", "checkfunction",
+                 "huberenvelope"),
+    "conjugate_prox": ("absvalue", "box_lo", "box_hi"),
 }
 
 
@@ -336,12 +339,77 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry,kind", [
     (entry, kind)
     for entry in sorted(ENTRY_POINTS) for kind in sorted(MISMATCHED)
-    # only the kinds that can act as h have a dual box
-    if entry != "dual_box" or kind not in ("elasticnet", "box_lo", "box_hi")])
+    if kind in ONLY_KINDS.get(entry, (kind,))])
 def test_dimension_mismatch_raises(entry, kind, length):
     p = MISMATCHED[kind](np.full(length, 0.5))
     with pytest.raises(pb.DimensionMismatch):
         ENTRY_POINTS[entry](p)
+
+
+WEIGHTS = vec(0.5, 1.0, 2.0, 0.3, 1.5)
+BOX_LO = vec(-1.2, -0.5, 0.0, -2.0, -0.9)
+BOX_HI = vec(0.9, 0.5, 1.2, -1.0, 0.9)
+# the kinks of the penalties below and of their prox at t = 1
+_LAM = 0.9 * WEIGHTS
+WEIGHTED_KINKS = np.concatenate((
+    [0.0, 0.2, -0.2], BOX_LO, BOX_HI, _LAM, -_LAM, 0.2 + _LAM, -0.2 - _LAM,
+    0.8 * WEIGHTS * 0.3, 0.8 * WEIGHTS * (0.3 - 1.0), 0.7 * WEIGHTS * 0.4,
+    -0.7 * WEIGHTS * 0.4, 0.7 * WEIGHTS * 1.4, -0.7 * WEIGHTS * 1.4))
+# (penalty with per-coordinate parameters, the scalar-parameter penalty of
+# coordinate i)
+PER_COORDINATE = {
+    "absvalue": (pb.AbsValue(0.9, weights=WEIGHTS),
+                 lambda i: pb.AbsValue(0.9 * WEIGHTS[i])),
+    "elasticnet": (pb.ElasticNet(0.9, 0.6, weights=WEIGHTS),
+                   lambda i: pb.ElasticNet(0.9 * WEIGHTS[i],
+                                           0.6 * WEIGHTS[i])),
+    "box": (pb.BoxIndicator(BOX_LO, BOX_HI),
+            lambda i: pb.BoxIndicator(BOX_LO[i], BOX_HI[i])),
+    "epsiloninsensitive": (pb.EpsilonInsensitive(0.9, 0.2, weights=WEIGHTS),
+                           lambda i: pb.EpsilonInsensitive(0.9 * WEIGHTS[i],
+                                                           0.2)),
+    "checkfunction": (pb.CheckFunction(0.8, 0.3, weights=WEIGHTS),
+                      lambda i: pb.CheckFunction(0.8 * WEIGHTS[i], 0.3)),
+    "huberenvelope": (pb.HuberEnvelope(0.7, 0.4, weights=WEIGHTS),
+                      lambda i: pb.HuberEnvelope(0.7 * WEIGHTS[i], 0.4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_COORDINATE))
+def test_per_coordinate_parameters_act_coordinatewise(name):
+    # coordinate i of every operation is, bit for bit, the scalar-parameter
+    # penalty of coordinate i's parameters at the 1-D point (x_i,)
+    p, scalar = PER_COORDINATE[name]
+    n = WEIGHTS.size
+    rng = np.random.default_rng(23)
+    X = rng.uniform(-2.5, 2.5, size=(40, n))
+    snap = rng.random(X.shape) < 0.5
+    X[snap] = rng.choice(WEIGHTED_KINKS, size=int(np.sum(snap)))
+    if name == "box":
+        X = np.clip(X, BOX_LO, BOX_HI)
+    # a point where every term of g is 0, so the value at it with one
+    # coordinate replaced is that coordinate's term alone
+    zero = p.prox(np.zeros(n), 1.0)
+    assert p.value(zero) == 0.0
+    lo, hi = p.subgrad_bounds(X)
+    for i in range(n):
+        q = scalar(i)
+        col = X[:, i:i + 1]
+        for x in X:
+            y = zero.copy()
+            y[i] = x[i]
+            assert p.value(y) == q.value(x[i:i + 1])
+        for t in (1.0, 0.37):
+            assert np.array_equal(p.prox_batch(X, t)[:, i],
+                                  q.prox_batch(col, t)[:, 0])
+            assert np.array_equal(p._prox_deriv(X, t)[:, i],
+                                  q._prox_deriv(col, t)[:, 0])
+        want_lo, want_hi = q.subgrad_bounds(col)
+        assert np.array_equal(lo[:, i], want_lo[:, 0])
+        assert np.array_equal(hi[:, i], want_hi[:, 0])
+        if name not in ("elasticnet", "box"):
+            for got, want in zip(p.dual_box(n), q.dual_box(1)):
+                assert got[i] == want[0]
 
 
 def test_lipschitz_bound_values():

@@ -353,9 +353,9 @@ def test_one_penalty_evaluation_after_the_loop(lasso42, monkeypatch):
     shapes = []
     real = pb._kernels.penalty_value
 
-    def counted(kind, p1, p2, X):
+    def counted(g, X):
         shapes.append(X.shape)
-        return real(kind, p1, p2, X)
+        return real(g, X)
 
     monkeypatch.setattr(pb._kernels, "penalty_value", counted)
     tr = pb.run_prox_gradient(lasso42, np.zeros(10),
@@ -374,8 +374,8 @@ def test_g_only_overflow_cuts_the_trace_like_the_serial_loop(cut,
     problem = pb.AdditiveProblem(f=f, g=pb.AbsValue(0.1))
     real = pb._kernels.penalty_value
 
-    def overflowing(kind, p1, p2, X):
-        v = np.where(X[..., 0] > cut, np.inf, real(kind, p1, p2, X))
+    def overflowing(g, X):
+        v = np.where(X[..., 0] > cut, np.inf, real(g, X))
         return float(v) if X.ndim == 1 else v
 
     monkeypatch.setattr(pb._kernels, "penalty_value", overflowing)

@@ -125,7 +125,6 @@ def test_certificate_formula_and_example():
                                beta=2.0)
     assert pb.near_stationarity_certificate(prob, 0.1, 0.5) == pytest.approx(0.5)
     assert pb.near_stationarity_certificate(prob, 0.0, 0.5) == 0.0
-    assert pb.sharp_certificate_additive(2.0, 0.1, 0.5) == pytest.approx(0.2)
 
 
 def test_run_sufficient_decrease_and_certificates(robust7, robust7_run):
