@@ -20,10 +20,18 @@ from .errors import InnerSolveError
 
 _INF = np.inf
 
-# dual_ascent tries Newton steps on a row once its residual is this small:
-# FISTA has then identified the active pieces; at 1e-2 or 1e-3 most steps
-# are rejected and the solve gets slower
-NEWTON_SWITCH = 1e-4
+# dual_ascent tries Newton steps on a row once its residual is at most the
+# row's gate, which starts here: FISTA has mostly identified the active
+# pieces by then. A row whose step is rejected at residual r waits until its
+# residual is NEWTON_RETRY * r before it tries again, so a row whose pieces
+# are still wrong stops paying for steps that are rejected (at one fixed
+# switch of 1e-2 most one-row prox-linear solves did).
+NEWTON_SWITCH = 1e-2
+NEWTON_RETRY = 0.1
+
+# a Newton point within this many ulp of |v| is v up to roundoff: counted
+# as a rejected step, not as a kept one that restarts the row's momentum
+NEWTON_ULPS = 4.0
 
 # a Newton step's Gram eigenvalues at most this times the largest count as
 # zero: the relative cut numpy's pseudo-inverse makes on singular values
@@ -139,22 +147,25 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
     residual passed. Finished rows retire, and the stacked arrays are
     compacted only when some row finishes.
 
-    A row still running with r <= NEWTON_SWITCH also tries a semismooth
-    Newton step u on R(w) = w - T(w) from v (see _newton_points), all such
-    rows in one batched eigh of their n x n Gram matrices (one batched
-    solve with h's quadratic dual term). u is taken only if
-    |T(u) - u|/step < r, and the row then restarts its momentum at u
-    (theta = 1, w_prev = w = u); otherwise the FISTA step stands. FISTA's
-    warm-up identifies the active pieces; a Newton step from w = 0 is
-    almost always rejected.
+    A row still running whose r is at most its Newton gate also tries a
+    semismooth Newton step u on R(w) = w - T(w) from v (see
+    _newton_points), all such rows in one batched eigh of their n x n Gram
+    matrices (one batched solve with h's quadratic dual term). u is taken
+    only if |T(u) - u|/step < r and |u - v| > NEWTON_ULPS ulp of |v|, and
+    the row then restarts its momentum at u (theta = 1, w_prev = w = u);
+    otherwise the FISTA step stands and the row's gate falls to
+    min(gate, NEWTON_RETRY * r). Every gate starts at NEWTON_SWITCH: FISTA's
+    warm-up identifies the active pieces, and a Newton step from w = 0 is
+    almost always rejected. The gates are compacted with the other row
+    arrays, so a row's path does not depend on the rows stacked with it.
 
     W0 is a (B, m) start dual, or None for w = 0. A start is first
     clipped to h's dual box: the W a solve returns is an extrapolated
     point and may lie outside it. A start taken from a nearby solve
     carries the active pieces that the FISTA warm-up exists to find, so at
     iteration 1 every row of a started solve tries the Newton step
-    whatever its residual, under the same acceptance rule; from iteration
-    2 on NEWTON_SWITCH applies.
+    whatever its residual and gate, under the same acceptance rule and
+    gate update; from iteration 2 on the gates apply.
 
     g and h are the two penalties, whose parameters must fit n and m, and
     hbox is h.dual_box(m), the (m,) arrays (hlo, hhi, hl1, hquad).
@@ -182,6 +193,7 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
          else np.minimum(np.maximum(W0, hbox[0]), hbox[1]))
     w_prev = w
     theta = np.ones(B)
+    gate = np.full(B, NEWTON_SWITCH)
     for it in range(1, maxit + 1):
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         v = w + ((theta - 1.0) / theta_next)[:, None] * (w - w_prev)
@@ -211,25 +223,28 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
                 keep = np.ones(rows.size, dtype=bool)
                 keep[done] = False
                 (rows, J, cbar, X, step, limit, r, v, w, U, S, Tv, G,
-                 theta_next) = (a[keep] for a in (
+                 theta_next, gate) = (a[keep] for a in (
                      rows, J, cbar, X, step, limit, r, v, w, U, S, Tv, G,
-                     theta_next))
+                     theta_next, gate))
                 if thr is not None:
                     thr = thr[keep]
         theta = np.where(row_inner(G, Tv - w) < 0.0, 1.0, theta_next)
         w_prev, w = w, Tv
-        warm = it == 1 and W0 is not None
-        if warm or r.min() <= NEWTON_SWITCH:
-            near = (np.arange(r.size) if warm
-                    else np.flatnonzero(r <= NEWTON_SWITCH))
+        near = (np.arange(r.size) if it == 1 and W0 is not None
+                else np.flatnonzero(r <= gate))
+        if near.size:
             newton += near.size
-            Jn, sn = J[near], step[near]
+            Jn, sn, vn, rn = J[near], step[near], v[near], r[near]
             tn = None if thr is None else thr[near]
-            u = _newton_points(g, hbox, Jn, t, sn, tn, quad, v[near],
-                               U[near], S[near], G[near])
+            u = _newton_points(g, hbox, Jn, t, sn, tn, quad, vn, U[near],
+                               S[near], G[near])
             Tu = _forward_backward(g, hbox, Jn, cbar[near], X[near], t, sn,
                                    tn, quad, u)[5]
-            better = np.sqrt(row_dots(Tu - u)) / sn[:, 0] < r[near]
+            better = ((np.sqrt(row_dots(Tu - u)) / sn[:, 0] < rn)
+                      & (np.sqrt(row_dots(u - vn))
+                         > NEWTON_ULPS * np.spacing(np.sqrt(row_dots(vn)))))
+            lost = near[~better]
+            gate[lost] = np.minimum(gate[lost], NEWTON_RETRY * rn[~better])
             if better.any():
                 took = near[better]
                 w_prev = w_prev.copy()

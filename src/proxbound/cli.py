@@ -313,6 +313,9 @@ def parse_config(path):
             cfg.x0 = x0(cfg.problem.dim)
         except _BUILD_ERRORS as exc:
             violations.append(f"[problem] {exc}")
+        else:
+            if not cfg.problem.g.in_domain(cfg.x0):
+                violations.append("[problem] x0 lies outside dom g")
     if violations:
         raise ConfigError(violations)
     return cfg

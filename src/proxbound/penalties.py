@@ -395,7 +395,7 @@ class HuberEnvelope(SeparablePenalty):
         ax = np.abs(X)
         pt = mu + t
         inner = ax <= lam * pt
-        return np.where(inner, X * mu / pt, X - t * lam * np.sign(X))
+        return np.where(inner, X * mu / pt, X - np.copysign(t * lam, X))
 
     def _subgrad(self, X):
         g = np.minimum(np.maximum(X / self._mu, -self._lam), self._lam)

@@ -107,9 +107,11 @@ def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None,
     accelerated projected gradient ascent (FISTA with adaptive restart) with
     step 1/(t|J|^2 + curv), |J|^2 the exact squared spectral norm
     (smooth.operator_norm_sq) and curv the larger of 1 and the huber
-    envelope's dual curvature. Once the dual fixed-point residual is below
-    _kernels.NEWTON_SWITCH, semismooth Newton steps on it finish the solve
-    (see _kernels.dual_ascent). The ascent starts from the (m,) dual `dual`,
+    envelope's dual curvature. Once the dual fixed-point residual is at
+    most _kernels.NEWTON_SWITCH, semismooth Newton steps on it finish the
+    solve; after a rejected step at residual r the next is tried only once
+    the residual is at most _kernels.NEWTON_RETRY * r (see
+    _kernels.dual_ascent). The ascent starts from the (m,) dual `dual`,
     typically where a nearby solve stopped, or from zeros when it is None;
     a start is clipped to h's dual box and tries a Newton step at once.
     The primal point is recovered as y = prox_{tg}(x - t J^T w).

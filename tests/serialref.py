@@ -163,16 +163,20 @@ def _newton_delta(pen, J, cbar, x, t, step, w, d):
 def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
     """FISTA with gradient-mapping restart on one subproblem's dual, with a
     semismooth Newton step tried at every iteration whose residual is at
-    most K.NEWTON_SWITCH and kept if it lowers the residual. A start dual
-    w0 (None: zeros) is clipped to h's dual box and tries the Newton step
-    at iteration 1 whatever its residual. Returns (y, v, residual,
-    iterations, converged, Newton steps tried), v being the dual point at
-    which the loop stopped."""
+    most the row's gate. The gate starts at K.NEWTON_SWITCH; a step is
+    kept if it lowers the residual and moves v by more than K.NEWTON_ULPS
+    ulp of |v|, and a rejected step at residual r lowers the gate to
+    K.NEWTON_RETRY * r if that is smaller. A start dual w0 (None: zeros)
+    is clipped to h's dual box and tries the Newton step at iteration 1
+    whatever its residual. Returns (y, v, residual, iterations, converged,
+    Newton steps tried), v being the dual point at which the loop
+    stopped."""
     hlo, hhi = pen[2][:2]
     w = (np.zeros(cbar.shape[0]) if w0 is None
          else np.minimum(np.maximum(w0, hlo), hhi))
     w_prev = w
     theta = 1.0
+    gate = K.NEWTON_SWITCH
     newton = 0
     for it in range(1, maxit + 1):
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
@@ -183,12 +187,16 @@ def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
             return y, v, resid, it, True, newton
         theta = 1.0 if (tv - v) @ (tv - w) < 0.0 else theta_next
         w_prev, w = w, tv
-        if resid <= K.NEWTON_SWITCH or (w0 is not None and it == 1):
+        if resid <= gate or (w0 is not None and it == 1):
             newton += 1
             u = v + _newton_delta(pen, J, cbar, x, t, step, v, tv - v)
             tu = _dual_step(pen, J, cbar, x, t, step, u)[2]
-            if float(np.linalg.norm(tu - u)) / step < resid:
+            moved = (np.linalg.norm(u - v)
+                     > K.NEWTON_ULPS * np.spacing(np.linalg.norm(v)))
+            if moved and float(np.linalg.norm(tu - u)) / step < resid:
                 theta, w_prev, w = 1.0, u, u
+            else:
+                gate = min(gate, K.NEWTON_RETRY * resid)
     return y, v, resid, maxit, False, newton
 
 

@@ -346,6 +346,22 @@ def test_unbuildable_config_is_a_config_error(tmp_path, capsys, text,
     assert not (tmp_path / "o").exists()
 
 
+def test_x0_outside_dom_g_is_a_config_error(tmp_path, capsys):
+    # check accepted this x0, and run stopped on it with exit 3
+    text = ADDITIVE_CFG.format(
+        smooth="quadratic(rows=8,cols=4,seed=2)", x0="const(value=-2)",
+        method="proxgrad").replace("absvalue(lambda=0.1)",
+                                   "box(lo=-0.5,hi=0.5)")
+    path = write_cfg(tmp_path, text)
+    assert cli.main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: [problem] x0 lies outside dom g\n"
+    out = tmp_path / "o"
+    assert cli.main(["run", path, "--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content,violation", [
     ("2 1\n1.0\n2.0\n", "x0 has dim 2, expected 3"),
     ("1.0\n2.0\n1.0\n", "first line must be 'rows cols'"),

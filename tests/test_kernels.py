@@ -93,14 +93,158 @@ def test_rejected_newton_steps_match_serial(hname, monkeypatch):
     assert_matches_serial(hname, "absvalue", 60, TOL)
 
 
-@pytest.mark.parametrize("hname", ["absvalue", "checkfunction"])
-def test_stacked_dual_ascent_value_test_keeps_rows_running(hname):
-    # at a loose tolerance some rows pass the residual test before their
-    # model value is at most phi(x); they must keep iterating as in the loop
-    iters = assert_matches_serial(hname, "absvalue", 300, 1e-3)
+def lone_newton_log(monkeypatch, args, J, cbar, X, steps, tol, fx, fslack):
+    """Solve one subproblem (rows of length 1) and return [r, kept] per
+    iteration: its residual r and, where it tried a Newton step, whether
+    the step was kept (by the kernel's rule: a lower residual and a move
+    of more than NEWTON_ULPS ulp of |v|), else None."""
+    forward_backward, newton_points = K._forward_backward, K._newton_points
+    log, tried = [], []
+
+    def traced_forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V):
+        out = forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V)
+        r = np.sqrt(K.row_dots(out[5] - V))[0] / step[0, 0]
+        if tried:
+            v, u = tried.pop()
+            moved = (np.sqrt(K.row_dots(u - v))[0]
+                     > K.NEWTON_ULPS * np.spacing(np.sqrt(K.row_dots(v))[0]))
+            log[-1][1] = bool(moved and r < log[-1][0])
+        else:
+            log.append([r, None])
+        return out
+
+    def traced_newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
+        u = newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G)
+        tried.append((V, u))
+        return u
+
+    monkeypatch.setattr(K, "_forward_backward", traced_forward_backward)
+    monkeypatch.setattr(K, "_newton_points", traced_newton_points)
+    K.dual_ascent(*args, J, cbar, X, T, steps, tol, fx, fslack, 10 ** 5)
+    return log
+
+
+@pytest.mark.parametrize("hname", ["absvalue", "epsiloninsensitive"])
+def test_rejected_newton_step_holds_the_row_back(hname, monkeypatch):
+    # a row whose Newton step was rejected at residual r tries none again
+    # until its residual is at most NEWTON_RETRY * r, and then does
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H[hname], DUAL_G["absvalue"], 60, seed=60)
+    held_back = 0
+    for b in range(60):
+        one = slice(b, b + 1)
+        log = lone_newton_log(monkeypatch, args, J[one], cbar[one], X[one],
+                              steps[one], TOL, fx[one], fslack[one])
+        monkeypatch.undo()
+        gate = K.NEWTON_SWITCH
+        # the last iteration stops the row before any Newton step
+        for r, kept in log[:-1]:
+            assert (kept is not None) == (r <= gate)
+            if kept is None and r <= K.NEWTON_SWITCH:
+                held_back += 1
+            if kept is False:
+                gate = min(gate, K.NEWTON_RETRY * r)
+    assert held_back >= 3
+
+
+@pytest.mark.parametrize("hname", sorted(DUAL_H))
+def test_stacked_rows_match_their_lone_solves(hname):
+    # each row's gate is compacted with it, so a 300-row stack gives every
+    # row the iterations, Newton steps and point of its lone solve
     args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
         DUAL_H[hname], DUAL_G["absvalue"], 300, seed=300)
-    no_value_test = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-3,
+    Y, W, resid, _, iters, newton = K.dual_ascent(
+        *args, J, cbar, X, T, steps, TOL, fx, fslack, 10 ** 5)
+    lone = [K.dual_ascent(*args, J[b:b + 1], cbar[b:b + 1], X[b:b + 1], T,
+                          steps[b:b + 1], TOL, fx[b:b + 1], fslack[b:b + 1],
+                          10 ** 5) for b in range(300)]
+    assert iters.tolist() == [one[4][0] for one in lone]
+    assert newton == sum(one[5] for one in lone)
+    for got, k in ((Y, 0), (W, 1), (resid, 2)):
+        assert np.array_equal(got, np.concatenate([one[k] for one in lone]))
+
+
+@pytest.mark.parametrize("hname", sorted(DUAL_H))
+def test_warm_start_tries_newton_on_every_row_at_iteration_1(hname,
+                                                            monkeypatch):
+    # whatever a row's residual and gate, a started solve tries a Newton
+    # step at iteration 1 on every row that did not stop there
+    W0, (args, J, cbar, X, steps, fx, fslack) = warm_subproblems(
+        hname, "absvalue", 60, seed=60)
+    calls = []
+    newton_points = K._newton_points
+
+    def counted(g, hbox, J, t, step, thr, quad, V, U, S, G):
+        calls.append(np.sqrt(K.row_dots(G)) / step[:, 0])
+        return newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G)
+
+    monkeypatch.setattr(K, "_newton_points", counted)
+    iters = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
+                          10 ** 5, W0)[4]
+    assert calls[0].size == np.count_nonzero(iters > 1) > 0
+    assert np.any(calls[0] > K.NEWTON_SWITCH)
+    # a far start tries it too, every residual being above the gate
+    edge = np.where(W0 >= 0.0, args[2][1], args[2][0])
+    calls.clear()
+    iters = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
+                          10 ** 5, -edge)[4]
+    assert calls[0].size == np.count_nonzero(iters > 1) == 60
+    assert np.all(calls[0] > K.NEWTON_SWITCH)
+
+
+@pytest.mark.parametrize("rows, row, counts, without_rule",
+                         [(60, 37, (24, 4), (24, 4)),
+                          (300, 223, (13, 3), (15, 5))])
+def test_sub_ulp_newton_step_counts_as_rejected(rows, row, counts,
+                                                without_rule, monkeypatch):
+    # under a switch of 0.1 these rows try Newton steps that are zero in
+    # exact arithmetic and move v by at most NEWTON_ULPS ulp of |v|. Each
+    # counts as rejected: the solve is bit for bit the one where the step
+    # is exactly zero. On row 223 the residual test alone would keep it,
+    # restart the momentum and cost the row two iterations; row 37 (whose
+    # kept sub-ulp steps threw its momentum away 10 times in 44 iterations
+    # before the gate) now tries 4 steps
+    monkeypatch.setattr(K, "NEWTON_SWITCH", 0.1)
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H["absvalue"], DUAL_G["absvalue"], rows, seed=rows)
+    one = slice(row, row + 1)
+
+    def solve():
+        return K.dual_ascent(*args, J[one], cbar[one], X[one], T,
+                             steps[one], TOL, fx[one], fslack[one], 10 ** 5)
+
+    got = solve()
+    assert (got[4][0], got[5]) == counts
+    zero_steps = []
+    newton_points = K._newton_points
+
+    def zeroed(g, hbox, J, t, step, thr, quad, V, U, S, G):
+        u = newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G)
+        sub = (np.sqrt(K.row_dots(u - V))
+               <= K.NEWTON_ULPS * np.spacing(np.sqrt(K.row_dots(V))))
+        zero_steps.append(int(np.count_nonzero(sub)))
+        return np.where(sub[:, None], V, u)
+
+    monkeypatch.setattr(K, "_newton_points", zeroed)
+    for a, b in zip(got, solve()):
+        assert np.array_equal(a, b)
+    assert sum(zero_steps) == 1
+    monkeypatch.setattr(K, "_newton_points", newton_points)
+    monkeypatch.setattr(K, "NEWTON_ULPS", 0.0)
+    unruled = solve()
+    assert (unruled[4][0], unruled[5]) == without_rule
+
+
+@pytest.mark.parametrize("hname", ["absvalue", "checkfunction"])
+def test_stacked_dual_ascent_value_test_keeps_rows_running(hname):
+    # at a tolerance as loose as the Newton gate's start some rows pass
+    # the residual test before their model value is at most phi(x); they
+    # must keep iterating as in the loop (at 1e-3 a Newton step takes the
+    # residual and the value test together)
+    iters = assert_matches_serial(hname, "absvalue", 300, 1e-2)
+    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+        DUAL_H[hname], DUAL_G["absvalue"], 300, seed=300)
+    no_value_test = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-2,
                                   np.full(300, np.inf), fslack, 10 ** 5)[4]
     assert np.sum(iters > no_value_test) >= 10
     assert np.all(iters >= no_value_test)

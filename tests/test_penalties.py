@@ -412,6 +412,29 @@ def test_per_coordinate_parameters_act_coordinatewise(name):
                 assert got[i] == want[0]
 
 
+@pytest.mark.parametrize("weights", [None, WEIGHTS])
+def test_huber_prox_outer_branch_matches_sign_form_bitwise(weights):
+    # the outer branch is X - copysign(t lam, X); X - t lam sign(X) gave
+    # the same bits wherever that branch is taken, and X = 0 always lies
+    # in the inner one
+    p = pb.HuberEnvelope(0.7, 0.4, weights=weights)
+    n = WEIGHTS.size
+    rng = np.random.default_rng(29)
+    for t in (1.0, 0.37, 1e-9):
+        kink = np.broadcast_to(p._lam * (0.4 + t), (n,))
+        X = np.stack([np.zeros(n), -np.zeros(n), kink, -kink,
+                      np.nextafter(kink, np.inf), -np.nextafter(kink, np.inf),
+                      np.nextafter(kink, 0.0), np.full(n, 1e300),
+                      np.full(n, -1e300), rng.uniform(-3.0, 3.0, n),
+                      rng.uniform(-3.0, 3.0, n)])
+        inner = np.abs(X) <= p._lam * (0.4 + t)
+        want = np.where(inner, X * 0.4 / (0.4 + t),
+                        X - t * p._lam * np.sign(X))
+        got = p.prox_batch(X, t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(inner[:2]) and not np.all(inner)
+
+
 def test_lipschitz_bound_values():
     assert pb.AbsValue(0.5).lipschitz_bound(4) == pytest.approx(0.5 * 2.0)
     assert pb.CheckFunction(1.0, 0.3).lipschitz_bound(1) == pytest.approx(0.7)
