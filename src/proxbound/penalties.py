@@ -105,7 +105,12 @@ class SeparablePenalty:
         return (x - self.prox(x, t)) / float(t)
 
     def in_domain(self, x):
-        return np.isfinite(self.value(x))
+        """Whether the point x lies in dom g, from the domain flag of the
+        subdifferential formulas: g's value can overflow on a point of its
+        domain, so a finiteness test on it would say no."""
+        x = as_vector(x, name="x")
+        self._check(x.shape[0])
+        return bool(self._subgrad(x)[2])
 
     # -- batch helpers (points along the last axis of X) -------------------
 

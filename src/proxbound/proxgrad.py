@@ -19,7 +19,8 @@ from .smooth import SmoothFunction
 from .vectors import as_vector
 
 INNER_CAP = 10 ** 6
-# rows of run_prox_gradient's first iterate array; it doubles when full
+# rows of run_prox_gradient's first iterate and residual arrays; each
+# doubles when full
 _FIRST_ROWS = 64
 
 
@@ -96,20 +97,18 @@ class IterationTrace:
         return len(self) - 1
 
     def to_csv(self, zero_elapsed=False):
-        # one format call per row; formatting whole columns first would hold
-        # a string per cell, ~7 MB more peak memory on a 17.5k-row trace
+        # one %-format per row (%d truncates a float as int() does);
+        # formatting whole columns first would hold a string per cell, ~7 MB
+        # more peak memory on a 17.5k-row trace
         cols, specs = [], []
         for name in self.header:
             vals = self.data[name]
             if name == "elapsed_s" and zero_elapsed:
                 vals = [0.0] * len(vals)
-            if name in ("k", "backtracks", "inner_iters", "inner_newton"):
-                cols.append(map(int, vals))
-                specs.append("{:d}")
-            else:
-                cols.append(vals)
-                specs.append("{:.17g}")
-        rows = map(",".join(specs).format, *cols)
+            cols.append(vals)
+            specs.append("%d" if name in ("k", "backtracks", "inner_iters",
+                                          "inner_newton") else "%.17g")
+        rows = map(",".join(specs).__mod__, zip(*cols))
         return "\n".join([",".join(self.header), *rows]) + "\n"
 
     def write_csv(self, path, zero_elapsed=False):
@@ -143,30 +142,30 @@ def prox_grad_map(problem, x, t):
 def run_prox_gradient(problem, x0, cfg=None):
     """Iterate x_{k+1} = prox_{tg}(x_k - t grad f(x_k)) until |G_t| <= eps.
 
-    x0 is validated once (finite, of the problem's dimension, inside dom g)
-    and the penalty's kernel parameters are packed once; each step then
-    calls the kernels directly, with no per-call re-validation. The loop
-    keeps only what the recursion and its stop tests need: the prox step,
-    |G_t(x_k)|, f.value_grad_batch at the new iterate (f there, and the
-    gradient for the next step) and the iterate itself, stored as a row of
-    an array that doubles when full. f.grad_batch runs once, at x0.
-    value_grad_batch is bit-identical to value_batch and grad_batch called
-    separately, so the trace is the one those two calls would give.
+    x0 is validated once (finite, of the problem's dimension, inside dom g);
+    each step then calls the kernels directly, with no per-call
+    re-validation. The loop keeps only what the recursion and its stop test
+    need: the prox step, |G_t(x_k)|, f's residual at the new iterate (Ax - b
+    for an affine loss) and the gradient from it. The iterate and its
+    residual are stored as rows of two arrays that double when full.
 
-    g is never evaluated inside the loop. After it, one kernel call over
-    all accepted iterates gives g there (a stack is summed exactly as each
-    lone point would be), and phi = f + g, the descent-inequality residual
+    Neither f nor g is evaluated inside the loop. After it, one call over
+    the stored residuals gives f at every iterate, and one kernel call over
+    the stored iterates gives g there. Both reduce each row exactly as a
+    lone point would be reduced, so phi = f + g is bit for bit what a
+    per-step evaluation gives. The descent-inequality residual
     phi(x_k) - phi(x_{k+1}) - |G_t(x_k)|^2/(2 beta)  (nonnegative up to
     roundoff whenever t <= 1/beta) and the stationarity certificate
     (1 + beta t)|G_t(x_k)| are formed as whole columns.
 
     trace.status is "Converged" once |G_t| <= eps, "MaxIter" after
-    max_iter steps, or "Diverged" once |G_t| or phi at the next iterate is
-    not finite (a step too long for the true f makes the iterate overflow).
-    A diverged trace ends on the last iterate with a finite phi, its |G_t|
-    and a zero descent residual; the step that overflowed is dropped. A
-    non-finite f stops the loop at once; a non-finite g, found after it,
-    cuts the trace at the iterate before the first such point.
+    max_iter steps, or "Diverged" (a step too long for the true f makes
+    the iterate overflow). Only a non-finite |G_t| stops the loop at once.
+    A non-finite phi at an iterate after x0 is found after the loop and
+    cuts the trace at the iterate before the first such point, so a run
+    whose f overflows while |G_t| stays finite runs on to its own stop test
+    and then reports Diverged. A diverged trace ends on its last kept
+    iterate, with that iterate's |G_t| and a zero descent residual.
     """
     cfg = cfg or ProxGradConfig()
     x = as_vector(x0, problem.dim).copy()
@@ -177,18 +176,21 @@ def run_prox_gradient(problem, x0, cfg=None):
     beta = f.beta
     g = problem.g
     prox = K.penalty_prox
-    value_grad = f.value_grad_batch
-    X = np.empty((min(cfg.max_iter + 1, _FIRST_ROWS), problem.dim))
-    X[0] = x
-    fvals, gnorms, elapsed = [], [], []
-    add_f, add_gnorm, add_elapsed = fvals.append, gnorms.append, elapsed.append
+    residual, grad_at = f._residual, f._grad_at
+    first = min(cfg.max_iter + 1, _FIRST_ROWS)
+    gnorms, elapsed = [], []
+    add_gnorm, add_elapsed = gnorms.append, elapsed.append
     clock = time.perf_counter
     start = clock()
-    phi0 = problem.phi(x)
     # overflow of a diverging iterate is detected below and reported as
     # status Diverged, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = f.grad_batch(x[None, :])[0]
+        R = residual(x[None, :])
+        grad = grad_at(R)[0]
+        X = np.empty((first, problem.dim))
+        Rs = np.empty((first, R.shape[1]))
+        X[0] = x
+        Rs[0] = R
         for k in range(cfg.max_iter + 1):
             y = prox(g, x - t * grad, t)
             d = (x - y) / t
@@ -202,24 +204,24 @@ def run_prox_gradient(problem, x0, cfg=None):
             elif k == cfg.max_iter:
                 status = "MaxIter"
             else:
-                values, grads = value_grad(y[None, :])
-                fy = float(values[0])
-                if math.isfinite(fy):
-                    add_elapsed(clock() - start)
-                    if k + 1 == X.shape[0]:
-                        X = np.concatenate((X, np.empty_like(X)))
-                    X[k + 1] = y
-                    add_f(fy)
-                    x = y
-                    grad = grads[0]
-                    continue
-                status = "Diverged"
+                R = residual(y[None, :])
+                grad = grad_at(R)[0]
+                add_elapsed(clock() - start)
+                if k + 1 == X.shape[0]:
+                    X = np.concatenate((X, np.empty_like(X)))
+                    Rs = np.concatenate((Rs, np.empty_like(Rs)))
+                X[k + 1] = y
+                Rs[k + 1] = R
+                x = y
+                continue
             add_elapsed(clock() - start)
             break
         rows = k + 1
-        phi = np.empty(rows)
-        phi[0] = phi0
-        phi[1:] = np.array(fvals) + K.penalty_value(g, X[1:rows])
+        phi = f._value_at(Rs[:rows])
+        # free the residuals before g's temporaries are made: holding both
+        # raised the peak memory of a 17.5k-step run by ~1 MB
+        del Rs
+        phi += K.penalty_value(g, X[:rows])
         bad = np.flatnonzero(~np.isfinite(phi[1:]))
         if bad.size:
             rows = int(bad[0]) + 1

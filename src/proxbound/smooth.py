@@ -4,13 +4,13 @@ Every loss carries an analytically derived Lipschitz modulus of its gradient
 (beta); every map carries one for its Jacobian (jac_beta, exactly 0 for
 affine maps). Dense matrices only; problems are desk-scale.
 
-A loss evaluates rows of a stack X: value_batch gives f at each row,
-grad_batch its gradient, and value_grad_batch both at once. Each catalog
-loss writes its formulas once, as three hooks: its affine residual (Ax - b,
-Ax or the corridor's z), f from the residual and the gradient from it.
-value_grad_batch forms the residual once and runs the same two hooks as
-the separate methods, so its pair is bit-identical to
-(value_batch(X), grad_batch(X)).
+A loss evaluates rows of a stack X: value_batch gives f at each row and
+grad_batch its gradient. Each catalog loss writes its formulas once, as
+three hooks: its affine residual (Ax - b, Ax or the corridor's z), f from
+the residual and the gradient from it. f from the residual is elementwise
+work plus a sum along each row, so over a stack of residual rows it gives
+each row the bits a lone row gets; the proximal-gradient loop relies on
+that to take f once, over the residuals it stored.
 """
 
 import numpy as np
@@ -139,11 +139,6 @@ class SmoothFunction:
 
     def grad_batch(self, X):
         return self._grad_at(self._residual(X))
-
-    def value_grad_batch(self, X):
-        """(value_batch(X), grad_batch(X)), bit for bit."""
-        R = self._residual(X)
-        return self._value_at(R), self._grad_at(R)
 
 
 class Quadratic(SmoothFunction):

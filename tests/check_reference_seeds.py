@@ -1,11 +1,13 @@
-"""Check every recorded composite reference seed against its reference.
+"""Check the recorded reference seeds of the benchmark workloads.
 
 Runs `proxbound run` once per `[problem] seed` that perfbench/reference.json
-holds for the composite workloads (robust-constants and vapnik-solve), and
-checks each run's outputs with perfbench/bench_check.check_run: exit code,
-status, iteration count, checks, trace shape and the compared constants.
-The benchmark's smoke run checks seed 0 only; a change to the dual ascent
-moves the inner iteration paths of every seed.
+holds for lasso-constants, robust-constants and vapnik-solve, and once for
+huber-solve seed 0 (huber-solve does not read the seed, so every seed poses
+the same solve). Each run's outputs are checked with
+perfbench/bench_check.check_run: exit code, status, iteration count,
+checks, trace shape and the compared constants. The benchmark's smoke run
+checks seed 0 only; a change to the dual ascent or to the proximal-gradient
+loop moves the paths of every seed.
 
 Usage (from the root of a checkout): python3 tests/check_reference_seeds.py
 Prints one line per run and exits 1 if any run fails its check.
@@ -23,7 +25,9 @@ import bench_check  # noqa: E402
 import bench_workloads  # noqa: E402
 from proxbound import cli  # noqa: E402
 
-COMPOSITE_WORKLOADS = ("robust-constants", "vapnik-solve")
+# workload -> the seeds to run (None: every recorded seed)
+WORKLOAD_SEEDS = {"lasso-constants": None, "robust-constants": None,
+                  "vapnik-solve": None, "huber-solve": ("0",)}
 
 
 def main():
@@ -32,10 +36,10 @@ def main():
         reference = json.load(fh)
     failed = 0
     with tempfile.TemporaryDirectory() as work:
-        for name in COMPOSITE_WORKLOADS:
+        for name, seeds in WORKLOAD_SEEDS.items():
             template = bench_workloads.WORKLOADS[name].template
-            for seed, ref in sorted(reference[name].items(),
-                                    key=lambda item: int(item[0])):
+            for seed in sorted(seeds or reference[name], key=int):
+                ref = reference[name][seed]
                 config = os.path.join(work, f"{name}-{seed}.ini")
                 with open(config, "w", encoding="ascii", newline="\n") as fh:
                     fh.write(template.format(seed=seed))

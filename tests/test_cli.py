@@ -362,6 +362,26 @@ def test_x0_outside_dom_g_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("penalty", [
+    "elasticnet(lambda1=0.1,lambda2=0.2)", "huberenvelope(lambda=0.5,mu=0.1)",
+    "absvalue(lambda=0.1)"], ids=["elasticnet", "huberenvelope", "absvalue"])
+def test_x0_whose_objective_overflows_is_in_the_domain(tmp_path, penalty):
+    # g and f overflow at x0 although x0 lies in dom g: check rejected the
+    # elastic net's x0 as outside dom g, and both commands printed numpy's
+    # overflow warnings
+    text = ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                               x0="const(value=1e200)", method="proxgrad")
+    path = write_cfg(tmp_path, text.replace("absvalue(lambda=0.1)", penalty))
+    proc = run_cli_process("check", path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_cli_process("run", path, "--quiet", "--out",
+                           str(tmp_path / "o"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert "status=Diverged" in (tmp_path / "o" / "report.txt").read_text()
+
+
 @pytest.mark.parametrize("content,violation", [
     ("2 1\n1.0\n2.0\n", "x0 has dim 2, expected 3"),
     ("1.0\n2.0\n1.0\n", "first line must be 'rows cols'"),

@@ -84,6 +84,19 @@ def test_subgrad_outside_domain_raises():
         pb.BoxIndicator(0.0, 1.0).subgrad_bounds(vec(2.0))
 
 
+def test_in_domain_reads_the_domain_flag_not_the_value():
+    # a finite-valued penalty whose value overflows is still in its domain
+    big = vec(1e200, -1e200)
+    with np.errstate(over="ignore"):
+        assert pb.ElasticNet(0.1, 0.2).value(big) == np.inf
+    for p in (pb.ElasticNet(0.1, 0.2), pb.HuberEnvelope(0.5, 0.1),
+              pb.AbsValue(0.1), pb.Zero()):
+        assert p.in_domain(big) is True
+    box = pb.BoxIndicator(0.0, 1.0)
+    assert box.in_domain(vec(0.0, 1.0)) is True
+    assert box.in_domain(vec(0.5, 1.5)) is False
+
+
 def test_moreau_envelope_values():
     p = pb.AbsValue(1.0)
     assert p.moreau_envelope(vec(2.0), 1.0) == pytest.approx(1.5, abs=1e-12)

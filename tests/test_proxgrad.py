@@ -205,7 +205,7 @@ def _smooth_case(name):
     return pb.Logistic(A, np.where(b >= 0.0, 1.0, -1.0))
 
 
-# one loss per value_grad_batch override; the corridor's is the affine one
+# one loss per residual form; the corridor's is the affine one
 @pytest.mark.parametrize("smooth",
                          ["quadratic", "logistic", "huberloss", "corridor"])
 def test_run_matches_validating_serial_loop(penalty_case, smooth):
@@ -230,20 +230,26 @@ def test_run_matches_validating_serial_loop(penalty_case, smooth):
 
 
 def test_one_smooth_evaluation_per_step(lasso42, monkeypatch):
-    # phi at x0 and the gradient there, then one value_grad_batch per
-    # accepted step: no step forms the residual A y - b twice
+    # the residual A y - b once at x0 and once per accepted step, and f from
+    # the stored residuals in one call after the loop
     f = lasso42.f
-    calls = dict.fromkeys(("value_batch", "grad_batch", "value_grad_batch"), 0)
+    calls = dict.fromkeys(("_residual", "_grad_at", "_value_at",
+                           "value_batch", "grad_batch"), 0)
+    rows = []
     for name in calls:
         def counted(X, method=getattr(f, name), name=name):
             calls[name] += 1
+            if name == "_value_at":
+                rows.append(len(X))
             return method(X)
         monkeypatch.setattr(f, name, counted)
     tr = pb.run_prox_gradient(lasso42, np.zeros(10),
                               pb.ProxGradConfig(eps=1e-10, max_iter=50000))
     assert tr.status == "Converged" and tr.iterations > 100
-    assert calls == {"value_batch": 1, "grad_batch": 1,
-                     "value_grad_batch": tr.iterations}
+    assert calls == {"_residual": tr.iterations + 1,
+                     "_grad_at": tr.iterations + 1, "_value_at": 1,
+                     "value_batch": 0, "grad_batch": 0}
+    assert rows == [len(tr)]
 
 
 def _overflowing(case):
@@ -317,8 +323,9 @@ def _slow_huber():
 FIRST = pb.proxgrad._FIRST_ROWS
 
 
-# the iterate array holds FIRST rows, then 2 FIRST, then 4 FIRST: each
-# count puts the last row just before, on or just past one of its ends
+# the iterate and residual arrays hold FIRST rows, then 2 FIRST, then
+# 4 FIRST: each count puts the last row just before, on or just past one of
+# their ends
 @pytest.mark.parametrize("iterations", [
     FIRST - 2, FIRST - 1, FIRST, 2 * FIRST - 2, 2 * FIRST - 1, 2 * FIRST])
 @pytest.mark.parametrize("status", ["MaxIter", "Converged"])
@@ -348,8 +355,8 @@ def test_stationary_start_matches_serial_loop(corridor10):
 
 
 def test_one_penalty_evaluation_after_the_loop(lasso42, monkeypatch):
-    # x0's domain test and phi there, then g at every accepted iterate in
-    # one stacked call
+    # g at every iterate, x0's included, in one stacked call; x0's domain
+    # test reads the subgradient formulas, not g's value
     shapes = []
     real = pb._kernels.penalty_value
 
@@ -361,7 +368,7 @@ def test_one_penalty_evaluation_after_the_loop(lasso42, monkeypatch):
     tr = pb.run_prox_gradient(lasso42, np.zeros(10),
                               pb.ProxGradConfig(eps=1e-10, max_iter=50000))
     assert tr.status == "Converged" and tr.iterations > 100
-    assert shapes == [(10,), (10,), (tr.iterations, 10)]
+    assert shapes == [(len(tr), 10)]
 
 
 @pytest.mark.parametrize("cut", [0.5, 3.0, 4.8])

@@ -26,14 +26,17 @@ def losses():
 @pytest.mark.parametrize("rows", [1, 300])
 @pytest.mark.parametrize("name", ["quadratic", "logistic", "corridor",
                                   "corridor_affine", "huberloss"])
-def test_value_grad_batch_is_the_two_calls_bitwise(losses, name, rows):
-    # wide enough that every piece shows: both sides of the corridor's and
-    # the Huber loss's kinks, both tails of the logistic
+def test_value_over_stacked_residuals_is_each_lone_value_bitwise(losses, name,
+                                                                 rows):
+    # the proximal-gradient loop stores each iterate's residual and takes f
+    # over the stack once; X is wide enough that every piece shows: both
+    # sides of the corridor's and the Huber loss's kinks, both tails of the
+    # logistic
     f = losses[name]
     X = np.random.default_rng(rows).uniform(-3, 3, size=(rows, f.dim))
-    values, grads = f.value_grad_batch(X)
-    assert np.array_equal(values, f.value_batch(X))
-    assert np.array_equal(grads, f.grad_batch(X))
+    R = np.array([f._residual(x[None])[0] for x in X])
+    want = [f.value_batch(x[None])[0] for x in X]
+    assert np.array_equal(f._value_at(R), want)
 
 
 def test_corridor_values_and_grads():
