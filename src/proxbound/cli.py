@@ -505,18 +505,17 @@ def run_experiment(cfg):
 def emit_report(report, out_dir):
     """Write trace.csv, constants.txt and report.txt into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    report.trace.write_csv(os.path.join(out_dir, "trace.csv"),
-                           zero_elapsed=True)
-    with open(os.path.join(out_dir, "constants.txt"), "w",
-              encoding="ascii", newline="\n") as fh:
-        if report.constants is not None:
-            fh.write(report.constants.to_text())
     lines = report.summary_lines() + [c.render() for c in report.checks]
-    with open(os.path.join(out_dir, "report.txt"), "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return [os.path.join(out_dir, name)
-            for name in ("trace.csv", "constants.txt", "report.txt")]
+    paths = []
+    for name, text in (
+            ("trace.csv", report.trace.to_csv()),
+            ("constants.txt", "" if report.constants is None
+             else report.constants.to_text()),
+            ("report.txt", "\n".join(lines) + "\n")):
+        paths.append(os.path.join(out_dir, name))
+        with open(paths[-1], "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    return paths
 
 
 def main(argv=None):

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as K
-from .errors import (DomainError, InsufficientData, UnsupportedOperation)
+from .errors import DomainError, InsufficientData, UnsupportedOperation
 from .proxgrad import (AdditiveProblem, ProxGradConfig, _prox_point_batch,
                        run_prox_gradient)
-from .proxlinear import (CompositeProblem, ProxLinearConfig,
-                         _solve_subproblem_batch, run_prox_linear)
+from .proxlinear import (ProxLinearConfig, _solve_subproblem_batch,
+                         run_prox_linear)
 from .smooth import operator_norm_sq
 from .vectors import as_points, as_vector
 
@@ -70,14 +70,6 @@ class ReferenceSolution:
     status: str = None
 
     @classmethod
-    def analytic_box(cls, lo, hi, phi_star):
-        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ValueError("analytic box needs lo <= hi of equal shapes")
-        return cls(kind="analytic-box", phi_star=float(phi_star), lo=lo, hi=hi)
-
-    @classmethod
     def computed(cls, x_star, phi_star, accuracy, status="Converged"):
         return cls(kind="computed", phi_star=float(phi_star),
                    x_star=as_vector(x_star, name="x_star"),
@@ -110,7 +102,8 @@ def analytic_reference(problem):
     if (isinstance(problem, AdditiveProblem) and isinstance(problem.g, Zero)
             and isinstance(problem.f, Corridor) and problem.f.A is None):
         n = problem.dim
-        return ReferenceSolution.analytic_box(-np.ones(n), np.ones(n), 0.0)
+        return ReferenceSolution(kind="analytic-box", phi_star=0.0,
+                                 lo=-np.ones(n), hi=np.ones(n))
     return None
 
 
@@ -122,12 +115,10 @@ def compute_reference(problem, x0=None, t=None, tol=1e-12, max_iter=500000,
     if isinstance(problem, AdditiveProblem):
         cfg = ProxGradConfig(t=t, max_iter=max_iter, eps=tol)
         trace = run_prox_gradient(problem, x0, cfg)
-    elif isinstance(problem, CompositeProblem):
+    else:
         cfg = ProxLinearConfig(t0=t, max_iter=max_iter, eps=tol,
                                inner_tol=inner_tol)
         trace = run_prox_linear(problem, x0, cfg)
-    else:
-        raise TypeError(f"unknown problem type {type(problem).__name__}")
     x_star = trace.final_x
     return ReferenceSolution.computed(x_star, problem.phi(x_star),
                                       accuracy=trace.column("gnorm")[-1],
@@ -152,8 +143,6 @@ def dist_to_stationarity(problem, x, counts=None):
     whose QP ran into BOXQP_CAP and so report an unconverged upper bound
     (both 0 for additive problems).
     """
-    if not isinstance(problem, (AdditiveProblem, CompositeProblem)):
-        raise TypeError(f"unknown problem type {type(problem).__name__}")
     x = as_points(x, problem.dim)
     X = x.reshape(-1, problem.dim)
     dists = np.empty(X.shape[0])
@@ -229,14 +218,7 @@ def _gnorm_batch(problem, X, t, inner_tol):
     return gnorms, counts
 
 
-def _gaps(problem, X, phi_star, tilt):
-    phis = _phi_batch(problem, X)
-    if tilt is not None:
-        phis = phis - X @ tilt
-    return phis - phi_star
-
-
-def _accepted(problem, ref, nu, X, tilt):
+def _accepted(problem, ref, nu, X):
     """Sublevel-set realization of the box samples.
 
     Samples above the nu level are pulled radially toward the reference
@@ -247,7 +229,7 @@ def _accepted(problem, ref, nu, X, tilt):
     its own. Returns the kept rows, their gaps and their indices in X.
     """
     center = ref.center()
-    gaps = _gaps(problem, X, ref.phi_star, tilt)
+    gaps = _phi_batch(problem, X) - ref.phi_star
     if not math.isinf(nu):
         X = X.copy()
         for _ in range(SHRINK_ROUNDS):
@@ -258,12 +240,12 @@ def _accepted(problem, ref, nu, X, tilt):
             finite = np.isfinite(gaps[bad])
             scale[finite] = np.minimum(0.7, 0.99 * nu / gaps[bad][finite])
             X[bad] = center + scale[:, None] * (X[bad] - center)
-            gaps[bad] = _gaps(problem, X[bad], ref.phi_star, tilt)
+            gaps[bad] = _phi_batch(problem, X[bad]) - ref.phi_star
     keep = np.isfinite(gaps) & (gaps <= nu)
     return X[keep], gaps[keep], np.flatnonzero(keep)
 
 
-def _sample_pool(problem, ref, nu, n_samples, seed, extra=None, tilt=None):
+def _sample_pool(problem, ref, nu, n_samples, seed, extra=None):
     """The accepted sample pool of a constants run.
 
     The seeded box draw of n_samples rows, with the extra rows stacked
@@ -275,7 +257,7 @@ def _sample_pool(problem, ref, nu, n_samples, seed, extra=None, tilt=None):
     X = sample_box(ref, problem.dim, n_samples, seed)
     if extra is not None:
         X = np.vstack([X, extra])
-    Xa, gaps, drawn = _accepted(problem, ref, nu, X, tilt)
+    Xa, gaps, drawn = _accepted(problem, ref, nu, X)
     return Xa, gaps, ref.dist_batch(Xa), drawn
 
 
@@ -326,17 +308,14 @@ def _subdiff_max(problem, X, dists, counts):
     return _max_ratio(dists, stat, "L")
 
 
-def estimate_alpha(problem, ref, nu, n_samples=10000, seed=0, tilt=None):
+def estimate_alpha(problem, ref, nu, n_samples=10000, seed=0):
     """Empirical quadratic-growth constant on the nu-sublevel set.
 
     alpha_hat = min over accepted samples of 2 (phi(x) - phi*) / dist(x,S)^2;
     samples closer than DIST_SKIP to S, or whose gap is under the roundoff
-    floor GAP_ULPS ulp(max(|phi(x)|, |phi*|)), are skipped. With a tilt
-    vector v the values phi(x) - <v, x> are used and ref must describe the
-    tilted problem's minimizer.
+    floor GAP_ULPS ulp(max(|phi(x)|, |phi*|)), are skipped.
     """
-    _, gaps, dists, _ = _sample_pool(problem, ref, nu, n_samples, seed,
-                                     tilt=tilt)
+    _, gaps, dists, _ = _sample_pool(problem, ref, nu, n_samples, seed)
     return _growth_min(gaps, dists, ref.phi_star, {})
 
 
@@ -384,7 +363,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
     best_dirs = []
 
     def climb(want_gamma, X0):
-        X0, gaps, _ = _accepted(problem, ref, nu, X0, None)
+        X0, gaps, _ = _accepted(problem, ref, nu, X0)
         if X0.shape[0] == 0:
             return None
         collected.append(X0)
@@ -397,7 +376,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
         for _ in range(RAY_ROUNDS):
             P = d + sigma * np.linalg.norm(d) * rng.standard_normal(
                 (RAY_POOL, dim))
-            C, gaps, _ = _accepted(problem, ref, nu, center + P, None)
+            C, gaps, _ = _accepted(problem, ref, nu, center + P)
             if C.shape[0] == 0:
                 sigma *= 0.75
                 continue
@@ -436,7 +415,7 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
         u = d / nd
         radii = np.geomspace(1e-2, radius, 40)
         line = center + np.concatenate([radii, -radii])[:, None] * u
-        L = _accepted(problem, ref, nu, line, None)[0]
+        L = _accepted(problem, ref, nu, line)[0]
         if L.shape[0]:
             collected.append(L)
 
@@ -466,19 +445,6 @@ def _prox_bound_samples(problem, X, dists, t, inner_tol):
     P = _prox_point_batch(problem, X, t, inner_tol)
     steps = np.linalg.norm(X - P, axis=1) / t
     return _max_ratio(dists, steps, "L-hat"), P
-
-
-def estimate_prox_bound(problem, ref, nu, t, n_samples=500, seed=0,
-                        inner_tol=1e-10):
-    """Empirical L-hat with dist(x,S) <= L-hat |x - prox_{t phi}(x)|/t.
-
-    Needs the prox_{t phi} oracle, so only convex additive problems are
-    supported.
-    """
-    if not (isinstance(problem, AdditiveProblem) and problem.f_convex):
-        raise UnsupportedOperation("prox_{t phi} oracle needs convex f + g")
-    X, _, dists, _ = _sample_pool(problem, ref, nu, n_samples, seed)
-    return _prox_bound_samples(problem, X, dists, t, inner_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +538,7 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
         L_hat, P = _prox_bound_samples(problem, X[head], dists[head], t,
                                        inner_tol)
         counts["prox_samples"] = int(np.sum(head))
-        P = _accepted(problem, ref, nu, P, None)[0]
+        P = _accepted(problem, ref, nu, P)[0]
         LX = np.vstack([LX, P])
         L_dists = np.concatenate([L_dists, ref.dist_batch(P)])
     L = _subdiff_max(problem, LX, L_dists, counts)
@@ -657,10 +623,7 @@ def fit_tail_rate(trace, phi_star, tail_fraction=0.5):
     InsufficientData when fewer than 10 tail points have gap > 1e-14 or the
     fitted rate is not below 1 (flat tail carries no rate information).
     """
-    if hasattr(trace, "column"):
-        phis = trace.column("phi")
-    else:
-        phis = np.asarray(trace, dtype=np.float64)
+    phis = trace.column("phi")
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must lie in (0, 1]")
     gaps = phis - phi_star

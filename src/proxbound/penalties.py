@@ -43,10 +43,11 @@ class SeparablePenalty:
 
     Each subclass defines its formulas over the points along the last axis
     of X: _value(X), g at each point; _prox(X, t), prox_{tg}; _subgrad(X),
-    the coordinatewise subdifferential (lo, hi) plus whether every point
-    lies in the domain (lo and hi mean nothing where one does not); and
+    the coordinatewise subdifferential (lo, hi) at points of the domain; and
     _prox_deriv(X, t), the derivative of each coordinate of prox_{tg}, at a
-    kink that of the piece _prox selects there.
+    kink that of the piece _prox selects there. Every catalog penalty but
+    the box is finite on R^n, so only the box overrides _inside(X), whether
+    every point lies in the domain.
     """
 
     # names of the parameters the formulas read
@@ -89,10 +90,9 @@ class SeparablePenalty:
         Raises DomainError if any point lies outside the domain."""
         x = as_points(x, name="x")
         self._check(x.shape[-1])
-        lo, hi, ok = self._subgrad(x)
-        if not ok:
+        if not self._inside(x):
             raise DomainError("x lies outside the penalty domain")
-        return lo, hi
+        return self._subgrad(x)
 
     def moreau_envelope(self, x, t):
         x = as_vector(x, name="x")
@@ -105,12 +105,14 @@ class SeparablePenalty:
         return (x - self.prox(x, t)) / float(t)
 
     def in_domain(self, x):
-        """Whether the point x lies in dom g, from the domain flag of the
-        subdifferential formulas: g's value can overflow on a point of its
-        domain, so a finiteness test on it would say no."""
+        """Whether the point x lies in dom g. No formula is evaluated: g's
+        value and its subgradient can overflow on a point of its domain."""
         x = as_vector(x, name="x")
         self._check(x.shape[0])
-        return bool(self._subgrad(x)[2])
+        return self._inside(x)
+
+    def _inside(self, X):
+        return True
 
     # -- batch helpers (points along the last axis of X) -------------------
 
@@ -174,7 +176,7 @@ class Zero(SeparablePenalty):
         return X.copy()
 
     def _subgrad(self, X):
-        return np.zeros(X.shape), np.zeros(X.shape), True
+        return np.zeros(X.shape), np.zeros(X.shape)
 
     def _prox_deriv(self, X, t):
         return np.ones(X.shape)
@@ -200,7 +202,7 @@ class AbsValue(SeparablePenalty):
         return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
 
     def _subgrad(self, X):
-        return (*_abs_subgrad(self._lam, X), True)
+        return _abs_subgrad(self._lam, X)
 
     def _prox_deriv(self, X, t):
         return (np.abs(X) > t * self._lam).astype(np.float64)
@@ -240,7 +242,7 @@ class ElasticNet(SeparablePenalty):
 
     def _subgrad(self, X):
         lo, hi = _abs_subgrad(self._lam1, X)
-        return lo + self._lam2 * X, hi + self._lam2 * X, True
+        return lo + self._lam2 * X, hi + self._lam2 * X
 
     def _prox_deriv(self, X, t):
         return (np.abs(X) > t * self._lam1) / (1.0 + t * self._lam2)
@@ -266,11 +268,12 @@ class BoxIndicator(SeparablePenalty):
     def _prox(self, X, t):
         return np.minimum(np.maximum(X, self._lo), self._hi)
 
+    def _inside(self, X):
+        return not (np.any(X < self._lo) or np.any(X > self._hi))
+
     def _subgrad(self, X):
-        lo, hi = self._lo, self._hi
-        inside = not (np.any(X < lo) or np.any(X > hi))
-        return (np.where(X == lo, -np.inf, 0.0),
-                np.where(X == hi, np.inf, 0.0), inside)
+        return (np.where(X == self._lo, -np.inf, 0.0),
+                np.where(X == self._hi, np.inf, 0.0))
 
     def _prox_deriv(self, X, t):
         return ((X > self._lo) & (X < self._hi)).astype(np.float64)
@@ -314,7 +317,7 @@ class EpsilonInsensitive(SeparablePenalty):
         lam, eps = self._lam, self._eps
         lo = np.where(X > eps, lam, np.where(X <= -eps, -lam, 0.0))
         hi = np.where(X >= eps, lam, np.where(X < -eps, -lam, 0.0))
-        return lo, hi, True
+        return lo, hi
 
     def _prox_deriv(self, X, t):
         ax = np.abs(X)
@@ -356,7 +359,7 @@ class CheckFunction(SeparablePenalty):
     def _subgrad(self, X):
         up = self._lam * self._tau
         dn = self._lam * (self._tau - 1.0)
-        return np.where(X > 0.0, up, dn), np.where(X < 0.0, dn, up), True
+        return np.where(X > 0.0, up, dn), np.where(X < 0.0, dn, up)
 
     def _prox_deriv(self, X, t):
         lam, tau = self._lam, self._tau
@@ -404,7 +407,7 @@ class HuberEnvelope(SeparablePenalty):
 
     def _subgrad(self, X):
         g = np.minimum(np.maximum(X / self._mu, -self._lam), self._lam)
-        return g, g.copy(), True
+        return g, g.copy()
 
     def _prox_deriv(self, X, t):
         mu = self._mu
@@ -470,5 +473,3 @@ def penalty_from_spec(text):
         kwargs[_PARAM_ALIASES.get(key, key)] = float(val)
     return cls(**kwargs)
 
-
-PENALTY_KINDS = tuple(sorted(_PENALTY_BUILDERS))

@@ -1,4 +1,4 @@
-"""Proximal gradient method for f + g and a proximal-point step oracle.
+"""Proximal gradient method for f + g and the proximal point oracle.
 
 The prox-gradient mapping G_t(x) = (x - prox_{tg}(x - t grad f(x))) / t is the
 optimality surrogate: it vanishes exactly at stationary points, and for
@@ -96,14 +96,17 @@ class IterationTrace:
         """Number of steps taken (terminal row excluded)."""
         return len(self) - 1
 
-    def to_csv(self, zero_elapsed=False):
+    def to_csv(self):
+        """The trace as CSV text, with every elapsed_s cell written as 0 so
+        that reruns are byte-identical (the measured times stay on the
+        in-memory trace)."""
         # one %-format per row (%d truncates a float as int() does);
         # formatting whole columns first would hold a string per cell, ~7 MB
         # more peak memory on a 17.5k-row trace
         cols, specs = [], []
         for name in self.header:
             vals = self.data[name]
-            if name == "elapsed_s" and zero_elapsed:
+            if name == "elapsed_s":
                 vals = [0.0] * len(vals)
             cols.append(vals)
             specs.append("%d" if name in ("k", "backtracks", "inner_iters",
@@ -111,13 +114,18 @@ class IterationTrace:
         rows = map(",".join(specs).__mod__, zip(*cols))
         return "\n".join([",".join(self.header), *rows]) + "\n"
 
-    def write_csv(self, path, zero_elapsed=False):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_csv(zero_elapsed=zero_elapsed))
-
 
 PROXGRAD_HEADER = ("k", "phi", "gnorm", "descent_residual", "certificate",
                    "elapsed_s")
+
+
+def _start_point(problem, x0):
+    """x0 as a new float vector of the problem's dimension, the start of a
+    solve; raises DomainError unless it lies in dom g."""
+    x = as_vector(x0, problem.dim).copy()
+    if not problem.g.in_domain(x):
+        raise DomainError("x0 lies outside dom g")
+    return x
 
 
 def _effective_step(problem, cfg):
@@ -128,15 +136,6 @@ def _effective_step(problem, cfg):
             f"step t={t:g} exceeds 1/beta={tmax:g}; clamping", stacklevel=3)
         t = tmax
     return t
-
-
-def prox_grad_map(problem, x, t):
-    """G_t(x); zero exactly at stationary points of f + g."""
-    x = as_vector(x, problem.dim)
-    if not problem.g.in_domain(x):
-        raise DomainError("x lies outside dom g")
-    step = problem.g.prox(x - t * problem.f.grad(x), t)
-    return (x - step) / t
 
 
 def run_prox_gradient(problem, x0, cfg=None):
@@ -168,9 +167,7 @@ def run_prox_gradient(problem, x0, cfg=None):
     iterate, with that iterate's |G_t| and a zero descent residual.
     """
     cfg = cfg or ProxGradConfig()
-    x = as_vector(x0, problem.dim).copy()
-    if not problem.g.in_domain(x):
-        raise DomainError("x0 lies outside dom g")
+    x = _start_point(problem, x0)
     t = float(_effective_step(problem, cfg))
     f = problem.f
     beta = f.beta
@@ -244,25 +241,17 @@ def run_prox_gradient(problem, x0, cfg=None):
     return trace
 
 
-def proximal_point_step(problem, x, t, inner_tol=1e-10):
-    """High-accuracy prox_{t phi}(x) for convex phi = f + g.
-
-    Solves min_y phi(y) + |y - x|^2/(2t) by prox-gradient on the smooth part
-    f + |.-x|^2/(2t) with step 1/(beta + 1/t); the auxiliary problem is
-    (1/t)-strongly convex so the loop is finite and fast. The output y
-    satisfies |G_s(y)| <= inner_tol for the auxiliary problem.
-    """
-    if not problem.f_convex:
-        raise UnsupportedOperation("prox_{t phi} needs convex f")
-    x = as_vector(x, problem.dim)
-    return _prox_point_batch(problem, x[None, :], t, inner_tol)[0]
-
-
 def _prox_point_batch(problem, X, t, inner_tol):
-    """Vectorized proximal-point steps, one per row of X. Raises
-    InnerSolveError at once when a residual stops being finite (a declared
-    beta below the true modulus makes the inner steps overflow), and after
-    INNER_CAP iterations otherwise."""
+    """High-accuracy prox_{t phi}(x) for convex phi = f + g at every row x
+    of X.
+
+    Each row solves min_y phi(y) + |y - x|^2/(2t) by prox-gradient on the
+    smooth part f + |.-x|^2/(2t) with step s = 1/(beta + 1/t); the auxiliary
+    problem is (1/t)-strongly convex, so the loop is finite and fast. It
+    stops once every row's |G_s(y)| <= inner_tol. Raises InnerSolveError at
+    once when a residual stops being finite (a declared beta below the true
+    modulus makes the inner steps overflow), and after INNER_CAP iterations
+    otherwise."""
     t = float(t)
     s = 1.0 / (problem.f.beta + 1.0 / t)
     Y = np.array(X, dtype=np.float64)
@@ -286,12 +275,13 @@ def run_proximal_point(problem, x0, cfg=None):
     """Proximal point algorithm z_{k+1} = prox_{t phi}(z_k) (oracle runner).
 
     The gnorm column holds |z_k - z_{k+1}|/t, which is a subgradient of phi
-    at z_{k+1}; the certificate column repeats it. Requires convex f.
+    at z_{k+1}; the certificate column repeats it. Requires convex f, and
+    raises DomainError for an x0 outside dom g.
     """
     cfg = cfg or ProxGradConfig()
     if not problem.f_convex:
         raise UnsupportedOperation("proximal point oracle needs convex f")
-    x = as_vector(x0, problem.dim).copy()
+    x = _start_point(problem, x0)
     t = cfg.t if cfg.t is not None else 1.0 / problem.f.beta
     inner_tol = min(cfg.eps * 1e-2, 1e-10)
     trace = IterationTrace(PROXGRAD_HEADER)
@@ -300,7 +290,7 @@ def run_proximal_point(problem, x0, cfg=None):
     phi_x = problem.phi(x)
     iterates = []
     for k in range(cfg.max_iter + 1):
-        y = proximal_point_step(problem, x, t, inner_tol)
+        y = _prox_point_batch(problem, x[None, :], t, inner_tol)[0]
         pnorm = float(np.linalg.norm(x - y)) / t
         iterates.append(x)
         if pnorm <= cfg.eps or k == cfg.max_iter:

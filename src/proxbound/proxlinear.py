@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import DomainError, InnerSolveError
+from .errors import InnerSolveError
 from .penalties import (AbsValue, CheckFunction, EpsilonInsensitive,
                         HuberEnvelope, SeparablePenalty)
-from .proxgrad import INNER_CAP, IterationTrace
+from .proxgrad import INNER_CAP, IterationTrace, _start_point
 from .smooth import SmoothMap, operator_norm_sq
 from .vectors import as_vector
 
@@ -63,17 +63,6 @@ class CompositeProblem:
         """phi at every row of X; it stacks one m x n Jacobian per row."""
         return (self.g.value_batch(X)
                 + self.h.value_batch(self.c.eval_jac_batch(X)[0]))
-
-
-def linearized_value(problem, x, y):
-    """Value of the model g(y) + h(c(x) + J(x)(y - x)); exact at y = x."""
-    x = as_vector(x, problem.dim)
-    y = as_vector(y, problem.dim)
-    gy = problem.g.value(y)
-    if not np.isfinite(gy):
-        raise DomainError("y lies outside dom g")
-    cx, J = problem.c.eval_jac(x)
-    return gy + problem.h.value(cx + J @ (y - x))
 
 
 def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None):
@@ -130,13 +119,6 @@ def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None,
         counts["newton_steps"] = newton
         counts["dual"] = W[0]
     return Y[0]
-
-
-def prox_linear_map(problem, x, t, inner_tol=1e-10):
-    """G_t(x) = (x - x^t)/t; zero exactly at stationary points."""
-    x = as_vector(x, problem.dim)
-    y = solve_subproblem(problem, x, t, inner_tol)
-    return (x - y) / t
 
 
 def near_stationarity_certificate(problem, gnorm, t):
@@ -203,9 +185,7 @@ def run_prox_linear(problem, x0, cfg=None):
     and decrease_residual 0) is the last one.
     """
     cfg = cfg or ProxLinearConfig()
-    x = as_vector(x0, problem.dim).copy()
-    if not problem.g.in_domain(x):
-        raise DomainError("x0 lies outside dom g")
+    x = _start_point(problem, x0)
     lb = problem.L * problem.beta
     t = cfg.t0 if cfg.t0 is not None else (1.0 / lb if lb > 0 else 1.0)
     trace = IterationTrace(PROXLINEAR_HEADER)

@@ -102,14 +102,6 @@ def load_dense_matrix(path):
     return data.reshape(rows, cols)
 
 
-def save_dense_matrix(path, M):
-    M = np.atleast_2d(np.asarray(M, dtype=np.float64))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def load_dense_vector(path):
     M = load_dense_matrix(path)
     return M.ravel()
@@ -317,41 +309,6 @@ class QuadraticMap(SmoothMap):
         vals = (0.5 * np.matmul(Qx, col)[:, :, 0]
                 + np.matmul(self.a, col)[:, :, 0] + self.b)
         return vals, Qx + self.a
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference validation
-# ---------------------------------------------------------------------------
-
-def fd_check(target, x, h):
-    """Max relative disagreement between analytic and central differences.
-
-    Works on smooth functions (gradient check) and smooth maps (columnwise
-    Jacobian check); the scale is 1 + |analytic| per entry.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if isinstance(target, SmoothFunction):
-        analytic = target.grad(x)
-        num = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            num[i] = (target.value(x + e) - target.value(x - e)) / (2.0 * h)
-        return float(np.max(np.abs(analytic - num) / (1.0 + np.abs(analytic))))
-    if isinstance(target, SmoothMap):
-        _, J = target.eval_jac(x)
-        err = 0.0
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            col = (target.value(x + e) - target.value(x - e)) / (2.0 * h)
-            err = max(err, float(np.max(np.abs(J[:, i] - col)
-                                        / (1.0 + np.abs(J[:, i])))))
-        return err
-    raise TypeError(f"cannot finite-difference a {type(target).__name__}")
 
 
 # ---------------------------------------------------------------------------

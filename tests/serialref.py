@@ -10,7 +10,8 @@ dual ascent that the accelerated one replaced stays as an accuracy
 reference, and so do the proximal-gradient loop that re-validated x in
 every operation and the per-cell trace.csv writer that one format call
 per row replaced. The constants bundle's one sample pool is pinned against
-the per-estimator draws it replaced.
+the per-estimator draws it replaced. The prox-linear model is written out
+at one point, for the inequalities its subproblem solutions must meet.
 """
 
 import math
@@ -67,6 +68,13 @@ def subgrad_bounds(penalty, x):
     if any(lo is None for lo, _ in pairs):
         raise pb.DomainError("x lies outside the penalty domain")
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def model_value(problem, x, y):
+    """The prox-linear model g(y) + h(c(x) + J(x)(y - x)) of a composite
+    problem at base point x; exact at y = x."""
+    cx, J = problem.c.eval_jac(x)
+    return problem.g.value(y) + problem.h.value(cx + J @ (y - x))
 
 
 def operator_norm_sq(A):
@@ -213,14 +221,15 @@ def plain_dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
     return y, w, resid, maxit, False
 
 
-def trace_csv(trace, zero_elapsed=False):
-    """IterationTrace.to_csv as it was written, one f-string per cell."""
+def trace_csv(trace):
+    """IterationTrace.to_csv as it was written, one f-string per cell, with
+    every elapsed_s cell written as 0."""
     lines = [",".join(trace.header)]
     for i in range(len(trace)):
         vals = []
         for name in trace.header:
             v = trace.data[name][i]
-            if name == "elapsed_s" and zero_elapsed:
+            if name == "elapsed_s":
                 v = 0.0
             if name in ("k", "backtracks", "inner_iters", "inner_newton"):
                 vals.append(str(int(v)))
@@ -284,7 +293,7 @@ def constants_by_estimator(problem, ref, nu, t, n_samples, seed,
 
     def draw(n, *extra):
         X = np.vstack([D.sample_box(ref, problem.dim, n, seed), *extra])
-        Xa, gaps, _ = D._accepted(problem, ref, nu, X, None)
+        Xa, gaps, _ = D._accepted(problem, ref, nu, X)
         return Xa, gaps, ref.dist_batch(Xa)
 
     def max_ratio(dists, denom):

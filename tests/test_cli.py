@@ -382,6 +382,16 @@ def test_x0_whose_objective_overflows_is_in_the_domain(tmp_path, penalty):
     assert "status=Diverged" in (tmp_path / "o" / "report.txt").read_text()
 
 
+def test_check_at_the_float_limit_evaluates_no_formula(tmp_path):
+    # x0 / mu overflows here: check printed numpy's overflow warning
+    text = ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                               x0="const(value=1e308)", method="proxgrad")
+    path = write_cfg(tmp_path, text.replace(
+        "absvalue(lambda=0.1)", "huberenvelope(lambda=0.5,mu=0.1)"))
+    proc = run_cli_process("check", path)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 @pytest.mark.parametrize("content,violation", [
     ("2 1\n1.0\n2.0\n", "x0 has dim 2, expected 3"),
     ("1.0\n2.0\n1.0\n", "first line must be 'rows cols'"),

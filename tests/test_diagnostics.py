@@ -159,22 +159,29 @@ def test_iteration_bound_examples():
     assert pb.iteration_bound(2.0, 1.0, 1.0, 1.0, 1e-8, 1e-8) == 0.0
 
 
+def phi_trace(phis):
+    """A trace whose phi column holds phis."""
+    tr = pb.IterationTrace(("k", "phi"))
+    tr.data = {"k": list(range(len(phis))), "phi": list(phis)}
+    return tr
+
+
 def test_fit_tail_rate_geometric():
     gaps = 0.5 ** np.arange(40)
     phis = gaps + 7.0
-    rate = pb.fit_tail_rate(phis, 7.0, 0.5)
+    rate = pb.fit_tail_rate(phi_trace(phis), 7.0, 0.5)
     assert rate == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_tail_rate_constant_fails():
     phis = np.full(40, 7.5)
     with pytest.raises(pb.InsufficientData):
-        pb.fit_tail_rate(phis, 7.0, 0.5)
+        pb.fit_tail_rate(phi_trace(phis), 7.0, 0.5)
 
 
 def test_fit_tail_rate_too_short():
     with pytest.raises(pb.InsufficientData):
-        pb.fit_tail_rate(np.array([1.0, 0.5, 0.25]), 0.0, 1.0)
+        pb.fit_tail_rate(phi_trace([1.0, 0.5, 0.25]), 0.0, 1.0)
 
 
 def test_sandwich_quadratic_no_penalty():
@@ -186,17 +193,29 @@ def test_sandwich_quadratic_no_penalty():
     assert rep.min_upper_slack >= -1e-10
 
 
+class TiltedHuber(pb.HuberLoss):
+    """The 1-D unit-slope huber loss minus v x."""
+
+    def __init__(self, mu, v):
+        super().__init__(np.eye(1), np.zeros(1), mu)
+        self.v = v
+
+    def _value_at(self, Z):
+        return super()._value_at(Z) - self.v * Z[:, 0]
+
+    def _grad_at(self, Z):
+        return super()._grad_at(Z) - self.v
+
+
 def test_firm_convexity_of_huber_under_tilt():
     # huber is the Moreau envelope of lam|.|; tilting by |v| < lam keeps
     # quadratic growth positive around the tilted minimizer mu*v
     lam, mu, v = 1.0, 2.0, 0.3
-    f = pb.HuberLoss(np.eye(1), np.zeros(1), mu)  # unit-slope huber
-    prob = pb.AdditiveProblem(f=f, g=pb.Zero())
+    prob = pb.AdditiveProblem(f=TiltedHuber(mu, v), g=pb.Zero())
     x_v = mu * v
-    phi_star = prob.phi(vec(x_v)) - v * x_v
-    ref = pb.ReferenceSolution.computed(vec(x_v), phi_star, 0.0)
-    a = pb.estimate_alpha(prob, ref, float("inf"), n_samples=4000, seed=7,
-                          tilt=vec(v))
+    assert prob.f.grad(vec(x_v)) == pytest.approx([0.0])
+    ref = pb.ReferenceSolution.computed(vec(x_v), prob.phi(vec(x_v)), 0.0)
+    a = pb.estimate_alpha(prob, ref, float("inf"), n_samples=4000, seed=7)
     assert a > 0.0
 
 
@@ -290,7 +309,7 @@ def test_pool_prefix_is_the_accepted_smaller_draw(name, lasso42, lasso42_ref,
     for m in (500, 2000):
         small = D.sample_box(ref, prob.dim, m, 4)
         assert np.array_equal(small, big[:m])
-        Xm, gaps_m, drawn_m = D._accepted(prob, ref, gap0, small, None)
+        Xm, gaps_m, drawn_m = D._accepted(prob, ref, gap0, small)
         head = drawn < m
         assert np.array_equal(X[head], Xm)
         assert np.array_equal(gaps[head], gaps_m)
@@ -320,8 +339,9 @@ def test_composite_batches_match_per_sample_loop(robust7, monkeypatch):
     phis = D._phi_batch(robust7, X)
     gnorms, iters = D._gnorm_batch(robust7, X, t, 1e-11)
     want_phi = np.array([robust7.phi(x) for x in X])
-    want_g = np.array([np.linalg.norm(pb.prox_linear_map(robust7, x, t, 1e-11))
-                       for x in X])
+    want_g = np.array([
+        np.linalg.norm((x - pb.solve_subproblem(robust7, x, t, 1e-11)) / t)
+        for x in X])
     assert np.all(np.abs(phis - want_phi) <= 1e-12 * np.abs(want_phi))
     assert np.all(np.abs(gnorms - want_g) <= 1e-12 * want_g)
     # rows are independent: one row per block gives the same bits
@@ -332,9 +352,15 @@ def test_composite_batches_match_per_sample_loop(robust7, monkeypatch):
 
 
 def test_prox_bound_composite_unsupported(robust7):
+    # the prox_{t phi} oracle needs convex f + g, so a composite constants
+    # report measures no L-hat
     ref = pb.ReferenceSolution.computed(np.zeros(10), 0.0, 0.0)
+    rep = pb.estimate_constants(robust7, ref, float("inf"), 0.1,
+                                n_samples=40, seed=0)
+    assert rep.gamma_hat > 0.0 and rep.extras["gamma_samples"] == 40
+    assert "L_hat_prox" not in rep.extras and "prox_samples" not in rep.extras
     with pytest.raises(pb.UnsupportedOperation):
-        pb.estimate_prox_bound(robust7, ref, 1.0, 0.1)
+        pb.verify_sandwich(robust7, 0.1, np.zeros((1, 10)))
 
 
 # ---------------------------------------------------------------------------

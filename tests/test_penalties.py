@@ -3,6 +3,7 @@ import pytest
 
 import proxbound as pb
 import serialref
+from conftest import ALL_PENALTIES
 from gridref import SCALAR_VALUES, grid_envelope, grid_prox
 
 
@@ -92,6 +93,11 @@ def test_in_domain_reads_the_domain_flag_not_the_value():
     for p in (pb.ElasticNet(0.1, 0.2), pb.HuberEnvelope(0.5, 0.1),
               pb.AbsValue(0.1), pb.Zero()):
         assert p.in_domain(big) is True
+    # no formula is evaluated: x / mu and lam2 * x overflow here
+    with np.errstate(all="raise"):
+        for p, _ in ALL_PENALTIES.values():
+            if not isinstance(p, pb.BoxIndicator):
+                assert p.in_domain(np.full(3, 1e308)) is True
     box = pb.BoxIndicator(0.0, 1.0)
     assert box.in_domain(vec(0.0, 1.0)) is True
     assert box.in_domain(vec(0.5, 1.5)) is False

@@ -3,6 +3,7 @@ import pytest
 
 import proxbound as pb
 import serialref
+from proxbound import diagnostics as D
 
 
 def vec(*vals):
@@ -14,25 +15,43 @@ def shifted_quadratic(center):
     return pb.Quadratic(np.eye(1), vec(center))
 
 
+def prox_grad_map(problem, x, t):
+    """G_t(x) = (x - x_1)/t, x_1 the solver's first step from x, and the
+    |G_t(x)| the solver records for it."""
+    tr = pb.run_prox_gradient(problem, x, pb.ProxGradConfig(t=t, max_iter=1))
+    return (x - tr.iterates[-1]) / t, tr.data["gnorm"][0]
+
+
 def test_map_reduces_to_gradient_when_penalty_zero():
     p = pb.AdditiveProblem(f=pb.Quadratic(np.eye(1), vec(0.0)), g=pb.Zero())
-    assert pb.prox_grad_map(p, vec(3.0), 1.0) == pytest.approx([3.0])
+    G, gnorm = prox_grad_map(p, vec(3.0), 1.0)
+    assert G == pytest.approx([3.0]) and gnorm == pytest.approx(3.0)
 
 
 def test_map_zero_at_stationary_point():
     p = pb.AdditiveProblem(f=pb.Corridor(dim=1), g=pb.Zero())
-    assert pb.prox_grad_map(p, vec(0.5), 0.31) == pytest.approx([0.0])
+    G, gnorm = prox_grad_map(p, vec(0.5), 0.31)
+    assert G == pytest.approx([0.0]) and gnorm == pytest.approx(0.0)
 
 
 def test_map_lasso_1d_example():
     p = pb.AdditiveProblem(f=shifted_quadratic(2.0), g=pb.AbsValue(1.0))
-    assert pb.prox_grad_map(p, vec(0.0), 1.0) == pytest.approx([-1.0])
+    G, gnorm = prox_grad_map(p, vec(0.0), 1.0)
+    assert G == pytest.approx([-1.0]) and gnorm == pytest.approx(1.0)
 
 
 def test_map_outside_domain_raises():
     p = pb.AdditiveProblem(f=shifted_quadratic(0.0), g=pb.BoxIndicator(0.0, 1.0))
-    with pytest.raises(pb.DomainError):
-        pb.prox_grad_map(p, vec(2.0), 1.0)
+    with pytest.raises(pb.DomainError, match="x0 lies outside dom g"):
+        pb.run_prox_gradient(p, vec(2.0), pb.ProxGradConfig(t=1.0))
+
+
+def test_proximal_point_rejects_x0_outside_dom_g(lasso42):
+    # as the proximal-gradient runner does, not a Converged run at phi = inf
+    p = pb.AdditiveProblem(f=lasso42.f, g=pb.BoxIndicator(-0.2, 0.2))
+    for run in (pb.run_prox_gradient, pb.run_proximal_point):
+        with pytest.raises(pb.DomainError, match="^x0 lies outside dom g$"):
+            run(p, np.full(10, 5.0))
 
 
 def test_corridor_converges_in_one_step(corridor10):
@@ -63,8 +82,9 @@ def test_lasso_run_contracts(lasso42, lasso42_run, lasso42_ref):
     assert np.all(phis[:-1] - phis[1:] >= -1e-12 * scale)
     assert np.all(tr.column("descent_residual")[:-1] >= -1e-10 * scale)
     # fixed point characterization at the reference
-    g_at_ref = pb.prox_grad_map(lasso42, lasso42_ref.x_star, 1.0 / lasso42.f.beta)
-    assert np.linalg.norm(g_at_ref) <= 1e-8
+    _, g_at_ref = prox_grad_map(lasso42, lasso42_ref.x_star,
+                                1.0 / lasso42.f.beta)
+    assert g_at_ref <= 1e-8
 
 
 def test_lasso_geometric_decrease(lasso42, lasso42_run, lasso42_ref):
@@ -84,10 +104,10 @@ def test_lasso_geometric_decrease(lasso42, lasso42_run, lasso42_ref):
 def test_easy_bound_gnorm_below_stationarity_dist(lasso42):
     rng = np.random.default_rng(20)
     t = 1.0 / lasso42.f.beta
-    for _ in range(100):
-        x = rng.uniform(-2, 2, size=10)
-        g = np.linalg.norm(pb.prox_grad_map(lasso42, x, t))
-        assert g <= pb.dist_to_stationarity(lasso42, x) + 1e-10
+    X = rng.uniform(-2, 2, size=(100, 10))
+    # |G_t| at every row, as the gamma estimator takes it
+    g, _ = D._gnorm_batch(lasso42, X, t, 1e-10)
+    assert np.all(g <= pb.dist_to_stationarity(lasso42, X) + 1e-10)
 
 
 def test_improved_certificate_nonconvex(corridor_affine):
@@ -103,9 +123,15 @@ def test_improved_certificate_nonconvex(corridor_affine):
         assert d <= (1.0 + prob.f.beta * t) * gnorms[k] + 1e-8
 
 
+def prox_point_run(problem, x, t):
+    """One step of the proximal point oracle runner from x: its trace."""
+    return pb.run_proximal_point(problem, x,
+                                 pb.ProxGradConfig(t=t, max_iter=1))
+
+
 def test_prox_point_quadratic_shrinks():
     p = pb.AdditiveProblem(f=pb.Quadratic(np.eye(1), vec(0.0)), g=pb.Zero())
-    y = pb.proximal_point_step(p, vec(4.0), 1.0)
+    y = prox_point_run(p, vec(4.0), 1.0).iterates[1]
     assert y == pytest.approx([2.0], abs=1e-9)
 
 
@@ -113,18 +139,19 @@ def test_prox_point_absolute_value_soft_threshold():
     # degenerate smooth part: phi is effectively |x|
     f = pb.Quadratic(np.zeros((1, 1)), vec(0.0))
     p = pb.AdditiveProblem(f=f, g=pb.AbsValue(1.0))
-    y = pb.proximal_point_step(p, vec(2.0), 1.0)
+    y = prox_point_run(p, vec(2.0), 1.0).iterates[1]
     assert y == pytest.approx([1.0], abs=1e-9)
 
 
 def test_prox_point_fixed_point_at_minimizer(lasso42, lasso42_ref):
-    y = pb.proximal_point_step(lasso42, lasso42_ref.x_star, 0.7)
-    assert np.linalg.norm(y - lasso42_ref.x_star) <= 1e-8
+    # the gnorm column holds |x - prox_{t phi}(x)| / t
+    tr = prox_point_run(lasso42, lasso42_ref.x_star, 0.7)
+    assert tr.data["gnorm"][0] * 0.7 <= 1e-8
 
 
 def test_prox_point_requires_convex(corridor_affine):
     with pytest.raises(pb.UnsupportedOperation):
-        pb.proximal_point_step(corridor_affine, np.zeros(8), 1.0)
+        prox_point_run(corridor_affine, np.zeros(8), 1.0)
 
 
 def test_sandwich_property(lasso42, lasso42_ref):
@@ -154,7 +181,9 @@ def test_trace_csv_shape(lasso42_run):
 
 
 def test_trace_csv_zero_elapsed(lasso42_run):
-    text = lasso42_run.to_csv(zero_elapsed=True)
+    # the CSV writes every time as 0; the in-memory trace keeps them
+    assert lasso42_run.data["elapsed_s"][-1] > 0.0
+    text = lasso42_run.to_csv()
     for line in text.strip().split("\n")[1:]:
         assert line.rsplit(",", 1)[1] == "0"
 
@@ -162,19 +191,19 @@ def test_trace_csv_zero_elapsed(lasso42_run):
 @pytest.mark.parametrize("header", [
     pb.proxgrad.PROXGRAD_HEADER, pb.proxlinear.PROXLINEAR_HEADER],
     ids=["proxgrad", "proxlinear"])
-@pytest.mark.parametrize("zero_elapsed", [False, True])
-def test_trace_csv_matches_per_cell_formatter(lasso42_run, header,
-                                              zero_elapsed):
-    # every float column, elapsed_s included, takes each special value
+@pytest.mark.parametrize("timed", [False, True])
+def test_trace_csv_matches_per_cell_formatter(lasso42_run, header, timed):
+    # every float column takes each special value, elapsed_s too when the
+    # trace is timed; the CSV writes elapsed_s as 0 either way
     floats = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, -1.5e308, 1.0 / 3]
     tr = pb.IterationTrace(header)
     for i, v in enumerate(floats):
         tr.append(**{name: i if name in ("k", "backtracks", "inner_iters",
                                          "inner_newton")
-                     else v for name in header})
+                     else v if timed or name != "elapsed_s" else 0.0
+                     for name in header})
     for run in (tr, lasso42_run, pb.IterationTrace(header)):
-        assert (run.to_csv(zero_elapsed)
-                == serialref.trace_csv(run, zero_elapsed))
+        assert run.to_csv() == serialref.trace_csv(run)
 
 
 def test_proximal_point_runner(lasso42):

