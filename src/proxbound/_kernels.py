@@ -167,8 +167,8 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
     whatever its residual and gate, under the same acceptance rule and
     gate update; from iteration 2 on the gates apply.
 
-    g and h are the two penalties, whose parameters must fit n and m, and
-    hbox is h.dual_box(m), the (m,) arrays (hlo, hhi, hl1, hquad).
+    g and h are the two penalties, and hbox is h.dual_box(m), the (m,)
+    arrays (hlo, hhi, hl1, hquad).
     J is (B, m, n), cbar (B, m), X (B, n); steps, fx and fslack are (B,).
     Returns (Y, W, residuals, total row iterations, per-row iterations,
     Newton steps tried), W holding the dual point v at which each row

@@ -399,6 +399,9 @@ def run_experiment(cfg):
         t_used = trace.meta["t"]
     beta = problem.beta
 
+    # a diverged solve's verdict is its failed converged check; nothing can
+    # be measured around its overflowing iterates
+    diagnose = trace.status != "Diverged"
     phis = trace.column("phi")
     gnorms = trace.column("gnorm")
     phi_scale = 1.0 + float(np.max(np.abs(phis)))
@@ -426,6 +429,8 @@ def run_experiment(cfg):
         resid = trace.column("decrease_residual")[:-1]
         slack = _tolerance_slack(resid, 1e-10 * phi_scale)
         checks.append(CheckLine("sufficient_decrease", slack >= 0.0, slack))
+    # a prox-linear run diverges only at a start whose phi is not finite
+    if cfg.method == "proxlinear" and diagnose:
         expected = ((3.0 * problem.L * beta * trace.column("t_accepted") + 2.0)
                     * gnorms)
         diff = float(np.max(np.abs(expected - trace.column("certificate"))))
@@ -437,9 +442,6 @@ def run_experiment(cfg):
     constants = None
     ref = None
     diag_seed = cfg.diag_seed if cfg.diag_seed is not None else cfg.seed
-    # a diverged solve's verdict is its failed converged check; nothing can
-    # be measured around its overflowing iterates
-    diagnose = trace.status != "Diverged"
     if diagnose and (cfg.constants or cfg.sandwich or cfg.tail_rate):
         ref = diag.analytic_reference(problem)
         if ref is None:

@@ -11,31 +11,21 @@ last axis of X, a single point (n,) or a stack (..., n): ``_value``,
 ``_prox``, ``_subgrad`` and ``_prox_deriv``, the derivative of the
 proximal map that the dual ascent's Newton steps use. Every value and prox
 goes through :func:`proxbound._kernels.penalty_value` and
-:func:`proxbound._kernels.penalty_prox`, which call them. The formulas read
-parameters fixed once, at construction: floats, or float64 (n,) arrays
-where a weight (lam * w) or a box bound is per coordinate. An operation on
-points whose dimension is not that n raises DimensionMismatch.
+:func:`proxbound._kernels.penalty_prox`, which call them. Every parameter
+is one float, the same on every coordinate, fixed at construction and read
+by the formulas directly; so the formulas fit points of any dimension.
+Construction rejects an array parameter (DimensionMismatch), NaN, and an
+infinite parameter other than a box bound.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _kernels as K
 from .errors import DimensionMismatch, DomainError, UnsupportedOperation
 from .vectors import as_points, as_vector
-
-
-def _param(val):
-    """val as a float, or as a float64 array where it is per coordinate."""
-    a = np.asarray(val, dtype=np.float64)
-    return float(a) if a.ndim == 0 else a.copy()
-
-
-def _weighted(lam, weights):
-    """lam scaled by the weights: a float unless they are per coordinate."""
-    return float(lam) if weights is None else lam * _param(weights)
 
 
 class SeparablePenalty:
@@ -50,38 +40,28 @@ class SeparablePenalty:
     every point lies in the domain.
     """
 
-    # names of the parameters the formulas read
-    _params = ()
-
-    def _store(self, **params):
-        """Fix the parameters the formulas read; called once, at
-        construction."""
-        for name, p in params.items():
-            object.__setattr__(self, name, p)
-        object.__setattr__(self, "_params", tuple(params))
-
-    def _check(self, dim):
-        """Raise DimensionMismatch unless every per-coordinate parameter
-        fits points of dimension dim."""
-        for name in self._params:
-            p = getattr(self, name)
-            if isinstance(p, np.ndarray) and p.shape != (dim,):
-                raise DimensionMismatch(
-                    f"{type(self).__name__} parameter has shape {p.shape}, "
-                    f"expected ({dim},)")
+    def __post_init__(self):
+        # every parameter is one float that the formulas read directly and
+        # lies in (0, inf), tau in (0, 1), so NaN and inf are rejected; the
+        # box has its own rule
+        for f in fields(self):
+            v = _one_float(self, f.name)
+            upper = 1.0 if f.name == "tau" else np.inf
+            if not 0.0 < v < upper:
+                raise ValueError(f"{_SPEC_NAMES.get(f.name, f.name)} must "
+                                 f"lie in (0, {upper:g})")
+            object.__setattr__(self, f.name, v)
 
     # -- core operations ----------------------------------------------------
 
     def value(self, x):
         x = as_vector(x, name="x")
-        self._check(x.shape[0])
         return K.penalty_value(self, x)
 
     def prox(self, x, t):
         if t <= 0:
             raise ValueError("prox step t must be positive")
         x = as_vector(x, name="x")
-        self._check(x.shape[0])
         return K.penalty_prox(self, x, float(t))
 
     def subgrad_bounds(self, x):
@@ -89,7 +69,6 @@ class SeparablePenalty:
         point along the last axis of x: a point (n,) or a stack (..., n).
         Raises DomainError if any point lies outside the domain."""
         x = as_points(x, name="x")
-        self._check(x.shape[-1])
         if not self._inside(x):
             raise DomainError("x lies outside the penalty domain")
         return self._subgrad(x)
@@ -108,7 +87,6 @@ class SeparablePenalty:
         """Whether the point x lies in dom g. No formula is evaluated: g's
         value and its subgradient can overflow on a point of its domain."""
         x = as_vector(x, name="x")
-        self._check(x.shape[0])
         return self._inside(x)
 
     def _inside(self, X):
@@ -118,12 +96,10 @@ class SeparablePenalty:
 
     def value_batch(self, X):
         X = np.ascontiguousarray(X, dtype=np.float64)
-        self._check(X.shape[-1])
         return K.penalty_value(self, X)
 
     def prox_batch(self, X, t):
         X = np.ascontiguousarray(X, dtype=np.float64)
-        self._check(X.shape[-1])
         return K.penalty_prox(self, X, float(t))
 
     # -- conjugate / dual descriptions ---------------------------------------
@@ -156,8 +132,18 @@ class SeparablePenalty:
         return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
 
 
+def _one_float(penalty, name):
+    """The parameter name of penalty as a float; an array of any shape,
+    (1,) included, raises DimensionMismatch."""
+    v = getattr(penalty, name)
+    if np.ndim(v) != 0:
+        raise DimensionMismatch(f"{_SPEC_NAMES.get(name, name)} must be one "
+                                f"float, got shape {np.shape(v)}")
+    return float(v)
+
+
 def _dual_arrays(dim, lo, hi, l1=0.0, quad=0.0):
-    """dual_box's four (dim,) arrays from floats or (dim,) arrays."""
+    """dual_box's four (dim,) arrays, each constant at its float."""
     return tuple(np.full(dim, v) for v in (lo, hi, l1, quad))
 
 
@@ -187,35 +173,27 @@ class AbsValue(SeparablePenalty):
     """lam * |x|, coordinatewise."""
 
     lam: float
-    weights: object = None
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        self._store(_lam=_weighted(self.lam, self.weights))
 
     def _value(self, X):
-        return (self._lam * np.abs(X)).sum(axis=-1)
+        return (self.lam * np.abs(X)).sum(axis=-1)
 
     def _prox(self, X, t):
-        thr = t * self._lam
+        thr = t * self.lam
         return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
 
     def _subgrad(self, X):
-        return _abs_subgrad(self._lam, X)
+        return _abs_subgrad(self.lam, X)
 
     def _prox_deriv(self, X, t):
-        return (np.abs(X) > t * self._lam).astype(np.float64)
+        return (np.abs(X) > t * self.lam).astype(np.float64)
 
     def conjugate_prox(self, z, s):
         # conjugate is the indicator of [-lam, lam]; prox is projection
         z = as_vector(z, name="z")
-        self._check(z.shape[0])
-        return np.minimum(np.maximum(z, -self._lam), self._lam)
+        return np.minimum(np.maximum(z, -self.lam), self.lam)
 
     def dual_box(self, dim):
-        self._check(dim)
-        return _dual_arrays(dim, -self._lam, self._lam)
+        return _dual_arrays(dim, -self.lam, self.lam)
 
 
 @dataclass(frozen=True)
@@ -224,67 +202,60 @@ class ElasticNet(SeparablePenalty):
 
     lam1: float
     lam2: float
-    weights: object = None
-
-    def __post_init__(self):
-        if self.lam1 <= 0 or self.lam2 <= 0:
-            raise ValueError("lambda1 and lambda2 must be positive")
-        self._store(_lam1=_weighted(self.lam1, self.weights),
-                    _lam2=_weighted(self.lam2, self.weights))
 
     def _value(self, X):
-        return (self._lam1 * np.abs(X) + 0.5 * self._lam2 * X * X).sum(axis=-1)
+        return (self.lam1 * np.abs(X) + 0.5 * self.lam2 * X * X).sum(axis=-1)
 
     def _prox(self, X, t):
-        thr = t * self._lam1
+        thr = t * self.lam1
         return (np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
-                / (1.0 + t * self._lam2))
+                / (1.0 + t * self.lam2))
 
     def _subgrad(self, X):
-        lo, hi = _abs_subgrad(self._lam1, X)
-        return lo + self._lam2 * X, hi + self._lam2 * X
+        lo, hi = _abs_subgrad(self.lam1, X)
+        return lo + self.lam2 * X, hi + self.lam2 * X
 
     def _prox_deriv(self, X, t):
-        return (np.abs(X) > t * self._lam1) / (1.0 + t * self._lam2)
+        return (np.abs(X) > t * self.lam1) / (1.0 + t * self.lam2)
 
 
 @dataclass(frozen=True)
 class BoxIndicator(SeparablePenalty):
     """Indicator of the box lo <= x <= hi (componentwise)."""
 
-    lo: object
-    hi: object
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        lo, hi = _param(self.lo), _param(self.hi)
-        if np.any(lo > hi):
-            raise ValueError("box requires lo <= hi componentwise")
-        self._store(_lo=lo, _hi=hi)
+        # a bound may be negative or infinite; NaN fails the comparison
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, _one_float(self, name))
+        if not self.lo <= self.hi:
+            raise ValueError("box requires lo <= hi, neither of them NaN")
 
     def _value(self, X):
-        return np.where(np.any((X < self._lo) | (X > self._hi), axis=-1),
+        return np.where(np.any((X < self.lo) | (X > self.hi), axis=-1),
                         np.inf, 0.0)
 
     def _prox(self, X, t):
-        return np.minimum(np.maximum(X, self._lo), self._hi)
+        return np.minimum(np.maximum(X, self.lo), self.hi)
 
     def _inside(self, X):
-        return not (np.any(X < self._lo) or np.any(X > self._hi))
+        return not (np.any(X < self.lo) or np.any(X > self.hi))
 
     def _subgrad(self, X):
-        return (np.where(X == self._lo, -np.inf, 0.0),
-                np.where(X == self._hi, np.inf, 0.0))
+        return (np.where(X == self.lo, -np.inf, 0.0),
+                np.where(X == self.hi, np.inf, 0.0))
 
     def _prox_deriv(self, X, t):
-        return ((X > self._lo) & (X < self._hi)).astype(np.float64)
+        return ((X > self.lo) & (X < self.hi)).astype(np.float64)
 
     def conjugate_prox(self, z, s):
         # g* is the support function of the box; Moreau decomposition gives
         # prox_{s g*}(z) = z - s * proj_box(z / s)
         z = as_vector(z, name="z")
         s = float(s)
-        self._check(z.shape[0])
-        return z - s * np.minimum(np.maximum(z / s, self._lo), self._hi)
+        return z - s * np.minimum(np.maximum(z / s, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -293,20 +264,13 @@ class EpsilonInsensitive(SeparablePenalty):
 
     lam: float
     eps: float
-    weights: object = None
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.eps <= 0:
-            raise ValueError("lambda and epsilon must be positive")
-        self._store(_lam=_weighted(self.lam, self.weights),
-                    _eps=float(self.eps))
 
     def _value(self, X):
-        return (self._lam * np.maximum(np.abs(X) - self._eps, 0.0)).sum(
+        return (self.lam * np.maximum(np.abs(X) - self.eps, 0.0)).sum(
             axis=-1)
 
     def _prox(self, X, t):
-        lam, eps = self._lam, self._eps
+        lam, eps = self.lam, self.eps
         ax = np.abs(X)
         sx = np.sign(X)
         out = np.where(ax <= eps, X, sx * eps)
@@ -314,19 +278,18 @@ class EpsilonInsensitive(SeparablePenalty):
         return np.where(far, X - t * lam * sx, out)
 
     def _subgrad(self, X):
-        lam, eps = self._lam, self._eps
+        lam, eps = self.lam, self.eps
         lo = np.where(X > eps, lam, np.where(X <= -eps, -lam, 0.0))
         hi = np.where(X >= eps, lam, np.where(X < -eps, -lam, 0.0))
         return lo, hi
 
     def _prox_deriv(self, X, t):
         ax = np.abs(X)
-        return ((ax <= self._eps)
-                | (ax > self._eps + t * self._lam)).astype(np.float64)
+        return ((ax <= self.eps)
+                | (ax > self.eps + t * self.lam)).astype(np.float64)
 
     def dual_box(self, dim):
-        self._check(dim)
-        return _dual_arrays(dim, -self._lam, self._lam, l1=self._eps)
+        return _dual_arrays(dim, -self.lam, self.lam, l1=self.eps)
 
 
 @dataclass(frozen=True)
@@ -335,41 +298,31 @@ class CheckFunction(SeparablePenalty):
 
     lam: float
     tau: float
-    weights: object = None
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0,1)")
-        self._store(_lam=_weighted(self.lam, self.weights),
-                    _tau=float(self.tau))
 
     def _value(self, X):
-        lam, tau = self._lam, self._tau
+        lam, tau = self.lam, self.tau
         return (lam * np.maximum(tau * X, (tau - 1.0) * X)).sum(axis=-1)
 
     def _prox(self, X, t):
-        hi = t * self._lam * self._tau
-        lo = t * self._lam * (self._tau - 1.0)
+        hi = t * self.lam * self.tau
+        lo = t * self.lam * (self.tau - 1.0)
         out = np.zeros_like(X)
         out = np.where(X > hi, X - hi, out)
         return np.where(X < lo, X - lo, out)
 
     def _subgrad(self, X):
-        up = self._lam * self._tau
-        dn = self._lam * (self._tau - 1.0)
+        up = self.lam * self.tau
+        dn = self.lam * (self.tau - 1.0)
         return np.where(X > 0.0, up, dn), np.where(X < 0.0, dn, up)
 
     def _prox_deriv(self, X, t):
-        lam, tau = self._lam, self._tau
+        lam, tau = self.lam, self.tau
         return ((X > t * lam * tau) | (X < t * lam * (tau - 1.0))).astype(
             np.float64)
 
     def dual_box(self, dim):
-        self._check(dim)
-        return _dual_arrays(dim, self._lam * (self._tau - 1.0),
-                            self._lam * self._tau)
+        return _dual_arrays(dim, self.lam * (self.tau - 1.0),
+                            self.lam * self.tau)
 
 
 @dataclass(frozen=True)
@@ -383,40 +336,32 @@ class HuberEnvelope(SeparablePenalty):
 
     lam: float
     mu: float
-    weights: object = None
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError("lambda and mu must be positive")
-        self._store(_lam=_weighted(self.lam, self.weights),
-                    _mu=float(self.mu))
 
     def _value(self, X):
-        lam, mu = self._lam, self._mu
+        lam, mu = self.lam, self.mu
         ax = np.abs(X)
         quad = ax <= lam * mu
         return np.where(quad, X * X / (2.0 * mu),
                         lam * ax - 0.5 * lam * lam * mu).sum(axis=-1)
 
     def _prox(self, X, t):
-        lam, mu = self._lam, self._mu
+        lam, mu = self.lam, self.mu
         ax = np.abs(X)
         pt = mu + t
         inner = ax <= lam * pt
         return np.where(inner, X * mu / pt, X - np.copysign(t * lam, X))
 
     def _subgrad(self, X):
-        g = np.minimum(np.maximum(X / self._mu, -self._lam), self._lam)
+        g = np.minimum(np.maximum(X / self.mu, -self.lam), self.lam)
         return g, g.copy()
 
     def _prox_deriv(self, X, t):
-        mu = self._mu
-        inner = np.abs(X) <= self._lam * (mu + t)
+        mu = self.mu
+        inner = np.abs(X) <= self.lam * (mu + t)
         return np.where(inner, mu / (mu + t), 1.0)
 
     def dual_box(self, dim):
-        self._check(dim)
-        return _dual_arrays(dim, -self._lam, self._lam, quad=self._mu)
+        return _dual_arrays(dim, -self.lam, self.lam, quad=self.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +382,7 @@ _PENALTY_BUILDERS = {
 
 _PARAM_ALIASES = {"lambda": "lam", "lambda1": "lam1", "lambda2": "lam2",
                   "epsilon": "eps"}
+_SPEC_NAMES = {v: k for k, v in _PARAM_ALIASES.items()}
 
 
 def parse_spec_string(text, what="spec"):

@@ -128,6 +128,23 @@ def _start_point(problem, x0):
     return x
 
 
+def _start_value(problem, x, trace, t):
+    """phi(x0), taken with numpy's overflow warnings off. When it is not
+    finite the solve cannot start: trace then ends on x0 as a diverged
+    run_prox_gradient trace does, with one k = 0 row whose |G_t| and
+    certificate are inf, and status Diverged."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = problem.phi(x)
+    if not np.isfinite(phi):
+        row = dict.fromkeys(trace.header, 0.0)
+        row.update(phi=phi, gnorm=np.inf, certificate=np.inf, t_accepted=t)
+        trace.append(**row)
+        trace.status = "Diverged"
+        trace.iterates = x[None]
+        trace.final_x = x
+    return phi
+
+
 def _effective_step(problem, cfg):
     t = cfg.t if cfg.t is not None else 1.0 / problem.f.beta
     tmax = 1.0 / problem.f.beta
@@ -276,7 +293,8 @@ def run_proximal_point(problem, x0, cfg=None):
 
     The gnorm column holds |z_k - z_{k+1}|/t, which is a subgradient of phi
     at z_{k+1}; the certificate column repeats it. Requires convex f, and
-    raises DomainError for an x0 outside dom g.
+    raises DomainError for an x0 outside dom g. A start whose phi is not
+    finite ends the run at once with status Diverged (see _start_value).
     """
     cfg = cfg or ProxGradConfig()
     if not problem.f_convex:
@@ -286,8 +304,10 @@ def run_proximal_point(problem, x0, cfg=None):
     inner_tol = min(cfg.eps * 1e-2, 1e-10)
     trace = IterationTrace(PROXGRAD_HEADER)
     trace.meta = {"t": t, "beta": problem.f.beta}
+    phi_x = _start_value(problem, x, trace, t)
+    if trace.status == "Diverged":
+        return trace
     start = time.perf_counter()
-    phi_x = problem.phi(x)
     iterates = []
     for k in range(cfg.max_iter + 1):
         y = _prox_point_batch(problem, x[None, :], t, inner_tol)[0]

@@ -16,7 +16,7 @@ from . import _kernels as K
 from .errors import InnerSolveError
 from .penalties import (AbsValue, CheckFunction, EpsilonInsensitive,
                         HuberEnvelope, SeparablePenalty)
-from .proxgrad import INNER_CAP, IterationTrace, _start_point
+from .proxgrad import INNER_CAP, IterationTrace, _start_point, _start_value
 from .smooth import SmoothMap, operator_norm_sq
 from .vectors import as_vector
 
@@ -57,7 +57,10 @@ class CompositeProblem:
 
     def phi(self, x):
         x = as_vector(x, self.dim)
-        return self.g.value(x) + self.h.value(self.c.value(x))
+        # c(x) may overflow; h's kernel then gives inf or NaN, where
+        # h.value would reject the point, and a solve that starts there
+        # reports divergence
+        return self.g.value(x) + K.penalty_value(self.h, self.c.value(x))
 
     def phi_batch(self, X):
         """phi at every row of X; it stacks one m x n Jacobian per row."""
@@ -182,7 +185,9 @@ def run_prox_linear(problem, x0, cfg=None):
     fails while its required decrease (sigma/2)|G_t|^2 lies below
     STALL_ULPS ulp(phi(x_k)): x_k is then as stationary as floating point
     can certify, and its row (with the current t, the backtracks so far
-    and decrease_residual 0) is the last one.
+    and decrease_residual 0) is the last one. A start whose phi is not
+    finite ends the run at once with status Diverged (see
+    proxgrad._start_value).
     """
     cfg = cfg or ProxLinearConfig()
     x = _start_point(problem, x0)
@@ -190,8 +195,10 @@ def run_prox_linear(problem, x0, cfg=None):
     t = cfg.t0 if cfg.t0 is not None else (1.0 / lb if lb > 0 else 1.0)
     trace = IterationTrace(PROXLINEAR_HEADER)
     trace.meta = {"t0": t, "L": problem.L, "beta": problem.beta}
+    phi_x = _start_value(problem, x, trace, t)
+    if trace.status == "Diverged":
+        return trace
     start = time.perf_counter()
-    phi_x = problem.phi(x)
     counts = {"dual": None}
     iterates = []
     for k in range(cfg.max_iter + 1):

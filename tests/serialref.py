@@ -14,6 +14,7 @@ the per-estimator draws it replaced. The prox-linear model is written out
 at one point, for the inequalities its subproblem solutions must meet.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -61,10 +62,9 @@ def subgrad_interval(cls, a, b, xi):
 
 def subgrad_bounds(penalty, x):
     """Coordinatewise subdifferential of penalty at the point x."""
-    params = [getattr(penalty, name) for name in penalty._params]
-    p1, p2 = (np.broadcast_to(p, x.shape) for p in (params + [0.0, 0.0])[:2])
-    pairs = [subgrad_interval(type(penalty), a, b, xi)
-             for a, b, xi in zip(p1, p2, x)]
+    a, b = ([getattr(penalty, f.name) for f in dataclasses.fields(penalty)]
+            + [0.0, 0.0])[:2]
+    pairs = [subgrad_interval(type(penalty), a, b, xi) for xi in x]
     if any(lo is None for lo, _ in pairs):
         raise pb.DomainError("x lies outside the penalty domain")
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])

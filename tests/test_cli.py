@@ -392,6 +392,49 @@ def test_check_at_the_float_limit_evaluates_no_formula(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
 
 
+# each passed check, and run then reported Diverged at 0 iterations
+@pytest.mark.parametrize("role,spec,violation", [
+    ("penalty", "absvalue(lambda=nan)", "lambda must lie in (0, inf)"),
+    ("penalty", "box(lo=nan,hi=1)", "box requires lo <= hi"),
+    ("penalty", "huberenvelope(lambda=1,mu=inf)", "mu must lie in (0, inf)"),
+    ("h", "absvalue(lambda=nan)", "lambda must lie in (0, inf)"),
+    ("h", "checkfunction(lambda=inf,tau=0.5)", "lambda must lie in (0, inf)"),
+], ids=["absvalue_nan", "box_nan", "huber_mu_inf", "h_nan", "h_inf"])
+def test_non_finite_penalty_parameter_is_a_config_error(tmp_path, role, spec,
+                                                        violation):
+    text = COMPOSITE_CFG.format(h="absvalue(lambda=1)",
+                                sigma_policy="adaptive")
+    text = (text.replace("h = absvalue(lambda=1)", f"h = {spec}")
+            if role == "h" else text.replace("penalty = zero()",
+                                             f"penalty = {spec}"))
+    proc = run_cli_process("check", write_cfg(tmp_path, text))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: [problem] {role}: ")
+    assert violation in proc.stderr and "Traceback" not in proc.stderr
+
+
+# run printed numpy's overflow warnings and exited 3: the proximal point
+# inner loop's residual was inf, and h's value raised on the overflowing c(x0)
+@pytest.mark.parametrize("text", [
+    ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                        x0="const(value=1e308)", method="proxpoint-oracle"),
+    COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+    .replace("penalty = zero()", "penalty = huberenvelope(lambda=0.5,mu=0.1)")
+    .replace("[solver]", "x0 = const(value=1e308)\n\n[solver]"),
+], ids=["proxpoint", "proxlinear"])
+def test_start_whose_objective_is_not_finite_ends_diverged(tmp_path, text):
+    path = write_cfg(tmp_path, text)
+    assert run_cli_process("check", path).returncode == 0
+    out = tmp_path / "o"
+    proc = run_cli_process("run", path, "--quiet", "--out", str(out))
+    assert proc.returncode == 1 and proc.stderr == ""
+    report = (out / "report.txt").read_text()
+    assert "status=Diverged\niterations=0\nfinal_gnorm=inf\n" in report
+    assert "CHECK converged: FAIL slack=-inf" in report
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("0,inf,inf,")
+
+
 @pytest.mark.parametrize("content,violation", [
     ("2 1\n1.0\n2.0\n", "x0 has dim 2, expected 3"),
     ("1.0\n2.0\n1.0\n", "first line must be 'rows cols'"),

@@ -368,7 +368,7 @@ def test_prox_bound_composite_unsupported(robust7):
 # ---------------------------------------------------------------------------
 
 ADDITIVE_G = dict({name: p for name, (p, _) in ALL_PENALTIES.items()},
-                  halfbox=pb.BoxIndicator([0.0] * 3 + [-np.inf] * 3, np.inf))
+                  halfbox=pb.BoxIndicator(0.0, np.inf))
 # every kink of the catalog penalties above: 0, the vapnik +-eps, the box ends
 KINKS = np.array([0.0, 0.4, -0.4, -1.2, 0.9])
 
@@ -381,7 +381,7 @@ def kinked_points(g, rows, seed, dim=6):
     snap = rng.random((rows, dim)) < 1.0 / 3.0
     X[snap] = rng.choice(KINKS, size=int(np.sum(snap)))
     if isinstance(g, pb.BoxIndicator):
-        X = np.minimum(np.maximum(X, g._lo), g._hi)
+        X = np.minimum(np.maximum(X, g.lo), g.hi)
     return X
 
 

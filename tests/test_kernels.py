@@ -6,7 +6,6 @@ derivative behind the Newton steps must match central differences, and the
 Newton points must be the pseudo-inverse (min-norm least-squares) steps of
 the generalized Jacobian."""
 
-import copy
 import re
 
 import numpy as np
@@ -576,81 +575,3 @@ def test_minnorm_handles_infinite_bounds():
                                      0.5, 1e-12, 10 ** 5)
     assert norms[0] == ref
 
-
-# every kind, with weights or vector bounds where the kind takes them, and
-# which of its two kernel parameters are (n,) arrays; the kinks of their
-# prox at t = 1 and t = 0.5 are among PARAM_KINKS
-PARAM_N = 5
-PARAM_PENALTIES = {
-    "zero": (pb.Zero(), ()),
-    "absvalue": (pb.AbsValue(0.9), (False,)),
-    "absvalue-weighted": (
-        pb.AbsValue(0.9, weights=np.array([1.0, 0.5, 2.0, 0.0, 1.5])),
-        (True,)),
-    "elasticnet": (pb.ElasticNet(0.9, 0.6), (False, False)),
-    "elasticnet-weighted": (
-        pb.ElasticNet(0.9, 0.6, weights=np.array([0.3, 1.0, 1.0, 2.0, 0.7])),
-        (True, True)),
-    "box": (pb.BoxIndicator(-1.2, 0.9), (False, False)),
-    "box-vector": (pb.BoxIndicator(np.array([-1.2, -0.5, 0.0, -2.0, -0.9]),
-                                   np.array([0.9, 0.5, 1.2, -1.0, 0.9])),
-                   (True, True)),
-    "epsiloninsensitive": (pb.EpsilonInsensitive(0.9, 0.2), (False, False)),
-    "checkfunction": (pb.CheckFunction(0.8, 0.3), (False, False)),
-    "huberenvelope": (pb.HuberEnvelope(0.7, 0.4), (False, False)),
-}
-PARAM_KINKS = np.array([0.0, 0.2, -0.2, 0.45, -0.45, 0.9, -0.9, 1.1, -1.1,
-                        -1.2, 0.5, -0.5, 1.2, -2.0, -1.0, 0.28, -0.28,
-                        0.24, -0.56, 0.12, 0.63, -0.63, 0.98, -0.98])
-
-
-def widened(penalty, n):
-    """A copy of penalty with every stored parameter broadcast to an (n,)
-    array."""
-    wide = copy.copy(penalty)
-    wide._store(**{name: np.full(n, getattr(penalty, name))
-                   for name in penalty._params})
-    return wide
-
-
-@pytest.mark.parametrize("name", sorted(PARAM_PENALTIES))
-def test_stored_parameters_match_broadcast(name):
-    # a penalty keeps float parameters unless they are per coordinate; the
-    # four formulas give the same bits as with the parameters broadcast to
-    # (n,) arrays, at single points and at stacks with kink points
-    penalty, per_coordinate = PARAM_PENALTIES[name]
-    params = [getattr(penalty, p) for p in penalty._params]
-    assert tuple(isinstance(p, np.ndarray) for p in params) == per_coordinate
-    assert all(isinstance(p, float) for p in params
-               if not isinstance(p, np.ndarray))
-    wide = widened(penalty, PARAM_N)
-    assert all(getattr(wide, p).shape == (PARAM_N,) for p in wide._params)
-    rng = np.random.default_rng(17)
-    X = rng.uniform(-2.0, 2.0, size=(4, 30, PARAM_N))
-    snap = rng.random(X.shape) < 0.5
-    X[snap] = rng.choice(PARAM_KINKS, size=int(np.sum(snap)))
-    for points in (X, X[2, 7]):
-        for t in (T, 0.5):
-            assert np.array_equal(K.penalty_prox(penalty, points, t),
-                                  K.penalty_prox(wide, points, t))
-            assert np.array_equal(penalty._prox_deriv(points, t),
-                                  wide._prox_deriv(points, t))
-        assert np.array_equal(K.penalty_value(penalty, points),
-                              K.penalty_value(wide, points))
-        got, want = (p._subgrad(points) for p in (penalty, wide))
-        assert penalty._inside(points) == wide._inside(points)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-
-
-@pytest.mark.parametrize("gname", sorted(DUAL_G))
-@pytest.mark.parametrize("hname", sorted(DUAL_H))
-def test_dual_ascent_stored_parameters_match_broadcast(hname, gname):
-    (g, h, hbox), J, cbar, X, steps, fx, fslack = stacked_subproblems(
-        DUAL_H[hname], DUAL_G[gname], 7, seed=5)
-    got = K.dual_ascent(g, h, hbox, J, cbar, X, T, steps, TOL, fx, fslack,
-                        10 ** 5)
-    want = K.dual_ascent(widened(g, N), widened(h, M), hbox, J, cbar, X, T,
-                         steps, TOL, fx, fslack, 10 ** 5)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)

@@ -263,13 +263,6 @@ def test_convexity_midpoint_probe(penalty_case):
     assert np.all(vm <= 0.5 * (va + vb) + 1e-12)
 
 
-def test_weighted_penalty_scales_lambda():
-    p = pb.AbsValue(2.0, weights=vec(1.0, 0.5))
-    assert p.value(vec(1.0, 1.0)) == pytest.approx(3.0)
-    y = p.prox(vec(3.0, 3.0), 1.0)
-    assert y == pytest.approx([1.0, 2.0])
-
-
 # ----------------------------------------------------------------------------
 # Construction and spec strings
 # ----------------------------------------------------------------------------
@@ -313,15 +306,36 @@ def test_penalty_from_spec_errors():
         pb.penalty_from_spec("absvalue(lambda)")
 
 
-# a wrong-length vector parameter on every kind that takes one; each is
-# built from a vector of the given length for points of dimension 3
+# (kind, parameter) for every parameter of every catalog penalty
+PARAMETERS = [(name, key) for name in sorted(ALL_PENALTIES)
+              for key in sorted(ALL_PENALTIES[name][1])]
+
+
+def rebuilt(name, **change):
+    """The catalog penalty name, built with the given parameters changed."""
+    p, params = ALL_PENALTIES[name]
+    return type(p)(**dict(params, **change))
+
+
+@pytest.mark.parametrize("name,key", PARAMETERS)
+def test_array_parameter_raises_at_construction(name, key):
+    # every parameter is stored as a plain float, and one array parameter
+    # cannot be built at all
+    value = ALL_PENALTIES[name][1][key]
+    assert type(getattr(rebuilt(name, **{key: np.float64(value)}),
+                        key)) is float
+    with pytest.raises(pb.DimensionMismatch):
+        rebuilt(name, **{key: np.full(2, value)})
+
+
+# every kind built from one parameter of the given value; the rest are
+# floats, and at 0.8 the box bounds hold the point X3 of dimension 3
 MISMATCHED = {
-    "absvalue": lambda w: pb.AbsValue(1.0, weights=w),
-    "elasticnet": lambda w: pb.ElasticNet(1.0, 0.5, weights=w),
-    "epsiloninsensitive": lambda w: pb.EpsilonInsensitive(1.0, 0.2,
-                                                          weights=w),
-    "checkfunction": lambda w: pb.CheckFunction(1.0, 0.3, weights=w),
-    "huberenvelope": lambda w: pb.HuberEnvelope(1.0, 0.5, weights=w),
+    "absvalue": lambda w: pb.AbsValue(w),
+    "elasticnet": lambda w: pb.ElasticNet(w, 0.5),
+    "epsiloninsensitive": lambda w: pb.EpsilonInsensitive(w, 0.2),
+    "checkfunction": lambda w: pb.CheckFunction(w, 0.3),
+    "huberenvelope": lambda w: pb.HuberEnvelope(w, 0.5),
     "box_lo": lambda w: pb.BoxIndicator(-w, 1.0),
     "box_hi": lambda w: pb.BoxIndicator(-1.0, w),
 }
@@ -360,95 +374,45 @@ ONLY_KINDS = {
     for entry in sorted(ENTRY_POINTS) for kind in sorted(MISMATCHED)
     if kind in ONLY_KINDS.get(entry, (kind,))])
 def test_dimension_mismatch_raises(entry, kind, length):
-    p = MISMATCHED[kind](np.full(length, 0.5))
+    # as one float the parameter fits the 3-D points of every entry point;
+    # as an array of any length, 1 included, it is refused at construction,
+    # so no entry point ever sees it
+    ENTRY_POINTS[entry](MISMATCHED[kind](0.8))
     with pytest.raises(pb.DimensionMismatch):
-        ENTRY_POINTS[entry](p)
+        ENTRY_POINTS[entry](MISMATCHED[kind](np.full(length, 0.8)))
 
 
-WEIGHTS = vec(0.5, 1.0, 2.0, 0.3, 1.5)
-BOX_LO = vec(-1.2, -0.5, 0.0, -2.0, -0.9)
-BOX_HI = vec(0.9, 0.5, 1.2, -1.0, 0.9)
-# the kinks of the penalties below and of their prox at t = 1
-_LAM = 0.9 * WEIGHTS
-WEIGHTED_KINKS = np.concatenate((
-    [0.0, 0.2, -0.2], BOX_LO, BOX_HI, _LAM, -_LAM, 0.2 + _LAM, -0.2 - _LAM,
-    0.8 * WEIGHTS * 0.3, 0.8 * WEIGHTS * (0.3 - 1.0), 0.7 * WEIGHTS * 0.4,
-    -0.7 * WEIGHTS * 0.4, 0.7 * WEIGHTS * 1.4, -0.7 * WEIGHTS * 1.4))
-# (penalty with per-coordinate parameters, the scalar-parameter penalty of
-# coordinate i)
-PER_COORDINATE = {
-    "absvalue": (pb.AbsValue(0.9, weights=WEIGHTS),
-                 lambda i: pb.AbsValue(0.9 * WEIGHTS[i])),
-    "elasticnet": (pb.ElasticNet(0.9, 0.6, weights=WEIGHTS),
-                   lambda i: pb.ElasticNet(0.9 * WEIGHTS[i],
-                                           0.6 * WEIGHTS[i])),
-    "box": (pb.BoxIndicator(BOX_LO, BOX_HI),
-            lambda i: pb.BoxIndicator(BOX_LO[i], BOX_HI[i])),
-    "epsiloninsensitive": (pb.EpsilonInsensitive(0.9, 0.2, weights=WEIGHTS),
-                           lambda i: pb.EpsilonInsensitive(0.9 * WEIGHTS[i],
-                                                           0.2)),
-    "checkfunction": (pb.CheckFunction(0.8, 0.3, weights=WEIGHTS),
-                      lambda i: pb.CheckFunction(0.8 * WEIGHTS[i], 0.3)),
-    "huberenvelope": (pb.HuberEnvelope(0.7, 0.4, weights=WEIGHTS),
-                      lambda i: pb.HuberEnvelope(0.7 * WEIGHTS[i], 0.4)),
-}
+@pytest.mark.parametrize("name,key", PARAMETERS)
+def test_non_finite_parameter_raises_at_construction(name, key):
+    # NaN is rejected in every parameter, +-inf in every one but a box
+    # bound, which may be infinite on its own side
+    with pytest.raises(ValueError):
+        rebuilt(name, **{key: np.nan})
+    for v in (np.inf, -np.inf):
+        if name == "box" and (key == "hi") == (v > 0):
+            assert getattr(rebuilt(name, **{key: v}), key) == v
+        else:
+            with pytest.raises(ValueError):
+                rebuilt(name, **{key: v})
 
 
-@pytest.mark.parametrize("name", sorted(PER_COORDINATE))
-def test_per_coordinate_parameters_act_coordinatewise(name):
-    # coordinate i of every operation is, bit for bit, the scalar-parameter
-    # penalty of coordinate i's parameters at the 1-D point (x_i,)
-    p, scalar = PER_COORDINATE[name]
-    n = WEIGHTS.size
-    rng = np.random.default_rng(23)
-    X = rng.uniform(-2.5, 2.5, size=(40, n))
-    snap = rng.random(X.shape) < 0.5
-    X[snap] = rng.choice(WEIGHTED_KINKS, size=int(np.sum(snap)))
-    if name == "box":
-        X = np.clip(X, BOX_LO, BOX_HI)
-    # a point where every term of g is 0, so the value at it with one
-    # coordinate replaced is that coordinate's term alone
-    zero = p.prox(np.zeros(n), 1.0)
-    assert p.value(zero) == 0.0
-    lo, hi = p.subgrad_bounds(X)
-    for i in range(n):
-        q = scalar(i)
-        col = X[:, i:i + 1]
-        for x in X:
-            y = zero.copy()
-            y[i] = x[i]
-            assert p.value(y) == q.value(x[i:i + 1])
-        for t in (1.0, 0.37):
-            assert np.array_equal(p.prox_batch(X, t)[:, i],
-                                  q.prox_batch(col, t)[:, 0])
-            assert np.array_equal(p._prox_deriv(X, t)[:, i],
-                                  q._prox_deriv(col, t)[:, 0])
-        want_lo, want_hi = q.subgrad_bounds(col)
-        assert np.array_equal(lo[:, i], want_lo[:, 0])
-        assert np.array_equal(hi[:, i], want_hi[:, 0])
-        if name not in ("elasticnet", "box"):
-            for got, want in zip(p.dual_box(n), q.dual_box(1)):
-                assert got[i] == want[0]
-
-
-@pytest.mark.parametrize("weights", [None, WEIGHTS])
-def test_huber_prox_outer_branch_matches_sign_form_bitwise(weights):
+def test_huber_prox_outer_branch_matches_sign_form_bitwise():
     # the outer branch is X - copysign(t lam, X); X - t lam sign(X) gave
     # the same bits wherever that branch is taken, and X = 0 always lies
     # in the inner one
-    p = pb.HuberEnvelope(0.7, 0.4, weights=weights)
-    n = WEIGHTS.size
+    p = pb.HuberEnvelope(0.7, 0.4)
+    n = 5
     rng = np.random.default_rng(29)
     for t in (1.0, 0.37, 1e-9):
-        kink = np.broadcast_to(p._lam * (0.4 + t), (n,))
+        kink = np.full(n, p.lam * (0.4 + t))
         X = np.stack([np.zeros(n), -np.zeros(n), kink, -kink,
                       np.nextafter(kink, np.inf), -np.nextafter(kink, np.inf),
                       np.nextafter(kink, 0.0), np.full(n, 1e300),
                       np.full(n, -1e300), rng.uniform(-3.0, 3.0, n),
                       rng.uniform(-3.0, 3.0, n)])
-        inner = np.abs(X) <= p._lam * (0.4 + t)
+        inner = np.abs(X) <= p.lam * (0.4 + t)
         want = np.where(inner, X * 0.4 / (0.4 + t),
-                        X - t * p._lam * np.sign(X))
+                        X - t * p.lam * np.sign(X))
         got = p.prox_batch(X, t)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.all(inner[:2]) and not np.all(inner)
