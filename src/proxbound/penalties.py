@@ -346,10 +346,9 @@ class HuberEnvelope(SeparablePenalty):
 
     def _prox(self, X, t):
         lam, mu = self.lam, self.mu
-        ax = np.abs(X)
         pt = mu + t
-        inner = ax <= lam * pt
-        return np.where(inner, X * mu / pt, X - np.copysign(t * lam, X))
+        out = X - np.copysign(t * lam, X)
+        return np.divide(X * mu, pt, out=out, where=np.abs(X) <= lam * pt)
 
     def _subgrad(self, X):
         g = np.minimum(np.maximum(X / self.mu, -self.lam), self.lam)

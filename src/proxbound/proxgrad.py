@@ -22,6 +22,9 @@ INNER_CAP = 10 ** 6
 # rows of run_prox_gradient's first iterate and residual arrays; each
 # doubles when full
 _FIRST_ROWS = 64
+# most steps run_prox_gradient takes between two stop tests; at most
+# _FIRST_ROWS, so that one doubling of the arrays makes room for a block
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -100,15 +103,16 @@ class IterationTrace:
         """The trace as CSV text, with every elapsed_s cell written as 0 so
         that reruns are byte-identical (the measured times stay on the
         in-memory trace)."""
-        # one %-format per row (%d truncates a float as int() does);
-        # formatting whole columns first would hold a string per cell, ~7 MB
-        # more peak memory on a 17.5k-row trace
+        # one %-format per row (%d truncates a float as int() does), with k
+        # the row number and elapsed_s a literal 0; formatting whole columns
+        # first would hold a string per cell, ~7 MB more peak memory on a
+        # 17.5k-row trace
         cols, specs = [], []
         for name in self.header:
-            vals = self.data[name]
             if name == "elapsed_s":
-                vals = [0.0] * len(vals)
-            cols.append(vals)
+                specs.append("0")
+                continue
+            cols.append(range(len(self)) if name == "k" else self.data[name])
             specs.append("%d" if name in ("k", "backtracks", "inner_iters",
                                           "inner_newton") else "%.17g")
         rows = map(",".join(specs).__mod__, zip(*cols))
@@ -128,20 +132,27 @@ def _start_point(problem, x0):
     return x
 
 
+def _end_diverged(trace, phi, t, iterates):
+    """End trace with status Diverged on the last row of iterates, x_k: its
+    row k gets phi(x_k), an inf |G_t| and certificate and a zero descent
+    residual."""
+    row = dict.fromkeys(trace.header, 0.0)
+    row.update(k=len(trace), phi=phi, gnorm=np.inf, certificate=np.inf,
+               t_accepted=t)
+    trace.append(**row)
+    trace.status = "Diverged"
+    trace.iterates = iterates
+    trace.final_x = iterates[-1]
+
+
 def _start_value(problem, x, trace, t):
     """phi(x0), taken with numpy's overflow warnings off. When it is not
     finite the solve cannot start: trace then ends on x0 as a diverged
-    run_prox_gradient trace does, with one k = 0 row whose |G_t| and
-    certificate are inf, and status Diverged."""
+    run_prox_gradient trace does, with one k = 0 row (see _end_diverged)."""
     with np.errstate(over="ignore", invalid="ignore"):
         phi = problem.phi(x)
     if not np.isfinite(phi):
-        row = dict.fromkeys(trace.header, 0.0)
-        row.update(phi=phi, gnorm=np.inf, certificate=np.inf, t_accepted=t)
-        trace.append(**row)
-        trace.status = "Diverged"
-        trace.iterates = x[None]
-        trace.final_x = x
+        _end_diverged(trace, phi, t, x[None])
     return phi
 
 
@@ -160,10 +171,17 @@ def run_prox_gradient(problem, x0, cfg=None):
 
     x0 is validated once (finite, of the problem's dimension, inside dom g);
     each step then calls the kernels directly, with no per-call
-    re-validation. The loop keeps only what the recursion and its stop test
-    need: the prox step, |G_t(x_k)|, f's residual at the new iterate (Ax - b
-    for an affine loss) and the gradient from it. The iterate and its
-    residual are stored as rows of two arrays that double when full.
+    re-validation. A step does only the recursion: f's residual at x_k (Ax
+    - b for an affine loss), the gradient from it and the prox step. x_k and
+    its residual are stored as rows of two arrays that double when full.
+
+    The stop test runs once per block of steps, over the stored rows:
+    |G_t(x_k)| = |x_k - x_{k+1}| / t for every k of the block, then the
+    first k with |G_t| <= eps or a non-finite |G_t|, or k = max_iter, ends
+    the run there. Blocks take 1, 2, 4, ... steps, at most _BLOCK, so a run
+    computes at most min(k, _BLOCK - 1) steps past its stop at row k; they
+    are discarded. Each |G_t| is the BLAS dot a per-step norm would
+    take, bit for bit.
 
     Neither f nor g is evaluated inside the loop. After it, one call over
     the stored residuals gives f at every iterate, and one kernel call over
@@ -176,7 +194,7 @@ def run_prox_gradient(problem, x0, cfg=None):
 
     trace.status is "Converged" once |G_t| <= eps, "MaxIter" after
     max_iter steps, or "Diverged" (a step too long for the true f makes
-    the iterate overflow). Only a non-finite |G_t| stops the loop at once.
+    the iterate overflow). A non-finite |G_t| stops the run at its row.
     A non-finite phi at an iterate after x0 is found after the loop and
     cuts the trace at the iterate before the first such point, so a run
     whose f overflows while |G_t| stays finite runs on to its own stop test
@@ -189,47 +207,47 @@ def run_prox_gradient(problem, x0, cfg=None):
     f = problem.f
     beta = f.beta
     g = problem.g
+    eps, last = cfg.eps, cfg.max_iter
     prox = K.penalty_prox
     residual, grad_at = f._residual, f._grad_at
-    first = min(cfg.max_iter + 1, _FIRST_ROWS)
-    gnorms, elapsed = [], []
-    add_gnorm, add_elapsed = gnorms.append, elapsed.append
+    # row k + 1 holds the step leaving row k, so a run may store max_iter + 2
+    first = min(last + 2, _FIRST_ROWS)
+    gnorms, times = [], []
+    add_time = times.append
     clock = time.perf_counter
     start = clock()
     # overflow of a diverging iterate is detected below and reported as
     # status Diverged, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        R = residual(x[None, :])
-        grad = grad_at(R)[0]
+        # step 0 sizes the residual array; block [a, b) holds steps a .. b-1
+        R = residual(x)
         X = np.empty((first, problem.dim))
-        Rs = np.empty((first, R.shape[1]))
-        X[0] = x
-        Rs[0] = R
-        for k in range(cfg.max_iter + 1):
-            y = prox(g, x - t * grad, t)
-            d = (x - y) / t
-            # what np.linalg.norm computes for a 1-D float vector
-            gnorm = math.sqrt(d.dot(d))
-            add_gnorm(gnorm)
-            if gnorm <= cfg.eps:
-                status = "Converged"
-            elif not math.isfinite(gnorm):
-                status = "Diverged"
-            elif k == cfg.max_iter:
-                status = "MaxIter"
-            else:
-                R = residual(y[None, :])
-                grad = grad_at(R)[0]
-                add_elapsed(clock() - start)
-                if k + 1 == X.shape[0]:
-                    X = np.concatenate((X, np.empty_like(X)))
-                    Rs = np.concatenate((Rs, np.empty_like(Rs)))
-                X[k + 1] = y
-                Rs[k + 1] = R
-                x = y
-                continue
-            add_elapsed(clock() - start)
-            break
+        Rs = np.empty((first, R.size))
+        X[0], Rs[0] = x, R
+        X[1] = x = prox(g, x - t * grad_at(R), t)
+        add_time(clock())
+        a, b = 0, 1
+        while True:
+            gn = np.sqrt(K.row_dots((X[a:b] - X[a + 1:b + 1]) / t))
+            gnorms.append(gn)
+            # rows whose |G_t| is <= eps or not finite
+            stop = np.flatnonzero(~((gn > eps) & (gn < np.inf)))
+            if stop.size:
+                k = a + int(stop[0])
+                status = "Converged" if gn[stop[0]] <= eps else "Diverged"
+                break
+            if b > last:
+                k, status = last, "MaxIter"
+                break
+            a, b = b, min(b + min(2 * (b - a), _BLOCK), last + 1)
+            if b >= X.shape[0]:
+                X = np.concatenate((X, np.empty_like(X)))
+                Rs = np.concatenate((Rs, np.empty_like(Rs)))
+            for j in range(a, b):
+                R = residual(x)
+                Rs[j] = R
+                X[j + 1] = x = prox(g, x - t * grad_at(R), t)
+                add_time(clock())
         rows = k + 1
         phi = f._value_at(Rs[:rows])
         # free the residuals before g's temporaries are made: holding both
@@ -241,17 +259,17 @@ def run_prox_gradient(problem, x0, cfg=None):
             rows = int(bad[0]) + 1
             status = "Diverged"
         phi = phi[:rows]
-        gn = np.array(gnorms[:rows])
+        gn = np.concatenate(gnorms)[:rows]
         resid = np.zeros(rows)
         resid[:-1] = phi[:-1] - phi[1:] - gn[:-1] * gn[:-1] / (2.0 * beta)
         cert = (1.0 + beta * t) * gn
     trace = IterationTrace(PROXGRAD_HEADER)
     trace.meta = {"t": t, "beta": beta}
     trace.data = {"k": np.arange(rows, dtype=np.float64).tolist(),
-                  "phi": phi.tolist(), "gnorm": gnorms[:rows],
+                  "phi": phi.tolist(), "gnorm": gn.tolist(),
                   "descent_residual": resid.tolist(),
                   "certificate": cert.tolist(),
-                  "elapsed_s": elapsed[:rows]}
+                  "elapsed_s": (np.array(times[:rows]) - start).tolist()}
     trace.iterates = X[:rows]
     trace.status = status
     trace.final_x = X[rows - 1].copy()
@@ -268,14 +286,15 @@ def _prox_point_batch(problem, X, t, inner_tol):
     stops once every row's |G_s(y)| <= inner_tol. Raises InnerSolveError at
     once when a residual stops being finite (a declared beta below the true
     modulus makes the inner steps overflow), and after INNER_CAP iterations
-    otherwise."""
+    otherwise. The overflow itself raises no numpy warning."""
     t = float(t)
     s = 1.0 / (problem.f.beta + 1.0 / t)
     Y = np.array(X, dtype=np.float64)
     for it in range(1, INNER_CAP + 1):
-        grad = problem.f.grad_batch(Y) + (Y - X) / t
-        Ynew = problem.g.prox_batch(Y - s * grad, s)
-        res = np.linalg.norm(Ynew - Y, axis=1) / s
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = problem.f.grad_batch(Y) + (Y - X) / t
+            Ynew = problem.g.prox_batch(Y - s * grad, s)
+            res = np.linalg.norm(Ynew - Y, axis=1) / s
         Y = Ynew
         worst = float(np.max(res))
         if worst <= inner_tol:
@@ -294,7 +313,11 @@ def run_proximal_point(problem, x0, cfg=None):
     The gnorm column holds |z_k - z_{k+1}|/t, which is a subgradient of phi
     at z_{k+1}; the certificate column repeats it. Requires convex f, and
     raises DomainError for an x0 outside dom g. A start whose phi is not
-    finite ends the run at once with status Diverged (see _start_value).
+    finite ends the run at once with status Diverged (see _start_value), and
+    so does an inner solve from z_k whose residual stops being finite (a
+    declared beta below the true modulus): the trace then ends on z_k, with
+    row k as _end_diverged writes it. An inner solve that reaches its cap
+    with a finite residual still raises InnerSolveError.
     """
     cfg = cfg or ProxGradConfig()
     if not problem.f_convex:
@@ -310,7 +333,13 @@ def run_proximal_point(problem, x0, cfg=None):
     start = time.perf_counter()
     iterates = []
     for k in range(cfg.max_iter + 1):
-        y = _prox_point_batch(problem, x[None, :], t, inner_tol)[0]
+        try:
+            y = _prox_point_batch(problem, x[None, :], t, inner_tol)[0]
+        except InnerSolveError as err:
+            if math.isfinite(err.residual):
+                raise
+            _end_diverged(trace, phi_x, t, np.array(iterates + [x]))
+            return trace
         pnorm = float(np.linalg.norm(x - y)) / t
         iterates.append(x)
         if pnorm <= cfg.eps or k == cfg.max_iter:

@@ -414,15 +414,25 @@ def test_non_finite_penalty_parameter_is_a_config_error(tmp_path, role, spec,
 
 
 # run printed numpy's overflow warnings and exited 3: the proximal point
-# inner loop's residual was inf, and h's value raised on the overflowing c(x0)
-@pytest.mark.parametrize("text", [
-    ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
-                        x0="const(value=1e308)", method="proxpoint-oracle"),
-    COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
-    .replace("penalty = zero()", "penalty = huberenvelope(lambda=0.5,mu=0.1)")
-    .replace("[solver]", "x0 = const(value=1e308)\n\n[solver]"),
-], ids=["proxpoint", "proxlinear"])
-def test_start_whose_objective_is_not_finite_ends_diverged(tmp_path, text):
+# inner loop's residual was inf, from an x0 whose phi overflows and, with a
+# declared beta far below the true 32.9, from a finite phi(x0) at outer
+# step 0; and h's value raised on the overflowing c(x0)
+@pytest.mark.parametrize("text,phi0", [
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                         x0="const(value=1e308)", method="proxpoint-oracle"),
+     "inf"),
+    (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+     .replace("penalty = zero()",
+              "penalty = huberenvelope(lambda=0.5,mu=0.1)")
+     .replace("[solver]", "x0 = const(value=1e308)\n\n[solver]"),
+     "inf"),
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
+                         x0="zeros", method="proxpoint-oracle")
+     .replace("[solver]", "beta_override = 0.001\n\n[solver]"),
+     "finite"),
+], ids=["proxpoint", "proxlinear", "proxpoint_inner"])
+def test_start_whose_objective_is_not_finite_ends_diverged(tmp_path, text,
+                                                           phi0):
     path = write_cfg(tmp_path, text)
     assert run_cli_process("check", path).returncode == 0
     out = tmp_path / "o"
@@ -432,7 +442,10 @@ def test_start_whose_objective_is_not_finite_ends_diverged(tmp_path, text):
     assert "status=Diverged\niterations=0\nfinal_gnorm=inf\n" in report
     assert "CHECK converged: FAIL slack=-inf" in report
     rows = (out / "trace.csv").read_text().splitlines()[1:]
-    assert len(rows) == 1 and rows[0].startswith("0,inf,inf,")
+    assert len(rows) == 1
+    k, phi, gnorm = rows[0].split(",")[:3]
+    assert (k, gnorm) == ("0", "inf")
+    assert (phi == "inf") == (phi0 == "inf") and float(phi) > 0.0
 
 
 @pytest.mark.parametrize("content,violation", [

@@ -418,6 +418,28 @@ def test_huber_prox_outer_branch_matches_sign_form_bitwise():
         assert np.all(inner[:2]) and not np.all(inner)
 
 
+@pytest.mark.parametrize("shape", [(), (4,), (3, 4)],
+                         ids=["point", "stack", "stack_2d"])
+def test_huber_prox_matches_the_two_branch_formula_bitwise(shape):
+    # the outer branch, then the inner one written where |x| <= lam (mu + t),
+    # against np.where over both branches: at the kink lam (mu + t), its
+    # neighbouring floats, +-0, +-inf and nan
+    p = pb.HuberEnvelope(0.7, 0.4)
+    for t in (1.0, 0.37, 1e-9):
+        kink = p.lam * (0.4 + t)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        for k in (kink, np.nextafter(kink, 0.0), np.nextafter(kink, np.inf)):
+            special += [k, -k]
+        for x in special:
+            X = np.full(shape + (5,), x)
+            X[..., 0] = 1.5
+            want = np.where(np.abs(X) <= kink, X * 0.4 / (0.4 + t),
+                            X - np.copysign(t * p.lam, X))
+            got = pb._kernels.penalty_prox(p, X, t)
+            assert got.shape == X.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_lipschitz_bound_values():
     assert pb.AbsValue(0.5).lipschitz_bound(4) == pytest.approx(0.5 * 2.0)
     assert pb.CheckFunction(1.0, 0.3).lipschitz_bound(1) == pytest.approx(0.7)

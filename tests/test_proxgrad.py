@@ -223,6 +223,10 @@ def test_config_validation():
         pb.ProxGradConfig(eps=0.0)
 
 
+FIRST = pb.proxgrad._FIRST_ROWS
+BLOCK = pb.proxgrad._BLOCK
+
+
 def _smooth_case(name):
     A, b = pb.random_least_squares(20, 10, 42)
     if name == "quadratic":
@@ -259,8 +263,9 @@ def test_run_matches_validating_serial_loop(penalty_case, smooth):
 
 
 def test_one_smooth_evaluation_per_step(lasso42, monkeypatch):
-    # the residual A y - b once at x0 and once per accepted step, and f from
-    # the stored residuals in one call after the loop
+    # the residual A x - b and the gradient once per step taken, and f from
+    # the stored residuals in one call after the loop; the block stop test
+    # takes 1 to BLOCK steps from the last row, the step leaving it included
     f = lasso42.f
     calls = dict.fromkeys(("_residual", "_grad_at", "_value_at",
                            "value_batch", "grad_batch"), 0)
@@ -275,8 +280,9 @@ def test_one_smooth_evaluation_per_step(lasso42, monkeypatch):
     tr = pb.run_prox_gradient(lasso42, np.zeros(10),
                               pb.ProxGradConfig(eps=1e-10, max_iter=50000))
     assert tr.status == "Converged" and tr.iterations > 100
-    assert calls == {"_residual": tr.iterations + 1,
-                     "_grad_at": tr.iterations + 1, "_value_at": 1,
+    steps = calls["_residual"]
+    assert tr.iterations + 1 <= steps <= tr.iterations + BLOCK
+    assert calls == {"_residual": steps, "_grad_at": steps, "_value_at": 1,
                      "value_batch": 0, "grad_batch": 0}
     assert rows == [len(tr)]
 
@@ -328,6 +334,41 @@ def test_prox_point_batch_stops_on_a_nan_row(lasso42):
     assert info.value.iterations == 1
 
 
+@pytest.mark.parametrize("residual", [np.inf, np.nan, 1.0],
+                         ids=["inf", "nan", "finite"])
+def test_prox_point_inner_failure_after_the_start(lasso42, monkeypatch,
+                                                  residual):
+    # the inner solve from z_2 fails: a non-finite residual ends the run on
+    # z_2, a finite one (its cap) still raises; test_cli's proxpoint_inner
+    # case overflows for real, at z_0
+    cfg = pb.ProxGradConfig(t=0.1, eps=1e-8, max_iter=50)
+    full = pb.run_proximal_point(lasso42, np.zeros(10), cfg)
+    real = pb.proxgrad._prox_point_batch
+    calls = []
+
+    def failing(problem, X, t, inner_tol):
+        calls.append(X)
+        if len(calls) == 3:
+            raise pb.InnerSolveError("inner", residual=residual, iterations=7)
+        return real(problem, X, t, inner_tol)
+
+    monkeypatch.setattr(pb.proxgrad, "_prox_point_batch", failing)
+    if np.isfinite(residual):
+        with pytest.raises(pb.InnerSolveError):
+            pb.run_proximal_point(lasso42, np.zeros(10), cfg)
+        return
+    tr = pb.run_proximal_point(lasso42, np.zeros(10), cfg)
+    assert full.iterations > 2
+    assert tr.status == "Diverged" and tr.iterations == 2
+    assert np.array_equal(tr.iterates, full.iterates[:3])
+    assert np.array_equal(tr.final_x, full.iterates[2])
+    assert tr.data["phi"] == full.data["phi"][:3]
+    assert tr.data["gnorm"] == full.data["gnorm"][:2] + [np.inf]
+    assert tr.data["certificate"] == full.data["certificate"][:2] + [np.inf]
+    assert tr.data["descent_residual"] == (
+        full.data["descent_residual"][:2] + [0.0])
+
+
 def _assert_same_trace(tr, ref):
     """tr and ref agree on status, every column but elapsed_s, every
     iterate and final_x, bit for bit."""
@@ -349,29 +390,65 @@ def _slow_huber():
                               g=pb.HuberEnvelope(0.05, 0.1))
 
 
-FIRST = pb.proxgrad._FIRST_ROWS
 
 
-# the iterate and residual arrays hold FIRST rows, then 2 FIRST, then
-# 4 FIRST: each count puts the last row just before, on or just past one of
-# their ends
-@pytest.mark.parametrize("iterations", [
-    FIRST - 2, FIRST - 1, FIRST, 2 * FIRST - 2, 2 * FIRST - 1, 2 * FIRST])
-@pytest.mark.parametrize("status", ["MaxIter", "Converged"])
+# the stop test runs over blocks of 1, 2, 4, ..., BLOCK steps, rows [0, 1),
+# [1, 3), [3, 7), ..., [63, 127), [127, 191), ..., and the iterate and
+# residual arrays hold FIRST rows, then 2 FIRST, ...: each count puts the
+# last row on, just before or just after the last row of a block, and
+# 62-64 and 126-128 also at the ends of the arrays
+BLOCK_STOPS = (0, 1, 2, 3, 6, 7, 8, 62, 63, 64, 126, 127, 128, 190, 191, 192)
+
+
+@pytest.mark.parametrize("status,iterations", [
+    (status, i) for status in ("MaxIter", "Converged") for i in BLOCK_STOPS
+    if i or status == "Converged"])
 def test_deferred_bookkeeping_matches_serial_loop_across_growth(iterations,
                                                                 status):
     problem, x0 = _slow_huber(), np.zeros(10)
     if status == "MaxIter":
-        cfg = pb.ProxGradConfig(eps=1e-300, max_iter=iterations)
+        cfgs = [pb.ProxGradConfig(eps=1e-300, max_iter=iterations)]
     else:
         # |G_t| is strictly decreasing here, so eps at its value on row
-        # `iterations` stops the run exactly there
+        # `iterations` stops the run exactly there, whether max_iter cuts
+        # the block short or lies far past it
         probe = serialref.prox_gradient(
-            problem, x0, pb.ProxGradConfig(eps=1e-300, max_iter=iterations))
-        cfg = pb.ProxGradConfig(eps=probe.data["gnorm"][-1], max_iter=10000)
-    tr = pb.run_prox_gradient(problem, x0, cfg)
-    assert tr.status == status and tr.iterations == iterations
-    _assert_same_trace(tr, serialref.prox_gradient(problem, x0, cfg))
+            problem, x0,
+            pb.ProxGradConfig(eps=1e-300, max_iter=iterations + 1))
+        eps = probe.data["gnorm"][iterations]
+        cfgs = [pb.ProxGradConfig(eps=eps, max_iter=m)
+                for m in (iterations + 1, 10000)]
+    for cfg in cfgs:
+        tr = pb.run_prox_gradient(problem, x0, cfg)
+        assert tr.status == status and tr.iterations == iterations
+        _assert_same_trace(tr, serialref.prox_gradient(problem, x0, cfg))
+
+
+# x_k = (1 - 4 t)^k x0 = (-39)^k x0 and |G_t(x_k)| = 4 |x_k|, whose square
+# overflows at |x_k| ~ 3.4e153, before phi = 2 x_k^2 does at ~9.5e153:
+# x0 puts the first non-finite |G_t| on `row`, the last row of a block
+# (6, 62, 190) or one inside it (4, 45, 150)
+@pytest.mark.parametrize("row", [4, 6, 45, 62, 150, 190])
+def test_non_finite_gnorm_ends_the_run_on_its_row(row):
+    f = pb.Quadratic(np.array([[2.0]]), vec(0.0))
+    f.beta = 0.1
+    problem = pb.AdditiveProblem(f=f, g=pb.Zero())
+    x0 = vec(5e153 / 39.0 ** row)
+    for max_iter in (row, 20000):
+        cfg = pb.ProxGradConfig(t=10.0, max_iter=max_iter, eps=1e-300)
+        tr = pb.run_prox_gradient(problem, x0, cfg)
+        assert tr.status == "Diverged" and tr.iterations == row
+        assert tr.data["gnorm"][-1] == np.inf
+        assert np.all(np.isfinite(tr.column("phi")))
+        # the validating loop has no non-finite |G_t| rule: stopped by
+        # max_iter on that row it ends MaxIter, every column the same
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = serialref.prox_gradient(
+                problem, x0,
+                pb.ProxGradConfig(t=10.0, max_iter=row, eps=1e-300))
+        assert ref.status == "MaxIter"
+        ref.status = "Diverged"
+        _assert_same_trace(tr, ref)
 
 
 def test_stationary_start_matches_serial_loop(corridor10):
