@@ -223,7 +223,6 @@ def test_config_validation():
         pb.ProxGradConfig(eps=0.0)
 
 
-FIRST = pb.proxgrad._FIRST_ROWS
 BLOCK = pb.proxgrad._BLOCK
 
 
@@ -390,11 +389,9 @@ def _slow_huber():
                               g=pb.HuberEnvelope(0.05, 0.1))
 
 
-
-
 # the stop test runs over blocks of 1, 2, 4, ..., BLOCK steps, rows [0, 1),
 # [1, 3), [3, 7), ..., [63, 127), [127, 191), ..., and the iterate and
-# residual arrays hold FIRST rows, then 2 FIRST, ...: each count puts the
+# residual arrays hold 64 rows, then 128, ...: each count puts the
 # last row on, just before or just after the last row of a block, and
 # 62-64 and 126-128 also at the ends of the arrays
 BLOCK_STOPS = (0, 1, 2, 3, 6, 7, 8, 62, 63, 64, 126, 127, 128, 190, 191, 192)
@@ -434,20 +431,19 @@ def test_non_finite_gnorm_ends_the_run_on_its_row(row):
     f.beta = 0.1
     problem = pb.AdditiveProblem(f=f, g=pb.Zero())
     x0 = vec(5e153 / 39.0 ** row)
+    # the validating loop has no non-finite |G_t| rule: stopped by max_iter
+    # on that row it ends MaxIter, every column the same
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = serialref.prox_gradient(
+            problem, x0, pb.ProxGradConfig(t=10.0, max_iter=row, eps=1e-300))
+    assert ref.status == "MaxIter"
+    ref.status = "Diverged"
     for max_iter in (row, 20000):
         cfg = pb.ProxGradConfig(t=10.0, max_iter=max_iter, eps=1e-300)
         tr = pb.run_prox_gradient(problem, x0, cfg)
         assert tr.status == "Diverged" and tr.iterations == row
         assert tr.data["gnorm"][-1] == np.inf
         assert np.all(np.isfinite(tr.column("phi")))
-        # the validating loop has no non-finite |G_t| rule: stopped by
-        # max_iter on that row it ends MaxIter, every column the same
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref = serialref.prox_gradient(
-                problem, x0,
-                pb.ProxGradConfig(t=10.0, max_iter=row, eps=1e-300))
-        assert ref.status == "MaxIter"
-        ref.status = "Diverged"
         _assert_same_trace(tr, ref)
 
 
