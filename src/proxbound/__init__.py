@@ -20,7 +20,7 @@ from .penalties import (AbsValue, BoxIndicator, CheckFunction, ElasticNet,
                         EpsilonInsensitive, HuberEnvelope, SeparablePenalty,
                         Zero, penalty_from_spec)
 from .proxgrad import (AdditiveProblem, IterationTrace, ProxGradConfig,
-                       run_prox_gradient, run_proximal_point)
+                       run_prox_gradient)
 from .proxlinear import (CompositeProblem, ProxLinearConfig,
                          near_stationarity_certificate, run_prox_linear,
                          solve_subproblem)

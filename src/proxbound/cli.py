@@ -2,8 +2,8 @@
 
 Configs are flat INI-style files with [problem], [solver], [diagnostics] and
 [output] sections. Runs are deterministic given the config: all randomness
-is seeded, and the emitted trace.csv zeroes the elapsed_s column so reruns
-are byte-identical (measured times stay on the in-memory trace).
+is seeded, and no solver keeps wall time (the elapsed_s column of
+trace.csv is 0 on every row), so reruns are byte-identical.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 runtime error.
@@ -20,8 +20,7 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import ConfigError, ProxboundError
 from .penalties import parse_spec_string, penalty_from_spec
-from .proxgrad import (AdditiveProblem, ProxGradConfig, run_prox_gradient,
-                       run_proximal_point)
+from .proxgrad import AdditiveProblem, ProxGradConfig, run_prox_gradient
 from .proxlinear import (FINITE_H_KINDS, CompositeProblem, ProxLinearConfig,
                          run_prox_linear)
 from .smooth import load_dense_vector, map_from_spec, smooth_from_spec
@@ -283,15 +282,13 @@ def parse_config(path):
     x0 = _x0_builder(cfg.x0_spec, violations)
 
     cfg.method = (get("solver", "method") or "").lower()
-    if cfg.method not in ("proxgrad", "proxlinear", "proxpoint-oracle"):
-        violations.append(
-            "[solver] method must be proxgrad|proxlinear|proxpoint-oracle")
+    if cfg.method not in ("proxgrad", "proxlinear"):
+        violations.append("[solver] method must be proxgrad|proxlinear")
     elif cfg.kind in ("additive", "composite") and (
             (cfg.method == "proxlinear") != (cfg.kind == "composite")):
         violations.append(
             f"[solver] method {cfg.method} does not solve kind = {cfg.kind} "
-            "(proxgrad and proxpoint-oracle solve additive problems, "
-            "proxlinear composite ones)")
+            "(proxgrad solves additive problems, proxlinear composite ones)")
     sigma_policy = get("solver", "sigma_policy", "adaptive")
     if sigma_policy != "adaptive":
         try:
@@ -392,9 +389,7 @@ def run_experiment(cfg):
         trace = run_prox_linear(problem, x0, solver_cfg)
         t_used = trace.column("t_accepted")[-1]
     else:
-        solve = (run_prox_gradient if cfg.method == "proxgrad"
-                 else run_proximal_point)
-        trace = solve(problem, x0, ProxGradConfig(
+        trace = run_prox_gradient(problem, x0, ProxGradConfig(
             t=cfg.t0, max_iter=cfg.max_iter, eps=cfg.eps))
         t_used = trace.meta["t"]
     beta = problem.beta
@@ -413,18 +408,17 @@ def run_experiment(cfg):
                             bool(np.all(drops >= -1e-12 * phi_scale)),
                             _tolerance_slack(drops, 1e-12 * phi_scale)))
 
-    if cfg.method in ("proxgrad", "proxpoint-oracle"):
+    if cfg.method == "proxgrad":
         resid = trace.column("descent_residual")[:-1]
         slack = _tolerance_slack(resid, 1e-10 * phi_scale)
         checks.append(CheckLine("descent_inequality", slack >= 0.0, slack))
-        if cfg.method == "proxgrad":
-            # a diverged run's iterates overflow here; their inf distance
-            # FAILs the check, which says more than a numpy warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = diag.dist_to_stationarity(problem, trace.iterates[1:])
-            margins = (1.0 + beta * t_used) * gnorms[:-1] - d
-            slack = _tolerance_slack(margins, 1e-8)
-            checks.append(CheckLine("improved_certificate", slack >= 0.0, slack))
+        # a diverged run's iterates overflow here; their inf distance FAILs
+        # the check, which says more than a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = diag.dist_to_stationarity(problem, trace.iterates[1:])
+        margins = (1.0 + beta * t_used) * gnorms[:-1] - d
+        slack = _tolerance_slack(margins, 1e-8)
+        checks.append(CheckLine("improved_certificate", slack >= 0.0, slack))
     else:
         resid = trace.column("decrease_residual")[:-1]
         slack = _tolerance_slack(resid, 1e-10 * phi_scale)

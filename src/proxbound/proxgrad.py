@@ -6,14 +6,13 @@ t <= 1/beta each step decreases the objective by at least |G_t|^2 / (2 beta).
 """
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as K
-from .errors import DomainError, InnerSolveError, UnsupportedOperation
+from .errors import DomainError, InnerSolveError
 from .penalties import SeparablePenalty
 from .smooth import SmoothFunction
 from .vectors import as_vector
@@ -73,7 +72,8 @@ class IterationTrace:
     leaving that iterate (zero on the terminal row). Objective values are
     nonincreasing up to roundoff. data maps each header name to a list of
     floats; a solver sets iterates to a (len(trace), n) float array whose
-    row k is the iterate of row k.
+    row k is the iterate of row k. No solver keeps wall time: elapsed_s is
+    0 on every row, so that reruns write byte-identical traces.
     """
 
     def __init__(self, header):
@@ -100,22 +100,17 @@ class IterationTrace:
         return len(self) - 1
 
     def to_csv(self):
-        """The trace as CSV text, with every elapsed_s cell written as 0 so
-        that reruns are byte-identical (the measured times stay on the
-        in-memory trace)."""
+        """The trace as CSV text: floats at 17 significant digits, the
+        count columns as integers."""
         # one %-format per row (%d truncates a float as int() does), with k
-        # the row number and elapsed_s a literal 0; formatting whole columns
-        # first would hold a string per cell, ~7 MB more peak memory on a
-        # 17.5k-row trace
-        cols, specs = [], []
-        for name in self.header:
-            if name == "elapsed_s":
-                specs.append("0")
-                continue
-            cols.append(range(len(self)) if name == "k" else self.data[name])
-            specs.append("%d" if name in ("k", "backtracks", "inner_iters",
-                                          "inner_newton") else "%.17g")
-        rows = map(",".join(specs).__mod__, zip(*cols))
+        # the row number; formatting whole columns first would hold a
+        # string per cell, ~7 MB more peak memory on a 17.5k-row trace
+        cols = [range(len(self)) if name == "k" else self.data[name]
+                for name in self.header]
+        spec = ",".join("%d" if name in ("k", "backtracks", "inner_iters",
+                                         "inner_newton") else "%.17g"
+                        for name in self.header)
+        rows = map(spec.__mod__, zip(*cols))
         return "\n".join([",".join(self.header), *rows]) + "\n"
 
 
@@ -132,27 +127,20 @@ def _start_point(problem, x0):
     return x
 
 
-def _end_diverged(trace, phi, t, iterates):
-    """End trace with status Diverged on the last row of iterates, x_k: its
-    row k gets phi(x_k), an inf |G_t| and certificate and a zero descent
-    residual."""
-    row = dict.fromkeys(trace.header, 0.0)
-    row.update(k=len(trace), phi=phi, gnorm=np.inf, certificate=np.inf,
-               t_accepted=t)
-    trace.append(**row)
-    trace.status = "Diverged"
-    trace.iterates = iterates
-    trace.final_x = iterates[-1]
-
-
 def _start_value(problem, x, trace, t):
     """phi(x0), taken with numpy's overflow warnings off. When it is not
-    finite the solve cannot start: trace then ends on x0 as a diverged
-    run_prox_gradient trace does, with one k = 0 row (see _end_diverged)."""
+    finite the solve cannot start: trace then ends with status Diverged on
+    x0, with one k = 0 row that holds phi(x0), an inf |G_t| and certificate,
+    t in t_accepted when the header has it, and 0 in every other column."""
     with np.errstate(over="ignore", invalid="ignore"):
         phi = problem.phi(x)
     if not np.isfinite(phi):
-        _end_diverged(trace, phi, t, x[None])
+        row = dict.fromkeys(trace.header, 0.0)
+        row.update(phi=phi, gnorm=np.inf, certificate=np.inf, t_accepted=t)
+        trace.append(**row)
+        trace.status = "Diverged"
+        trace.iterates = x[None]
+        trace.final_x = x
     return phi
 
 
@@ -183,6 +171,8 @@ def run_prox_gradient(problem, x0, cfg=None):
     are discarded. Each |G_t| is the BLAS dot a per-step norm would
     take, bit for bit.
 
+    phi(x0) is taken once, before the loop, through _start_value: a start
+    whose phi is not finite ends the run at once with status Diverged.
     Neither f nor g is evaluated inside the loop. After it, one call over
     the stored residuals gives f at every iterate, and one kernel call over
     the stored iterates gives g there. Both reduce each row exactly as a
@@ -206,16 +196,18 @@ def run_prox_gradient(problem, x0, cfg=None):
     t = float(_effective_step(problem, cfg))
     f = problem.f
     beta = f.beta
+    trace = IterationTrace(PROXGRAD_HEADER)
+    trace.meta = {"t": t, "beta": beta}
+    _start_value(problem, x, trace, t)
+    if trace.status == "Diverged":
+        return trace
     g = problem.g
     eps, last = cfg.eps, cfg.max_iter
     prox = K.penalty_prox
     residual, grad_at = f._residual, f._grad_at
     # row k + 1 holds the step leaving row k, so a run may store max_iter + 2
     first = min(last + 2, _FIRST_ROWS)
-    gnorms, times = [], []
-    add_time = times.append
-    clock = time.perf_counter
-    start = clock()
+    gnorms = []
     # overflow of a diverging iterate is detected below and reported as
     # status Diverged, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -225,7 +217,6 @@ def run_prox_gradient(problem, x0, cfg=None):
         Rs = np.empty((first, R.size))
         X[0], Rs[0] = x, R
         X[1] = x = prox(g, x - t * grad_at(R), t)
-        add_time(clock())
         a, b = 0, 1
         while True:
             gn = np.sqrt(K.row_dots((X[a:b] - X[a + 1:b + 1]) / t))
@@ -247,7 +238,6 @@ def run_prox_gradient(problem, x0, cfg=None):
                 R = residual(x)
                 Rs[j] = R
                 X[j + 1] = x = prox(g, x - t * grad_at(R), t)
-                add_time(clock())
         rows = k + 1
         phi = f._value_at(Rs[:rows])
         # free the residuals before g's temporaries are made: holding both
@@ -263,13 +253,11 @@ def run_prox_gradient(problem, x0, cfg=None):
         resid = np.zeros(rows)
         resid[:-1] = phi[:-1] - phi[1:] - gn[:-1] * gn[:-1] / (2.0 * beta)
         cert = (1.0 + beta * t) * gn
-    trace = IterationTrace(PROXGRAD_HEADER)
-    trace.meta = {"t": t, "beta": beta}
     trace.data = {"k": np.arange(rows, dtype=np.float64).tolist(),
                   "phi": phi.tolist(), "gnorm": gn.tolist(),
                   "descent_residual": resid.tolist(),
                   "certificate": cert.tolist(),
-                  "elapsed_s": (np.array(times[:rows]) - start).tolist()}
+                  "elapsed_s": [0.0] * rows}
     trace.iterates = X[:rows]
     trace.status = status
     trace.final_x = X[rows - 1].copy()
@@ -305,55 +293,3 @@ def _prox_point_batch(problem, X, t, inner_tol):
                 f"iteration {it}", residual=worst, iterations=it)
     raise InnerSolveError("proximal point inner loop hit its cap",
                           residual=worst, iterations=INNER_CAP)
-
-
-def run_proximal_point(problem, x0, cfg=None):
-    """Proximal point algorithm z_{k+1} = prox_{t phi}(z_k) (oracle runner).
-
-    The gnorm column holds |z_k - z_{k+1}|/t, which is a subgradient of phi
-    at z_{k+1}; the certificate column repeats it. Requires convex f, and
-    raises DomainError for an x0 outside dom g. A start whose phi is not
-    finite ends the run at once with status Diverged (see _start_value), and
-    so does an inner solve from z_k whose residual stops being finite (a
-    declared beta below the true modulus): the trace then ends on z_k, with
-    row k as _end_diverged writes it. An inner solve that reaches its cap
-    with a finite residual still raises InnerSolveError.
-    """
-    cfg = cfg or ProxGradConfig()
-    if not problem.f_convex:
-        raise UnsupportedOperation("proximal point oracle needs convex f")
-    x = _start_point(problem, x0)
-    t = cfg.t if cfg.t is not None else 1.0 / problem.f.beta
-    inner_tol = min(cfg.eps * 1e-2, 1e-10)
-    trace = IterationTrace(PROXGRAD_HEADER)
-    trace.meta = {"t": t, "beta": problem.f.beta}
-    phi_x = _start_value(problem, x, trace, t)
-    if trace.status == "Diverged":
-        return trace
-    start = time.perf_counter()
-    iterates = []
-    for k in range(cfg.max_iter + 1):
-        try:
-            y = _prox_point_batch(problem, x[None, :], t, inner_tol)[0]
-        except InnerSolveError as err:
-            if math.isfinite(err.residual):
-                raise
-            _end_diverged(trace, phi_x, t, np.array(iterates + [x]))
-            return trace
-        pnorm = float(np.linalg.norm(x - y)) / t
-        iterates.append(x)
-        if pnorm <= cfg.eps or k == cfg.max_iter:
-            trace.append(k=k, phi=phi_x, gnorm=pnorm, descent_residual=0.0,
-                         certificate=pnorm,
-                         elapsed_s=time.perf_counter() - start)
-            trace.status = "Converged" if pnorm <= cfg.eps else "MaxIter"
-            break
-        phi_y = problem.phi(y)
-        resid = phi_x - phi_y - t * pnorm * pnorm / 2.0
-        trace.append(k=k, phi=phi_x, gnorm=pnorm, descent_residual=resid,
-                     certificate=pnorm, elapsed_s=time.perf_counter() - start)
-        x = y
-        phi_x = phi_y
-    trace.iterates = np.array(iterates)
-    trace.final_x = x
-    return trace

@@ -222,15 +222,12 @@ def plain_dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
 
 
 def trace_csv(trace):
-    """IterationTrace.to_csv as it was written, one f-string per cell, with
-    every elapsed_s cell written as 0."""
+    """IterationTrace.to_csv as it was written, one f-string per cell."""
     lines = [",".join(trace.header)]
     for i in range(len(trace)):
         vals = []
         for name in trace.header:
             v = trace.data[name][i]
-            if name == "elapsed_s":
-                v = 0.0
             if name in ("k", "backtracks", "inner_iters", "inner_newton"):
                 vals.append(str(int(v)))
             else:

@@ -250,24 +250,6 @@ t0 = 0.5
     assert (out / "constants.txt").read_text() == ""
 
 
-def test_proxpoint_oracle_experiment(tmp_path):
-    text = """\
-[problem]
-kind = additive
-smooth = quadratic(rows=8,cols=4,seed=3)
-penalty = absvalue(lambda=0.2)
-
-[solver]
-method = proxpoint-oracle
-t0 = 0.2
-eps = 1e-8
-max_iter = 2000
-"""
-    out = tmp_path / "pp"
-    path = write_cfg(tmp_path, text)
-    assert cli.main(["run", path, "--quiet", "--out", str(out)]) == 0
-
-
 COMPOSITE_CFG = """\
 [problem]
 kind = composite
@@ -362,6 +344,17 @@ def test_x0_outside_dom_g_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_retired_proxpoint_method_is_a_config_error(tmp_path, capsys):
+    # a config written for the retired proximal point runner must fail
+    # check, not run another solver
+    path = write_cfg(tmp_path, ADDITIVE_CFG.format(
+        smooth="quadratic(rows=5,cols=3,seed=1)", x0="zeros",
+        method="proxpoint-oracle"))
+    assert cli.main(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [solver] method must be proxgrad|proxlinear\n")
+
+
 @pytest.mark.parametrize("penalty", [
     "elasticnet(lambda1=0.1,lambda2=0.2)", "huberenvelope(lambda=0.5,mu=0.1)",
     "absvalue(lambda=0.1)"], ids=["elasticnet", "huberenvelope", "absvalue"])
@@ -413,24 +406,20 @@ def test_non_finite_penalty_parameter_is_a_config_error(tmp_path, role, spec,
     assert violation in proc.stderr and "Traceback" not in proc.stderr
 
 
-# run printed numpy's overflow warnings and exited 3: the proximal point
-# inner loop's residual was inf, from an x0 whose phi overflows and, with a
-# declared beta far below the true 32.9, from a finite phi(x0) at outer
-# step 0; and h's value raised on the overflowing c(x0)
+# a start whose phi is not finite ends on one k = 0 row with an inf |G_t|:
+# proxgrad wrote a NaN |G_t| and final_gnorm here (its residual A x0 - b is
+# NaN), and proxlinear exited 3 with numpy's overflow warnings when h's value
+# raised on the overflowing c(x0)
 @pytest.mark.parametrize("text,phi0", [
-    (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
-                         x0="const(value=1e308)", method="proxpoint-oracle"),
-     "inf"),
+    (ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
+                         x0="const(value=1e308)", method="proxgrad"),
+     "nan"),
     (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
      .replace("penalty = zero()",
               "penalty = huberenvelope(lambda=0.5,mu=0.1)")
      .replace("[solver]", "x0 = const(value=1e308)\n\n[solver]"),
      "inf"),
-    (ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
-                         x0="zeros", method="proxpoint-oracle")
-     .replace("[solver]", "beta_override = 0.001\n\n[solver]"),
-     "finite"),
-], ids=["proxpoint", "proxlinear", "proxpoint_inner"])
+], ids=["proxgrad", "proxlinear"])
 def test_start_whose_objective_is_not_finite_ends_diverged(tmp_path, text,
                                                            phi0):
     path = write_cfg(tmp_path, text)
@@ -444,8 +433,7 @@ def test_start_whose_objective_is_not_finite_ends_diverged(tmp_path, text,
     rows = (out / "trace.csv").read_text().splitlines()[1:]
     assert len(rows) == 1
     k, phi, gnorm = rows[0].split(",")[:3]
-    assert (k, gnorm) == ("0", "inf")
-    assert (phi == "inf") == (phi0 == "inf") and float(phi) > 0.0
+    assert (k, phi, gnorm) == ("0", phi0, "inf")
 
 
 @pytest.mark.parametrize("content,violation", [
@@ -745,11 +733,12 @@ sandwich_points = 4
 tail_rate = true
 """
 SWEEP_BASES = {
-    method: ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
-                                x0="zeros", method=method) + SWEEP_DIAGNOSTICS
-    for method in ("proxgrad", "proxpoint-oracle")}
-SWEEP_BASES["proxlinear"] = COMPOSITE_CFG.format(
-    h="absvalue(lambda=1)", sigma_policy="adaptive") + SWEEP_DIAGNOSTICS
+    "proxgrad": ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
+                                    x0="zeros", method="proxgrad")
+    + SWEEP_DIAGNOSTICS,
+    "proxlinear": COMPOSITE_CFG.format(h="absvalue(lambda=1)",
+                                       sigma_policy="adaptive")
+    + SWEEP_DIAGNOSTICS}
 SWEEP_EDGES = ("0", "-1", "nan", "inf", "abc")
 # one admissible value per scalar key
 SWEEP_VALID = {

@@ -41,17 +41,10 @@ def test_map_lasso_1d_example():
 
 
 def test_map_outside_domain_raises():
+    # not a Converged run at phi = inf
     p = pb.AdditiveProblem(f=shifted_quadratic(0.0), g=pb.BoxIndicator(0.0, 1.0))
-    with pytest.raises(pb.DomainError, match="x0 lies outside dom g"):
+    with pytest.raises(pb.DomainError, match="^x0 lies outside dom g$"):
         pb.run_prox_gradient(p, vec(2.0), pb.ProxGradConfig(t=1.0))
-
-
-def test_proximal_point_rejects_x0_outside_dom_g(lasso42):
-    # as the proximal-gradient runner does, not a Converged run at phi = inf
-    p = pb.AdditiveProblem(f=lasso42.f, g=pb.BoxIndicator(-0.2, 0.2))
-    for run in (pb.run_prox_gradient, pb.run_proximal_point):
-        with pytest.raises(pb.DomainError, match="^x0 lies outside dom g$"):
-            run(p, np.full(10, 5.0))
 
 
 def test_corridor_converges_in_one_step(corridor10):
@@ -123,15 +116,14 @@ def test_improved_certificate_nonconvex(corridor_affine):
         assert d <= (1.0 + prob.f.beta * t) * gnorms[k] + 1e-8
 
 
-def prox_point_run(problem, x, t):
-    """One step of the proximal point oracle runner from x: its trace."""
-    return pb.run_proximal_point(problem, x,
-                                 pb.ProxGradConfig(t=t, max_iter=1))
+def prox_point(problem, x, t):
+    """prox_{t phi}(x) from the oracle behind L-hat and the sandwich."""
+    return pb.proxgrad._prox_point_batch(problem, x[None, :], t, 1e-12)[0]
 
 
 def test_prox_point_quadratic_shrinks():
     p = pb.AdditiveProblem(f=pb.Quadratic(np.eye(1), vec(0.0)), g=pb.Zero())
-    y = prox_point_run(p, vec(4.0), 1.0).iterates[1]
+    y = prox_point(p, vec(4.0), 1.0)
     assert y == pytest.approx([2.0], abs=1e-9)
 
 
@@ -139,19 +131,20 @@ def test_prox_point_absolute_value_soft_threshold():
     # degenerate smooth part: phi is effectively |x|
     f = pb.Quadratic(np.zeros((1, 1)), vec(0.0))
     p = pb.AdditiveProblem(f=f, g=pb.AbsValue(1.0))
-    y = prox_point_run(p, vec(2.0), 1.0).iterates[1]
+    y = prox_point(p, vec(2.0), 1.0)
     assert y == pytest.approx([1.0], abs=1e-9)
 
 
 def test_prox_point_fixed_point_at_minimizer(lasso42, lasso42_ref):
-    # the gnorm column holds |x - prox_{t phi}(x)| / t
-    tr = prox_point_run(lasso42, lasso42_ref.x_star, 0.7)
-    assert tr.data["gnorm"][0] * 0.7 <= 1e-8
+    x = lasso42_ref.x_star
+    assert np.linalg.norm(x - prox_point(lasso42, x, 0.7)) <= 1e-8
 
 
 def test_prox_point_requires_convex(corridor_affine):
+    # the sandwich's prox_{t phi} oracle needs convex f; the composite case
+    # is test_diagnostics' test_prox_bound_composite_unsupported
     with pytest.raises(pb.UnsupportedOperation):
-        prox_point_run(corridor_affine, np.zeros(8), 1.0)
+        pb.verify_sandwich(corridor_affine, 1.0, np.zeros((1, 8)))
 
 
 def test_sandwich_property(lasso42, lasso42_ref):
@@ -180,40 +173,19 @@ def test_trace_csv_shape(lasso42_run):
     assert float(first[1]) == lasso42_run.column("phi")[0]
 
 
-def test_trace_csv_zero_elapsed(lasso42_run):
-    # the CSV writes every time as 0; the in-memory trace keeps them
-    assert lasso42_run.data["elapsed_s"][-1] > 0.0
-    text = lasso42_run.to_csv()
-    for line in text.strip().split("\n")[1:]:
-        assert line.rsplit(",", 1)[1] == "0"
-
-
 @pytest.mark.parametrize("header", [
     pb.proxgrad.PROXGRAD_HEADER, pb.proxlinear.PROXLINEAR_HEADER],
     ids=["proxgrad", "proxlinear"])
-@pytest.mark.parametrize("timed", [False, True])
-def test_trace_csv_matches_per_cell_formatter(lasso42_run, header, timed):
-    # every float column takes each special value, elapsed_s too when the
-    # trace is timed; the CSV writes elapsed_s as 0 either way
+def test_trace_csv_matches_per_cell_formatter(lasso42_run, header):
+    # every float column takes each special value
     floats = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, -1.5e308, 1.0 / 3]
     tr = pb.IterationTrace(header)
     for i, v in enumerate(floats):
         tr.append(**{name: i if name in ("k", "backtracks", "inner_iters",
-                                         "inner_newton")
-                     else v if timed or name != "elapsed_s" else 0.0
+                                         "inner_newton") else v
                      for name in header})
     for run in (tr, lasso42_run, pb.IterationTrace(header)):
         assert run.to_csv() == serialref.trace_csv(run)
-
-
-def test_proximal_point_runner(lasso42):
-    cfg = pb.ProxGradConfig(t=0.1, eps=1e-8, max_iter=3000)
-    tr = pb.run_proximal_point(lasso42, np.zeros(10), cfg)
-    assert tr.status == "Converged"
-    phis = tr.column("phi")
-    scale = 1 + np.abs(phis).max()
-    assert np.all(phis[:-1] - phis[1:] >= -1e-12 * scale)
-    assert np.all(tr.column("descent_residual")[:-1] >= -1e-10 * scale)
 
 
 def test_config_validation():
@@ -253,8 +225,7 @@ def test_run_matches_validating_serial_loop(penalty_case, smooth):
     assert tr.status == ref.status
     assert tr.meta == ref.meta
     for col in tr.header:
-        if col != "elapsed_s":
-            assert tr.data[col] == ref.data[col], col
+        assert tr.data[col] == ref.data[col], col
     assert len(tr.iterates) == len(ref.iterates)
     for a, b in zip(tr.iterates, ref.iterates):
         assert np.array_equal(a, b)
@@ -262,28 +233,33 @@ def test_run_matches_validating_serial_loop(penalty_case, smooth):
 
 
 def test_one_smooth_evaluation_per_step(lasso42, monkeypatch):
-    # the residual A x - b and the gradient once per step taken, and f from
-    # the stored residuals in one call after the loop; the block stop test
+    # f at x0 once, through value_batch, to test the start; then the
+    # residual A x - b and the gradient once per step taken, and f from the
+    # stored residuals in one call after the loop; the block stop test
     # takes 1 to BLOCK steps from the last row, the step leaving it included
     f = lasso42.f
     calls = dict.fromkeys(("_residual", "_grad_at", "_value_at",
                            "value_batch", "grad_batch"), 0)
-    rows = []
+    rows, starts = [], []
     for name in calls:
         def counted(X, method=getattr(f, name), name=name):
             calls[name] += 1
             if name == "_value_at":
                 rows.append(len(X))
+            if name == "value_batch":
+                starts.append(X.copy())
             return method(X)
         monkeypatch.setattr(f, name, counted)
-    tr = pb.run_prox_gradient(lasso42, np.zeros(10),
+    x0 = np.full(10, 0.3)
+    tr = pb.run_prox_gradient(lasso42, x0,
                               pb.ProxGradConfig(eps=1e-10, max_iter=50000))
     assert tr.status == "Converged" and tr.iterations > 100
-    steps = calls["_residual"]
+    steps = calls["_grad_at"]
     assert tr.iterations + 1 <= steps <= tr.iterations + BLOCK
-    assert calls == {"_residual": steps, "_grad_at": steps, "_value_at": 1,
-                     "value_batch": 0, "grad_batch": 0}
-    assert rows == [len(tr)]
+    assert calls == {"_residual": steps + 1, "_grad_at": steps,
+                     "_value_at": 2, "value_batch": 1, "grad_batch": 0}
+    assert rows == [1, len(tr)]
+    assert len(starts) == 1 and np.array_equal(starts[0], x0[None])
 
 
 def _overflowing(case):
@@ -333,49 +309,13 @@ def test_prox_point_batch_stops_on_a_nan_row(lasso42):
     assert info.value.iterations == 1
 
 
-@pytest.mark.parametrize("residual", [np.inf, np.nan, 1.0],
-                         ids=["inf", "nan", "finite"])
-def test_prox_point_inner_failure_after_the_start(lasso42, monkeypatch,
-                                                  residual):
-    # the inner solve from z_2 fails: a non-finite residual ends the run on
-    # z_2, a finite one (its cap) still raises; test_cli's proxpoint_inner
-    # case overflows for real, at z_0
-    cfg = pb.ProxGradConfig(t=0.1, eps=1e-8, max_iter=50)
-    full = pb.run_proximal_point(lasso42, np.zeros(10), cfg)
-    real = pb.proxgrad._prox_point_batch
-    calls = []
-
-    def failing(problem, X, t, inner_tol):
-        calls.append(X)
-        if len(calls) == 3:
-            raise pb.InnerSolveError("inner", residual=residual, iterations=7)
-        return real(problem, X, t, inner_tol)
-
-    monkeypatch.setattr(pb.proxgrad, "_prox_point_batch", failing)
-    if np.isfinite(residual):
-        with pytest.raises(pb.InnerSolveError):
-            pb.run_proximal_point(lasso42, np.zeros(10), cfg)
-        return
-    tr = pb.run_proximal_point(lasso42, np.zeros(10), cfg)
-    assert full.iterations > 2
-    assert tr.status == "Diverged" and tr.iterations == 2
-    assert np.array_equal(tr.iterates, full.iterates[:3])
-    assert np.array_equal(tr.final_x, full.iterates[2])
-    assert tr.data["phi"] == full.data["phi"][:3]
-    assert tr.data["gnorm"] == full.data["gnorm"][:2] + [np.inf]
-    assert tr.data["certificate"] == full.data["certificate"][:2] + [np.inf]
-    assert tr.data["descent_residual"] == (
-        full.data["descent_residual"][:2] + [0.0])
-
-
 def _assert_same_trace(tr, ref):
-    """tr and ref agree on status, every column but elapsed_s, every
-    iterate and final_x, bit for bit."""
+    """tr and ref agree on status, every column, every iterate and
+    final_x, bit for bit."""
     assert tr.status == ref.status
     assert tr.meta == ref.meta
     for col in tr.header:
-        if col != "elapsed_s":
-            assert tr.data[col] == ref.data[col], col
+        assert tr.data[col] == ref.data[col], col
     assert tr.iterates.shape == ref.iterates.shape == (len(tr), tr.final_x.size)
     assert np.array_equal(tr.iterates, ref.iterates)
     assert np.array_equal(tr.final_x, ref.final_x)
@@ -457,20 +397,24 @@ def test_stationary_start_matches_serial_loop(corridor10):
 
 
 def test_one_penalty_evaluation_after_the_loop(lasso42, monkeypatch):
-    # g at every iterate, x0's included, in one stacked call; x0's domain
-    # test reads the subgradient formulas, not g's value
-    shapes = []
+    # g at x0 once, to test the start, then at every iterate, x0's
+    # included, in one stacked call; x0's domain test reads the subgradient
+    # formulas, not g's value
+    args = []
     real = pb._kernels.penalty_value
 
     def counted(g, X):
-        shapes.append(X.shape)
+        args.append(X.copy())
         return real(g, X)
 
     monkeypatch.setattr(pb._kernels, "penalty_value", counted)
-    tr = pb.run_prox_gradient(lasso42, np.zeros(10),
+    x0 = np.full(10, 0.3)
+    tr = pb.run_prox_gradient(lasso42, x0,
                               pb.ProxGradConfig(eps=1e-10, max_iter=50000))
     assert tr.status == "Converged" and tr.iterations > 100
-    assert shapes == [(len(tr), 10)]
+    assert [X.shape for X in args] == [(10,), (len(tr), 10)]
+    assert np.array_equal(args[0], x0)
+    assert np.array_equal(args[1], tr.iterates)
 
 
 @pytest.mark.parametrize("cut", [0.5, 3.0, 4.8])
