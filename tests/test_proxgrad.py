@@ -47,6 +47,13 @@ def test_map_outside_domain_raises():
         pb.run_prox_gradient(p, vec(2.0), pb.ProxGradConfig(t=1.0))
 
 
+def test_proximal_point_rejects_x0_outside_dom_g(lasso42):
+    # a lasso start outside a box is refused at the start, not run at phi = inf
+    p = pb.AdditiveProblem(f=lasso42.f, g=pb.BoxIndicator(-0.2, 0.2))
+    with pytest.raises(pb.DomainError, match="^x0 lies outside dom g$"):
+        pb.run_prox_gradient(p, np.full(10, 5.0))
+
+
 def test_corridor_converges_in_one_step(corridor10):
     tr = pb.run_prox_gradient(corridor10, np.full(10, 3.0),
                               pb.ProxGradConfig(t=0.5, eps=1e-12))
