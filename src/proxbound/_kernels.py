@@ -273,6 +273,10 @@ def minnorm_boxqp(J, vlo, vhi, wlo, whi, steps, tol, maxit):
     the problem is convex. Returns (norms, total row iterations as an int,
     number of rows that ran into maxit). Raises InnerSolveError at once
     when a move is not finite, naming it and the iteration.
+
+    A row whose box is one point (vlo == vhi and wlo == whi) clips back to
+    that point, so it retires at iteration 1 with move 0 and the norm
+    |vlo + J^T wlo|, the same bits for any positive finite step.
     """
     B = J.shape[0]
     norms = np.empty(B)

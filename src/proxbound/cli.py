@@ -403,12 +403,15 @@ def run_experiment(cfg):
 
     checks.append(CheckLine("converged", trace.status == "Converged",
                             cfg.eps - float(gnorms[-1])))
-    drops = phis[:-1] - phis[1:]
-    checks.append(CheckLine("monotone_values",
-                            bool(np.all(drops >= -1e-12 * phi_scale)),
-                            _tolerance_slack(drops, 1e-12 * phi_scale)))
-
-    if cfg.method == "proxgrad":
+    # a run that diverged on its start row took no step: its step checks
+    # would PASS over no rows, so they are left out
+    stepped = diagnose or len(phis) > 1
+    if stepped:
+        drops = phis[:-1] - phis[1:]
+        checks.append(CheckLine("monotone_values",
+                                bool(np.all(drops >= -1e-12 * phi_scale)),
+                                _tolerance_slack(drops, 1e-12 * phi_scale)))
+    if stepped and cfg.method == "proxgrad":
         resid = trace.column("descent_residual")[:-1]
         slack = _tolerance_slack(resid, 1e-10 * phi_scale)
         checks.append(CheckLine("descent_inequality", slack >= 0.0, slack))
@@ -419,7 +422,7 @@ def run_experiment(cfg):
         margins = (1.0 + beta * t_used) * gnorms[:-1] - d
         slack = _tolerance_slack(margins, 1e-8)
         checks.append(CheckLine("improved_certificate", slack >= 0.0, slack))
-    else:
+    elif stepped:
         resid = trace.column("decrease_residual")[:-1]
         slack = _tolerance_slack(resid, 1e-10 * phi_scale)
         checks.append(CheckLine("sufficient_decrease", slack >= 0.0, slack))

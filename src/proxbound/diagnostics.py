@@ -138,7 +138,10 @@ def dist_to_stationarity(problem, x, counts=None):
     of -grad f(x) onto d g(x). Composite: min |v + J^T w| over v in d g(x),
     w in d h(c(x)), solved by projected gradient on the box product (an
     upper bound on the true distance, exact at convergence since the
-    problem is convex). A dict passed as counts receives boxqp_iters, the
+    problem is convex). Only the rows whose box has a free coordinate take
+    a spectral norm of their Jacobian for the step; a row whose box is one
+    point (as for the l1 h at c(x) != 0 with a zero g) needs none and ends
+    at iteration 1. A dict passed as counts receives boxqp_iters, the
     min-norm QP iterations summed over the rows, and boxqp_capped, the rows
     whose QP ran into BOXQP_CAP and so report an unconverged upper bound
     (both 0 for additive problems).
@@ -160,7 +163,12 @@ def dist_to_stationarity(problem, x, counts=None):
 
 def _dist_block(problem, X):
     """dist(0, d phi) at the rows of X, the min-norm QP iterations and the
-    number of capped QP rows."""
+    number of capped QP rows.
+
+    Only the composite rows whose (v, w) box has a free coordinate take the
+    step 1/(1 + |J|^2), from one stacked operator_norm_sq over those rows.
+    A point-box row gets step 1: it ends at iteration 1 with the same norm
+    for any positive finite step (see minnorm_boxqp), so no bit changes."""
     if isinstance(problem, AdditiveProblem):
         lo, hi = problem.g.subgrad_bounds(X)
         target = -problem.f.grad_batch(X)
@@ -170,7 +178,10 @@ def _dist_block(problem, X):
     glo, ghi = problem.g.subgrad_bounds(X)
     C, J = problem.c.eval_jac_batch(X)
     hlo, hhi = problem.h.subgrad_bounds(C)
-    steps = 1.0 / (1.0 + operator_norm_sq(J))
+    free = np.any(glo < ghi, axis=1) | np.any(hlo < hhi, axis=1)
+    steps = np.ones(X.shape[0])
+    if np.any(free):
+        steps[free] = 1.0 / (1.0 + operator_norm_sq(J[free]))
     return K.minnorm_boxqp(J, glo, ghi, hlo, hhi, steps, BOXQP_TOL, BOXQP_CAP)
 
 

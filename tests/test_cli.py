@@ -430,6 +430,10 @@ def test_start_whose_objective_is_not_finite_ends_diverged(tmp_path, text,
     report = (out / "report.txt").read_text()
     assert "status=Diverged\niterations=0\nfinal_gnorm=inf\n" in report
     assert "CHECK converged: FAIL slack=-inf" in report
+    # no step was taken, so no step check PASSes over an empty set of rows
+    for name in ("monotone_values", "descent_inequality",
+                 "improved_certificate", "sufficient_decrease"):
+        assert f"CHECK {name}:" not in report
     rows = (out / "trace.csv").read_text().splitlines()[1:]
     assert len(rows) == 1
     k, phi, gnorm = rows[0].split(",")[:3]

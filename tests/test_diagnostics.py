@@ -447,6 +447,52 @@ def test_dist_composite_batch_matches_serial_bitwise(which, rows, robust7,
     assert counts1 == counts
 
 
+def norm_recorder(monkeypatch):
+    """Patch the operator_norm_sq that dist(0, d phi) calls with one that
+    keeps every stack it is given."""
+    seen = []
+
+    def record(J):
+        seen.append(np.array(J))
+        return operator_norm_sq(J)
+
+    monkeypatch.setattr(D, "operator_norm_sq", record)
+    return seen
+
+
+def test_only_rows_with_a_free_coordinate_take_a_norm(robust7, monkeypatch):
+    seen = norm_recorder(monkeypatch)
+    # robust7: zero g and the l1 h at c(x) != 0, so every box is one point
+    X = composite_points(300, seed=21)
+    assert np.all(robust7.c.eval_jac_batch(X)[0] != 0.0)
+    got = pb.dist_to_stationarity(robust7, X)
+    assert seen == []
+    assert np.array_equal(
+        got, [serialref.dist_to_stationarity(robust7, x)[0] for x in X])
+    # vapnik/box: a coordinate on a box end is free, an interior one (an
+    # exact 0 too) is not; no c_i sits on the +-0.1 kink of h
+    prob = vapnik_box_problem()
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-0.9, 2.4, size=(150, 10))
+    X[rng.random((150, 10)) < 0.1] = 0.0
+    ends = rng.random((150, 10)) < 0.02
+    X[ends] = rng.choice([-1.0, 2.5], size=int(np.sum(ends)))
+    C, J = prob.c.eval_jac_batch(X)
+    assert np.all(np.abs(np.abs(C) - 0.1) > 0.0)
+    free = np.any((X == -1.0) | (X == 2.5), axis=1)
+    assert 0 < np.sum(free) < 150 and np.any(X[~free] == 0.0)
+    counts = {}
+    got = pb.dist_to_stationarity(prob, X, counts=counts)
+    # one call per 128-row block, with exactly that block's free rows
+    assert len(seen) == 2
+    assert np.array_equal(np.concatenate(seen), J[free])
+    # the point-box rows retire at iteration 1
+    ref = [serialref.dist_to_stationarity(prob, x) for x in X]
+    assert np.array_equal(got, [r[0] for r in ref])
+    assert counts["boxqp_iters"] == sum(r[1] for r in ref)
+    assert all(ref[i][1] == 1 for i in np.flatnonzero(~free))
+
+
 def test_stacked_operator_norm_is_exact(robust7):
     _, J = robust7.c.eval_jac_batch(composite_points(300, seed=4))
     got = operator_norm_sq(J)
@@ -482,6 +528,19 @@ def test_dist_non_finite_row_raises(bad, lasso42, robust7):
             pb.dist_to_stationarity(prob, X)
         with pytest.raises(ValueError, match="non-finite"):
             pb.dist_to_stationarity(prob, X[140])
+
+
+def test_dist_overflowing_c_raises_before_any_step(robust7, monkeypatch):
+    # a finite row whose c(x) overflows is refused by h's subgradient
+    # bounds, before any norm is taken or any QP step is made
+    seen = norm_recorder(monkeypatch)
+    monkeypatch.setattr(D.K, "minnorm_boxqp", None)
+    X = np.zeros((100, 10))
+    X[40] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            pb.dist_to_stationarity(robust7, X)
+    assert seen == []
 
 
 def test_estimate_subdiff_bound_counts(robust7, robust7_run):

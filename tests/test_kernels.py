@@ -575,3 +575,30 @@ def test_minnorm_handles_infinite_bounds():
                                      0.5, 1e-12, 10 ** 5)
     assert norms[0] == ref
 
+
+
+def test_point_box_rows_end_at_iteration_one_for_any_step():
+    # vlo == vhi and wlo == whi: the update clips back to the one point, so
+    # the norm |vlo + J^T wlo| and the one iteration do not depend on the
+    # step (which lets dist(0, d phi) skip the spectral norm for such rows)
+    J, vlo, _, wlo, _, _ = stacked_boxqps(40, seed=11)
+    vlo = np.where(np.isfinite(vlo), vlo, 0.2)
+    rows = J.shape[0]
+    want = np.sqrt(np.sum((vlo + np.einsum("bmn,bm->bn", J, wlo)) ** 2,
+                          axis=1))
+    runs = [K.minnorm_boxqp(J, vlo, vlo.copy(), wlo, wlo.copy(), steps, TOL,
+                            10 ** 5)
+            for steps in (np.ones(rows),
+                          1.0 / (1.0 + np.linalg.norm(J, 2, axis=(1, 2)) ** 2),
+                          np.full(rows, 1e-6))]
+    for norms, total, capped in runs:
+        assert np.array_equal(norms, runs[0][0])
+        assert (total, capped) == (rows, 0)
+    assert np.allclose(runs[0][0], want, rtol=1e-14, atol=0.0)
+    # a NaN in such a row's J is still caught on its first move
+    J[17, 2, 1] = np.nan
+    with pytest.raises(pb.InnerSolveError,
+                       match="move is nan at iteration 1$") as info:
+        K.minnorm_boxqp(J, vlo, vlo.copy(), wlo, wlo.copy(), np.ones(rows),
+                        TOL, 10 ** 5)
+    assert info.value.iterations == 1
