@@ -168,7 +168,7 @@ def _dist_block(problem, X):
     Only the composite rows whose (v, w) box has a free coordinate take the
     step 1/(1 + |J|^2), from one stacked operator_norm_sq over those rows.
     A point-box row gets step 1: it ends at iteration 1 with the same norm
-    for any positive finite step (see minnorm_boxqp), so no bit changes."""
+    for any positive finite step (see minnorm_boxqp)."""
     if isinstance(problem, AdditiveProblem):
         lo, hi = problem.g.subgrad_bounds(X)
         target = -problem.f.grad_batch(X)

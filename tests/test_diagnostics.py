@@ -491,6 +491,21 @@ def test_only_rows_with_a_free_coordinate_take_a_norm(robust7, monkeypatch):
     assert np.array_equal(got, [r[0] for r in ref])
     assert counts["boxqp_iters"] == sum(r[1] for r in ref)
     assert all(ref[i][1] == 1 for i in np.flatnonzero(~free))
+    # the w side: c(x) = (x, R x) puts c_j on the l1 kink of h exactly
+    # where x_j = 0, and the zero g leaves every v box a point
+    seen.clear()
+    R = np.random.default_rng(3).standard_normal((5, 10))
+    prob = pb.CompositeProblem(g=pb.Zero(), h=pb.AbsValue(1.0),
+                               c=pb.AffineMap(np.vstack([np.eye(10), R])))
+    X = rng.uniform(-2.0, 2.0, size=(100, 10))
+    X[rng.random((100, 10)) < 0.03] = 0.0
+    free = np.any(X == 0.0, axis=1)
+    assert 0 < np.sum(free) < 100 and np.all(X @ R.T != 0.0)
+    got = pb.dist_to_stationarity(prob, X)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], prob.c.eval_jac_batch(X)[1][free])
+    assert np.array_equal(
+        got, [serialref.dist_to_stationarity(prob, x)[0] for x in X])
 
 
 def test_stacked_operator_norm_is_exact(robust7):

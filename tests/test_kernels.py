@@ -576,7 +576,6 @@ def test_minnorm_handles_infinite_bounds():
     assert norms[0] == ref
 
 
-
 def test_point_box_rows_end_at_iteration_one_for_any_step():
     # vlo == vhi and wlo == whi: the update clips back to the one point, so
     # the norm |vlo + J^T wlo| and the one iteration do not depend on the
