@@ -200,7 +200,9 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
         U, Yr, D, Z, S, Tv = _forward_backward(
             g, hbox, J, cbar, X, t, step, thr, quad, v)
         G = Tv - v
-        r = np.sqrt(row_dots(G)) / step[:, 0]
+        # scaled before it is squared: |G| is about step |grad|, and its
+        # square underflows to 0 once step is below ~1e-160
+        r = np.sqrt(row_dots(G / step))
         worst = r.max()
         if not worst < _INF:
             raise InnerSolveError(
@@ -240,7 +242,7 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
                                S[near], G[near])
             Tu = _forward_backward(g, hbox, Jn, cbar[near], X[near], t, sn,
                                    tn, quad, u)[5]
-            better = ((np.sqrt(row_dots(Tu - u)) / sn[:, 0] < rn)
+            better = ((np.sqrt(row_dots((Tu - u) / sn)) < rn)
                       & (np.sqrt(row_dots(u - vn))
                          > NEWTON_ULPS * np.spacing(np.sqrt(row_dots(vn)))))
             lost = near[~better]
@@ -250,6 +252,9 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
                 w_prev = w_prev.copy()
                 w[took] = w_prev[took] = u[better]
                 theta[took] = 1.0
+            # the step is decided: free its Jacobian copy before the next
+            # iteration's temporaries and compaction
+            del Jn, u, Tu
     worst = float(np.max(r))
     raise InnerSolveError(
         f"subproblem dual ascent stalled at residual {worst:.3e}",

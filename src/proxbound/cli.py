@@ -490,7 +490,7 @@ def run_experiment(cfg):
             if constants is not None:
                 constants.extras["tail_rate"] = rate
         except ProxboundError:
-            # too short a trace to fit: vacuous pass
+            # too few tail gaps above roundoff to fit: vacuous pass
             checks.append(CheckLine("tail_rate", True, float("inf")))
 
     final_cert = float(trace.column("certificate")[-1])

@@ -70,8 +70,8 @@ class CompositeProblem:
 def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None):
     """Subproblem minimizers at every row of X for one step t, from one
     stacked dual ascent started at the (B, m) duals W0 (None: zeros).
-    Returns (Y, the duals W at which the rows stopped, total dual
-    iterations over the rows, total Newton steps tried over the rows)."""
+    Returns (Y, the duals W at which the rows stopped, the (B,) dual
+    iterations of each row, total Newton steps tried over the rows)."""
     if t <= 0:
         raise ValueError("t must be positive")
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -83,8 +83,13 @@ def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None):
     steps = 1.0 / (t * operator_norm_sq(J) + curv)
     fx = problem.g.value_batch(X) + problem.h.value_batch(C)
     fslack = 1e-12 * (1.0 + np.abs(fx))
-    Y, W, _, iters, _, newton = K.dual_ascent(
-        problem.g, problem.h, hdual, J, C, X, float(t), steps,
+    # with the local name dropped the call holds the only reference to J
+    # (CPython 3.11 on hands a call's arguments over to the callee), so
+    # each compaction of the ascent's rows frees the stack it replaces
+    jac = [J]
+    del J
+    Y, W, _, _, iters, newton = K.dual_ascent(
+        problem.g, problem.h, hdual, jac.pop(), C, X, float(t), steps,
         float(inner_tol), fx, fslack, INNER_CAP, W0)
     return Y, W, iters, newton
 
@@ -117,7 +122,7 @@ def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None,
     Y, W, iters, newton = _solve_subproblem_batch(problem, x[None, :], t,
                                                   inner_tol, W0)
     if counts is not None:
-        counts["dual_iters"] = iters
+        counts["dual_iters"] = int(iters[0])
         counts["newton_steps"] = newton
         counts["dual"] = W[0]
     return Y[0]

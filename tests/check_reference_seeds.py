@@ -9,10 +9,16 @@ checks, trace shape and the compared constants. The benchmark's smoke run
 checks seed 0 only; a change to the dual ascent or to the proximal-gradient
 loop moves the paths of every seed.
 
-Usage (from the root of a checkout): python3 tests/check_reference_seeds.py
-Prints one line per run and exits 1 if any run fails its check.
+Usage (from the root of a checkout):
+    python3 tests/check_reference_seeds.py [--digests]
+Prints one line per run and exits 1 if any run fails its check. With
+--digests each run also prints the sha256 of its trace.csv, constants.txt
+and report.txt, one line per file, so that the output of two checkouts can
+be diffed to show that their runs write the same bytes at every seed.
 """
 
+import argparse
+import hashlib
 import json
 import os
 import sys
@@ -28,9 +34,14 @@ from proxbound import cli  # noqa: E402
 # workload -> the seeds to run (None: every recorded seed)
 WORKLOAD_SEEDS = {"lasso-constants": None, "robust-constants": None,
                   "vapnik-solve": None, "huber-solve": ("0",)}
+OUTPUTS = ("trace.csv", "constants.txt", "report.txt")
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--digests", action="store_true",
+                        help="print the sha256 of each run's output files")
+    args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "perfbench", "reference.json"),
               encoding="utf-8") as fh:
         reference = json.load(fh)
@@ -48,6 +59,11 @@ def main():
                 problems = bench_check.check_run(code, out, ref)
                 failed += bool(problems)
                 print(name, seed, "; ".join(problems) or "ok", flush=True)
+                if args.digests:
+                    for fname in OUTPUTS:
+                        with open(os.path.join(out, fname), "rb") as fh:
+                            digest = hashlib.sha256(fh.read()).hexdigest()
+                        print(name, seed, fname, digest, flush=True)
     print(f"{failed} failed", flush=True)
     return 1 if failed else 0
 

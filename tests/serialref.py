@@ -190,7 +190,7 @@ def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         v = w + ((theta - 1.0) / theta_next) * (w - w_prev)
         y, fy, tv = _dual_step(pen, J, cbar, x, t, step, v)
-        resid = float(np.linalg.norm(tv - v)) / step
+        resid = float(np.linalg.norm((tv - v) / step))
         if resid <= tol and fy <= fx + fslack:
             return y, v, resid, it, True, newton
         theta = 1.0 if (tv - v) @ (tv - w) < 0.0 else theta_next
@@ -201,7 +201,7 @@ def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
             tu = _dual_step(pen, J, cbar, x, t, step, u)[2]
             moved = (np.linalg.norm(u - v)
                      > K.NEWTON_ULPS * np.spacing(np.linalg.norm(v)))
-            if moved and float(np.linalg.norm(tu - u)) / step < resid:
+            if moved and float(np.linalg.norm((tu - u) / step)) < resid:
                 theta, w_prev, w = 1.0, u, u
             else:
                 gate = min(gate, K.NEWTON_RETRY * resid)

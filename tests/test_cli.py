@@ -130,6 +130,33 @@ def test_run_corridor_experiment(tmp_path, capsys):
     assert "alpha_hat=" in constants and "gamma_hat=" in constants
 
 
+@pytest.mark.parametrize("growth", [None, 1.25], ids=["too-few", "growing"])
+def test_tail_rate_check_verdicts(tmp_path, monkeypatch, growth):
+    # the corridor run reaches its flat bottom (gap 0) at once, so too few
+    # tail gaps are left to fit and the check passes vacuously; a fit to
+    # gaps that grow by 1.25 per step gives a rate above 1, a tail that
+    # does not decrease, and FAILs with slack 1 - rate
+    if growth is not None:
+        fit = pb.diagnostics.fit_tail_rate
+        trace = pb.IterationTrace(("k", "phi"))
+        trace.data = {"k": list(range(40)),
+                      "phi": list(growth ** np.arange(40.0))}
+        monkeypatch.setattr(pb.diagnostics, "fit_tail_rate",
+                            lambda tr, phi_star, fraction:
+                            fit(trace, 0.0, fraction))
+    path = write_cfg(tmp_path, CORRIDOR_CFG.format(out=tmp_path / "out"))
+    assert cli.main(["run", path, "--quiet"]) == (0 if growth is None else 1)
+    lines = [ln for ln in (tmp_path / "out" / "report.txt").read_text()
+             .splitlines() if ln.startswith("CHECK tail_rate: ")]
+    assert len(lines) == 1
+    slack = float(lines[0].split("slack=")[1])
+    if growth is None:
+        assert lines[0] == "CHECK tail_rate: PASS slack=inf"
+    else:
+        assert "FAIL" in lines[0]
+        assert slack == pytest.approx(1.0 - growth, abs=1e-9)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     path = write_cfg(tmp_path, CORRIDOR_CFG.format(out=out1))

@@ -1,9 +1,13 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import proxbound as pb
 import serialref
 from conftest import ALL_PENALTIES
+from proxbound import _kernels as K
 from proxbound import diagnostics as D
 from proxbound.smooth import operator_norm_sq
 
@@ -174,9 +178,14 @@ def test_fit_tail_rate_geometric():
 
 
 def test_fit_tail_rate_constant_fails():
-    phis = np.full(40, 7.5)
-    with pytest.raises(pb.InsufficientData):
-        pb.fit_tail_rate(phi_trace(phis), 7.0, 0.5)
+    # a tail that does not decrease is fitted, not skipped: a growing one
+    # gives a rate above 1, on which the CLI's tail_rate check FAILs, and a
+    # flat one a rate of 1 to roundoff
+    gaps = 1.1 ** np.arange(40)
+    rate = pb.fit_tail_rate(phi_trace(gaps + 7.0), 7.0, 0.5)
+    assert rate == pytest.approx(1.1, abs=1e-9)
+    flat = pb.fit_tail_rate(phi_trace(np.full(40, 7.5)), 7.0, 0.5)
+    assert flat == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_tail_rate_too_short():
@@ -337,7 +346,7 @@ def test_composite_batches_match_per_sample_loop(robust7, monkeypatch):
     X = 2.0 + rng.uniform(-3.0, 3.0, size=(130, 10))
     t = 1.0 / (robust7.L * robust7.beta)
     phis = D._phi_batch(robust7, X)
-    gnorms, iters = D._gnorm_batch(robust7, X, t, 1e-11)
+    gnorms, _ = D._gnorm_batch(robust7, X, t, 1e-11)
     want_phi = np.array([robust7.phi(x) for x in X])
     want_g = np.array([
         np.linalg.norm((x - pb.solve_subproblem(robust7, x, t, 1e-11)) / t)
@@ -347,8 +356,68 @@ def test_composite_batches_match_per_sample_loop(robust7, monkeypatch):
     # rows are independent: one row per block gives the same bits
     monkeypatch.setattr(D, "ROW_BLOCK", 1)
     assert np.array_equal(D._phi_batch(robust7, X), phis)
-    g1, iters1 = D._gnorm_batch(robust7, X, t, 1e-11)
-    assert np.array_equal(g1, gnorms) and iters1 == iters
+
+
+def ascent_recorder(monkeypatch):
+    """Patch the dual ascent with one that keeps the row count and the
+    per-row iterations of every call."""
+    calls = []
+    ascent = K.dual_ascent
+
+    def record(*args):
+        out = ascent(*args)
+        calls.append((args[3].shape[0], out[4]))
+        return out
+
+    monkeypatch.setattr(K, "dual_ascent", record)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["robust7", "vapnik_box"])
+def test_gamma_set_is_one_stacked_solve(which, robust7, monkeypatch):
+    # the l1 h with a zero g, and the vapnik h (an l1 dual term) with a box
+    # g (a nonzero prox): one call for the whole set, with the bits and the
+    # work of one call per row
+    prob = robust7 if which == "robust7" else vapnik_box_problem()
+    X = composite_points(300, seed=5)
+    t = 1.0 / (prob.L * prob.beta)
+    calls = ascent_recorder(monkeypatch)
+    gnorms, work = D._gnorm_batch(prob, X, t, 1e-11)
+    assert len(calls) == 1 and calls[0][0] == 300
+    iters = calls[0][1]
+    assert sorted(work) == ["dual_iters", "dual_sweeps", "newton_steps"]
+    assert work["dual_iters"] == int(np.sum(iters))
+    assert work["dual_sweeps"] == int(np.max(iters))
+    assert 0 < work["newton_steps"] < work["dual_iters"]
+    calls.clear()
+    monkeypatch.setattr(D, "GAMMA_ROWS", 1)
+    g1, work1 = D._gnorm_batch(prob, X, t, 1e-11)
+    assert len(calls) == 300
+    assert np.array_equal(g1, gnorms)
+    assert np.array_equal([c[1][0] for c in calls], iters)
+    assert work1 == dict(work, dual_sweeps=work["dual_iters"])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller's stack keeps its "
+                    "call arguments alive until the call returns, so the "
+                    "solve cannot hand J over to the kernel")
+def test_gamma_set_memory_budget(robust7):
+    # the 500-row stack's peak is at a compaction of the ascent's rows,
+    # which copies every row array; 3.23 MB with the solve handing the
+    # kernel its only reference to J, against 4.04 MB when the caller
+    # keeps the full (500, 20, 10) stack (0.8 MB) alive through the
+    # compactions (one 128-row block peaks at 1.07 MB)
+    X = composite_points(500, seed=21)
+    t = 1.0 / (robust7.L * robust7.beta)
+    D._gnorm_batch(robust7, X[:5], t, 1e-11)
+    tracemalloc.start()
+    try:
+        D._gnorm_batch(robust7, X, t, 1e-11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6e6
 
 
 def test_prox_bound_composite_unsupported(robust7):

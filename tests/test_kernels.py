@@ -102,7 +102,7 @@ def lone_newton_log(monkeypatch, args, J, cbar, X, steps, tol, fx, fslack):
 
     def traced_forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V):
         out = forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V)
-        r = np.sqrt(K.row_dots(out[5] - V))[0] / step[0, 0]
+        r = np.sqrt(K.row_dots((out[5] - V) / step))[0]
         if tried:
             v, u = tried.pop()
             moved = (np.sqrt(K.row_dots(u - v))[0]

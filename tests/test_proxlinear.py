@@ -97,6 +97,20 @@ def test_subproblem_objective_not_above_phi(robust7):
         assert model <= robust7.phi(x) + 1e-10 * (1 + abs(robust7.phi(x)))
 
 
+@pytest.mark.parametrize("t", [1e200, 1e250, 1e280, 1e300])
+def test_huge_step_solve_is_not_stopped_by_an_underflowing_residual(
+        t, robust7, monkeypatch):
+    # the dual step is ~1/t, so |T(v) - v| is ~1e-200 at t = 1e200, and its
+    # square underflows to 0; a residual squared before it is scaled then
+    # passes the stop test at iteration 1 with y = x, and a run reports
+    # Converged with |G_t| = 0 where phi is far from stationary
+    x = np.full(10, 2.0)
+    monkeypatch.setattr(pb.proxlinear, "INNER_CAP", 200)
+    with pytest.raises(pb.InnerSolveError, match="stalled") as err:
+        pb.solve_subproblem(robust7, x, t, 1e-11)
+    assert err.value.iterations == 200 and err.value.residual > 1e-11
+
+
 def test_gradient_inequality(robust7):
     # model(y) >= model_t(x; x^t) + <G, y - x> + t/2 |G|^2
     rng = np.random.default_rng(6)
