@@ -135,7 +135,7 @@ def compute_reference(problem, x0=None, t=None, tol=1e-12, max_iter=500000,
 # Stationarity distance dist(0, d phi(x))
 # ---------------------------------------------------------------------------
 
-def dist_to_stationarity(problem, x, counts=None):
+def dist_to_stationarity(problem, x, counts=None, cj=None):
     """Distance from 0 to the subdifferential of the objective at x.
 
     x is one point (n,), giving a float, or a stack (..., n) of points,
@@ -147,18 +147,22 @@ def dist_to_stationarity(problem, x, counts=None):
     problem is convex). Only the rows whose box has a free coordinate take
     a spectral norm of their Jacobian for the step; a row whose box is one
     point (as for the l1 h at c(x) != 0 with a zero g) needs none and ends
-    at iteration 1. A dict passed as counts receives boxqp_iters, the
-    min-norm QP iterations summed over the rows, and boxqp_capped, the rows
-    whose QP ran into BOXQP_CAP and so report an unconverged upper bound
-    (both 0 for additive problems).
+    at iteration 1. A composite caller that has already evaluated the map
+    at a (B, n) stack passes cj = (C, J), the (B, m) values and (B, m, n)
+    Jacobians there, and the map is not evaluated again; the result has
+    the same bits. A dict passed as counts receives boxqp_iters, the min-norm
+    QP iterations summed over the rows, and boxqp_capped, the rows whose QP
+    ran into BOXQP_CAP and so report an unconverged upper bound (both 0 for
+    additive problems).
     """
     x = as_points(x, problem.dim)
     X = x.reshape(-1, problem.dim)
     dists = np.empty(X.shape[0])
     iters = capped = 0
     for s in range(0, X.shape[0], ROW_BLOCK):
-        dists[s:s + ROW_BLOCK], it, cap = _dist_block(problem,
-                                                      X[s:s + ROW_BLOCK])
+        rows = slice(s, s + ROW_BLOCK)
+        block = None if cj is None else (cj[0][rows], cj[1][rows])
+        dists[rows], it, cap = _dist_block(problem, X[rows], block)
         iters += it
         capped += cap
     if counts is not None:
@@ -167,10 +171,12 @@ def dist_to_stationarity(problem, x, counts=None):
     return float(dists[0]) if x.ndim == 1 else dists.reshape(x.shape[:-1])
 
 
-def _dist_block(problem, X):
+def _dist_block(problem, X, cj=None):
     """dist(0, d phi) at the rows of X, the min-norm QP iterations and the
     number of capped QP rows.
 
+    A composite block takes c(X) and the Jacobians at X from cj = (C, J)
+    when the caller has them, and evaluates the map itself when cj is None.
     Only the composite rows whose (v, w) box has a free coordinate take the
     step 1/(1 + |J|^2), from one stacked operator_norm_sq over those rows.
     A point-box row gets step 1: it ends at iteration 1 with the same norm
@@ -182,7 +188,7 @@ def _dist_block(problem, X):
         over = np.maximum(target - hi, 0.0)
         return np.sqrt(K.row_dots(np.where(target < lo, under, over))), 0, 0
     glo, ghi = problem.g.subgrad_bounds(X)
-    C, J = problem.c.eval_jac_batch(X)
+    C, J = problem.c.eval_jac_batch(X) if cj is None else cj
     hlo, hhi = problem.h.subgrad_bounds(C)
     free = np.any(glo < ghi, axis=1) | np.any(hlo < hhi, axis=1)
     steps = np.ones(X.shape[0])
@@ -205,16 +211,35 @@ def sample_box(ref, dim, n_samples, seed, radius_scale=5.0):
     return center + rng.uniform(-radius, radius, size=(n_samples, dim))
 
 
-def _phi_batch(problem, X):
+def _phi_batch(problem, X, cj=None, picked=None):
+    """phi at every row of X.
+
+    Composite rows are evaluated ROW_BLOCK at a time. Given stacks
+    cj = (C, J), the c(x) and Jacobian that a row of X was evaluated with
+    are written into the stack row of the same number, if the stacks have
+    it; when X holds the rows of a larger stack that the boolean mask
+    picked selects, the number is the row's in that stack."""
     if isinstance(problem, AdditiveProblem):
         return problem.phi_batch(X)
     phis = np.empty(X.shape[0])
+    if cj is not None:
+        at = (np.arange(X.shape[0]) if picked is None
+              else np.flatnonzero(picked))
     for s in range(0, X.shape[0], ROW_BLOCK):
-        phis[s:s + ROW_BLOCK] = problem.phi_batch(X[s:s + ROW_BLOCK])
+        B = X[s:s + ROW_BLOCK]
+        C, J = problem.c.eval_jac_batch(B)
+        phis[s:s + ROW_BLOCK] = (problem.g.value_batch(B)
+                                 + problem.h.value_batch(C))
+        if cj is not None:
+            rows = at[s:s + ROW_BLOCK]
+            # rows ascend, so the ones the stacks have are a prefix
+            r = int(np.searchsorted(rows, cj[0].shape[0]))
+            cj[0][rows[:r]] = C[:r]
+            cj[1][rows[:r]] = J[:r]
     return phis
 
 
-def _gnorm_batch(problem, X, t, inner_tol):
+def _gnorm_batch(problem, X, t, inner_tol, cj=None):
     """|G_t| at every row of X, plus a dict of the work it took summed over
     the rows: dual_iters, the dual-ascent iterations (0 for additive
     problems, whose G_t is closed form), and for composite problems
@@ -223,17 +248,27 @@ def _gnorm_batch(problem, X, t, inner_tol):
 
     Composite rows are solved GAMMA_ROWS at a time, each block in one
     stacked dual ascent. A row's path does not depend on the rows stacked
-    with it, so the blocking changes only dual_sweeps."""
+    with it, so the blocking changes only dual_sweeps. A composite caller
+    that has already evaluated the map passes cj, a list holding the one
+    pair (c(X), Jacobian stack at X); it is taken out of the list and its
+    blocks handed on, so that each solve holds the only reference to its
+    rows' Jacobians (see _solve_subproblem_batch)."""
     if isinstance(problem, AdditiveProblem):
         V = X - t * problem.f.grad_batch(X)
         P = problem.g.prox_batch(V, t)
         return np.linalg.norm(X - P, axis=1) / t, {"dual_iters": 0}
     gnorms = np.empty(X.shape[0])
     counts = {"dual_iters": 0, "newton_steps": 0, "dual_sweeps": 0}
-    for s in range(0, X.shape[0], GAMMA_ROWS):
+    blocks = range(0, X.shape[0], GAMMA_ROWS)
+    parts = [None] * len(blocks)
+    if cj:
+        C, J = cj.pop()
+        parts = [[(C[s:s + GAMMA_ROWS], J[s:s + GAMMA_ROWS])] for s in blocks]
+        del C, J
+    for s, part in zip(blocks, parts):
         B = X[s:s + GAMMA_ROWS]
         Y, _, iters, newton = _solve_subproblem_batch(problem, B, t,
-                                                      inner_tol)
+                                                      inner_tol, cj=part)
         gnorms[s:s + GAMMA_ROWS] = np.sqrt(K.row_dots((B - Y) / t))
         counts["dual_iters"] += int(np.sum(iters))
         counts["newton_steps"] += newton
@@ -241,7 +276,7 @@ def _gnorm_batch(problem, X, t, inner_tol):
     return gnorms, counts
 
 
-def _accepted(problem, ref, nu, X):
+def _accepted(problem, ref, nu, X, counts=None, cj=None):
     """Sublevel-set realization of the box samples.
 
     Samples above the nu level are pulled radially toward the reference
@@ -250,25 +285,43 @@ def _accepted(problem, ref, nu, X):
     cases. Plain rejection starves on instances whose sublevel set is tiny
     relative to the fixed sampling box. Every row is pulled and judged on
     its own. Returns the kept rows, their gaps and their indices in X.
+
+    For a composite problem, stacks cj = (C, J) with one row for each of
+    the first len(C) rows of X receive c(x) and the Jacobian at those rows:
+    the first evaluation writes every such row, and a pull round writes
+    the rows it re-evaluates in place, so at return each holds the map at
+    its row's final point (the L and gamma estimators take them from
+    there). A dict passed as counts receives shrink_rounds, the pull rounds
+    run, and for composite problems map_eval_rows, the rows at which c and
+    J were evaluated.
     """
     center = ref.center()
-    gaps = _phi_batch(problem, X) - ref.phi_star
+    gaps = _phi_batch(problem, X, cj) - ref.phi_star
+    rounds = 0
+    evaluated = X.shape[0]
     if not math.isinf(nu):
         X = X.copy()
         for _ in range(SHRINK_ROUNDS):
             bad = ~(gaps <= nu)
             if not np.any(bad):
                 break
+            rounds += 1
             scale = np.full(int(np.sum(bad)), 0.7)
             finite = np.isfinite(gaps[bad])
             scale[finite] = np.minimum(0.7, 0.99 * nu / gaps[bad][finite])
             X[bad] = center + scale[:, None] * (X[bad] - center)
-            gaps[bad] = _phi_batch(problem, X[bad]) - ref.phi_star
+            gaps[bad] = _phi_batch(problem, X[bad], cj, bad) - ref.phi_star
+            evaluated += scale.size
+    if counts is not None:
+        counts["shrink_rounds"] = rounds
+        if not isinstance(problem, AdditiveProblem):
+            counts["map_eval_rows"] = evaluated
     keep = np.isfinite(gaps) & (gaps <= nu)
     return X[keep], gaps[keep], np.flatnonzero(keep)
 
 
-def _sample_pool(problem, ref, nu, n_samples, seed, extra=None):
+def _sample_pool(problem, ref, nu, n_samples, seed, extra=None, counts=None,
+                 cj=None):
     """The accepted sample pool of a constants run.
 
     The seeded box draw of n_samples rows, with the extra rows stacked
@@ -276,11 +329,12 @@ def _sample_pool(problem, ref, nu, n_samples, seed, extra=None):
     rows, their gaps, their distances to S and drawn, each kept row's index
     in the stacked draw. A seeded draw of m rows is the first m rows of a
     larger one, so the rows with drawn < m are the accepted m-row draw.
+    counts and cj go to _accepted.
     """
     X = sample_box(ref, problem.dim, n_samples, seed)
     if extra is not None:
         X = np.vstack([X, extra])
-    Xa, gaps, drawn = _accepted(problem, ref, nu, X)
+    Xa, gaps, drawn = _accepted(problem, ref, nu, X, counts, cj)
     return Xa, gaps, ref.dist_batch(Xa), drawn
 
 
@@ -311,21 +365,23 @@ def _growth_min(gaps, dists, phi_star, counts):
     return float(np.min(2.0 * gaps[mask] / dists[mask] ** 2))
 
 
-def _gamma_max(problem, X, dists, t, inner_tol, counts):
-    """gamma's reduction: max of dist/|G_t| over the rows of X. counts
-    receives gamma_samples, gamma_dual_iters and, for composite problems,
+def _gamma_max(problem, X, dists, t, inner_tol, counts, cj=None):
+    """gamma's reduction: max of dist/|G_t| over the rows of X, with the
+    map at X taken from cj as _gnorm_batch takes it. counts receives
+    gamma_samples, gamma_dual_iters and, for composite problems,
     gamma_newton_steps and gamma_dual_sweeps."""
-    gnorms, work = _gnorm_batch(problem, X, t, inner_tol)
+    gnorms, work = _gnorm_batch(problem, X, t, inner_tol, cj)
     counts["gamma_samples"] = int(X.shape[0])
     counts.update({f"gamma_{key}": int(v) for key, v in work.items()})
     return _max_ratio(dists, gnorms, "gamma")
 
 
-def _subdiff_max(problem, X, dists, counts):
-    """L's reduction: max of dist/dist(0, d phi) over the rows of X. counts
-    receives subdiff_samples, subdiff_boxqp_iters and subdiff_boxqp_capped."""
+def _subdiff_max(problem, X, dists, counts, cj=None):
+    """L's reduction: max of dist/dist(0, d phi) over the rows of X, with
+    the map at X taken from cj = (C, J) when it is given. counts receives
+    subdiff_samples, subdiff_boxqp_iters and subdiff_boxqp_capped."""
     work = {}
-    stat = dist_to_stationarity(problem, X, counts=work)
+    stat = dist_to_stationarity(problem, X, counts=work, cj=cj)
     counts["subdiff_samples"] = int(X.shape[0])
     counts.update({f"subdiff_{key}": v for key, v in work.items()})
     return _max_ratio(dists, stat, "L")
@@ -541,31 +597,59 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
     L-hat over the first 500 box rows, measured exactly when the
     prox_{t phi} oracle is available (convex additive problems); L over the
     first 2000 box rows and the probes, plus the accepted prox points.
+
+    For a composite problem the pool keeps c(x) and the Jacobian at the L
+    rows from their acceptance, and L and then gamma take them from there
+    instead of evaluating the map again: the report gets
+    pool_shrink_rounds, the pull rounds of the pool's acceptance, and
+    map_eval_rows, the rows at which the run evaluated c and J (additive
+    reports get pool_shrink_rounds only).
     """
     is_additive = isinstance(problem, AdditiveProblem)
-    extra = None
+    extra = cj = L_hat = None
     if is_additive:
         extra = _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol)
+    else:
+        m, size = problem.c.dim_out, min(n_samples, 2000)
+        cj = (np.empty((size, m)), np.empty((size, m, problem.dim)))
+    pool = {}
     X, gaps, dists, drawn = _sample_pool(problem, ref, nu, n_samples, seed,
-                                         extra)
-    counts = {}
+                                         extra, pool, cj)
+    counts = {"pool_shrink_rounds": pool["shrink_rounds"]}
     alpha = _growth_min(gaps, dists, ref.phi_star, counts)
     head = drawn < min(n_samples, 500)
-    rows = slice(None) if is_additive else head
-    gamma = _gamma_max(problem, X[rows], dists[rows], t, inner_tol, counts)
     L_rows = (drawn < min(n_samples, 2000)) | (drawn >= n_samples)
-    LX, L_dists = X[L_rows], dists[L_rows]
-    L_hat = None
-    if is_additive and problem.f_convex:
-        # the L-hat <= L + t chain evaluates the subdifferential ratio at
-        # the prox points, so fold those into the L sample set
-        L_hat, P = _prox_bound_samples(problem, X[head], dists[head], t,
-                                       inner_tol)
-        counts["prox_samples"] = int(np.sum(head))
-        P = _accepted(problem, ref, nu, P)[0]
-        LX = np.vstack([LX, P])
-        L_dists = np.concatenate([L_dists, ref.dist_batch(P)])
-    L = _subdiff_max(problem, LX, L_dists, counts)
+    if is_additive:
+        gamma = _gamma_max(problem, X, dists, t, inner_tol, counts)
+        LX, L_dists = X[L_rows], dists[L_rows]
+        if problem.f_convex:
+            # the L-hat <= L + t chain evaluates the subdifferential ratio
+            # at the prox points, so fold those into the L sample set
+            L_hat, P = _prox_bound_samples(problem, X[head], dists[head], t,
+                                           inner_tol)
+            counts["prox_samples"] = int(np.sum(head))
+            P = _accepted(problem, ref, nu, P)[0]
+            LX = np.vstack([LX, P])
+            L_dists = np.concatenate([L_dists, ref.dist_batch(P)])
+        L = _subdiff_max(problem, LX, L_dists, counts)
+    else:
+        # the stacks hold the maps of the draw's first rows, the kept ones
+        # of which are the L rows; the gamma head is a prefix of them. The
+        # pool's stacks are freed before the solve, which gets the only
+        # reference to its copy of the head
+        C, J = cj
+        del cj
+        at = drawn[L_rows]
+        if at.size < C.shape[0]:
+            C, J = C[at], J[at]
+        L = _subdiff_max(problem, X[L_rows], dists[L_rows], counts, (C, J))
+        size = int(np.sum(head))
+        gamma_cj = [(C[:size].copy(), J[:size].copy())]
+        del C, J
+        gamma = _gamma_max(problem, X[head], dists[head], t, inner_tol,
+                           counts, gamma_cj)
+        # L and gamma took every row's map from the pool
+        counts["map_eval_rows"] = pool["map_eval_rows"]
     report = ConstantsReport(alpha_hat=alpha, gamma_hat=gamma, L_hat_sub=L,
                              nu=nu, sample_count=n_samples)
     if L_hat is not None:

@@ -61,21 +61,21 @@ class CompositeProblem:
         # reports divergence
         return self.g.value(x) + K.penalty_value(self.h, self.c.value(x))
 
-    def phi_batch(self, X):
-        """phi at every row of X; it stacks one m x n Jacobian per row."""
-        return (self.g.value_batch(X)
-                + self.h.value_batch(self.c.eval_jac_batch(X)[0]))
 
-
-def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None):
+def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None):
     """Subproblem minimizers at every row of X for one step t, from one
     stacked dual ascent started at the (B, m) duals W0 (None: zeros).
     Returns (Y, the duals W at which the rows stopped, the (B,) dual
-    iterations of each row, total Newton steps tried over the rows)."""
+    iterations of each row, total Newton steps tried over the rows).
+
+    cj, when the caller has already evaluated the map, is a list holding
+    the one pair (c(X), Jacobian stack at X); the call takes the pair out
+    of the list, so that it holds the only reference to the stack. With cj
+    None the map is evaluated here; both give the same bits."""
     if t <= 0:
         raise ValueError("t must be positive")
     X = np.ascontiguousarray(X, dtype=np.float64)
-    C, J = problem.c.eval_jac_batch(X)
+    C, J = cj.pop() if cj else problem.c.eval_jac_batch(X)
     m = problem.c.dim_out
     hdual = problem.h.dual_box(m)
     # dual smooth part has curvature t|J|^2 plus the huber quadratic term
@@ -191,7 +191,9 @@ def run_prox_linear(problem, x0, cfg=None):
     can certify, and its row (with the current t, the backtracks so far
     and decrease_residual 0) is the last one. A start whose phi is not
     finite ends the run at once with status Diverged, on the one row that
-    proxgrad._start_value writes.
+    proxgrad._start_value writes. A trial point whose phi is not finite,
+    as when c overflows there, fails its Armijo test like any other, and
+    its phi is taken with numpy's overflow warnings off.
     """
     cfg = cfg or ProxLinearConfig()
     x = _start_point(problem, x0)
@@ -219,7 +221,10 @@ def run_prox_linear(problem, x0, cfg=None):
         backtracks = 0
         while status is None:
             sigma = t if cfg.sigma is None else cfg.sigma
-            phi_y = problem.phi(y)
+            # c(y) may overflow at a long trial step: its phi is then inf
+            # or NaN, the test fails and the run backtracks
+            with np.errstate(over="ignore", invalid="ignore"):
+                phi_y = problem.phi(y)
             required = 0.5 * sigma * gnorm * gnorm
             if phi_y <= phi_x - required:
                 break

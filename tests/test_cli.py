@@ -157,15 +157,44 @@ def test_tail_rate_check_verdicts(tmp_path, monkeypatch, growth):
         assert slack == pytest.approx(1.0 - growth, abs=1e-9)
 
 
+# a composite constants run whose pool pulls rows toward S (nu = gap0) and
+# keeps the maps of the first 2000 of its 2100 rows for L and gamma
+COMPOSITE_CONSTANTS_CFG = """\
+[problem]
+kind = composite
+map = quadraticmap(rows=20,cols=10,seed=7,curvature=0.3)
+h = absvalue(lambda=1)
+penalty = zero
+x0 = const(value=2)
+
+[solver]
+method = proxlinear
+eps = 1e-10
+max_iter = 300
+inner_tol = 1e-11
+
+[diagnostics]
+constants = true
+samples = 2100
+
+[output]
+dir = {out}
+"""
+
+
 def test_rerun_is_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    path = write_cfg(tmp_path, CORRIDOR_CFG.format(out=out1))
-    assert cli.main(["run", path, "--quiet"]) == 0
-    assert cli.main(["run", path, "--quiet", "--out", str(out2)]) == 0
-    for name in ("trace.csv", "constants.txt", "report.txt"):
-        a = (out1 / name).read_bytes()
-        b = (out2 / name).read_bytes()
-        assert a == b, name
+    for i, text in enumerate((CORRIDOR_CFG, COMPOSITE_CONSTANTS_CFG)):
+        out1, out2 = tmp_path / f"o1-{i}", tmp_path / f"o2-{i}"
+        path = write_cfg(tmp_path, text.format(out=out1))
+        assert cli.main(["run", path, "--quiet"]) == 0
+        assert cli.main(["run", path, "--quiet", "--out", str(out2)]) == 0
+        for name in ("trace.csv", "constants.txt", "report.txt"):
+            a = (out1 / name).read_bytes()
+            b = (out2 / name).read_bytes()
+            assert a == b, name
+    constants = (out1 / "constants.txt").read_text()
+    assert "map_eval_rows=" in constants
+    assert "pool_shrink_rounds=0" not in constants
 
 
 def test_fault_injection_wrong_beta(tmp_path):

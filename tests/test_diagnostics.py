@@ -9,6 +9,7 @@ import serialref
 from conftest import ALL_PENALTIES
 from proxbound import _kernels as K
 from proxbound import diagnostics as D
+from proxbound.proxlinear import _solve_subproblem_batch
 from proxbound.smooth import operator_norm_sq
 
 
@@ -263,6 +264,8 @@ def test_estimate_constants_bundle(lasso42, lasso42_run, lasso42_ref,
     assert "gamma_newton_steps" not in text
     assert "subdiff_samples=" in text and "subdiff_boxqp_iters=0\n" in text
     assert "subdiff_boxqp_capped=0\n" in text
+    # the pool counts its pull rounds; an additive run evaluates no map
+    assert "pool_shrink_rounds=" in text and "map_eval_rows" not in text
     # one pool per run; every pool row is counted by alpha, skipped under
     # the roundoff floor, or within DIST_SKIP of S
     assert len(pools) == 1
@@ -418,6 +421,153 @@ def test_gamma_set_memory_budget(robust7):
     finally:
         tracemalloc.stop()
     assert peak < 3.6e6
+
+
+@pytest.mark.parametrize("which", ["robust7", "vapnik_box"])
+def test_given_maps_give_the_self_evaluated_bits(which, robust7,
+                                                 monkeypatch):
+    # L and gamma take c(x) and J(x) from the pool: given them, the QP and
+    # the subproblem solve must return what they return when they evaluate
+    # the map themselves, on robust7's point boxes and on the vapnik h
+    # with a box g, where rows on a box end have a free coordinate
+    prob = robust7 if which == "robust7" else vapnik_box_problem()
+    X = composite_points(200, seed=13)
+    X[::2] = np.clip(X[::2], -0.9, 2.4)
+    C, J = prob.c.eval_jac_batch(X)
+    glo, ghi = prob.g.subgrad_bounds(X)
+    free = np.any(glo < ghi, axis=1)
+    assert not free[::2].any() and free.any() == (which == "vapnik_box")
+    want = D._dist_block(prob, X[:128])
+    got = D._dist_block(prob, X[:128], (C[:128].copy(), J[:128].copy()))
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    counts, counts_cj = {}, {}
+    want = pb.dist_to_stationarity(prob, X, counts=counts)
+    got = pb.dist_to_stationarity(prob, X, counts=counts_cj,
+                                  cj=(C.copy(), J.copy()))
+    assert np.array_equal(got, want) and counts_cj == counts
+    t = 1.0 / (prob.L * prob.beta)
+    want = _solve_subproblem_batch(prob, X, t, 1e-11)
+    holder = [(C.copy(), J.copy())]
+    got = _solve_subproblem_batch(prob, X, t, 1e-11, cj=holder)
+    assert holder == []
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert got[3] == want[3]
+    # the gamma set split into blocks hands each solve its rows' maps
+    monkeypatch.setattr(D, "GAMMA_ROWS", 64)
+    want = D._gnorm_batch(prob, X, t, 1e-11)
+    holder = [(C.copy(), J.copy())]
+    got = D._gnorm_batch(prob, X, t, 1e-11, holder)
+    assert holder == [] and np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def box_affine_problem():
+    """A 2-D affine map, the vapnik h and a box g: with nu = inf the rows
+    of the sampling box outside the box g have phi = inf and are
+    dropped from the pool."""
+    rng = np.random.default_rng(2)
+    c = pb.AffineMap(rng.standard_normal((5, 2)), rng.standard_normal(5))
+    return pb.CompositeProblem(g=pb.BoxIndicator(-1.5, 1.5),
+                               h=pb.EpsilonInsensitive(1.0, 0.1), c=c)
+
+
+@pytest.mark.parametrize("which,n", [
+    ("robust7", 500), ("robust7", 2300), ("box_affine", 500)])
+def test_constants_match_the_lone_estimators(which, n, robust7, robust7_ref):
+    # the bundle takes L's and gamma's maps from the pool, where pull
+    # rounds wrote them in place (robust7 at nu = gap0); the lone
+    # estimators evaluate their own. 2300 rows draw more than the 2000
+    # whose maps the pool keeps, and the box case (nu = inf) drops most of
+    # its draw
+    if which == "robust7":
+        prob, ref = robust7, robust7_ref
+        nu = prob.phi(np.full(10, 2.0)) - ref.phi_star
+        t = 1.0 / (prob.L * prob.beta)
+    else:
+        prob = box_affine_problem()
+        ref = pb.compute_reference(prob, x0=np.zeros(2), tol=1e-12,
+                                   inner_tol=1e-13)
+        nu, t = float("inf"), 0.5
+    rep = pb.estimate_constants(prob, ref, nu, t, n_samples=n, seed=3)
+    counts = {}
+    gamma = pb.estimate_gamma(prob, ref, nu, t, n_samples=min(n, 500),
+                              seed=3, counts=counts)
+    L = pb.estimate_subdiff_bound(prob, ref, nu, n_samples=min(n, 2000),
+                                  seed=3, counts=counts)
+    assert rep.gamma_hat == gamma and rep.L_hat_sub == L
+    assert {key: rep.extras[key] for key in counts} == counts
+    if which == "robust7":
+        assert rep.extras["pool_shrink_rounds"] > 0
+    else:
+        assert 10 <= rep.extras["subdiff_samples"] < n // 4
+
+
+def test_l_and_gamma_evaluate_no_map(robust7, robust7_ref, monkeypatch):
+    # every row at which a constants run evaluates c and J is a pool row:
+    # map_eval_rows counts them, and L and gamma add none
+    rows = []
+    evaluate = type(robust7.c).eval_jac_batch
+
+    def counted(self, X):
+        rows.append(len(X))
+        return evaluate(self, X)
+
+    pool_rows = []
+    sample_pool = D._sample_pool
+
+    def pool(*args, **kwargs):
+        out = sample_pool(*args, **kwargs)
+        pool_rows.append(sum(rows))
+        return out
+
+    nu = robust7.phi(np.full(10, 2.0)) - robust7_ref.phi_star
+    t = 1.0 / (robust7.L * robust7.beta)
+    monkeypatch.setattr(type(robust7.c), "eval_jac_batch", counted)
+    monkeypatch.setattr(D, "_sample_pool", pool)
+    rep = pb.estimate_constants(robust7, robust7_ref, nu, t, n_samples=2000,
+                                seed=0)
+    assert rep.extras["pool_shrink_rounds"] > 0
+    # the draw plus the rows re-evaluated after each pull
+    assert [rep.extras["map_eval_rows"]] == pool_rows == [sum(rows)]
+    assert sum(rows) > 2000
+    assert rep.extras["subdiff_samples"] == 2000
+    assert rep.extras["gamma_samples"] == 500
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller's stack keeps its "
+                    "call arguments alive until the call returns, so the "
+                    "solve cannot hand J over to the kernel")
+def test_constants_memory_budget(robust7, robust7_ref, monkeypatch):
+    # the pool keeps (2000, 20) values and (2000, 20, 10) Jacobians (3.5
+    # MB) until L is done; the whole call peaks at 4.79 MB, and at 7.0-7.3
+    # MB with a second copy of the stacks. gamma's solve gets the only
+    # reference to its copy of the 500-row head: its phase peaks at
+    # 3.52 MB, and at 4.32 MB when a caller keeps the copy alive
+    nu = robust7.phi(np.full(10, 2.0)) - robust7_ref.phi_star
+    t = 1.0 / (robust7.L * robust7.beta)
+    pb.estimate_constants(robust7, robust7_ref, nu, t, n_samples=40, seed=1)
+    peaks = []
+    gamma_max = D._gamma_max
+
+    def gamma_phase(*args):
+        # the peak so far, then the peak of the gamma phase alone
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        out = gamma_max(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(D, "_gamma_max", gamma_phase)
+    tracemalloc.start()
+    try:
+        pb.estimate_constants(robust7, robust7_ref, nu, t, n_samples=2000,
+                              seed=1)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 5.3e6
+    assert peaks[1] < 3.9e6
 
 
 def test_prox_bound_composite_unsupported(robust7):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,41 @@ def test_backtracking_underflow_raises(scalar_square):
                               sigma=1e8)
     with pytest.raises(pb.InnerSolveError, match="underflow"):
         pb.run_prox_linear(scalar_square, vec(2.0), cfg)
+
+
+class ExpMap(pb.SmoothMap):
+    """c(x) = exp(x) - shift in one dimension: finite and modest at x = 0,
+    and it overflows past x ~ 709. jac_beta is not a global modulus here;
+    the test sets t0 itself."""
+
+    dim_in = dim_out = 1
+    jac_beta = 1.0
+
+    def __init__(self, shift):
+        self.shift = shift
+        self.trials = []
+
+    def eval_jac_batch(self, X):
+        E = np.exp(np.asarray(X, dtype=np.float64))
+        self.trials.extend(E[:, 0])
+        return E - self.shift, E[:, :, None]
+
+
+def test_overflowing_trial_point_backtracks_without_a_warning():
+    # from x0 = 0 with t0 = 2000 the linearized step lands at y = 999,
+    # where c(y) overflows: phi(y) is inf, the Armijo test fails, and the
+    # run backtracks to a step whose trial point is finite, with no
+    # overflow RuntimeWarning from the trial point's phi
+    c = ExpMap(1000.0)
+    prob = pb.CompositeProblem(g=pb.Zero(), h=pb.AbsValue(1.0), c=c)
+    cfg = pb.ProxLinearConfig(t0=2000.0, eps=1e-9, max_iter=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = pb.run_prox_linear(prob, vec(0.0), cfg)
+    assert np.isinf(c.trials).any()
+    assert trace.column("backtracks")[0] >= 2
+    assert trace.status == "Converged"
+    assert trace.final_x[0] == pytest.approx(np.log(1000.0), rel=1e-12)
 
 
 def test_proportionality_inequality():
