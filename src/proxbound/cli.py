@@ -19,14 +19,27 @@ import numpy as np
 
 from . import diagnostics as diag
 from .errors import ConfigError, ProxboundError
-from .penalties import parse_spec_string, penalty_from_spec
+from .penalties import PENALTY_KINDS
 from .proxgrad import AdditiveProblem, ProxGradConfig, run_prox_gradient
 from .proxlinear import (FINITE_H_KINDS, CompositeProblem, ProxLinearConfig,
                          run_prox_linear)
-from .smooth import load_dense_vector, map_from_spec, smooth_from_spec
+from .smooth import MAP_KINDS, SMOOTH_KINDS, load_dense_vector
+from .specs import build_from_spec
 from .vectors import as_vector
 
-_FILE_PARAMS = ("file", "rhs", "labels", "path")
+# the spec catalogs of the two keys that only the runner reads
+# (proxbound.specs): x0 is a function dim -> start, sigma_policy the fixed
+# sigma, or None for adaptive
+X0_KINDS = {
+    "zeros": [((), lambda: np.zeros)],
+    "const": [(("value",), lambda value: lambda dim: np.full(dim, value))],
+    "file": [(("path",), lambda path: lambda dim: as_vector(
+        load_dense_vector(path), dim, "x0"))],
+}
+SIGMA_KINDS = {
+    "adaptive": [((), lambda: None)],
+    "fixed": [(("sigma",), float)],
+}
 
 
 @dataclass
@@ -76,17 +89,9 @@ def _parse_nu(text):
     return text if text == "gap0" else float(text)
 
 
-def _parse_number(text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"value is not a number: {text!r}") from None
-
-
 # (requirement, predicate) pairs; each predicate states what is allowed, so
 # NaN fails every one of them
 _INF = float("inf")
-_FINITE = ("must be finite", lambda v: -_INF < v < _INF)
 _POSITIVE = ("must be finite and > 0", lambda v: 0 < v < _INF)
 _NONNEGATIVE = ("must be a nonnegative integer", lambda v: v >= 0)
 
@@ -138,68 +143,30 @@ def _admit(where, raw, parse, rule, violations):
     return value
 
 
-_BUILD_ERRORS = (ValueError, ProxboundError, OSError)
+# MemoryError: a size numpy cannot allocate
+_BUILD_ERRORS = (ValueError, ProxboundError, OSError, MemoryError)
 
 
-def _build_spec(build, spec, where, violations):
-    """build(spec), or None with the reason added to violations; a missing
-    referenced file is named as such."""
+def _build_spec(text, what, catalog, where, violations):
+    """What spec text names in catalog (proxbound.specs), or None with the
+    reason added to violations."""
     try:
-        _, params = parse_spec_string(spec)
-    except ValueError as exc:
-        violations.append(f"{where}: {exc}")
-        return None
-    missing = [params[key] for key in _FILE_PARAMS
-               if key in params and not os.path.isfile(params[key])]
-    for path in missing:
-        violations.append(f"{where}: missing file {path!r}")
-    if missing:
-        return None
-    try:
-        return build(spec)
+        return build_from_spec(text, what, catalog)
     except _BUILD_ERRORS as exc:
         violations.append(f"{where}: {exc}")
         return None
 
 
-def _x0_builder(spec, violations):
-    """The function dim -> x0 that spec names, or None with the reason
-    added to violations."""
-    if spec == "zeros":
-        return np.zeros
-    try:
-        name, params = parse_spec_string(spec)
-    except ValueError as exc:
-        violations.append(f"[problem] x0: {exc}")
-        return None
-    if name == "const":
-        if "value" not in params:
-            violations.append("[problem] x0 const(...) needs value=")
-            return None
-        value = _admit("[problem] x0 const(...)", params["value"],
-                       _parse_number, _FINITE, violations)
-        return None if value is None else lambda dim: np.full(dim, value)
-    if name == "file":
-        path = params.get("path")
-        if path is None:
-            violations.append("[problem] x0 file(...) needs path=")
-        elif not os.path.isfile(path):
-            violations.append(f"[problem] x0: missing file {path!r}")
-        else:
-            return lambda dim: as_vector(load_dense_vector(path), dim, "x0")
-        return None
-    violations.append(f"[problem] x0: unknown form {name!r}")
-    return None
-
-
 def parse_config(path):
     """Read and fully validate an experiment config.
 
-    Builds every spec it accepts, the problem instance and x0 included
-    (kept on the returned config), and checks that the method suits the
-    problem kind, so a config that passes can be run. Collects every
-    violation found (unknown keys, missing keys, bad values, missing
-    referenced files, specs that do not build) before raising.
+    Builds every spec it accepts through its catalog (PENALTY_KINDS for
+    penalty and h, SMOOTH_KINDS, MAP_KINDS, X0_KINDS, SIGMA_KINDS; the
+    format and the parameter rules are proxbound.specs'), the problem
+    instance and x0 included (kept on the returned config), and checks
+    that the method suits the problem kind, so a config that passes can be
+    run. Collects every violation found (unknown keys, missing keys, bad
+    values, specs that do not build) before raising.
     """
     if not os.path.isfile(path):
         raise ConfigError([f"config file not found: {path}"])
@@ -247,39 +214,29 @@ def parse_config(path):
     cfg.kind = (get("problem", "kind") or "").lower()
     if cfg.kind not in ("additive", "composite"):
         violations.append("[problem] kind must be 'additive' or 'composite'")
-    cfg.penalty_spec = get("problem", "penalty") or ""
     built = {}  # the instance's pieces: g, then f or h and c
-    if not cfg.penalty_spec:
-        violations.append("[problem] penalty is required")
-    else:
-        built["g"] = _build_spec(penalty_from_spec, cfg.penalty_spec,
-                                 "[problem] penalty", violations)
+
+    def required(piece, key, what, catalog, need=""):
+        text = get("problem", key) or ""
+        setattr(cfg, f"{key}_spec", text)
+        if not text:
+            violations.append(f"[problem] {key} is required{need}")
+        else:
+            built[piece] = _build_spec(text, what, catalog,
+                                       f"[problem] {key}", violations)
+
+    required("g", "penalty", "penalty", PENALTY_KINDS)
     if cfg.kind == "additive":
-        cfg.smooth_spec = get("problem", "smooth") or ""
-        if not cfg.smooth_spec:
-            violations.append("[problem] smooth is required for additive")
-        else:
-            built["f"] = _build_spec(smooth_from_spec, cfg.smooth_spec,
-                                     "[problem] smooth", violations)
+        required("f", "smooth", "smooth", SMOOTH_KINDS, " for additive")
     elif cfg.kind == "composite":
-        cfg.h_spec = get("problem", "h") or ""
-        cfg.map_spec = get("problem", "map") or ""
-        if not cfg.h_spec:
-            violations.append("[problem] h is required for composite")
-        else:
-            h = built["h"] = _build_spec(penalty_from_spec, cfg.h_spec,
-                                         "[problem] h", violations)
-            if h is not None and not isinstance(h, FINITE_H_KINDS):
-                violations.append(
-                    "[problem] h must be a finite Lipschitz penalty, "
-                    f"got {type(h).__name__}")
-        if not cfg.map_spec:
-            violations.append("[problem] map is required for composite")
-        else:
-            built["c"] = _build_spec(map_from_spec, cfg.map_spec,
-                                     "[problem] map", violations)
+        required("h", "h", "penalty", PENALTY_KINDS, " for composite")
+        h = built.get("h")
+        if h is not None and not isinstance(h, FINITE_H_KINDS):
+            violations.append("[problem] h must be a finite Lipschitz "
+                              f"penalty, got {type(h).__name__}")
+        required("c", "map", "map", MAP_KINDS, " for composite")
     cfg.x0_spec = get("problem", "x0", cfg.x0_spec)
-    x0 = _x0_builder(cfg.x0_spec, violations)
+    x0 = _build_spec(cfg.x0_spec, "x0", X0_KINDS, "[problem] x0", violations)
 
     cfg.method = (get("solver", "method") or "").lower()
     if cfg.method not in ("proxgrad", "proxlinear"):
@@ -289,18 +246,9 @@ def parse_config(path):
         violations.append(
             f"[solver] method {cfg.method} does not solve kind = {cfg.kind} "
             "(proxgrad solves additive problems, proxlinear composite ones)")
-    sigma_policy = get("solver", "sigma_policy", "adaptive")
-    if sigma_policy != "adaptive":
-        try:
-            name, params = parse_spec_string(sigma_policy)
-        except ValueError:
-            name, params = None, {}
-        if name == "fixed" and "sigma" in params:
-            cfg.sigma = _admit("[solver] fixed sigma", params["sigma"], float,
-                               _POSITIVE, violations)
-        else:
-            violations.append(
-                "[solver] sigma_policy must be 'adaptive' or 'fixed(sigma=V)'")
+    cfg.sigma = _build_spec(get("solver", "sigma_policy", "adaptive"),
+                            "sigma_policy", SIGMA_KINDS,
+                            "[solver] sigma_policy", violations)
 
     cfg.out_dir = get("output", "dir", cfg.out_dir)
 

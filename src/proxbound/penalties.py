@@ -18,13 +18,13 @@ Construction rejects an array parameter (DimensionMismatch), NaN, and an
 infinite parameter other than a box bound.
 """
 
-import re
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _kernels as K
 from .errors import DimensionMismatch, DomainError, UnsupportedOperation
+from .specs import build_from_spec
 from .vectors import as_points, as_vector
 
 
@@ -367,54 +367,23 @@ class HuberEnvelope(SeparablePenalty):
 # Spec-string construction:  kind(param=value,...)
 # ---------------------------------------------------------------------------
 
-_SPEC_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*(?:\((.*)\))?\s*$")
-
-_PENALTY_BUILDERS = {
-    "zero": (Zero, ()),
-    "absvalue": (AbsValue, ("lambda",)),
-    "elasticnet": (ElasticNet, ("lambda1", "lambda2")),
-    "box": (BoxIndicator, ("lo", "hi")),
-    "epsiloninsensitive": (EpsilonInsensitive, ("lambda", "epsilon")),
-    "checkfunction": (CheckFunction, ("lambda", "tau")),
-    "huberenvelope": (HuberEnvelope, ("lambda", "mu")),
+# kind -> [(spec parameter names, class)]; the names follow the class's
+# fields in order
+PENALTY_KINDS = {
+    "zero": [((), Zero)],
+    "absvalue": [(("lambda",), AbsValue)],
+    "elasticnet": [(("lambda1", "lambda2"), ElasticNet)],
+    "box": [(("lo", "hi"), BoxIndicator)],
+    "epsiloninsensitive": [(("lambda", "epsilon"), EpsilonInsensitive)],
+    "checkfunction": [(("lambda", "tau"), CheckFunction)],
+    "huberenvelope": [(("lambda", "mu"), HuberEnvelope)],
 }
-
-_PARAM_ALIASES = {"lambda": "lam", "lambda1": "lam1", "lambda2": "lam2",
-                  "epsilon": "eps"}
-_SPEC_NAMES = {v: k for k, v in _PARAM_ALIASES.items()}
-
-
-def parse_spec_string(text, what="spec"):
-    """Split 'name(a=1,b=2)' into (name, {a: '1', b: '2'})."""
-    m = _SPEC_RE.match(text)
-    if not m:
-        raise ValueError(f"malformed {what} string: {text!r}")
-    name = m.group(1).lower()
-    params = {}
-    body = m.group(2)
-    if body is not None and body.strip():
-        for piece in body.split(","):
-            if "=" not in piece:
-                raise ValueError(f"malformed parameter {piece!r} in {text!r}")
-            key, val = piece.split("=", 1)
-            params[key.strip().lower()] = val.strip()
-    return name, params
+# a field's name in specs and messages, where the two differ
+_SPEC_NAMES = {"lam": "lambda", "lam1": "lambda1", "lam2": "lambda2",
+               "eps": "epsilon"}
 
 
 def penalty_from_spec(text):
-    """Construct a penalty from a config string like 'absvalue(lambda=0.1)'."""
-    name, raw = parse_spec_string(text, what="penalty")
-    if name not in _PENALTY_BUILDERS:
-        raise ValueError(f"unknown penalty kind {name!r}")
-    cls, expected = _PENALTY_BUILDERS[name]
-    unknown = set(raw) - set(expected)
-    if unknown:
-        raise ValueError(f"unknown parameter(s) {sorted(unknown)} for {name}")
-    missing = set(expected) - set(raw)
-    if missing:
-        raise ValueError(f"missing parameter(s) {sorted(missing)} for {name}")
-    kwargs = {}
-    for key, val in raw.items():
-        kwargs[_PARAM_ALIASES.get(key, key)] = float(val)
-    return cls(**kwargs)
-
+    """The penalty that a spec such as 'absvalue(lambda=0.1)' names in
+    PENALTY_KINDS (see proxbound.specs for the format and its rules)."""
+    return build_from_spec(text, "penalty", PENALTY_KINDS)

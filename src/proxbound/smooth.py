@@ -2,7 +2,9 @@
 
 Every loss carries an analytically derived Lipschitz modulus of its gradient
 (beta); every map carries one for its Jacobian (jac_beta, exactly 0 for
-affine maps). Dense matrices only; problems are desk-scale.
+affine maps). A modulus that comes out inf or NaN, from matrices whose
+products overflow, raises ValueError at construction, and no numpy warning
+escapes while it is taken. Dense matrices only; problems are desk-scale.
 
 A loss evaluates rows of a stack X: value_batch gives f at each row and
 grad_batch its gradient. Each catalog loss writes its formulas once, as
@@ -16,7 +18,7 @@ that to take f once, over the residuals it stored.
 import numpy as np
 
 from .errors import DimensionMismatch
-from .penalties import parse_spec_string
+from .specs import build_from_spec
 from .vectors import as_matrix, as_vector
 
 # declared moduli are floored here so degenerate (constant/affine) smooth
@@ -76,6 +78,20 @@ def lambda_max_sym(M):
     return float(out[0]) if single else out
 
 
+def _gram_max(A):
+    """lambda_max(A^T A) with numpy's warnings held: where A^T A overflows
+    it comes out inf or NaN, which _finite rejects."""
+    with np.errstate(all="ignore"):
+        return lambda_max_sym(A.T @ A)
+
+
+def _finite(name, modulus):
+    """A declared modulus, or ValueError when it is inf or NaN."""
+    if not np.isfinite(modulus):
+        raise ValueError(f"declared modulus {name} = {modulus} is not finite")
+    return modulus
+
+
 def operator_norm_sq(A):
     """Squared spectral norm of A, the largest eigenvalue of A^T A by
     eigvalsh: a float for one (m, n) matrix, a (B,) array for a (B, m, n)
@@ -96,6 +112,8 @@ def load_dense_matrix(path):
         if len(header) != 2:
             raise ValueError(f"{path}: first line must be 'rows cols'")
         rows, cols = int(header[0]), int(header[1])
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{path}: rows and cols must be >= 1")
         data = np.array(fh.read().split(), dtype=np.float64)
     if data.size != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, got {data.size}")
@@ -140,7 +158,7 @@ class Quadratic(SmoothFunction):
         self.A = as_matrix(A)
         self.b = as_vector(b, self.A.shape[0], "b")
         self.dim = self.A.shape[1]
-        self.beta = max(lambda_max_sym(self.A.T @ self.A), BETA_FLOOR)
+        self.beta = _finite("beta", max(_gram_max(self.A), BETA_FLOOR))
 
     def _residual(self, X):
         return X @ self.A.T - self.b
@@ -161,7 +179,8 @@ class Logistic(SmoothFunction):
         if not np.all(np.abs(self.y) == 1.0):
             raise ValueError("logistic labels must be +-1")
         self.dim = self.A.shape[1]
-        self.beta = max(0.25 * lambda_max_sym(self.A.T @ self.A), BETA_FLOOR)
+        self.beta = _finite("beta",
+                            max(0.25 * _gram_max(self.A), BETA_FLOOR))
 
     def _residual(self, X):
         return X @ self.A.T
@@ -194,7 +213,8 @@ class Corridor(SmoothFunction):
             self.b = (np.zeros(self.A.shape[0]) if b is None
                       else as_vector(b, self.A.shape[0], "b"))
             self.dim = self.A.shape[1]
-            self.beta = max(2.0 * lambda_max_sym(self.A.T @ self.A), BETA_FLOOR)
+            self.beta = _finite("beta",
+                                max(2.0 * _gram_max(self.A), BETA_FLOOR))
 
     def _residual(self, X):
         if self.A is None:
@@ -216,13 +236,14 @@ class HuberLoss(SmoothFunction):
     """f(x) = sum_i huber_mu((Ax - b)_i), unit slope outside |z| <= mu."""
 
     def __init__(self, A, b, mu):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < mu < np.inf:
+            raise ValueError("mu must lie in (0, inf)")
         self.A = as_matrix(A)
         self.b = as_vector(b, self.A.shape[0], "b")
         self.mu = float(mu)
         self.dim = self.A.shape[1]
-        self.beta = max(lambda_max_sym(self.A.T @ self.A) / self.mu, BETA_FLOOR)
+        self.beta = _finite("beta",
+                            max(_gram_max(self.A) / self.mu, BETA_FLOOR))
 
     def _residual(self, X):
         return X @ self.A.T - self.b
@@ -290,17 +311,20 @@ class QuadraticMap(SmoothMap):
         Qs = np.asarray(Qs, dtype=np.float64)
         if Qs.ndim != 3 or Qs.shape[1] != Qs.shape[2]:
             raise DimensionMismatch("Qs must be (m, n, n)")
-        # only the symmetric part matters for x^T Q x; store it so the
-        # gradient formula Q_i x + a_i is exact
-        self.Qs = 0.5 * (Qs + np.transpose(Qs, (0, 2, 1)))
         self.a = as_matrix(a, (Qs.shape[0], Qs.shape[1]), "a")
         self.b = as_vector(b, Qs.shape[0], "b")
         self.dim_in = Qs.shape[1]
         self.dim_out = Qs.shape[0]
-        # a running total in row order: np.sum's pairwise order would move
-        # the last bit of jac_beta, and with it the default step 1/(L beta)
-        sq = np.cumsum(lambda_max_sym(np.matmul(self.Qs, self.Qs)))
-        self.jac_beta = float(np.sqrt(sq[-1] if sq.size else 0.0))
+        with np.errstate(all="ignore"):
+            # only the symmetric part matters for x^T Q x; store it so the
+            # gradient formula Q_i x + a_i is exact
+            self.Qs = 0.5 * (Qs + np.transpose(Qs, (0, 2, 1)))
+            # a running total in row order: np.sum's pairwise order would
+            # move the last bit of jac_beta, and with it the default step
+            # 1/(L beta)
+            sq = np.cumsum(lambda_max_sym(np.matmul(self.Qs, self.Qs)))
+            jac_beta = float(np.sqrt(sq[-1] if sq.size else 0.0))
+        self.jac_beta = _finite("jac_beta", jac_beta)
 
     def eval_jac_batch(self, X):
         X = np.asarray(X, dtype=np.float64)
@@ -330,77 +354,55 @@ def random_quadratic_map(rows, cols, seed, curvature):
     b = rng.standard_normal(rows)
     Qs = np.empty((rows, cols, cols))
     scale = curvature / (2.0 * np.sqrt(cols))
-    for i in range(rows):
-        G = rng.standard_normal((cols, cols))
-        Qs[i] = scale * (G + G.T)
+    with np.errstate(over="ignore"):  # QuadraticMap rejects an inf Q
+        for i in range(rows):
+            G = rng.standard_normal((cols, cols))
+            Qs[i] = scale * (G + G.T)
     return QuadraticMap(Qs, A, -b)
 
 
-def _need(params, keys, name):
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ValueError(f"{name} spec missing parameter(s) {missing}")
+def _random_affine(rows, cols, seed):
+    """c(x) = Ax - b from random_least_squares."""
+    A, b = random_least_squares(rows, cols, seed)
+    return AffineMap(A, -b)
+
+
+_M, _V = load_dense_matrix, load_dense_vector
+
+# kind -> [(spec parameter names, builder)]; the builder takes the converted
+# values in the order of the names (see proxbound.specs)
+SMOOTH_KINDS = {
+    "quadratic": [
+        (("rows", "cols", "seed"),
+         lambda rows, cols, seed: Quadratic(
+             *random_least_squares(rows, cols, seed))),
+        (("file", "rhs"), lambda A, b: Quadratic(_M(A), _V(b)))],
+    "corridor": [
+        (("dim",), Corridor),
+        (("file",), lambda A: Corridor(A=_M(A))),
+        (("file", "rhs"), lambda A, b: Corridor(A=_M(A), b=_V(b)))],
+    "logistic": [(("file", "labels"), lambda A, y: Logistic(_M(A), _V(y)))],
+    "huberloss": [(("file", "rhs", "mu"),
+                   lambda A, b, mu: HuberLoss(_M(A), _V(b), mu))],
+}
+MAP_KINDS = {
+    "affine": [
+        (("rows", "cols", "seed"), _random_affine),
+        (("file",), lambda A: AffineMap(_M(A))),
+        (("file", "rhs"), lambda A, b: AffineMap(_M(A), _V(b))),
+        (("identity",), lambda n: AffineMap(np.eye(n)))],
+    "quadraticmap": [(("rows", "cols", "seed", "curvature"),
+                      random_quadratic_map)],
+}
 
 
 def smooth_from_spec(text):
-    """Construct a smooth loss from a config string.
-
-    Supported forms:
-      quadratic(file=A.txt,rhs=b.txt) | quadratic(rows=20,cols=10,seed=42)
-      corridor(dim=10) | corridor(file=A.txt,rhs=b.txt)
-      logistic(file=A.txt,labels=y.txt)
-      huberloss(file=A.txt,rhs=b.txt,mu=1.0)
-    """
-    name, params = parse_spec_string(text, what="smooth")
-    if name == "quadratic":
-        if "file" in params:
-            _need(params, ("rhs",), name)
-            return Quadratic(load_dense_matrix(params["file"]),
-                             load_dense_vector(params["rhs"]))
-        _need(params, ("rows", "cols", "seed"), name)
-        A, b = random_least_squares(int(params["rows"]), int(params["cols"]),
-                                    params["seed"])
-        return Quadratic(A, b)
-    if name == "corridor":
-        if "file" in params:
-            A = load_dense_matrix(params["file"])
-            b = load_dense_vector(params["rhs"]) if "rhs" in params else None
-            return Corridor(A=A, b=b)
-        _need(params, ("dim",), name)
-        return Corridor(dim=int(params["dim"]))
-    if name == "logistic":
-        _need(params, ("file", "labels"), name)
-        return Logistic(load_dense_matrix(params["file"]),
-                        load_dense_vector(params["labels"]))
-    if name == "huberloss":
-        _need(params, ("file", "rhs", "mu"), name)
-        return HuberLoss(load_dense_matrix(params["file"]),
-                         load_dense_vector(params["rhs"]), float(params["mu"]))
-    raise ValueError(f"unknown smooth kind {name!r}")
+    """The smooth loss that a spec such as 'quadratic(rows=20,cols=10,
+    seed=42)' names in SMOOTH_KINDS."""
+    return build_from_spec(text, "smooth", SMOOTH_KINDS)
 
 
 def map_from_spec(text):
-    """Construct a smooth map from a config string.
-
-    Supported forms:
-      affine(file=A.txt,rhs=b.txt) | affine(rows=20,cols=10,seed=7) | affine(identity=N)
-      quadraticmap(rows=20,cols=10,seed=7,curvature=0.1)
-    """
-    name, params = parse_spec_string(text, what="map")
-    if name == "affine":
-        if "identity" in params:
-            n = int(params["identity"])
-            return AffineMap(np.eye(n))
-        if "file" in params:
-            A = load_dense_matrix(params["file"])
-            b = load_dense_vector(params["rhs"]) if "rhs" in params else None
-            return AffineMap(A, b)
-        _need(params, ("rows", "cols", "seed"), name)
-        A, b = random_least_squares(int(params["rows"]), int(params["cols"]),
-                                    params["seed"])
-        return AffineMap(A, -b)
-    if name == "quadraticmap":
-        _need(params, ("rows", "cols", "seed", "curvature"), name)
-        return random_quadratic_map(int(params["rows"]), int(params["cols"]),
-                                    params["seed"], float(params["curvature"]))
-    raise ValueError(f"unknown map kind {name!r}")
+    """The smooth map that a spec such as 'affine(identity=4)' names in
+    MAP_KINDS."""
+    return build_from_spec(text, "map", MAP_KINDS)

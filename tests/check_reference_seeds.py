@@ -10,11 +10,21 @@ checks seed 0 only; a change to the dual ascent or to the proximal-gradient
 loop moves the paths of every seed.
 
 Usage (from the root of a checkout):
-    python3 tests/check_reference_seeds.py [--digests]
+    python3 tests/check_reference_seeds.py [--digests] [--src DIR]
 Prints one line per run and exits 1 if any run fails its check. With
 --digests each run also prints the sha256 of its trace.csv, constants.txt
 and report.txt, one line per file, so that the output of two checkouts can
 be diffed to show that their runs write the same bytes at every seed.
+
+--src DIR imports the proxbound package from DIR, not from this checkout's
+src/; the reference file, the workload configs and the checker still come
+from this checkout. So one copy of the script compares two trees, here
+the parent commit and the working tree:
+
+    P=$(mktemp -d); git archive HEAD~ | tar -x -C "$P"
+    python3 tests/check_reference_seeds.py --digests --src "$P/src" > a.txt
+    python3 tests/check_reference_seeds.py --digests > b.txt
+    diff a.txt b.txt
 """
 
 import argparse
@@ -25,11 +35,6 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-
-import bench_check  # noqa: E402
-import bench_workloads  # noqa: E402
-from proxbound import cli  # noqa: E402
 
 # workload -> the seeds to run (None: every recorded seed)
 WORKLOAD_SEEDS = {"lasso-constants": None, "robust-constants": None,
@@ -41,7 +46,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--digests", action="store_true",
                         help="print the sha256 of each run's output files")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="the directory to import proxbound from")
     args = parser.parse_args(argv)
+    # the package is imported only now, from the directory asked for
+    sys.path[:0] = [os.path.abspath(args.src),
+                    os.path.join(ROOT, "perfbench")]
+    import bench_check
+    import bench_workloads
+    from proxbound import cli
     with open(os.path.join(ROOT, "perfbench", "reference.json"),
               encoding="utf-8") as fh:
         reference = json.load(fh)

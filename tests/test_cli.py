@@ -321,7 +321,8 @@ max_iter = 50
 
 
 @pytest.mark.parametrize("h,sigma_policy,violation", [
-    ("absvalue(lambda=1)", "fixed(sigma", "[solver] sigma_policy must be"),
+    ("absvalue(lambda=1)", "fixed(sigma",
+     "[solver] sigma_policy: malformed sigma_policy string: 'fixed(sigma'"),
     ("bogus(lambda=1)", "adaptive", "[problem] h: unknown penalty kind"),
     ("box(lo=-1,hi=1)", "adaptive",
      "[problem] h must be a finite Lipschitz penalty, got BoxIndicator"),
@@ -356,14 +357,14 @@ max_iter = 50
 @pytest.mark.parametrize("text,violation", [
     (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
                          x0="const(value=abc)", method="proxgrad"),
-     "[problem] x0 const(...): value is not a number: 'abc'"),
+     "[problem] x0: const value=abc must be finite"),
     (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
      .replace("quadraticmap(rows=4,cols=2,seed=5,curvature=0.5)",
               "bogusmap(rows=20)"),
      "[problem] map: unknown map kind 'bogusmap'"),
     (ADDITIVE_CFG.format(smooth="quadratic(rows=abc,cols=3,seed=1)",
                          x0="zeros", method="proxgrad"),
-     "[problem] smooth: invalid literal for int()"),
+     "[problem] smooth: quadratic rows=abc must be an integer >= 1"),
     (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
      .replace("method = proxlinear", "method = proxgrad"),
      "[solver] method proxgrad does not solve kind = composite"),
@@ -445,7 +446,8 @@ def test_check_at_the_float_limit_evaluates_no_formula(tmp_path):
 @pytest.mark.parametrize("role,spec,violation", [
     ("penalty", "absvalue(lambda=nan)", "lambda must lie in (0, inf)"),
     ("penalty", "box(lo=nan,hi=1)", "box requires lo <= hi"),
-    ("penalty", "huberenvelope(lambda=1,mu=inf)", "mu must lie in (0, inf)"),
+    ("penalty", "huberenvelope(lambda=1,mu=inf)",
+     "huberenvelope mu=inf must be finite"),
     ("h", "absvalue(lambda=nan)", "lambda must lie in (0, inf)"),
     ("h", "checkfunction(lambda=inf,tau=0.5)", "lambda must lie in (0, inf)"),
 ], ids=["absvalue_nan", "box_nan", "huber_mu_inf", "h_nan", "h_inf"])
@@ -742,9 +744,29 @@ def test_unexpected_exception_is_a_runtime_error(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def with_spec(base, old, new):
+    """The config base with spec old replaced by new."""
+    assert old in base
+    return base.replace(old, new)
+
+
+ADDITIVE_QUADRATIC = ADDITIVE_CFG.format(
+    smooth="quadratic(rows=5,cols=3,seed=1)", x0="zeros", method="proxgrad")
+COMPOSITE_QUADRATIC = COMPOSITE_CFG.format(h="absvalue(lambda=1)",
+                                           sigma_policy="adaptive")
+QUADRATIC_MAP = "quadraticmap(rows=4,cols=2,seed=5,curvature=0.5)"
+# files under {dir}: a 3 x 2 matrix, a 3 x 2 matrix whose A^T A overflows,
+# and a length-3 right-hand side
+SPEC_FILES = {"A.txt": "3 2\n1 0\n0 1\n1 1\n",
+              "Abig.txt": "3 2\n1e200 0\n0 1\n1 1\n",
+              "b.txt": "3 1\n1\n-1\n0.5\n"}
+
+
 # each of these passed `check` and then either ran to a false PASS, ran
 # with a negative certificate, spun in an inner loop or exited 3 from a deep
-# call; the violation names the key, or the environment variable it came from
+# call, or it ran with a parameter that one of its spec's forms ignored or
+# overrode; the violation names the key, or the environment variable it
+# came from
 @pytest.mark.parametrize("text,env_seed,violation", [
     (ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
                          x0="zeros", method="proxgrad")
@@ -769,17 +791,80 @@ def test_unexpected_exception_is_a_runtime_error(tmp_path, capsys,
      None, "[problem] beta_override must be finite and > 0"),
     (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
                          x0="const(value=nan)", method="proxgrad"),
-     None, "[problem] x0 const(...) must be finite"),
+     None, "[problem] x0: const value=nan must be finite"),
+    (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
+               "huberloss(file={dir}/A.txt,rhs={dir}/b.txt,mu=nan)"),
+     None, "[problem] smooth: huberloss mu=nan must be finite"),
+    (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP,
+               "quadraticmap(rows=2,cols=2,seed=1,curvature=inf)"),
+     None, "[problem] map: quadraticmap curvature=inf must be finite"),
+    (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP,
+               "quadraticmap(rows=2,cols=2,seed=1,curvature=1e300)"),
+     None, "[problem] map: declared modulus jac_beta = nan is not finite"),
+    (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
+               "quadratic(file={dir}/Abig.txt,rhs={dir}/b.txt)"),
+     None, "[problem] smooth: declared modulus beta = "),
+    (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
+               "quadratic(rows=3,cols=0,seed=1)"),
+     None, "[problem] smooth: quadratic cols=0 must be an integer >= 1"),
+    (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
+               "quadratic(rows=0,cols=2,seed=1)"),
+     None, "[problem] smooth: quadratic rows=0 must be an integer >= 1"),
+    (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
+               "corridor(dim=0)"),
+     None, "[problem] smooth: corridor dim=0 must be an integer >= 1"),
+    (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP, "affine(identity=0)"),
+     None, "[problem] map: affine identity=0 must be an integer >= 1"),
+    # 71 PiB: more than any address space, so numpy refuses it at once
+    (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
+               "quadratic(rows=100000000,cols=100000000,seed=1)"),
+     None, "[problem] smooth: Unable to allocate "),
+    (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
+               "quadratic(rows=3,cols=2,seed=1,bogus=7)"),
+     None, "[problem] smooth: quadratic takes (rows, cols, seed) or "
+     "(file, rhs), got (rows, cols, seed, bogus)"),
+    (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP,
+               "affine(rows=2,cols=2,seed=1,junk=1)"),
+     None, "[problem] map: affine takes "),
+    (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
+               "quadratic(rows=3,cols=2,seed=1,file={dir}/A.txt,"
+               "rhs={dir}/b.txt)"),
+     None, "[problem] smooth: quadratic takes "),
+    (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP,
+               "affine(identity=2,rows=9,seed=3)"),
+     None, "[problem] map: affine takes "),
+    (with_spec(ADDITIVE_QUADRATIC, "absvalue(lambda=0.1)",
+               "absvalue(lambda=0.1,lambda=7)"),
+     None, "[problem] penalty: parameter 'lambda' given twice in "),
+    (with_spec(ADDITIVE_QUADRATIC, "x0 = zeros", "x0 = const(value=1,junk=2)"),
+     None, "[problem] x0: const takes (value), got (value, junk)"),
+    (with_spec(COMPOSITE_QUADRATIC, "sigma_policy = adaptive",
+               "sigma_policy = fixed(sigma=1,foo=2)"),
+     None, "[solver] sigma_policy: fixed takes (sigma), got (sigma, foo)"),
 ], ids=["sandwich_t_negative", "composite_beta_negative", "inner_tol_nan",
         "diag_seed_negative", "env_seed_negative", "sandwich_points_zero",
-        "additive_beta_zero", "x0_const_nan"])
+        "additive_beta_zero", "x0_const_nan", "huberloss_mu_nan",
+        "curvature_inf", "curvature_overflow", "file_gram_overflow",
+        "cols_zero", "rows_zero", "corridor_dim_zero", "identity_zero",
+        "unallocatable_size",
+        "unknown_smooth_parameter", "unknown_map_parameter",
+        "two_smooth_forms", "two_map_forms", "duplicated_parameter",
+        "unknown_x0_parameter", "unknown_sigma_parameter"])
 def test_check_rejects_values_run_cannot_use(tmp_path, capsys, monkeypatch,
                                              text, env_seed, violation):
     if env_seed is not None:
         monkeypatch.setenv("PROXBOUND_SEED", env_seed)
-    assert cli.main(["check", write_cfg(tmp_path, text)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {violation}" in err
+    for name, content in SPEC_FILES.items():
+        (tmp_path / name).write_text(content)
+    path = write_cfg(tmp_path, text.replace("{dir}", str(tmp_path)))
+    out = tmp_path / "o"
+    for args in (["check", path], ["run", path, "--quiet", "--out", str(out)]):
+        assert cli.main(args) == 2, args[0]
+        err = capsys.readouterr().err
+        assert f"config error: {violation}" in err, args[0]
+        assert all(line.startswith("config error: ")
+                   for line in err.splitlines()), err
+    assert not out.exists()
 
 
 # the admissibility sweep: tiny instances, one per method, with every
