@@ -7,11 +7,14 @@ so a single point (n,) and a stack of points (..., n) go through the same
 code and agree bit for bit. The dual ascent of the prox-linear subproblem
 (FISTA finished by semismooth Newton steps) and the min-norm box QP behind
 dist(0, d phi) are one kernel each over a stack of rows, used with a
-single row for one point and with blocks of rows by the diagnostics. A
-Newton step forms no pseudo-inverse: the clipped duals take their step
-exactly, and the free ones are solved through the n x n Gram matrix of the
-Jacobian's free rows (one batched eigh), or by one batched solve when h's
-dual has a quadratic term.
+single row for one point and with blocks of rows by the diagnostics. The
+dual ascent reads h's conjugate as four floats (h.dual_box(): one box
+[lo, hi] for every dual coordinate, an l1 and a quadratic coefficient),
+so no per-coordinate array of them is formed. A Newton step forms no
+pseudo-inverse: the clipped duals take their step exactly, and the free
+ones are solved through the n x n Gram matrix of the Jacobian's free rows
+(one batched eigh), or by one batched solve when h's dual has a quadratic
+term.
 """
 
 import numpy as np
@@ -64,28 +67,31 @@ def row_inner(A, C):
     return np.matmul(A[:, None, :], C[:, :, None])[:, 0, 0]
 
 
-def _forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V):
+def _forward_backward(g, dual, J, cbar, X, t, step, V):
     """The dual's forward-backward map T at the rows of V, with the pieces
     the stop test and the Newton step need: the prox argument
     U = X - t J^T v, the primal point y(v) = prox_{tg}(U), D = y - X, the
     model's inner value Z = cbar + J D, the pre-clip point S (the ascent
-    step, soft-thresholded by thr) and T(v), S clipped to h's dual box."""
+    step, soft-thresholded by step * l1) and T(v), S clipped to h's dual
+    box; dual is h.dual_box(), the floats (lo, hi, l1, quad)."""
+    lo, hi, l1, quad = dual
     U = X - t * np.matmul(V[:, None, :], J)[:, 0, :]
     Yr = penalty_prox(g, U, t)
     D = Yr - X
     Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
-    S = V + step * (Z if quad is None else Z - quad * V)
-    if thr is not None:
-        S = np.sign(S) * np.maximum(np.abs(S) - thr, 0.0)
-    return U, Yr, D, Z, S, np.minimum(np.maximum(S, hbox[0]), hbox[1])
+    # zero l1 / quadratic dual terms drop out of the update exactly
+    S = V + step * (Z - quad * V if quad else Z)
+    if l1:
+        S = np.sign(S) * np.maximum(np.abs(S) - step * l1, 0.0)
+    return U, Yr, D, Z, S, np.minimum(np.maximum(S, lo), hi)
 
 
-def _newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
+def _newton_points(g, dual, J, t, step, V, U, S, G):
     """Semismooth Newton points u = v + delta on the residual
     R(w) = w - T(w) at the rows of V, where M delta = G = T(v) - v and
-    M = (I - P) + s P A, A = t J diag(D_g) J^T + diag(quad), P being the
-    0/1 derivative of the clip and soft-threshold at S and D_g that of
-    prox_{tg} at U.
+    M = (I - P) + s P A, A = t J diag(D_g) J^T + quad I, P being the 0/1
+    derivative of the clip and soft-threshold at S and D_g that of
+    prox_{tg} at U; dual is h.dual_box(), the floats (lo, hi, l1, quad).
 
     M is block triangular: on the clipped duals N it is the identity, so
     delta_N = G_N exactly, and on the free duals F
@@ -96,11 +102,12 @@ def _newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
     K_F (K_F^T K_F)^+2 K_F^T r / (s t), taken through one batched eigh of
     the n x n Gram matrices K_F^T K_F (the rows of K outside F zeroed);
     eigenvalues at most RANK_RCOND times the largest count as zero."""
-    P = (S > hbox[0]) & (S < hbox[1])
-    if thr is not None:
+    lo, hi, l1, quad = dual
+    P = (S > lo) & (S < hi)
+    if l1:
         P &= S != 0.0
     Dg = g._prox_deriv(U, t)
-    if quad is not None:
+    if quad:
         A = t * np.matmul(J * Dg[:, None, :], J.transpose(0, 2, 1))
         diag = np.arange(A.shape[1])
         A[:, diag, diag] += quad
@@ -124,15 +131,15 @@ def _newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
     return V + GN + dF / st
 
 
-def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
-                W0=None):
+def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
     """Accelerated forward-backward ascent on the duals of B linearized
     subproblems, finished by semismooth Newton steps.
 
     Row b maximizes  <w, cbar_b> - h*(w)
     + min_y { g(y) + <J_b^T w, y - x_b> + |y - x_b|^2/2t }  over the box
-    [hlo, hhi], with the extra dual terms hl1*|w|_1 (vapnik) and
-    hquad*|w|^2/2 (huber envelope), by FISTA (Beck & Teboulle 2009) with
+    [lo, hi]^m, with the extra dual terms l1*|w|_1 (vapnik) and
+    quad*|w|^2/2 (huber envelope), (lo, hi, l1, quad) being the four
+    floats of h.dual_box(), by FISTA (Beck & Teboulle 2009) with
     step steps[b] and gradient-mapping adaptive restart (O'Donoghue &
     Candes 2015). Each row keeps its own momentum theta: the forward-backward
     map T is applied at the extrapolated point
@@ -142,10 +149,11 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
     (T(v) - v).(T(v) - w) < 0, restarts at theta = 1, which drops the
     momentum of its next step. Primal recovery y = prox_{tg}(x_b - t J_b^T v).
     A row stops once its dual fixed-point residual r = |T(v) - v|/step is
-    <= tol and its model value g(y) + h(z) + |y - x_b|^2/2t is
-    <= fx[b] + fslack[b]; the model value is evaluated only for rows whose
-    residual passed. Finished rows retire, and the stacked arrays are
-    compacted only when some row finishes.
+    <= tol and its model value g(y) + h(z) + |y - x_b|^2/2t is at most
+    fx[b] + 1e-12 (1 + |fx[b]|), a slack for the roundoff of the model
+    value (fx = inf disables the value test); the model value is evaluated
+    only for rows whose residual passed. Finished rows retire, and the
+    stacked arrays are compacted only when some row finishes.
 
     A row still running whose r is at most its Newton gate also tries a
     semismooth Newton step u on R(w) = w - T(w) from v (see
@@ -167,9 +175,8 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
     whatever its residual and gate, under the same acceptance rule and
     gate update; from iteration 2 on the gates apply.
 
-    g and h are the two penalties, and hbox is h.dual_box(m), the (m,)
-    arrays (hlo, hhi, hl1, hquad).
-    J is (B, m, n), cbar (B, m), X (B, n); steps, fx and fslack are (B,).
+    g and h are the two penalties. J is (B, m, n), cbar (B, m), X (B, n);
+    steps and fx are (B,).
     Returns (Y, W, residuals, total row iterations, per-row iterations,
     Newton steps tried), W holding the dual point v at which each row
     stopped; the two totals are ints. Raises InnerSolveError at once when
@@ -184,21 +191,19 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
     newton = 0
     rows = np.arange(B)
     step = np.asarray(steps, dtype=np.float64)[:, None]
-    limit = np.asarray(fx, dtype=np.float64) + fslack
-    _, _, hl1, hquad = hbox
-    # zero l1 / quadratic dual terms drop out of the update exactly
-    thr = step * hl1 if np.any(hl1) else None
-    quad = hquad if np.any(hquad) else None
+    fx = np.asarray(fx, dtype=np.float64)
+    limit = fx + 1e-12 * (1.0 + np.abs(fx))
+    dual = h.dual_box()
     w = (np.zeros(cbar.shape) if W0 is None
-         else np.minimum(np.maximum(W0, hbox[0]), hbox[1]))
+         else np.minimum(np.maximum(W0, dual[0]), dual[1]))
     w_prev = w
     theta = np.ones(B)
     gate = np.full(B, NEWTON_SWITCH)
     for it in range(1, maxit + 1):
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         v = w + ((theta - 1.0) / theta_next)[:, None] * (w - w_prev)
-        U, Yr, D, Z, S, Tv = _forward_backward(
-            g, hbox, J, cbar, X, t, step, thr, quad, v)
+        U, Yr, D, Z, S, Tv = _forward_backward(g, dual, J, cbar, X, t, step,
+                                               v)
         G = Tv - v
         # scaled before it is squared: |G| is about step |grad|, and its
         # square underflows to 0 once step is below ~1e-160
@@ -228,8 +233,6 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
                  theta_next, gate) = (a[keep] for a in (
                      rows, J, cbar, X, step, limit, r, v, w, U, S, Tv, G,
                      theta_next, gate))
-                if thr is not None:
-                    thr = thr[keep]
         theta = np.where(row_inner(G, Tv - w) < 0.0, 1.0, theta_next)
         w_prev, w = w, Tv
         near = (np.arange(r.size) if it == 1 and W0 is not None
@@ -237,11 +240,10 @@ def dual_ascent(g, h, hbox, J, cbar, X, t, steps, tol, fx, fslack, maxit,
         if near.size:
             newton += near.size
             Jn, sn, vn, rn = J[near], step[near], v[near], r[near]
-            tn = None if thr is None else thr[near]
-            u = _newton_points(g, hbox, Jn, t, sn, tn, quad, vn, U[near],
-                               S[near], G[near])
-            Tu = _forward_backward(g, hbox, Jn, cbar[near], X[near], t, sn,
-                                   tn, quad, u)[5]
+            u = _newton_points(g, dual, Jn, t, sn, vn, U[near], S[near],
+                               G[near])
+            Tu = _forward_backward(g, dual, Jn, cbar[near], X[near], t, sn,
+                                   u)[5]
             better = ((np.sqrt(row_dots((Tu - u) / sn)) < rn)
                       & (np.sqrt(row_dots(u - vn))
                          > NEWTON_ULPS * np.spacing(np.sqrt(row_dots(vn)))))

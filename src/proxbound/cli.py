@@ -63,7 +63,6 @@ class ExperimentConfig:
     constants: bool = False
     samples: int = 10000
     nu_spec: object = "gap0"  # "gap0" or a float
-    diag_seed: int = None
     sandwich: bool = False
     sandwich_points: int = 100
     sandwich_t: float = None
@@ -110,7 +109,6 @@ _SCALARS = {
     ("diagnostics", "samples"): ("samples", int, _POSITIVE),
     ("diagnostics", "nu"): ("nu_spec", _parse_nu, (
         "must be gap0, inf or > 0", lambda v: v == "gap0" or v > 0)),
-    ("diagnostics", "seed"): ("diag_seed", int, _NONNEGATIVE),
     ("diagnostics", "sandwich"): ("sandwich", _parse_bool, None),
     ("diagnostics", "sandwich_points"): ("sandwich_points", int, _POSITIVE),
     ("diagnostics", "sandwich_t"): ("sandwich_t", float, _POSITIVE),
@@ -179,12 +177,6 @@ def parse_config(path):
     violations = []
     cfg = ExperimentConfig()
 
-    def set_scalar(section, key, where, raw):
-        attr, parse, rule = _SCALARS[section, key]
-        value = _admit(where, raw.strip(), parse, rule, violations)
-        if value is not None:
-            setattr(cfg, attr, value)
-
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             violations.append(f"unknown section [{section}]")
@@ -195,11 +187,11 @@ def parse_config(path):
                 continue
             cfg.echo[f"{section}.{key}"] = raw
             if (section, key) in _SCALARS:
-                set_scalar(section, key, f"[{section}] {key}", raw)
-    env_seed = os.environ.get("PROXBOUND_SEED")
-    if env_seed is not None:
-        cfg.echo["problem.seed"] = env_seed
-        set_scalar("problem", "seed", "PROXBOUND_SEED", env_seed)
+                attr, parse, rule = _SCALARS[section, key]
+                value = _admit(f"[{section}] {key}", raw.strip(), parse, rule,
+                               violations)
+                if value is not None:
+                    setattr(cfg, attr, value)
 
     def get(section, key, default=None):
         if parser.has_option(section, key):
@@ -329,16 +321,20 @@ def run_experiment(cfg):
     enabled check."""
     problem, x0 = cfg.problem, cfg.x0
     checks = []
-
+    t0 = cfg.t0
     if cfg.method == "proxlinear":
-        solver_cfg = ProxLinearConfig(t0=cfg.t0, q=cfg.q, eps=cfg.eps,
+        solver_cfg = ProxLinearConfig(t0=t0, q=cfg.q, eps=cfg.eps,
                                       max_iter=cfg.max_iter,
                                       inner_tol=cfg.inner_tol, sigma=cfg.sigma)
         trace = run_prox_linear(problem, x0, solver_cfg)
         t_used = trace.column("t_accepted")[-1]
     else:
+        # the solver's own clamp to 1/beta, taken once here so that neither
+        # the solve nor the reference solve warns on stderr
+        if t0 is not None:
+            t0 = min(t0, 1.0 / problem.f.beta)
         trace = run_prox_gradient(problem, x0, ProxGradConfig(
-            t=cfg.t0, max_iter=cfg.max_iter, eps=cfg.eps))
+            t=t0, max_iter=cfg.max_iter, eps=cfg.eps))
         t_used = trace.meta["t"]
     beta = problem.beta
 
@@ -386,11 +382,10 @@ def run_experiment(cfg):
 
     constants = None
     ref = None
-    diag_seed = cfg.diag_seed if cfg.diag_seed is not None else cfg.seed
     if diagnose and (cfg.constants or cfg.sandwich or cfg.tail_rate):
         ref = diag.analytic_reference(problem)
         if ref is None:
-            ref = diag.compute_reference(problem, x0=trace.final_x, t=cfg.t0,
+            ref = diag.compute_reference(problem, x0=trace.final_x, t=t0,
                                          tol=REFERENCE_TOL)
             # every constant below is measured around x*: one that is not
             # converged FAILs the run, and nothing is measured around it
@@ -406,7 +401,7 @@ def run_experiment(cfg):
             nu = gap0 if gap0 > 0 else float("inf")
         constants = diag.estimate_constants(problem, ref, nu, t_used,
                                             n_samples=cfg.samples,
-                                            seed=diag_seed,
+                                            seed=cfg.seed,
                                             inner_tol=cfg.inner_tol)
         L_eff = 1.0 if cfg.method != "proxlinear" else problem.L
         lbg = L_eff * beta * constants.gamma_hat
@@ -423,7 +418,7 @@ def run_experiment(cfg):
         else:
             s_t = cfg.sandwich_t if cfg.sandwich_t is not None else 0.5 / beta
             pts = diag.sample_box(ref, problem.dim, cfg.sandwich_points,
-                                  diag_seed, radius_scale=1.0)
+                                  cfg.seed, radius_scale=1.0)
             rep = diag.verify_sandwich(problem, s_t, pts, cfg.inner_tol)
             checks.append(CheckLine("sandwich_lower",
                                     rep.min_lower_slack >= -1e-8,

@@ -116,20 +116,21 @@ class SeparablePenalty:
         right = t * self.conjugate_prox(x / t, 1.0 / t)
         return float(np.linalg.norm(left + right - x))
 
-    def dual_box(self, dim):
+    def dual_box(self):
         """Box, l1 and quadratic coefficients of the conjugate h*.
 
-        Returns (lo, hi, l1, quad) arrays such that
-        h*(w) = sum_i [ indicator(lo_i <= w_i <= hi_i) + l1_i |w_i| + quad_i w_i^2/2 ].
-        Available only for the finite Lipschitz kinds.
+        Returns the floats (lo, hi, l1, quad) such that, in any dimension,
+        h*(w) = sum_i [ indicator(lo <= w_i <= hi) + l1 |w_i| + quad w_i^2/2 ]:
+        h is separable with one parameter set, so every coordinate shares
+        them. Available only for the finite Lipschitz kinds.
         """
         raise UnsupportedOperation(
             f"{type(self).__name__} cannot act as the outer function h")
 
     def lipschitz_bound(self, dim):
         """Euclidean Lipschitz constant of the penalty on R^dim."""
-        lo, hi, _, _ = self.dual_box(dim)
-        return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+        lo, hi, _, _ = self.dual_box()
+        return float(np.linalg.norm(np.full(dim, max(abs(lo), abs(hi)))))
 
 
 def _one_float(penalty, name):
@@ -140,11 +141,6 @@ def _one_float(penalty, name):
         raise DimensionMismatch(f"{_SPEC_NAMES.get(name, name)} must be one "
                                 f"float, got shape {np.shape(v)}")
     return float(v)
-
-
-def _dual_arrays(dim, lo, hi, l1=0.0, quad=0.0):
-    """dual_box's four (dim,) arrays, each constant at its float."""
-    return tuple(np.full(dim, v) for v in (lo, hi, l1, quad))
 
 
 def _abs_subgrad(lam, X):
@@ -192,8 +188,8 @@ class AbsValue(SeparablePenalty):
         z = as_vector(z, name="z")
         return np.minimum(np.maximum(z, -self.lam), self.lam)
 
-    def dual_box(self, dim):
-        return _dual_arrays(dim, -self.lam, self.lam)
+    def dual_box(self):
+        return -self.lam, self.lam, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -288,8 +284,8 @@ class EpsilonInsensitive(SeparablePenalty):
         return ((ax <= self.eps)
                 | (ax > self.eps + t * self.lam)).astype(np.float64)
 
-    def dual_box(self, dim):
-        return _dual_arrays(dim, -self.lam, self.lam, l1=self.eps)
+    def dual_box(self):
+        return -self.lam, self.lam, self.eps, 0.0
 
 
 @dataclass(frozen=True)
@@ -320,9 +316,8 @@ class CheckFunction(SeparablePenalty):
         return ((X > t * lam * tau) | (X < t * lam * (tau - 1.0))).astype(
             np.float64)
 
-    def dual_box(self, dim):
-        return _dual_arrays(dim, self.lam * (self.tau - 1.0),
-                            self.lam * self.tau)
+    def dual_box(self):
+        return self.lam * (self.tau - 1.0), self.lam * self.tau, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -359,8 +354,8 @@ class HuberEnvelope(SeparablePenalty):
         inner = np.abs(X) <= self.lam * (mu + t)
         return np.where(inner, mu / (mu + t), 1.0)
 
-    def dual_box(self, dim):
-        return _dual_arrays(dim, -self.lam, self.lam, quad=self.mu)
+    def dual_box(self):
+        return -self.lam, self.lam, 0.0, self.mu
 
 
 # ---------------------------------------------------------------------------

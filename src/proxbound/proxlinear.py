@@ -67,6 +67,10 @@ def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None):
     stacked dual ascent started at the (B, m) duals W0 (None: zeros).
     Returns (Y, the duals W at which the rows stopped, the (B,) dual
     iterations of each row, total Newton steps tried over the rows).
+    Each row's dual step is 1/(t|J_b|^2 + curv), curv the larger of 1 and
+    the quadratic coefficient of h.dual_box(); the kernel reads h's other
+    dual floats itself, and stops a row once its model value is at most
+    phi(x_b) up to its roundoff slack.
 
     cj, when the caller has already evaluated the map, is a list holding
     the one pair (c(X), Jacobian stack at X); the call takes the pair out
@@ -76,21 +80,18 @@ def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None):
         raise ValueError("t must be positive")
     X = np.ascontiguousarray(X, dtype=np.float64)
     C, J = cj.pop() if cj else problem.c.eval_jac_batch(X)
-    m = problem.c.dim_out
-    hdual = problem.h.dual_box(m)
     # dual smooth part has curvature t|J|^2 plus the huber quadratic term
-    curv = max(1.0, float(np.max(hdual[3])) if m else 1.0)
+    curv = max(1.0, problem.h.dual_box()[3])
     steps = 1.0 / (t * operator_norm_sq(J) + curv)
     fx = problem.g.value_batch(X) + problem.h.value_batch(C)
-    fslack = 1e-12 * (1.0 + np.abs(fx))
     # with the local name dropped the call holds the only reference to J
     # (CPython 3.11 on hands a call's arguments over to the callee), so
     # each compaction of the ascent's rows frees the stack it replaces
     jac = [J]
     del J
     Y, W, _, _, iters, newton = K.dual_ascent(
-        problem.g, problem.h, hdual, jac.pop(), C, X, float(t), steps,
-        float(inner_tol), fx, fslack, INNER_CAP, W0)
+        problem.g, problem.h, jac.pop(), C, X, float(t), steps,
+        float(inner_tol), fx, INNER_CAP, W0=W0)
     return Y, W, iters, newton
 
 
@@ -112,7 +113,8 @@ def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None,
     a start is clipped to h's dual box and tries a Newton step at once.
     The primal point is recovered as y = prox_{tg}(x - t J^T w).
     Terminates once the residual drops to inner_tol and the model value at
-    y does not exceed phi(x) (y = x is feasible with exactly that value).
+    y does not exceed phi(x) + 1e-12 (1 + |phi(x)|) (y = x is feasible
+    with exactly phi(x)).
     A dict passed as counts receives dual_iters and newton_steps, the dual
     iterations and the Newton steps tried that the solve took, and dual,
     the (m,) dual at which it stopped.

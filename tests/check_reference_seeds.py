@@ -5,9 +5,11 @@ holds for lasso-constants, robust-constants and vapnik-solve, and once for
 huber-solve seed 0 (huber-solve does not read the seed, so every seed poses
 the same solve). Each run's outputs are checked with
 perfbench/bench_check.check_run: exit code, status, iteration count,
-checks, trace shape and the compared constants. The benchmark's smoke run
-checks seed 0 only; a change to the dual ascent or to the proximal-gradient
-loop moves the paths of every seed.
+checks, trace shape and the compared constants. A run also fails when it
+writes to stderr or raises any Python warning (numpy's included): `run`
+exits 0 or 1 with empty stderr. The benchmark's smoke run checks seed 0
+only; a change to the dual ascent or to the proximal-gradient loop moves
+the paths of every seed.
 
 Usage (from the root of a checkout):
     python3 tests/check_reference_seeds.py [--digests] [--src DIR]
@@ -28,11 +30,14 @@ the parent commit and the working tree:
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
 import tempfile
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -68,8 +73,17 @@ def main(argv=None):
                 with open(config, "w", encoding="ascii", newline="\n") as fh:
                     fh.write(template.format(seed=seed))
                 out = os.path.join(work, f"{name}-{seed}")
-                code = cli.main(["run", config, "--quiet", "--out", out])
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = cli.main(["run", config, "--quiet", "--out", out])
                 problems = bench_check.check_run(code, out, ref)
+                if err.getvalue():
+                    problems.append("stderr: " + " | ".join(
+                        err.getvalue().splitlines()))
+                problems += [f"warning: {w.category.__name__}: {w.message}"
+                             for w in caught]
                 failed += bool(problems)
                 print(name, seed, "; ".join(problems) or "ok", flush=True)
                 if args.digests:

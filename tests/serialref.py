@@ -116,9 +116,10 @@ def dist_to_stationarity(problem, x):
 
 def _dual_step(pen, J, cbar, x, t, step, w):
     """Primal point y(w), its model value and the forward-backward map
-    T(w) of one subproblem's dual; pen holds the kernel's three penalty
-    arguments (the penalties g and h and h's dual box)."""
-    g, h, (hlo, hhi, hl1, hquad) = pen
+    T(w) of one subproblem's dual; pen holds the kernel's two penalty
+    arguments, g and h, whose dual_box gives h's conjugate."""
+    g, h = pen
+    hlo, hhi, hl1, hquad = h.dual_box()
     y = K.penalty_prox(g, x - t * (w @ J), t)
     d = y - x
     z = cbar + J @ d
@@ -132,7 +133,7 @@ def _dual_step(pen, J, cbar, x, t, step, w):
 def _newton_delta(pen, J, cbar, x, t, step, w, d):
     """Semismooth Newton step of one subproblem's dual at w: the solution
     of M delta = d = T(w) - w for the generalized Jacobian
-    M = (I - P) + s P (t J diag(D_g) J^T + diag(hquad)) of w - T(w), with P
+    M = (I - P) + s P (t J diag(D_g) J^T + hquad I) of w - T(w), with P
     the 0/1 derivative of the dual's clip and soft-threshold and D_g that
     of prox_{tg}. M is the identity on the clipped duals, so delta = d
     there. On the free duals F, delta_F is the min-norm least-squares
@@ -142,21 +143,22 @@ def _newton_delta(pen, J, cbar, x, t, step, w, d):
     from eigh with the kernel's rank cut. The step then agrees with the
     kernel's to roundoff, which decides whether a step that is zero in
     exact arithmetic (d orthogonal to the range of M_FF) is kept."""
-    g, _, (hlo, hhi, hl1, hquad) = pen
+    g, h = pen
+    hlo, hhi, hl1, hquad = h.dual_box()
     u = x - t * (w @ J)
     z = cbar + J @ (K.penalty_prox(g, u, t) - x)
     wh = w + step * (z - hquad * w)
     s = np.sign(wh) * np.maximum(np.abs(wh) - step * hl1, 0.0)
     free = (s > hlo) & (s < hhi)
-    if np.any(hl1):
+    if hl1:
         free &= s != 0.0
     dg = g._prox_deriv(u, t)
     # M's free rows are those of sA
-    sA = step * (t * (J * dg) @ J.T + np.diag(hquad))
+    sA = step * (t * (J * dg) @ J.T + hquad * np.eye(J.shape[0]))
     clipped = ~free
     delta = d.copy()
     rhs = d[free] - sA[np.ix_(free, clipped)] @ d[clipped]
-    if np.any(hquad):
+    if hquad:
         delta[free] = np.linalg.lstsq(sA[np.ix_(free, free)], rhs,
                                       rcond=None)[0]
         return delta
@@ -168,7 +170,7 @@ def _newton_delta(pen, J, cbar, x, t, step, w, d):
     return delta
 
 
-def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
+def dual_ascent(pen, J, cbar, x, t, step, tol, fx, maxit, w0=None):
     """FISTA with gradient-mapping restart on one subproblem's dual, with a
     semismooth Newton step tried at every iteration whose residual is at
     most the row's gate. The gate starts at K.NEWTON_SWITCH; a step is
@@ -178,8 +180,9 @@ def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
     is clipped to h's dual box and tries the Newton step at iteration 1
     whatever its residual. Returns (y, v, residual, iterations, converged,
     Newton steps tried), v being the dual point at which the loop
-    stopped."""
-    hlo, hhi = pen[2][:2]
+    stopped. The model value must be at most fx + 1e-12 (1 + |fx|), the
+    kernel's slack."""
+    hlo, hhi = pen[1].dual_box()[:2]
     w = (np.zeros(cbar.shape[0]) if w0 is None
          else np.minimum(np.maximum(w0, hlo), hhi))
     w_prev = w
@@ -191,7 +194,7 @@ def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
         v = w + ((theta - 1.0) / theta_next) * (w - w_prev)
         y, fy, tv = _dual_step(pen, J, cbar, x, t, step, v)
         resid = float(np.linalg.norm((tv - v) / step))
-        if resid <= tol and fy <= fx + fslack:
+        if resid <= tol and fy <= fx + 1e-12 * (1.0 + abs(fx)):
             return y, v, resid, it, True, newton
         theta = 1.0 if (tv - v) @ (tv - w) < 0.0 else theta_next
         w_prev, w = w, tv
@@ -208,14 +211,14 @@ def dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit, w0=None):
     return y, v, resid, maxit, False, newton
 
 
-def plain_dual_ascent(pen, J, cbar, x, t, step, tol, fx, fslack, maxit):
+def plain_dual_ascent(pen, J, cbar, x, t, step, tol, fx, maxit):
     """The projected gradient loop that the accelerated ascent replaced;
     same arguments and returns as dual_ascent."""
     w = np.zeros(cbar.shape[0])
     for it in range(1, maxit + 1):
         y, fy, wnew = _dual_step(pen, J, cbar, x, t, step, w)
         resid = float(np.linalg.norm(wnew - w)) / step
-        if resid <= tol and fy <= fx + fslack:
+        if resid <= tol and fy <= fx + 1e-12 * (1.0 + abs(fx)):
             return y, w, resid, it, True
         w = wnew
     return y, w, resid, maxit, False

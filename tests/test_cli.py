@@ -102,14 +102,14 @@ def test_parse_missing_config_file():
         cli.parse_config("/nonexistent/config.ini")
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
+def test_env_seed_is_not_read(tmp_path, monkeypatch):
+    # [problem] seed is the one seed setting; the environment cannot move
+    # it, so no exported variable makes a run use other samples
     path = write_cfg(tmp_path, CORRIDOR_CFG.format(out=tmp_path))
-    monkeypatch.setenv("PROXBOUND_SEED", "777")
-    cfg = cli.parse_config(path)
-    assert cfg.seed == 777
-    monkeypatch.setenv("PROXBOUND_SEED", "notanint")
-    with pytest.raises(pb.ConfigError):
-        cli.parse_config(path)
+    for value in ("777", "notanint"):
+        monkeypatch.setenv("PROXBOUND_SEED", value)
+        cfg = cli.parse_config(path)
+        assert cfg.seed == 1 and cfg.echo["problem.seed"] == "1"
 
 
 def test_run_corridor_experiment(tmp_path, capsys):
@@ -182,6 +182,26 @@ dir = {out}
 """
 
 
+# the lasso-constants benchmark workload at its first seed
+LASSO_CONSTANTS_CFG = """\
+[problem]
+kind = additive
+smooth = quadratic(rows=20,cols=10,seed=42)
+penalty = absvalue(lambda=0.1)
+seed = 42
+
+[solver]
+method = proxgrad
+eps = 1e-10
+
+[diagnostics]
+constants = true
+samples = 10000
+sandwich = true
+tail_rate = true
+"""
+
+
 def test_rerun_is_byte_identical(tmp_path):
     for i, text in enumerate((CORRIDOR_CFG, COMPOSITE_CONSTANTS_CFG)):
         out1, out2 = tmp_path / f"o1-{i}", tmp_path / f"o2-{i}"
@@ -219,6 +239,84 @@ max_iter = 300
                if ln.startswith("CHECK descent_inequality")]
     assert failing and "FAIL" in failing[0]
     assert float(failing[0].split("slack=")[1]) < 0
+
+
+def report_checks(out):
+    """{check name: (PASS or FAIL, slack)} from a run's report.txt."""
+    checks = {}
+    for line in (out / "report.txt").read_text().splitlines():
+        if line.startswith("CHECK "):
+            name, rest = line[len("CHECK "):].split(": ", 1)
+            word, slack = rest.split(" slack=")
+            checks[name] = (word, float(slack))
+    return checks
+
+
+def assert_only_check_fails(path, out, name):
+    """run exits 1 and `name` is its one FAIL, with a negative slack."""
+    assert cli.main(["run", path, "--quiet", "--out", str(out)]) == 1
+    checks = report_checks(out)
+    word, slack = checks.pop(name)
+    assert word == "FAIL" and slack < 0.0
+    assert all(word == "PASS" for word, _ in checks.values()), checks
+
+
+SANDWICH_CFG = LASSO_CONSTANTS_CFG.replace(
+    "constants = true\nsamples = 10000\n", "").replace(
+    "tail_rate = true", "sandwich_points = 20")
+
+
+# the step-length band of the sandwich, at s = 0.5/beta:
+# (1 - beta s)|G_s| <= |x - prox_{s phi}(x)|/s <= (1 + beta s)|G_s|. An oracle
+# that returns x itself breaks the lower side, one that moves ten times as
+# far as the true prox point the upper
+@pytest.mark.parametrize("name,scale", [("sandwich_lower", 0.0),
+                                        ("sandwich_upper", 10.0)])
+def test_perturbed_prox_oracle_fails_the_sandwich(tmp_path, monkeypatch,
+                                                  name, scale):
+    path = write_cfg(tmp_path, SANDWICH_CFG)
+    assert cli.main(["run", path, "--quiet", "--out",
+                     str(tmp_path / "true")]) == 0
+    oracle = pb.diagnostics._prox_point_batch
+
+    def perturbed(problem, X, t, inner_tol):
+        return X + scale * (oracle(problem, X, t, inner_tol) - X)
+
+    monkeypatch.setattr(pb.diagnostics, "_prox_point_batch", perturbed)
+    assert_only_check_fails(path, tmp_path / "out", name)
+
+
+def composite_solve_cfg(tmp_path):
+    """The robust-constants instance with no diagnostics switched on."""
+    return write_cfg(tmp_path, COMPOSITE_CONSTANTS_CFG.format(out="o").replace(
+        "constants = true\nsamples = 2100\n", ""))
+
+
+def test_zero_stationarity_distance_fails_half_bound(tmp_path, monkeypatch):
+    # half_bound checks dist(0, d phi(x_k)) >= |G_t(x_k)|/2 at every
+    # iterate; a distance oracle that reports 0 everywhere breaks it
+    path = composite_solve_cfg(tmp_path)
+    assert cli.main(["run", path, "--quiet", "--out",
+                     str(tmp_path / "true")]) == 0
+    monkeypatch.setattr(pb.diagnostics, "dist_to_stationarity",
+                        lambda problem, X: np.zeros(len(X)))
+    assert_only_check_fails(path, tmp_path / "out", "half_bound")
+
+
+def test_negative_decrease_residual_fails_sufficient_decrease(tmp_path,
+                                                              monkeypatch):
+    # a step whose phi dropped by less than (sigma/2)|G_t|^2 has a negative
+    # decrease residual; one injected into the trace fails the check
+    path = composite_solve_cfg(tmp_path)
+    solve = cli.run_prox_linear
+
+    def short_step(problem, x0, cfg):
+        trace = solve(problem, x0, cfg)
+        trace.data["decrease_residual"][0] = -1e-3
+        return trace
+
+    monkeypatch.setattr(cli, "run_prox_linear", short_step)
+    assert_only_check_fails(path, tmp_path / "out", "sufficient_decrease")
 
 
 def test_check_subcommand(tmp_path):
@@ -545,6 +643,22 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (tmp_path / "o" / "report.txt").exists()
 
 
+def test_proxgrad_t0_above_one_over_beta_runs_without_stderr(tmp_path):
+    # t0 = 10 exceeds 1/beta = 0.0304: run clamps it once to 1/beta, so
+    # neither the solve nor the reference solve warns, and the run is the
+    # one with t0 unset
+    traces = []
+    for name, text in (("t0", LASSO_CONSTANTS_CFG.replace(
+            "eps = 1e-10", "eps = 1e-10\nt0 = 10")),
+                       ("unset", LASSO_CONSTANTS_CFG)):
+        out = tmp_path / name
+        proc = run_cli_process("run", write_cfg(tmp_path, text, f"{name}.ini"),
+                               "--quiet", "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 def test_diverging_run_reports_status_without_traceback(tmp_path):
     # check accepts it, then the declared beta is ~3e4 times too small for
     # the true f, and steps of t0 = 1000 overflow: run must report the
@@ -765,84 +879,82 @@ SPEC_FILES = {"A.txt": "3 2\n1 0\n0 1\n1 1\n",
 # each of these passed `check` and then either ran to a false PASS, ran
 # with a negative certificate, spun in an inner loop or exited 3 from a deep
 # call, or it ran with a parameter that one of its spec's forms ignored or
-# overrode; the violation names the key, or the environment variable it
-# came from
-@pytest.mark.parametrize("text,env_seed,violation", [
+# overrode; the violation names the key
+@pytest.mark.parametrize("text,violation", [
     (ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
                          x0="zeros", method="proxgrad")
-     + "\n[diagnostics]\nsandwich = true\nsandwich_t = -1\n", None,
+     + "\n[diagnostics]\nsandwich = true\nsandwich_t = -1\n",
      "[diagnostics] sandwich_t must be finite and > 0"),
     (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
      .replace("penalty = zero()", "penalty = zero()\nbeta_override = -1"),
-     None, "[problem] beta_override must be finite and > 0"),
+     "[problem] beta_override must be finite and > 0"),
     (COMPOSITE_CFG.format(h="epsiloninsensitive(lambda=1,epsilon=0.1)",
                           sigma_policy="adaptive") + "inner_tol = nan\n",
-     None, "[solver] inner_tol must be finite and > 0"),
-    (CORRIDOR_CFG.format(out="o").replace("nu = inf", "nu = inf\nseed = -1"),
-     None, "[diagnostics] seed must be a nonnegative integer"),
-    (CORRIDOR_CFG.format(out="o"), "-3",
-     "PROXBOUND_SEED must be a nonnegative integer"),
+     "[solver] inner_tol must be finite and > 0"),
+    # [problem] seed is the one seed setting
+    (CORRIDOR_CFG.format(out="o").replace("nu = inf", "nu = inf\nseed = 3"),
+     "unknown key 'seed' in [diagnostics]"),
     (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
                          x0="zeros", method="proxgrad")
-     + "\n[diagnostics]\nsandwich = true\nsandwich_points = 0\n", None,
+     + "\n[diagnostics]\nsandwich = true\nsandwich_points = 0\n",
      "[diagnostics] sandwich_points must be finite and > 0"),
     (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
                          x0="zeros\nbeta_override = 0", method="proxgrad"),
-     None, "[problem] beta_override must be finite and > 0"),
+     "[problem] beta_override must be finite and > 0"),
     (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
                          x0="const(value=nan)", method="proxgrad"),
-     None, "[problem] x0: const value=nan must be finite"),
+     "[problem] x0: const value=nan must be finite"),
     (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
                "huberloss(file={dir}/A.txt,rhs={dir}/b.txt,mu=nan)"),
-     None, "[problem] smooth: huberloss mu=nan must be finite"),
+     "[problem] smooth: huberloss mu=nan must be finite"),
     (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP,
                "quadraticmap(rows=2,cols=2,seed=1,curvature=inf)"),
-     None, "[problem] map: quadraticmap curvature=inf must be finite"),
+     "[problem] map: quadraticmap curvature=inf must be finite"),
     (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP,
                "quadraticmap(rows=2,cols=2,seed=1,curvature=1e300)"),
-     None, "[problem] map: declared modulus jac_beta = nan is not finite"),
+     "[problem] map: declared modulus jac_beta = nan is not finite"),
     (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
                "quadratic(file={dir}/Abig.txt,rhs={dir}/b.txt)"),
-     None, "[problem] smooth: declared modulus beta = "),
+     "[problem] smooth: declared modulus beta = "),
     (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
                "quadratic(rows=3,cols=0,seed=1)"),
-     None, "[problem] smooth: quadratic cols=0 must be an integer >= 1"),
+     "[problem] smooth: quadratic cols=0 must be an integer >= 1"),
     (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
                "quadratic(rows=0,cols=2,seed=1)"),
-     None, "[problem] smooth: quadratic rows=0 must be an integer >= 1"),
+     "[problem] smooth: quadratic rows=0 must be an integer >= 1"),
     (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
                "corridor(dim=0)"),
-     None, "[problem] smooth: corridor dim=0 must be an integer >= 1"),
+     "[problem] smooth: corridor dim=0 must be an integer >= 1"),
     (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP, "affine(identity=0)"),
-     None, "[problem] map: affine identity=0 must be an integer >= 1"),
+     "[problem] map: affine identity=0 must be an integer >= 1"),
     # 71 PiB: more than any address space, so numpy refuses it at once
     (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
                "quadratic(rows=100000000,cols=100000000,seed=1)"),
-     None, "[problem] smooth: Unable to allocate "),
+     "[problem] smooth: Unable to allocate "),
     (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
                "quadratic(rows=3,cols=2,seed=1,bogus=7)"),
-     None, "[problem] smooth: quadratic takes (rows, cols, seed) or "
+     "[problem] smooth: quadratic takes (rows, cols, seed) or "
      "(file, rhs), got (rows, cols, seed, bogus)"),
     (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP,
                "affine(rows=2,cols=2,seed=1,junk=1)"),
-     None, "[problem] map: affine takes "),
+     "[problem] map: affine takes "),
     (with_spec(ADDITIVE_QUADRATIC, "quadratic(rows=5,cols=3,seed=1)",
                "quadratic(rows=3,cols=2,seed=1,file={dir}/A.txt,"
                "rhs={dir}/b.txt)"),
-     None, "[problem] smooth: quadratic takes "),
+     "[problem] smooth: quadratic takes "),
     (with_spec(COMPOSITE_QUADRATIC, QUADRATIC_MAP,
                "affine(identity=2,rows=9,seed=3)"),
-     None, "[problem] map: affine takes "),
+     "[problem] map: affine takes "),
     (with_spec(ADDITIVE_QUADRATIC, "absvalue(lambda=0.1)",
                "absvalue(lambda=0.1,lambda=7)"),
-     None, "[problem] penalty: parameter 'lambda' given twice in "),
+     "[problem] penalty: parameter 'lambda' given twice in "),
     (with_spec(ADDITIVE_QUADRATIC, "x0 = zeros", "x0 = const(value=1,junk=2)"),
-     None, "[problem] x0: const takes (value), got (value, junk)"),
+     "[problem] x0: const takes (value), got (value, junk)"),
     (with_spec(COMPOSITE_QUADRATIC, "sigma_policy = adaptive",
                "sigma_policy = fixed(sigma=1,foo=2)"),
-     None, "[solver] sigma_policy: fixed takes (sigma), got (sigma, foo)"),
+     "[solver] sigma_policy: fixed takes (sigma), got (sigma, foo)"),
 ], ids=["sandwich_t_negative", "composite_beta_negative", "inner_tol_nan",
-        "diag_seed_negative", "env_seed_negative", "sandwich_points_zero",
+        "diag_seed_key", "sandwich_points_zero",
         "additive_beta_zero", "x0_const_nan", "huberloss_mu_nan",
         "curvature_inf", "curvature_overflow", "file_gram_overflow",
         "cols_zero", "rows_zero", "corridor_dim_zero", "identity_zero",
@@ -850,10 +962,8 @@ SPEC_FILES = {"A.txt": "3 2\n1 0\n0 1\n1 1\n",
         "unknown_smooth_parameter", "unknown_map_parameter",
         "two_smooth_forms", "two_map_forms", "duplicated_parameter",
         "unknown_x0_parameter", "unknown_sigma_parameter"])
-def test_check_rejects_values_run_cannot_use(tmp_path, capsys, monkeypatch,
-                                             text, env_seed, violation):
-    if env_seed is not None:
-        monkeypatch.setenv("PROXBOUND_SEED", env_seed)
+def test_check_rejects_values_run_cannot_use(tmp_path, capsys, text,
+                                             violation):
     for name, content in SPEC_FILES.items():
         (tmp_path / name).write_text(content)
     path = write_cfg(tmp_path, text.replace("{dir}", str(tmp_path)))
@@ -898,22 +1008,19 @@ SWEEP_VALID = {
     ("diagnostics", "constants"): "yes",
     ("diagnostics", "samples"): "3",
     ("diagnostics", "nu"): "0.5",
-    ("diagnostics", "seed"): "11",
     ("diagnostics", "sandwich"): "off",
     ("diagnostics", "sandwich_points"): "1",
     ("diagnostics", "sandwich_t"): "0.02",
     ("diagnostics", "tail_rate"): "on",
     ("diagnostics", "tail_fraction"): "0.1",
 }
-ENV_SEED = ("env", "PROXBOUND_SEED")
 
 
 def sweep_cases(seed=0, n_mixed=30, keys_per_mixed=3):
     """(method, {key: value}) pairs: every edge and valid value of every
     scalar key alone, then seeded draws that set several keys at once."""
-    valid = {**SWEEP_VALID, ENV_SEED: "9"}
-    keys = sorted(valid)
-    values = {key: SWEEP_EDGES + (valid[key],) for key in keys}
+    keys = sorted(SWEEP_VALID)
+    values = {key: SWEEP_EDGES + (SWEEP_VALID[key],) for key in keys}
     cases = [(method, {key: value}) for method in sorted(SWEEP_BASES)
              for key in keys for value in values[key]]
     rng = np.random.default_rng(seed)
@@ -936,12 +1043,8 @@ def test_check_accepts_only_values_run_can_use(tmp_path, capsys,
     for n, (method, overrides) in enumerate(sweep_cases()):
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(SWEEP_BASES[method])
-        monkeypatch.delenv("PROXBOUND_SEED", raising=False)
         for (section, key), value in overrides.items():
-            if (section, key) == ENV_SEED:
-                monkeypatch.setenv("PROXBOUND_SEED", value)
-            else:
-                parser[section][key] = value
+            parser[section][key] = value
         path = tmp_path / f"case{n}.ini"
         with open(path, "w") as fh:
             parser.write(fh)
@@ -954,7 +1057,8 @@ def test_check_accepts_only_values_run_can_use(tmp_path, capsys,
             continue
         ran += 1
         assert_run_contract(path, tmp_path / f"out{n}", capsys, case)
-    assert ran > 50
+    # 44 configs run: the 22 admissible single-key cases of each method
+    assert ran > 42
 
 
 def assert_run_contract(path, out, capsys, case):
@@ -980,7 +1084,6 @@ def test_small_nu_keeps_the_run_contract(tmp_path, capsys, monkeypatch,
                                          method, nu):
     monkeypatch.setattr(proxgrad, "INNER_CAP", 2000)
     monkeypatch.setattr(proxlinear, "INNER_CAP", 2000)
-    monkeypatch.delenv("PROXBOUND_SEED", raising=False)
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(SWEEP_BASES[method])
     parser["diagnostics"]["nu"] = nu

@@ -153,6 +153,39 @@ def test_verify_constant_relations_arithmetic():
     assert ok  # alpha = 2 >= 1/gamma = 0.5
 
 
+# one input per relation at which that relation alone fails (t = 0.5,
+# beta = 1, the default tol = 1e-3): the gamma bound (2/alpha + t)(1 + beta t)
+# is 2.25 at alpha = 2, L-hat's bound L + t is 1.5 at L = 1, L's bound
+# 2/alpha is 1 at alpha = 2, and alpha = 2 needs gamma >= 0.4995
+RELATION_WITNESSES = {
+    "gamma_vs_alpha": (dict(alpha=2.0, gamma=3.0, L=1.0, L_hat=1.25),
+                       2.25 * 1.001 - 3.0),
+    "prox_vs_subdiff": (dict(alpha=2.0, gamma=2.0, L=1.0, L_hat=2.0),
+                        1.5 * 1.001 - 2.0),
+    "subdiff_vs_alpha": (dict(alpha=2.0, gamma=2.0, L=1.5, L_hat=1.25),
+                         1.0 * 1.001 - 1.5),
+    "alpha_vs_gamma": (dict(alpha=2.0, gamma=0.25, L=1.0, L_hat=1.25),
+                       2.0 - 0.999 / 0.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_WITNESSES))
+def test_verify_constant_relations_fails_each_relation(name):
+    inputs, want = RELATION_WITNESSES[name]
+    checks = pb.verify_constant_relations(**inputs, t=0.5, beta=1.0)
+    ok, slack = checks[name]
+    assert not ok and slack < 0.0
+    assert slack == pytest.approx(want, rel=1e-12)
+    assert all(passed for other, (passed, _) in checks.items()
+               if other != name)
+    text = pb.ConstantsReport(alpha_hat=inputs["alpha"],
+                              gamma_hat=inputs["gamma"], L_hat_sub=inputs["L"],
+                              nu=1.0, sample_count=1, checks=checks).to_text()
+    lines = [ln for ln in text.splitlines() if ln.startswith("check_")]
+    assert f"check_{name}=fail slack={slack:.17g}" in lines
+    assert sum("=fail " in ln for ln in lines) == 1
+
+
 def test_verify_constant_relations_requires_positive():
     with pytest.raises(ValueError):
         pb.verify_constant_relations(0.0, 1.0, 1.0, None, 0.5, 1.0)
@@ -367,9 +400,9 @@ def ascent_recorder(monkeypatch):
     calls = []
     ascent = K.dual_ascent
 
-    def record(*args):
-        out = ascent(*args)
-        calls.append((args[3].shape[0], out[4]))
+    def record(*args, **kwargs):
+        out = ascent(*args, **kwargs)
+        calls.append((args[2].shape[0], out[4]))
         return out
 
     monkeypatch.setattr(K, "dual_ascent", record)

@@ -34,19 +34,17 @@ def stacked_subproblems(h, g, rows, seed):
     # so there the value test, not the residual, decides when a row stops
     cbar[1::3] = 0.0
     X = rng.uniform(-1.0, 0.8, size=(rows, N))
-    hdual = h.dual_box(M)
-    curv = max(1.0, float(np.max(hdual[3])))
+    curv = max(1.0, h.dual_box()[3])
     steps = np.array([rng.uniform(0.5, 1.0) / (T * np.linalg.norm(Jb, 2) ** 2
                                                + curv) for Jb in J])
     fx = g.value_batch(X) + h.value_batch(cbar)
-    fslack = 1e-12 * (1.0 + np.abs(fx))
-    return (g, h, hdual), J, cbar, X, steps, fx, fslack
+    return (g, h), J, cbar, X, steps, fx
 
 
-def run_serial(penalty_args, J, cbar, X, steps, tol, fx, fslack, maxit, rows,
+def run_serial(penalty_args, J, cbar, X, steps, tol, fx, maxit, rows,
                loop=serialref.dual_ascent):
     return [loop(penalty_args, J[b], cbar[b], X[b], T, steps[b], tol, fx[b],
-                 fslack[b], maxit)
+                 maxit)
             for b in rows]
 
 
@@ -54,16 +52,15 @@ def assert_matches_serial(hname, gname, rows, tol):
     """Stacked kernel vs the serial accelerated loop: same iterations and
     Newton steps, y and w within 1e-12 relative. Returns the kernel's
     per-row iterations."""
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H[hname], DUAL_G[gname], rows, seed=rows)
     Y, W, resid, total, iters, newton = K.dual_ascent(
-        *args, J, cbar, X, T, steps, tol, fx, fslack, 10 ** 5)
+        *args, J, cbar, X, T, steps, tol, fx, 10 ** 5)
     assert isinstance(total, int) and total == int(np.sum(iters))
     # a row's result does not depend on the other rows, so the 300-row
     # stack is checked on every tenth row to keep the serial loop short
     check = range(0, rows, 10 if rows > 100 else 1)
-    ref = run_serial(args, J, cbar, X, steps, tol, fx, fslack, 10 ** 5,
-                     check)
+    ref = run_serial(args, J, cbar, X, steps, tol, fx, 10 ** 5, check)
     assert all(r[4] for r in ref)
     assert iters[check].tolist() == [r[3] for r in ref]
     assert isinstance(newton, int)
@@ -92,7 +89,7 @@ def test_rejected_newton_steps_match_serial(hname, monkeypatch):
     assert_matches_serial(hname, "absvalue", 60, TOL)
 
 
-def lone_newton_log(monkeypatch, args, J, cbar, X, steps, tol, fx, fslack):
+def lone_newton_log(monkeypatch, args, J, cbar, X, steps, tol, fx):
     """Solve one subproblem (rows of length 1) and return [r, kept] per
     iteration: its residual r and, where it tried a Newton step, whether
     the step was kept (by the kernel's rule: a lower residual and a move
@@ -100,8 +97,8 @@ def lone_newton_log(monkeypatch, args, J, cbar, X, steps, tol, fx, fslack):
     forward_backward, newton_points = K._forward_backward, K._newton_points
     log, tried = [], []
 
-    def traced_forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V):
-        out = forward_backward(g, hbox, J, cbar, X, t, step, thr, quad, V)
+    def traced_forward_backward(g, dual, J, cbar, X, t, step, V):
+        out = forward_backward(g, dual, J, cbar, X, t, step, V)
         r = np.sqrt(K.row_dots((out[5] - V) / step))[0]
         if tried:
             v, u = tried.pop()
@@ -112,14 +109,14 @@ def lone_newton_log(monkeypatch, args, J, cbar, X, steps, tol, fx, fslack):
             log.append([r, None])
         return out
 
-    def traced_newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G):
-        u = newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G)
+    def traced_newton_points(g, dual, J, t, step, V, U, S, G):
+        u = newton_points(g, dual, J, t, step, V, U, S, G)
         tried.append((V, u))
         return u
 
     monkeypatch.setattr(K, "_forward_backward", traced_forward_backward)
     monkeypatch.setattr(K, "_newton_points", traced_newton_points)
-    K.dual_ascent(*args, J, cbar, X, T, steps, tol, fx, fslack, 10 ** 5)
+    K.dual_ascent(*args, J, cbar, X, T, steps, tol, fx, 10 ** 5)
     return log
 
 
@@ -127,13 +124,13 @@ def lone_newton_log(monkeypatch, args, J, cbar, X, steps, tol, fx, fslack):
 def test_rejected_newton_step_holds_the_row_back(hname, monkeypatch):
     # a row whose Newton step was rejected at residual r tries none again
     # until its residual is at most NEWTON_RETRY * r, and then does
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H[hname], DUAL_G["absvalue"], 60, seed=60)
     held_back = 0
     for b in range(60):
         one = slice(b, b + 1)
         log = lone_newton_log(monkeypatch, args, J[one], cbar[one], X[one],
-                              steps[one], TOL, fx[one], fslack[one])
+                              steps[one], TOL, fx[one])
         monkeypatch.undo()
         gate = K.NEWTON_SWITCH
         # the last iteration stops the row before any Newton step
@@ -150,13 +147,13 @@ def test_rejected_newton_step_holds_the_row_back(hname, monkeypatch):
 def test_stacked_rows_match_their_lone_solves(hname):
     # each row's gate is compacted with it, so a 300-row stack gives every
     # row the iterations, Newton steps and point of its lone solve
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H[hname], DUAL_G["absvalue"], 300, seed=300)
     Y, W, resid, _, iters, newton = K.dual_ascent(
-        *args, J, cbar, X, T, steps, TOL, fx, fslack, 10 ** 5)
+        *args, J, cbar, X, T, steps, TOL, fx, 10 ** 5)
     lone = [K.dual_ascent(*args, J[b:b + 1], cbar[b:b + 1], X[b:b + 1], T,
-                          steps[b:b + 1], TOL, fx[b:b + 1], fslack[b:b + 1],
-                          10 ** 5) for b in range(300)]
+                          steps[b:b + 1], TOL, fx[b:b + 1], 10 ** 5)
+            for b in range(300)]
     assert iters.tolist() == [one[4][0] for one in lone]
     assert newton == sum(one[5] for one in lone)
     for got, k in ((Y, 0), (W, 1), (resid, 2)):
@@ -168,25 +165,26 @@ def test_warm_start_tries_newton_on_every_row_at_iteration_1(hname,
                                                             monkeypatch):
     # whatever a row's residual and gate, a started solve tries a Newton
     # step at iteration 1 on every row that did not stop there
-    W0, (args, J, cbar, X, steps, fx, fslack) = warm_subproblems(
+    W0, (args, J, cbar, X, steps, fx) = warm_subproblems(
         hname, "absvalue", 60, seed=60)
     calls = []
     newton_points = K._newton_points
 
-    def counted(g, hbox, J, t, step, thr, quad, V, U, S, G):
+    def counted(g, dual, J, t, step, V, U, S, G):
         calls.append(np.sqrt(K.row_dots(G)) / step[:, 0])
-        return newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G)
+        return newton_points(g, dual, J, t, step, V, U, S, G)
 
     monkeypatch.setattr(K, "_newton_points", counted)
-    iters = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
-                          10 ** 5, W0)[4]
+    iters = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, 10 ** 5,
+                          W0)[4]
     assert calls[0].size == np.count_nonzero(iters > 1) > 0
     assert np.any(calls[0] > K.NEWTON_SWITCH)
     # a far start tries it too, every residual being above the gate
-    edge = np.where(W0 >= 0.0, args[2][1], args[2][0])
+    lo, hi = DUAL_H[hname].dual_box()[:2]
+    edge = np.where(W0 >= 0.0, hi, lo)
     calls.clear()
-    iters = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
-                          10 ** 5, -edge)[4]
+    iters = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, 10 ** 5,
+                          -edge)[4]
     assert calls[0].size == np.count_nonzero(iters > 1) == 60
     assert np.all(calls[0] > K.NEWTON_SWITCH)
 
@@ -204,21 +202,21 @@ def test_sub_ulp_newton_step_counts_as_rejected(rows, row, counts,
     # kept sub-ulp steps threw its momentum away 10 times in 44 iterations
     # before the gate) now tries 4 steps
     monkeypatch.setattr(K, "NEWTON_SWITCH", 0.1)
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H["absvalue"], DUAL_G["absvalue"], rows, seed=rows)
     one = slice(row, row + 1)
 
     def solve():
         return K.dual_ascent(*args, J[one], cbar[one], X[one], T,
-                             steps[one], TOL, fx[one], fslack[one], 10 ** 5)
+                             steps[one], TOL, fx[one], 10 ** 5)
 
     got = solve()
     assert (got[4][0], got[5]) == counts
     zero_steps = []
     newton_points = K._newton_points
 
-    def zeroed(g, hbox, J, t, step, thr, quad, V, U, S, G):
-        u = newton_points(g, hbox, J, t, step, thr, quad, V, U, S, G)
+    def zeroed(g, dual, J, t, step, V, U, S, G):
+        u = newton_points(g, dual, J, t, step, V, U, S, G)
         sub = (np.sqrt(K.row_dots(u - V))
                <= K.NEWTON_ULPS * np.spacing(np.sqrt(K.row_dots(V))))
         zero_steps.append(int(np.count_nonzero(sub)))
@@ -241,10 +239,10 @@ def test_stacked_dual_ascent_value_test_keeps_rows_running(hname):
     # must keep iterating as in the loop (at 1e-3 a Newton step takes the
     # residual and the value test together)
     iters = assert_matches_serial(hname, "absvalue", 300, 1e-2)
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H[hname], DUAL_G["absvalue"], 300, seed=300)
     no_value_test = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-2,
-                                  np.full(300, np.inf), fslack, 10 ** 5)[4]
+                                  np.full(300, np.inf), 10 ** 5)[4]
     assert np.sum(iters > no_value_test) >= 10
     assert np.all(iters >= no_value_test)
 
@@ -256,13 +254,12 @@ def test_accelerated_dual_ascent_as_accurate_as_plain(hname, gname):
     # y over the stack is within twice the plain loop's at the same tol,
     # in fewer iterations (at tol 1e-10 both are off by up to ~7e-10, so a
     # bound in terms of tol alone would not hold)
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H[hname], DUAL_G[gname], 20, seed=11)
-    Y_star = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, fslack,
-                           10 ** 6)[0]
+    Y_star = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, 10 ** 6)[0]
     Y, _, _, total, _, _ = K.dual_ascent(*args, J, cbar, X, T, steps, TOL,
-                                         fx, fslack, 10 ** 5)
-    plain = run_serial(args, J, cbar, X, steps, TOL, fx, fslack, 10 ** 5,
+                                         fx, 10 ** 5)
+    plain = run_serial(args, J, cbar, X, steps, TOL, fx, 10 ** 5,
                        range(20), loop=serialref.plain_dual_ascent)
     assert all(r[4] for r in plain)
     err = np.max(np.abs(Y - Y_star))
@@ -276,16 +273,14 @@ def test_accelerated_dual_ascent_as_accurate_as_plain(hname, gname):
 def test_newton_finish_matches_tight_solve(hname, gname):
     # at the workloads' inner_tol 1e-11 the kernel's y and w match a
     # tol-1e-15 solve to 1e-12 relative, and the Newton steps do the work
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H[hname], DUAL_G[gname], 20, seed=11)
-    tight = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, fslack,
-                          10 ** 6)
-    got = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
-                        10 ** 5)
+    tight = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, 10 ** 6)
+    got = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, 10 ** 5)
     for a, b in ((got[0], tight[0]), (got[1], tight[1])):
         assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(b), 1.0))
     assert got[5] > 0
-    plain = run_serial(args, J, cbar, X, steps, 1e-11, fx, fslack, 10 ** 5,
+    plain = run_serial(args, J, cbar, X, steps, 1e-11, fx, 10 ** 5,
                        range(20), loop=serialref.plain_dual_ascent)
     assert got[3] < sum(r[3] for r in plain)
 
@@ -295,21 +290,18 @@ def warm_subproblems(hname, gname, rows, seed):
     stopped, and the kernel arguments of the same subproblems at slightly
     moved data, as consecutive prox-linear steps pose them."""
     h, g = DUAL_H[hname], DUAL_G[gname]
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(h, g, rows,
-                                                              seed)
-    W = K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, fslack,
-                      10 ** 5)[1]
+    args, J, cbar, X, steps, fx = stacked_subproblems(h, g, rows, seed)
+    W = K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, 10 ** 5)[1]
     rng = np.random.default_rng(seed + 1)
     J2 = J + 0.01 * rng.standard_normal(J.shape)
     cbar2 = cbar + 0.01 * rng.standard_normal(cbar.shape)
     X2 = X + 0.01 * rng.standard_normal(X.shape)
     # each row keeps its fraction of the largest safe step
-    curv = max(1.0, float(np.max(args[2][3])))
+    curv = max(1.0, h.dual_box()[3])
     safe = [(T * np.linalg.norm(a, 2) ** 2 + curv)
             / (T * np.linalg.norm(b, 2) ** 2 + curv) for a, b in zip(J, J2)]
     fx2 = g.value_batch(X2) + h.value_batch(cbar2)
-    return W, (args, J2, cbar2, X2, steps * np.array(safe), fx2,
-               1e-12 * (1.0 + np.abs(fx2)))
+    return W, (args, J2, cbar2, X2, steps * np.array(safe), fx2)
 
 
 def assert_close(got, want):
@@ -323,12 +315,12 @@ def test_warm_dual_ascent_matches_serial_and_tight_solve(hname, gname, rows):
     # started from a nearby solve's duals, with a Newton step tried at
     # iteration 1: the serial loop's iterations and Newton steps, and the
     # y and w of a cold tol-1e-15 solve
-    W0, (args, J, cbar, X, steps, fx, fslack) = warm_subproblems(
+    W0, (args, J, cbar, X, steps, fx) = warm_subproblems(
         hname, gname, rows, seed=rows)
     Y, W, _, total, iters, newton = K.dual_ascent(
-        *args, J, cbar, X, T, steps, 1e-11, fx, fslack, 10 ** 5, W0)
+        *args, J, cbar, X, T, steps, 1e-11, fx, 10 ** 5, W0)
     ref = [serialref.dual_ascent(args, J[b], cbar[b], X[b], T, steps[b],
-                                 1e-11, fx[b], fslack[b], 10 ** 5, W0[b])
+                                 1e-11, fx[b], 10 ** 5, W0[b])
            for b in range(rows)]
     assert all(r[4] for r in ref)
     assert iters.tolist() == [r[3] for r in ref]
@@ -336,19 +328,18 @@ def test_warm_dual_ascent_matches_serial_and_tight_solve(hname, gname, rows):
     assert newton == sum(r[5] for r in ref) >= np.count_nonzero(iters > 1)
     assert_close(Y, np.array([r[0] for r in ref]))
     assert_close(W, np.array([r[1] for r in ref]))
-    tight = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, fslack,
-                          10 ** 6)
+    tight = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, 10 ** 6)
     assert_close(Y, tight[0])
     assert_close(W, tight[1])
     assert total < K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx,
-                                 fslack, 10 ** 5)[3]
+                                 10 ** 5)[3]
     # a start outside h's dual box is clipped to it first
-    hlo, hhi = args[2][0], args[2][1]
-    edge = np.where(W0 >= 0.0, hhi, hlo)
-    far = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
-                        10 ** 5, 10.0 * edge)
-    clipped = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, fslack,
-                            10 ** 5, edge)
+    lo, hi = DUAL_H[hname].dual_box()[:2]
+    edge = np.where(W0 >= 0.0, hi, lo)
+    far = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, 10 ** 5,
+                        10.0 * edge)
+    clipped = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, 10 ** 5,
+                            edge)
     for a, b in zip(far, clipped):
         assert np.array_equal(a, b)
 
@@ -361,12 +352,10 @@ def newton_args(h, g, m, n, rows, seed, free=0.7, dg_zero=0.0):
     stacked matrices M of M delta = G, built row by row, and the free
     duals P."""
     rng = np.random.default_rng(seed)
-    hbox = h.dual_box(m)
-    hlo, hhi, hl1, hquad = hbox
+    dual = h.dual_box()
+    hlo, hhi, hl1, hquad = dual
     J = rng.standard_normal((rows, m, n))
     step = rng.uniform(0.5, 1.0, size=(rows, 1)) / (T * n + 1.0)
-    thr = step * hl1 if np.any(hl1) else None
-    quad = hquad if np.any(hquad) else None
     inside = rng.random((rows, m)) < free
     S = np.where(inside, rng.uniform(0.1, 0.9, size=(rows, m)) * hhi,
                  hhi + rng.uniform(0.1, 1.0, size=(rows, m)))
@@ -379,14 +368,14 @@ def newton_args(h, g, m, n, rows, seed, free=0.7, dg_zero=0.0):
     V = rng.uniform(-0.5, 0.5, size=(rows, m)) * hhi
     G = 1e-3 * rng.standard_normal((rows, m))
     P = (S > hlo) & (S < hhi)
-    if thr is not None:
+    if hl1:
         P &= S != 0.0
     Dg = g._prox_deriv(U, T)
     M = np.empty((rows, m, m))
     for b in range(rows):
-        A = T * (J[b] * Dg[b]) @ J[b].T + np.diag(hquad)
+        A = T * (J[b] * Dg[b]) @ J[b].T + hquad * np.eye(m)
         M[b] = np.diag(1.0 - P[b]) + (step[b] * P[b])[:, None] * A
-    args = (g, hbox, J, T, step, thr, quad, V, U, S, G)
+    args = (g, dual, J, T, step, V, U, S, G)
     return args, M, P
 
 
@@ -396,7 +385,7 @@ def test_newton_points_match_pinv_where_the_free_block_is_regular(hname):
     # t J_F J_F^T is nonsingular, and so is M; huberenvelope's quadratic
     # dual term takes the nonsingular solve
     args, M, P = newton_args(DUAL_H[hname], pb.Zero(), 3, 4, 40, seed=1)
-    V, G = args[7], args[10]
+    V, G = args[5], args[8]
     assert 0 < np.sum(P) < P.size
     assert np.all(np.linalg.matrix_rank(M) == 3)
     got = K._newton_points(*args)
@@ -410,7 +399,7 @@ def assert_min_norm_least_squares(args, M, P):
     M_FF delta_F = G_F - M_FN G_N: it meets the normal equations, has no
     part in the null space of M_FF, and equals lstsq's. Returns the number
     of rows whose M_FF is singular."""
-    V, G = args[7], args[10]
+    V, G = args[5], args[8]
     u = K._newton_points(*args)
     assert np.array_equal(u[~P], (V + G)[~P])
     singular = 0
@@ -477,12 +466,12 @@ def test_prox_deriv_matches_central_differences(penalty):
 
 
 def test_dual_ascent_stops_on_a_nan_row():
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H["epsiloninsensitive"], DUAL_G["absvalue"], 7, seed=3)
     X[4, 2] = np.nan
     with pytest.raises(pb.InnerSolveError,
                        match="residual is nan at iteration 1$") as info:
-        K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, fslack, 10 ** 5)
+        K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, 10 ** 5)
     assert info.value.iterations == 1
 
 
@@ -496,13 +485,13 @@ def test_minnorm_boxqp_stops_on_a_nan_row():
 
 
 def test_stacked_dual_ascent_names_worst_residual():
-    args, J, cbar, X, steps, fx, fslack = stacked_subproblems(
+    args, J, cbar, X, steps, fx = stacked_subproblems(
         DUAL_H["absvalue"], DUAL_G["absvalue"], 7, seed=3)
-    ref = run_serial(args, J, cbar, X, steps, TOL, fx, fslack, 5, range(7))
+    ref = run_serial(args, J, cbar, X, steps, TOL, fx, 5, range(7))
     worst = max(r[2] for r in ref if not r[4])
     with pytest.raises(pb.InnerSolveError,
                        match=re.escape(f"{worst:.3e}")) as info:
-        K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, fslack, 5)
+        K.dual_ascent(*args, J, cbar, X, T, steps, TOL, fx, 5)
     assert info.value.residual == pytest.approx(worst, rel=1e-12)
     assert info.value.iterations == 5
 

@@ -355,7 +355,7 @@ ENTRY_POINTS = {
     "subgrad_bounds": lambda p: p.subgrad_bounds(X3),
     "value_batch": lambda p: p.value_batch(np.stack([X3, X3])),
     "prox_batch": lambda p: p.prox_batch(np.stack([X3, X3]), 0.5),
-    "dual_box": lambda p: p.dual_box(3),
+    "dual_box": lambda p: p.dual_box(),
     "conjugate_prox": lambda p: p.conjugate_prox(X3, 0.5),
     "run_prox_gradient": run_prox_gradient_3,
 }
@@ -438,6 +438,19 @@ def test_huber_prox_matches_the_two_branch_formula_bitwise(shape):
             got = pb._kernels.penalty_prox(p, X, t)
             assert got.shape == X.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("h, want", [
+    (pb.AbsValue(0.5), (-0.5, 0.5, 0.0, 0.0)),
+    (pb.EpsilonInsensitive(0.9, 0.2), (-0.9, 0.9, 0.2, 0.0)),
+    (pb.CheckFunction(1.0, 0.3), (1.0 * (0.3 - 1.0), 0.3, 0.0, 0.0)),
+    (pb.HuberEnvelope(2.0, 0.4), (-2.0, 2.0, 0.0, 0.4))],
+    ids=["absvalue", "epsiloninsensitive", "checkfunction", "huberenvelope"])
+def test_dual_box_is_four_floats(h, want):
+    # h's conjugate is one box, l1 and quadratic term for every coordinate
+    got = h.dual_box()
+    assert got == want
+    assert all(type(v) is float for v in got)
 
 
 def test_lipschitz_bound_values():

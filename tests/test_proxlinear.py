@@ -190,8 +190,8 @@ def test_inner_iters_column_sums_dual_iterations(scalar_square, monkeypatch):
     calls, newton = [], []
     dual_ascent = K.dual_ascent
 
-    def counted(*args):
-        out = dual_ascent(*args)
+    def counted(*args, **kwargs):
+        out = dual_ascent(*args, **kwargs)
         calls.append(out[3])
         newton.append(out[5])
         return out
@@ -235,7 +235,7 @@ def test_warm_started_run_matches_cold_run(which, robust7, robust7_run,
         warm = pb.run_prox_linear(prob, np.full(10, 2.0), cfg)
     dual_ascent = K.dual_ascent
     monkeypatch.setattr(K, "dual_ascent",
-                        lambda *args: dual_ascent(*args[:12]))
+                        lambda *args, W0=None: dual_ascent(*args))
     cold = pb.run_prox_linear(prob, np.full(10, 2.0), cfg)
     assert warm.status == cold.status == "Converged"
     assert warm.iterations == cold.iterations

@@ -139,8 +139,7 @@ def test_every_parameter_name_has_a_rule():
 
 @pytest.mark.parametrize("role,kind,names", FORMS, ids=form_ids(FORMS))
 def test_catalog_form_builds_and_rejects_each_violation(
-        spec_dir, tmp_path, capsys, monkeypatch, role, kind, names):
-    monkeypatch.delenv("PROXBOUND_SEED", raising=False)
+        spec_dir, tmp_path, capsys, role, kind, names):
     catalog, what, _ = ROLES[role]
     where = ("[solver] sigma_policy" if role == "sigma_policy"
              else f"[problem] {role}")
@@ -164,8 +163,7 @@ def test_catalog_form_builds_and_rejects_each_violation(
 @pytest.mark.parametrize("role,kind,names", RUN_FORMS,
                          ids=form_ids(RUN_FORMS))
 def test_catalog_instance_keeps_the_run_contract(
-        spec_dir, tmp_path, capsys, monkeypatch, role, kind, names):
-    monkeypatch.delenv("PROXBOUND_SEED", raising=False)
+        spec_dir, tmp_path, capsys, role, kind, names):
     valid = spec(kind, [(k, VALID[k]) for k in names]).replace(
         "{dir}", str(spec_dir))
     code, err, path = check(tmp_path, capsys, role, valid)
