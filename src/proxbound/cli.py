@@ -55,7 +55,6 @@ class ExperimentConfig:
     seed: int = 0
     method: str = "proxgrad"
     t0: float = None
-    q: float = 0.5
     eps: float = 1e-10
     max_iter: int = 20000
     inner_tol: float = 1e-10
@@ -101,7 +100,6 @@ _SCALARS = {
     ("problem", "beta_override"): ("beta_override", float, _POSITIVE),
     ("problem", "seed"): ("seed", int, _NONNEGATIVE),
     ("solver", "t0"): ("t0", float, _POSITIVE),
-    ("solver", "q"): ("q", float, ("must lie in (0,1)", lambda v: 0 < v < 1)),
     ("solver", "eps"): ("eps", float, _POSITIVE),
     ("solver", "max_iter"): ("max_iter", int, _POSITIVE),
     ("solver", "inner_tol"): ("inner_tol", float, _POSITIVE),
@@ -321,21 +319,15 @@ def run_experiment(cfg):
     enabled check."""
     problem, x0 = cfg.problem, cfg.x0
     checks = []
-    t0 = cfg.t0
     if cfg.method == "proxlinear":
-        solver_cfg = ProxLinearConfig(t0=t0, q=cfg.q, eps=cfg.eps,
-                                      max_iter=cfg.max_iter,
-                                      inner_tol=cfg.inner_tol, sigma=cfg.sigma)
-        trace = run_prox_linear(problem, x0, solver_cfg)
-        t_used = trace.column("t_accepted")[-1]
+        trace = run_prox_linear(problem, x0, ProxLinearConfig(
+            t0=cfg.t0, eps=cfg.eps, max_iter=cfg.max_iter,
+            inner_tol=cfg.inner_tol, sigma=cfg.sigma))
     else:
-        # the solver's own clamp to 1/beta, taken once here so that neither
-        # the solve nor the reference solve warns on stderr
-        if t0 is not None:
-            t0 = min(t0, 1.0 / problem.f.beta)
         trace = run_prox_gradient(problem, x0, ProxGradConfig(
-            t=t0, max_iter=cfg.max_iter, eps=cfg.eps))
-        t_used = trace.meta["t"]
+            t=cfg.t0, max_iter=cfg.max_iter, eps=cfg.eps))
+    # the step the solver took, t0 clamped to what the theory licenses
+    t_used = trace.meta["t"]
     beta = problem.beta
 
     # a diverged solve's verdict is its failed converged check; nothing can
@@ -370,7 +362,8 @@ def run_experiment(cfg):
         resid = trace.column("decrease_residual")[:-1]
         slack = _tolerance_slack(resid, 1e-10 * phi_scale)
         checks.append(CheckLine("sufficient_decrease", slack >= 0.0, slack))
-    # a prox-linear run diverges only at a start whose phi is not finite
+    # a diverged prox-linear run ends on its last finite iterate, and its
+    # certificates are left out with the rest of the diagnostics
     if cfg.method == "proxlinear" and diagnose:
         expected = ((3.0 * problem.L * beta * trace.column("t_accepted") + 2.0)
                     * gnorms)
@@ -385,7 +378,7 @@ def run_experiment(cfg):
     if diagnose and (cfg.constants or cfg.sandwich or cfg.tail_rate):
         ref = diag.analytic_reference(problem)
         if ref is None:
-            ref = diag.compute_reference(problem, x0=trace.final_x, t=t0,
+            ref = diag.compute_reference(problem, x0=trace.final_x, t=cfg.t0,
                                          tol=REFERENCE_TOL)
             # every constant below is measured around x*: one that is not
             # converged FAILs the run, and nothing is measured around it

@@ -6,7 +6,6 @@ t <= 1/beta each step decreases the objective by at least |G_t|^2 / (2 beta).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,8 @@ class AdditiveProblem:
 
 @dataclass(frozen=True)
 class ProxGradConfig:
-    """Solver knobs; t defaults to 1/beta when left unset."""
+    """Solver knobs. The solve takes t = min(t, 1/beta), or 1/beta when t
+    is left unset (_step)."""
 
     t: float = None
     max_iter: int = 20000
@@ -107,9 +107,8 @@ class IterationTrace:
         # string per cell, ~7 MB more peak memory on a 17.5k-row trace
         cols = [range(len(self)) if name == "k" else self.data[name]
                 for name in self.header]
-        spec = ",".join("%d" if name in ("k", "backtracks", "inner_iters",
-                                         "inner_newton") else "%.17g"
-                        for name in self.header)
+        spec = ",".join("%d" if name in ("k", "inner_iters", "inner_newton")
+                        else "%.17g" for name in self.header)
         rows = map(spec.__mod__, zip(*cols))
         return "\n".join([",".join(self.header), *rows]) + "\n"
 
@@ -144,14 +143,15 @@ def _start_value(problem, x, trace, t):
     return phi
 
 
-def _effective_step(problem, cfg):
-    t = cfg.t if cfg.t is not None else 1.0 / problem.f.beta
-    tmax = 1.0 / problem.f.beta
-    if t > tmax:
-        warnings.warn(
-            f"step t={t:g} exceeds 1/beta={tmax:g}; clamping", stacklevel=3)
-        t = tmax
-    return t
+def _step(t0, bound):
+    """The step both solvers take: min(t0, 1/bound), the longest their
+    theory licenses, or 1/bound when t0 is None. bound is beta for proximal
+    gradient and L beta for prox-linear; a bound of 0 limits nothing, and
+    the step is then t0, or 1.0 when t0 is None."""
+    if bound > 0:
+        tmax = 1.0 / bound
+        return float(tmax if t0 is None else min(t0, tmax))
+    return 1.0 if t0 is None else float(t0)
 
 
 def run_prox_gradient(problem, x0, cfg=None):
@@ -193,9 +193,9 @@ def run_prox_gradient(problem, x0, cfg=None):
     """
     cfg = cfg or ProxGradConfig()
     x = _start_point(problem, x0)
-    t = float(_effective_step(problem, cfg))
     f = problem.f
     beta = f.beta
+    t = _step(cfg.t, beta)
     trace = IterationTrace(PROXGRAD_HEADER)
     trace.meta = {"t": t, "beta": beta}
     _start_value(problem, x, trace, t)

@@ -3,8 +3,9 @@
 Each outer step minimizes the convex model
     g(y) + h(c(x) + J(x)(y - x)) + |y - x|^2 / (2t)
 whose solution is recovered from a box-constrained dual (see
-solve_subproblem), then backtracks t until the accepted step decreases the
-true objective by at least (sigma/2)|G_t(x)|^2.
+solve_subproblem), and moves to it. Every step takes one t, at most
+1/(L beta): at such a t each step decreases the true objective by at
+least (t/2)|G_t(x)|^2.
 """
 
 from dataclasses import dataclass
@@ -12,18 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import InnerSolveError
 from .penalties import (AbsValue, CheckFunction, EpsilonInsensitive,
                         HuberEnvelope, SeparablePenalty)
-from .proxgrad import INNER_CAP, IterationTrace, _start_point, _start_value
+from .proxgrad import (INNER_CAP, IterationTrace, _start_point, _start_value,
+                       _step)
 from .smooth import SmoothMap, operator_norm_sq
 from .vectors import as_vector
 
 FINITE_H_KINDS = (AbsValue, EpsilonInsensitive, CheckFunction, HuberEnvelope)
 
-PROXLINEAR_HEADER = ("k", "phi", "gnorm", "t_accepted", "backtracks",
-                     "inner_iters", "inner_newton", "decrease_residual",
-                     "certificate", "elapsed_s")
+PROXLINEAR_HEADER = ("k", "phi", "gnorm", "t_accepted", "inner_iters",
+                     "inner_newton", "decrease_residual", "certificate",
+                     "elapsed_s")
 
 
 @dataclass(frozen=True)
@@ -140,23 +141,22 @@ def near_stationarity_certificate(problem, gnorm, t):
 
 @dataclass(frozen=True)
 class ProxLinearConfig:
-    """Algorithm knobs: initial step, backtracking factor, tolerances.
+    """Algorithm knobs: initial step, tolerances, sufficient-decrease sigma.
 
-    sigma=None selects the adaptive policy sigma = t (acceptance test
-    phi(x^t) <= phi(x) - (t/2)|G_t|^2, guaranteed to pass once
-    t <= 1/(L beta)); a float fixes sigma.
+    The solve takes t = min(t0, 1/(L beta)), or 1/(L beta) when t0 is None
+    (proxgrad._step; with L beta = 0, t0 itself, or 1.0). sigma=None
+    selects the adaptive policy sigma = t: the required decrease
+    phi(x^t) <= phi(x) - (t/2)|G_t|^2 is then a theorem at that t. A float
+    fixes sigma.
     """
 
     t0: float = None
-    q: float = 0.5
     eps: float = 1e-9
     max_iter: int = 1000
     inner_tol: float = 1e-10
     sigma: float = None
 
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("q must lie in (0,1)")
         for name in ("t0", "sigma"):
             v = getattr(self, name)
             if v is not None and v <= 0:
@@ -165,44 +165,41 @@ class ProxLinearConfig:
             raise ValueError("eps, inner_tol and max_iter must be positive")
 
 
-T_UNDERFLOW = 1e-12
-
-# an Armijo test whose required decrease (sigma/2)|G_t|^2 is below this many
-# ulp(phi(x)) cannot pass or fail on anything but roundoff
+# a decrease test whose required decrease (sigma/2)|G_t|^2 is below this
+# many ulp(phi(x)) cannot pass or fail on anything but roundoff
 STALL_ULPS = 4
 
 
 def run_prox_linear(problem, x0, cfg=None):
-    """Backtracking prox-linear iteration, terminating on |G_t(x_k)| <= eps.
+    """Prox-linear iteration x_{k+1} = the model minimizer at x_k with one
+    step t (ProxLinearConfig), terminating on |G_t(x_k)| <= eps.
 
-    t is never reset upward between iterations: the tail rate is set by
-    t, so a run's rate is that of its smallest accepted step. Every
-    subproblem solve after the first starts from the dual at which the
-    previous one stopped, at the next x or, after a backtrack, at the same
-    x with the smaller t: consecutive subproblems differ little, and the
-    start carries the active pieces of their duals. Each trace
-    row records the accepted step, the backtrack
-    count, the dual-ascent iterations and the Newton steps tried in the
-    step's subproblem solves (both summed over its backtracks), the
-    decrease residual phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and the
-    near-stationarity certificate.
+    Each step solves one subproblem, from the dual at which the previous
+    solve stopped: consecutive subproblems differ little, and the start
+    carries the active pieces of their duals. It then takes phi at the
+    new point, with numpy's overflow warnings off, and writes one trace
+    row: the step t, the dual-ascent iterations and the Newton steps tried
+    in the solve, the decrease residual
+    phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and the near-stationarity
+    certificate. Every step is taken: at a t above what the true L beta
+    licenses (a declared L or beta below the true one) the residual may
+    come out negative, and the CLI's sufficient_decrease check FAILs it.
 
-    Ends with status Converged, MaxIter, or Stalled when an Armijo test
-    fails while its required decrease (sigma/2)|G_t|^2 lies below
-    STALL_ULPS ulp(phi(x_k)): x_k is then as stationary as floating point
-    can certify, and its row (with the current t, the backtracks so far
-    and decrease_residual 0) is the last one. A start whose phi is not
-    finite ends the run at once with status Diverged, on the one row that
-    proxgrad._start_value writes. A trial point whose phi is not finite,
-    as when c overflows there, fails its Armijo test like any other, and
-    its phi is taken with numpy's overflow warnings off.
+    Ends with status Converged, MaxIter, Stalled or Diverged; the last row
+    has decrease_residual 0. Stalled: the decrease test
+    phi(x_{k+1}) <= phi(x_k) - (sigma/2)|G_t|^2 fails while its required
+    decrease lies below STALL_ULPS ulp(phi(x_k)), so x_k is as stationary
+    as floating point can certify; the run ends on x_k. Diverged: phi is not
+    finite at x0 (the one row that proxgrad._start_value writes) or at
+    x_{k+1}, as when c overflows there; the run then ends on x_k, its last
+    finite iterate.
     """
     cfg = cfg or ProxLinearConfig()
     x = _start_point(problem, x0)
-    lb = problem.L * problem.beta
-    t = cfg.t0 if cfg.t0 is not None else (1.0 / lb if lb > 0 else 1.0)
+    t = _step(cfg.t0, problem.L * problem.beta)
+    sigma = t if cfg.sigma is None else cfg.sigma
     trace = IterationTrace(PROXLINEAR_HEADER)
-    trace.meta = {"t0": t, "L": problem.L, "beta": problem.beta}
+    trace.meta = {"t": t, "L": problem.L, "beta": problem.beta}
     phi_x = _start_value(problem, x, trace, t)
     if trace.status == "Diverged":
         return trace
@@ -211,45 +208,31 @@ def run_prox_linear(problem, x0, cfg=None):
     for k in range(cfg.max_iter + 1):
         y = solve_subproblem(problem, x, t, cfg.inner_tol, counts,
                              counts["dual"])
-        inner_iters = counts["dual_iters"]
-        inner_newton = counts["newton_steps"]
         gnorm = float(np.linalg.norm(x - y)) / t
         iterates.append(x)
-        status = None
+        status, resid = None, 0.0
         if gnorm <= cfg.eps:
             status = "Converged"
         elif k == cfg.max_iter:
             status = "MaxIter"
-        backtracks = 0
-        while status is None:
-            sigma = t if cfg.sigma is None else cfg.sigma
-            # c(y) may overflow at a long trial step: its phi is then inf
-            # or NaN, the test fails and the run backtracks
+        else:
+            # c(y) may overflow: phi(y) is then inf or NaN, and the run
+            # ends on x
             with np.errstate(over="ignore", invalid="ignore"):
                 phi_y = problem.phi(y)
             required = 0.5 * sigma * gnorm * gnorm
-            if phi_y <= phi_x - required:
-                break
-            if required < STALL_ULPS * np.spacing(abs(phi_x)):
+            if not np.isfinite(phi_y):
+                status = "Diverged"
+            elif (not phi_y <= phi_x - required
+                  and required < STALL_ULPS * np.spacing(abs(phi_x))):
                 status = "Stalled"
-                break
-            t *= cfg.q
-            if t < T_UNDERFLOW:
-                raise InnerSolveError(
-                    "backtracking underflow: step fell below 1e-12",
-                    residual=gnorm, iterations=k)
-            y = solve_subproblem(problem, x, t, cfg.inner_tol, counts,
-                                 counts["dual"])
-            inner_iters += counts["dual_iters"]
-            inner_newton += counts["newton_steps"]
-            gnorm = float(np.linalg.norm(x - y)) / t
-            backtracks += 1
+            else:
+                resid = phi_x - phi_y - required
         cert = near_stationarity_certificate(problem, gnorm, t)
-        resid = 0.0 if status else phi_x - phi_y - 0.5 * sigma * gnorm * gnorm
         trace.append(k=k, phi=phi_x, gnorm=gnorm, t_accepted=t,
-                     backtracks=backtracks, inner_iters=inner_iters,
-                     inner_newton=inner_newton, decrease_residual=resid,
-                     certificate=cert, elapsed_s=0.0)
+                     inner_iters=counts["dual_iters"],
+                     inner_newton=counts["newton_steps"],
+                     decrease_residual=resid, certificate=cert, elapsed_s=0.0)
         if status:
             trace.status = status
             break

@@ -23,8 +23,7 @@ import proxbound as pb
 from proxbound import _kernels as K
 from proxbound import diagnostics as D
 from proxbound.diagnostics import BOXQP_CAP, BOXQP_TOL
-from proxbound.proxgrad import (PROXGRAD_HEADER, _effective_step,
-                                _prox_point_batch)
+from proxbound.proxgrad import PROXGRAD_HEADER, _prox_point_batch, _step
 from proxbound.vectors import as_vector
 
 
@@ -231,7 +230,7 @@ def trace_csv(trace):
         vals = []
         for name in trace.header:
             v = trace.data[name][i]
-            if name in ("k", "backtracks", "inner_iters", "inner_newton"):
+            if name in ("k", "inner_iters", "inner_newton"):
                 vals.append(str(int(v)))
             else:
                 vals.append(f"{v:.17g}")
@@ -246,7 +245,7 @@ def prox_gradient(problem, x0, cfg):
     ValueError. A non-finite g at the next iterate ends the run Diverged on
     the current one, with a zero descent residual."""
     x = as_vector(x0, problem.dim).copy()
-    t = _effective_step(problem, cfg)
+    t = _step(cfg.t, problem.f.beta)
     beta = problem.f.beta
     trace = pb.IterationTrace(PROXGRAD_HEADER)
     trace.meta = {"t": t, "beta": beta}

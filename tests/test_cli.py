@@ -53,11 +53,13 @@ def test_parse_minimal_config(tmp_path):
 
 
 def test_parse_rejects_bad_q(tmp_path):
-    text = CORRIDOR_CFG.format(out=tmp_path).replace(
-        "method = proxgrad", "method = proxlinear\nq = 1.5")
-    with pytest.raises(pb.ConfigError) as err:
-        cli.parse_config(write_cfg(tmp_path, text))
-    assert any("q must lie in (0,1)" in v for v in err.value.violations)
+    # prox-linear takes no backtracking factor: any q is an unknown key
+    for q in ("1.5", "0.5"):
+        text = CORRIDOR_CFG.format(out=tmp_path).replace(
+            "method = proxgrad", f"method = proxlinear\nq = {q}")
+        with pytest.raises(pb.ConfigError) as err:
+            cli.parse_config(write_cfg(tmp_path, text))
+        assert "unknown key 'q' in [solver]" in err.value.violations
 
 
 def test_parse_collects_all_violations(tmp_path):
@@ -69,7 +71,7 @@ bogus = 1
 
 [solver]
 method = nothing
-q = 1.5
+max_iter = 0
 eps = -1
 """
     with pytest.raises(pb.ConfigError) as err:
@@ -78,7 +80,7 @@ eps = -1
     assert "bogus" in joined
     assert "kind" in joined
     assert "method" in joined
-    assert "q must lie in (0,1)" in joined
+    assert "max_iter must be finite and > 0" in joined
     assert "eps" in joined
 
 
@@ -286,10 +288,13 @@ def test_perturbed_prox_oracle_fails_the_sandwich(tmp_path, monkeypatch,
     assert_only_check_fails(path, tmp_path / "out", name)
 
 
+# the robust-constants instance with no diagnostics switched on
+COMPOSITE_SOLVE_CFG = COMPOSITE_CONSTANTS_CFG.format(out="o").replace(
+    "constants = true\nsamples = 2100\n", "")
+
+
 def composite_solve_cfg(tmp_path):
-    """The robust-constants instance with no diagnostics switched on."""
-    return write_cfg(tmp_path, COMPOSITE_CONSTANTS_CFG.format(out="o").replace(
-        "constants = true\nsamples = 2100\n", ""))
+    return write_cfg(tmp_path, COMPOSITE_SOLVE_CFG)
 
 
 def test_zero_stationarity_distance_fails_half_bound(tmp_path, monkeypatch):
@@ -356,14 +361,14 @@ tail_rate = true
     assert "CHECK certificate_formula: PASS" in report
     assert "CHECK half_bound: PASS" in report
     header = (out / "trace.csv").read_text().splitlines()[0]
-    assert header == ("k,phi,gnorm,t_accepted,backtracks,inner_iters,"
-                      "inner_newton,decrease_residual,certificate,"
-                      "elapsed_s")
+    assert header == ("k,phi,gnorm,t_accepted,inner_iters,inner_newton,"
+                      "decrease_residual,certificate,elapsed_s")
 
 
-def test_runtime_error_exit_code(tmp_path):
-    # a fixed huge sigma can never be satisfied: backtracking underflows,
-    # which is a runtime error (exit 3), not a check failure
+def test_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a subproblem that its dual ascent cannot solve within the inner cap
+    # is a runtime error (exit 3), not a check failure
+    monkeypatch.setattr(proxlinear, "INNER_CAP", 3)
     text = """\
 [problem]
 kind = composite
@@ -374,13 +379,15 @@ x0 = const(value=2)
 
 [solver]
 method = proxlinear
-sigma_policy = fixed(sigma=1e8)
 eps = 1e-10
 max_iter = 50
 """
     path = write_cfg(tmp_path, text)
     assert cli.main(["run", path, "--quiet", "--out",
                      str(tmp_path / "err")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: subproblem dual ascent stalled")
+    assert err.count("\n") == 1
 
 
 def test_report_written_without_diagnostics(tmp_path):
@@ -659,6 +666,28 @@ def test_proxgrad_t0_above_one_over_beta_runs_without_stderr(tmp_path):
     assert traces[0] == traces[1]
 
 
+def test_proxlinear_t0_above_one_over_L_beta_is_the_run_with_t0_unset(
+        tmp_path, capsys):
+    # on the robust-constants instance 1/(L beta) = 0.1228: the solve clamps
+    # t0 = 1e3 and t0 = 1e200 to it, takes no search, and writes the trace
+    # of the run with t0 unset (a subproblem at t = 1e200 is beyond the
+    # dual ascent's reach)
+    traces = []
+    for t0 in ("1e200", "1e3", None):
+        text = COMPOSITE_SOLVE_CFG
+        if t0 is not None:
+            text = text.replace("inner_tol = 1e-11",
+                                f"inner_tol = 1e-11\nt0 = {t0}")
+        out = tmp_path / str(t0)
+        assert cli.main(["run", write_cfg(tmp_path, text), "--quiet",
+                         "--out", str(out)]) == 0, t0
+        assert capsys.readouterr().err == "", t0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1] == traces[2]
+    rows = traces[2].decode().splitlines()
+    assert len(rows) == 38 and rows[1].split(",")[3] == "0.12281657921946453"
+
+
 def test_diverging_run_reports_status_without_traceback(tmp_path):
     # check accepts it, then the declared beta is ~3e4 times too small for
     # the true f, and steps of t0 = 1000 overflow: run must report the
@@ -812,11 +841,9 @@ def test_small_nu_alpha_stays_above_the_strong_convexity_modulus(tmp_path,
     assert int(consts["alpha_roundoff_skips"]) > 0
 
 
-def test_run_at_the_floating_point_floor_reports_stalled(tmp_path):
-    # with h = checkfunction the model's required decrease (t/2)|G_t|^2
-    # falls below ulp(phi) at |G_t| ~ 8e-8, long before eps = 1e-10: the
-    # run ends as Stalled (exit 1) instead of backtracking into underflow
-    text = """\
+# the vapnik-solve instance with h = checkfunction, perfbench's KNOWN_BAD
+# checkfunction config
+KNOWN_BAD_CFG = """\
 [problem]
 kind = composite
 map = quadraticmap(rows=20,cols=10,seed=7,curvature=0.3)
@@ -830,10 +857,16 @@ eps = 1e-10
 max_iter = 2000
 inner_tol = 1e-11
 """
+
+
+def test_run_at_the_floating_point_floor_reports_stalled(tmp_path):
+    # with h = checkfunction the model's required decrease (t/2)|G_t|^2
+    # falls below ulp(phi) at |G_t| ~ 8e-8, long before eps = 1e-10: the
+    # run ends as Stalled (exit 1)
     out = tmp_path / "stall"
     start = time.perf_counter()
-    proc = run_cli_process("run", write_cfg(tmp_path, text), "--out",
-                           str(out))
+    proc = run_cli_process("run", write_cfg(tmp_path, KNOWN_BAD_CFG),
+                           "--out", str(out))
     elapsed = time.perf_counter() - start
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -843,6 +876,63 @@ inner_tol = 1e-11
     last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
     assert 0.0 < float(last[2]) < 1e-6
     assert elapsed < 30.0
+
+
+# ROADMAP item 13's floor configs, the solve alone: the fuzzer's composite
+# configs by number, and the KNOWN_BAD one. Each row is (map, h, g, x0, the
+# status, the iterations, the checks that FAIL, the item that owns them).
+# Every Stalled row is the floor defect that item 13 owns; a change that
+# flips a verdict updates this table
+FLOOR_FUZZ_CFG = """\
+[problem]
+kind = composite
+map = {map}
+h = {h}
+penalty = {g}
+x0 = {x0}
+
+[solver]
+method = proxlinear
+eps = 1e-9
+max_iter = 3000
+"""
+CHECK_FN = "checkfunction(lambda=1,tau=0.3)"
+HUBER_ENV = "huberenvelope(lambda=0.5,mu=0.1)"
+VAPNIK = "epsiloninsensitive(lambda=1,epsilon=0.1)"
+FLOOR_VERDICTS = {
+    "1": ("quadraticmap(rows=6,cols=6,seed=1,curvature=0.3)", CHECK_FN,
+          "zero", "const(value=1)", "Stalled", 317, ["converged"], 13),
+    "9": ("affine(rows=12,cols=5,seed=9)", CHECK_FN,
+          "elasticnet(lambda1=0.1,lambda2=0.2)", "zeros", "Stalled", 79,
+          ["converged"], 13),
+    "11": ("affine(rows=12,cols=5,seed=11)", HUBER_ENV, VAPNIK,
+           "const(value=-2)", "Stalled", 18, ["converged"], 13),
+    "19": ("quadraticmap(rows=8,cols=4,seed=19,curvature=0.3)", VAPNIK,
+           "absvalue(lambda=0.1)", "const(value=1)", "Stalled", 49,
+           ["converged"], 13),
+    "5": ("affine(rows=4,cols=8,seed=5)", "absvalue(lambda=0.1)", HUBER_ENV,
+          "const(value=1)", "Converged", 10, [], None),
+    "26": ("quadraticmap(rows=6,cols=6,seed=26,curvature=0.3)", HUBER_ENV,
+           VAPNIK, "const(value=-2)", "Converged", 10, [], None),
+    "known_bad": (None, None, None, None, "Stalled", 449, ["converged"], 13),
+}
+
+
+@pytest.mark.parametrize("case", list(FLOOR_VERDICTS))
+def test_floor_config_verdicts(tmp_path, capsys, case):
+    *spec, status, iterations, fails, owner = FLOOR_VERDICTS[case]
+    text = KNOWN_BAD_CFG if case == "known_bad" else FLOOR_FUZZ_CFG.format(
+        **dict(zip(("map", "h", "g", "x0"), spec)))
+    out = tmp_path / "o"
+    code = cli.main(["run", write_cfg(tmp_path, text), "--quiet", "--out",
+                     str(out)])
+    assert capsys.readouterr().err == ""
+    assert code == (1 if fails else 0)
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[:2] == [f"status={status}", f"iterations={iterations}"]
+    assert [name for name, (word, _) in report_checks(out).items()
+            if word == "FAIL"] == fails
+    assert (owner == 13) == (status == "Stalled")
 
 
 def test_unexpected_exception_is_a_runtime_error(tmp_path, capsys,
@@ -995,40 +1085,45 @@ SWEEP_BASES = {
                                        sigma_policy="adaptive")
     + SWEEP_DIAGNOSTICS}
 SWEEP_EDGES = ("0", "-1", "nan", "inf", "abc")
-# one admissible value per scalar key
+# admissible values per scalar key, the first of them the one that the
+# single-key cases try
 SWEEP_VALID = {
-    ("problem", "f_convex"): "false",
-    ("problem", "beta_override"): "5",
-    ("problem", "seed"): "5",
-    ("solver", "t0"): "0.2",
-    ("solver", "q"): "0.3",
-    ("solver", "eps"): "1e-6",
-    ("solver", "max_iter"): "7",
-    ("solver", "inner_tol"): "1e-8",
-    ("diagnostics", "constants"): "yes",
-    ("diagnostics", "samples"): "3",
-    ("diagnostics", "nu"): "0.5",
-    ("diagnostics", "sandwich"): "off",
-    ("diagnostics", "sandwich_points"): "1",
-    ("diagnostics", "sandwich_t"): "0.02",
-    ("diagnostics", "tail_rate"): "on",
-    ("diagnostics", "tail_fraction"): "0.1",
+    ("problem", "f_convex"): ("false", "true"),
+    ("problem", "beta_override"): ("5", "2"),
+    ("problem", "seed"): ("5", "0"),
+    ("solver", "t0"): ("0.2", "1e200"),
+    ("solver", "eps"): ("1e-6", "1e-9"),
+    ("solver", "max_iter"): ("7", "50"),
+    ("solver", "inner_tol"): ("1e-8", "1e-11"),
+    ("diagnostics", "constants"): ("yes", "no"),
+    ("diagnostics", "samples"): ("3", "20"),
+    ("diagnostics", "nu"): ("0.5", "gap0", "inf"),
+    ("diagnostics", "sandwich"): ("off", "on"),
+    ("diagnostics", "sandwich_points"): ("1", "4"),
+    ("diagnostics", "sandwich_t"): ("0.02", "0.3"),
+    ("diagnostics", "tail_rate"): ("on", "off"),
+    ("diagnostics", "tail_fraction"): ("0.1", "1"),
 }
 
 
 def sweep_cases(seed=0, n_mixed=30, keys_per_mixed=3):
-    """(method, {key: value}) pairs: every edge and valid value of every
-    scalar key alone, then seeded draws that set several keys at once."""
+    """(method, {key: value}, mixed) triples: every edge value and the
+    first admissible value of every scalar key alone, then seeded draws
+    that set several keys at once, each to one of its admissible values,
+    and in half of the draws one of them to an edge value."""
     keys = sorted(SWEEP_VALID)
-    values = {key: SWEEP_EDGES + (SWEEP_VALID[key],) for key in keys}
-    cases = [(method, {key: value}) for method in sorted(SWEEP_BASES)
-             for key in keys for value in values[key]]
+    methods = sorted(SWEEP_BASES)
+    cases = [(method, {key: value}, False) for method in methods
+             for key in keys for value in SWEEP_EDGES + SWEEP_VALID[key][:1]]
     rng = np.random.default_rng(seed)
     for _ in range(n_mixed):
-        method = sorted(SWEEP_BASES)[rng.integers(len(SWEEP_BASES))]
-        picked = rng.choice(len(keys), size=keys_per_mixed, replace=False)
-        cases.append((method, {keys[i]: str(rng.choice(values[keys[i]]))
-                               for i in picked}))
+        method = methods[rng.integers(len(methods))]
+        picked = [keys[i] for i in rng.choice(len(keys), size=keys_per_mixed,
+                                               replace=False)]
+        draw = {key: str(rng.choice(SWEEP_VALID[key])) for key in picked}
+        if rng.integers(2):
+            draw[picked[0]] = str(rng.choice(SWEEP_EDGES))
+        cases.append((method, draw, True))
     return cases
 
 
@@ -1039,8 +1134,8 @@ def test_check_accepts_only_values_run_can_use(tmp_path, capsys,
     # readable runtime error
     monkeypatch.setattr(proxgrad, "INNER_CAP", 2000)
     monkeypatch.setattr(proxlinear, "INNER_CAP", 2000)
-    ran = 0
-    for n, (method, overrides) in enumerate(sweep_cases()):
+    ran = ran_mixed = 0
+    for n, (method, overrides, mixed) in enumerate(sweep_cases()):
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(SWEEP_BASES[method])
         for (section, key), value in overrides.items():
@@ -1056,9 +1151,11 @@ def test_check_accepts_only_values_run_can_use(tmp_path, capsys,
             assert err.startswith("config error: "), case
             continue
         ran += 1
+        ran_mixed += mixed
         assert_run_contract(path, tmp_path / f"out{n}", capsys, case)
-    # 44 configs run: the 22 admissible single-key cases of each method
-    assert ran > 42
+    # the 21 admissible single-key cases of each method, and most of the
+    # several-key draws (18 of 30)
+    assert ran - ran_mixed == 42 and ran_mixed >= 15
 
 
 def assert_run_contract(path, out, capsys, case):

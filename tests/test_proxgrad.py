@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,11 +69,17 @@ def test_stationary_start_returns_immediately(corridor10):
     assert tr.status == "Converged" and tr.iterations == 0
 
 
-def test_step_clamped_with_warning(corridor10):
-    with pytest.warns(UserWarning, match="clamping"):
+def test_step_clamped_without_a_warning(corridor10):
+    # a t above 1/beta = 0.5 is clamped to it silently: the run is the one
+    # with t unset
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         tr = pb.run_prox_gradient(corridor10, np.full(10, 3.0),
                                   pb.ProxGradConfig(t=5.0, max_iter=10))
-    assert tr.meta["t"] == pytest.approx(0.5)
+    assert tr.meta["t"] == 0.5
+    unset = pb.run_prox_gradient(corridor10, np.full(10, 3.0),
+                                 pb.ProxGradConfig(max_iter=10))
+    assert tr.to_csv() == unset.to_csv()
 
 
 def test_lasso_run_contracts(lasso42, lasso42_run, lasso42_ref):
@@ -188,9 +196,8 @@ def test_trace_csv_matches_per_cell_formatter(lasso42_run, header):
     floats = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, -1.5e308, 1.0 / 3]
     tr = pb.IterationTrace(header)
     for i, v in enumerate(floats):
-        tr.append(**{name: i if name in ("k", "backtracks", "inner_iters",
-                                         "inner_newton") else v
-                     for name in header})
+        tr.append(**{name: i if name in ("k", "inner_iters", "inner_newton")
+                     else v for name in header})
     for run in (tr, lasso42_run, pb.IterationTrace(header)):
         assert run.to_csv() == serialref.trace_csv(run)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import proxbound as pb
 import serialref
 from proxbound import _kernels as K
+from proxbound import cli
 from gridref import grid_argmin_1d
 
 
@@ -171,22 +173,37 @@ def test_half_bound_along_iterates(robust7, robust7_run):
         assert 0.5 * gnorms[k] <= d + 1e-8
 
 
-def test_backtracking_lower_bound(scalar_square):
-    # at x=0.1 the linearization of |x^2-1| overshoots badly for large t, so
-    # steps get rejected; adaptive sigma accepts once t <= 1/(L beta), hence
-    # accepted t >= q/(L beta)
-    lb = scalar_square.L * scalar_square.beta
-    cfg = pb.ProxLinearConfig(t0=100.0, q=0.5, eps=1e-9, max_iter=100,
+def test_step_above_one_over_L_beta_is_clamped(scalar_square):
+    # t0 = 100 is clamped to 1/(L beta) = 0.5, at which every step decreases
+    # phi by at least (t/2)|G_t|^2: the run is the one with t0 unset
+    cfg = pb.ProxLinearConfig(t0=100.0, eps=1e-9, max_iter=100,
                               inner_tol=1e-10)
     tr = pb.run_prox_linear(scalar_square, vec(0.1), cfg)
     assert tr.status == "Converged"
-    assert tr.column("backtracks").sum() > 0
-    assert np.all(tr.column("t_accepted") >= cfg.q / lb - 1e-15)
+    lb = scalar_square.L * scalar_square.beta
+    assert tr.meta["t"] == 1.0 / lb
+    assert np.all(tr.column("t_accepted") == 1.0 / lb)
+    assert np.all(tr.column("decrease_residual") >= 0.0)
+    unset = pb.run_prox_linear(scalar_square, vec(0.1), pb.ProxLinearConfig(
+        eps=1e-9, max_iter=100, inner_tol=1e-10))
+    assert tr.to_csv() == unset.to_csv()
+
+
+def test_affine_map_step_is_t0():
+    # an affine c has L beta = 0: no step is too long, and t is t0, or 1.0
+    # when t0 is unset
+    prob = pb.CompositeProblem(g=pb.Zero(), h=pb.AbsValue(1.0),
+                               c=pb.AffineMap(np.eye(1)))
+    for t0, t in ((None, 1.0), (7.5, 7.5)):
+        tr = pb.run_prox_linear(prob, vec(2.0), pb.ProxLinearConfig(
+            t0=t0, max_iter=5))
+        assert tr.meta["t"] == t
+        assert np.all(tr.column("t_accepted") == t)
 
 
 def test_inner_iters_column_sums_dual_iterations(scalar_square, monkeypatch):
     # each trace row holds the dual iterations and the Newton steps of its
-    # step's subproblem solves: the first solve plus one per backtrack
+    # step's one subproblem solve
     calls, newton = [], []
     dual_ascent = K.dual_ascent
 
@@ -197,18 +214,12 @@ def test_inner_iters_column_sums_dual_iterations(scalar_square, monkeypatch):
         return out
 
     monkeypatch.setattr(K, "dual_ascent", counted)
-    cfg = pb.ProxLinearConfig(t0=100.0, q=0.5, eps=1e-9, max_iter=100,
-                              inner_tol=1e-10)
+    cfg = pb.ProxLinearConfig(eps=1e-9, max_iter=100, inner_tol=1e-10)
     tr = pb.run_prox_linear(scalar_square, vec(0.1), cfg)
-    per_step, newton_per_step, i = [], [], 0
-    for b in tr.column("backtracks").astype(int):
-        per_step.append(sum(calls[i:i + b + 1]))
-        newton_per_step.append(sum(newton[i:i + b + 1]))
-        i += b + 1
-    assert i == len(calls) and tr.column("backtracks").sum() > 0
-    assert tr.column("inner_iters").tolist() == per_step
-    assert tr.column("inner_newton").tolist() == newton_per_step
-    assert min(per_step) > 0 and sum(newton_per_step) > 0
+    assert len(calls) == len(tr)
+    assert tr.column("inner_iters").tolist() == calls
+    assert tr.column("inner_newton").tolist() == newton
+    assert min(tr.column("inner_iters")) > 0 and sum(newton) > 0
 
 
 def vapnik_problem():
@@ -248,23 +259,16 @@ def test_warm_started_run_matches_cold_run(which, robust7, robust7_run,
         cold.column("inner_iters").sum()
 
 
-def test_backtracking_underflow_raises(scalar_square):
-    cfg = pb.ProxLinearConfig(t0=1.0, q=0.5, eps=1e-12, max_iter=50,
-                              sigma=1e8)
-    with pytest.raises(pb.InnerSolveError, match="underflow"):
-        pb.run_prox_linear(scalar_square, vec(2.0), cfg)
-
-
 class ExpMap(pb.SmoothMap):
     """c(x) = exp(x) - shift in one dimension: finite and modest at x = 0,
-    and it overflows past x ~ 709. jac_beta is not a global modulus here;
-    the test sets t0 itself."""
+    and it overflows past x ~ 709. jac_beta is not a global modulus here:
+    a small one licenses a step that lands past the overflow."""
 
     dim_in = dim_out = 1
-    jac_beta = 1.0
 
-    def __init__(self, shift):
+    def __init__(self, shift, jac_beta=1.0):
         self.shift = shift
+        self.jac_beta = jac_beta
         self.trials = []
 
     def eval_jac_batch(self, X):
@@ -273,21 +277,64 @@ class ExpMap(pb.SmoothMap):
         return E - self.shift, E[:, :, None]
 
 
-def test_overflowing_trial_point_backtracks_without_a_warning():
-    # from x0 = 0 with t0 = 2000 the linearized step lands at y = 999,
-    # where c(y) overflows: phi(y) is inf, the Armijo test fails, and the
-    # run backtracks to a step whose trial point is finite, with no
-    # overflow RuntimeWarning from the trial point's phi
-    c = ExpMap(1000.0)
+def test_overflowing_trial_point_ends_diverged():
+    # jac_beta = 5e-4 gives t = 1/(L beta) = 2000; from x0 = 0 the
+    # linearized step lands at y = 999, where c(y) overflows: phi(y) is
+    # inf, and the run ends Diverged on x0, its last finite iterate, with
+    # no overflow RuntimeWarning from the trial point's phi
+    c = ExpMap(1000.0, jac_beta=5e-4)
     prob = pb.CompositeProblem(g=pb.Zero(), h=pb.AbsValue(1.0), c=c)
-    cfg = pb.ProxLinearConfig(t0=2000.0, eps=1e-9, max_iter=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = pb.run_prox_linear(prob, vec(0.0), cfg)
+        trace = pb.run_prox_linear(prob, vec(0.0), pb.ProxLinearConfig(
+            eps=1e-9, max_iter=200))
     assert np.isinf(c.trials).any()
-    assert trace.column("backtracks")[0] >= 2
-    assert trace.status == "Converged"
-    assert trace.final_x[0] == pytest.approx(np.log(1000.0), rel=1e-12)
+    assert trace.status == "Diverged" and trace.iterations == 0
+    assert trace.final_x.tolist() == [0.0]
+    assert trace.column("phi").tolist() == [999.0]
+    assert trace.column("t_accepted").tolist() == [2000.0]
+    assert trace.column("gnorm")[0] == pytest.approx(999.0 / 2000.0)
+    assert trace.column("decrease_residual").tolist() == [0.0]
+
+
+def test_overflowing_trial_point_makes_run_exit_1(tmp_path, capsys,
+                                                  monkeypatch):
+    # the same instance as a config: run reports the divergence as its
+    # failed converged check, with nothing on stderr
+    monkeypatch.setitem(pb.smooth.MAP_KINDS, "expmap", [
+        (("value",), lambda value: ExpMap(value, jac_beta=5e-4))])
+    path = tmp_path / "exp.ini"
+    path.write_text("[problem]\nkind = composite\npenalty = zero\n"
+                    "h = absvalue(lambda=1)\nmap = expmap(value=1000)\n"
+                    "x0 = zeros\n\n[solver]\nmethod = proxlinear\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--quiet", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = (out / "report.txt").read_text()
+    assert report.startswith("status=Diverged\niterations=0\n")
+    assert [line.split(":")[0] for line in report.splitlines()
+            if line.startswith("CHECK ")] == ["CHECK converged"]
+
+
+def test_beta_below_the_true_modulus_fails_the_decrease_checks(
+        scalar_square):
+    # |x^2 - 1| has Jacobian modulus 2; a declared beta = 0.02 gives
+    # t = 1/(L beta) = 50, and from x0 = 0.1 the step overshoots to
+    # phi = 24.5: the run takes it, and its negative decrease residual and
+    # the rise of phi FAIL their checks. With the true beta both PASS
+    assert scalar_square.beta == 2.0
+    for beta, word in ((2.0, "PASS"), (0.02, "FAIL")):
+        problem = dataclasses.replace(scalar_square, beta=beta)
+        report = cli.run_experiment(cli.ExperimentConfig(
+            kind="composite", method="proxlinear", eps=1e-9, max_iter=100,
+            problem=problem, x0=vec(0.1)))
+        checks = {c.name: c for c in report.checks}
+        for name in ("sufficient_decrease", "monotone_values"):
+            assert checks[name].passed == (word == "PASS"), (beta, name)
+            assert (checks[name].slack < 0) == (word == "FAIL"), (beta, name)
+    resid = report.trace.column("decrease_residual")
+    assert resid[0] == pytest.approx(-23.7575, abs=1e-4)
+    assert report.trace.column("phi")[1] == pytest.approx(24.5025)
 
 
 def test_proportionality_inequality():
@@ -377,10 +424,6 @@ def test_box_constrained_g_in_subproblem():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        pb.ProxLinearConfig(q=1.5)
-    with pytest.raises(ValueError):
-        pb.ProxLinearConfig(q=0.0)
     with pytest.raises(ValueError):
         pb.ProxLinearConfig(t0=-0.1)
     with pytest.raises(ValueError):
