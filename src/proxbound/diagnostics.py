@@ -35,14 +35,15 @@ GAP_ULPS = 4e6
 MIN_ACCEPTED = 10
 BOXQP_CAP = 10 ** 5
 BOXQP_TOL = 1e-10
-# rows per stacked evaluation of phi and dist(0, d phi): bounds the
-# (rows, m, n) Jacobian stacks they build
+# rows per stacked evaluation of the composite phi and of dist(0, d phi):
+# bounds the (rows, m, n) Jacobian stacks they build
 ROW_BLOCK = 128
-# rows per stacked subproblem solve in the composite |G_t|: the dual
-# ascent's loop costs about the same per iteration at 128 rows as at 500,
-# and a stack runs until its slowest row finishes, so a constants run's
-# 500-row gamma set goes in one call; the cap bounds the stacks of larger
-# pools
+# rows per block of |G_t|, and of the additive phi: a composite block is
+# one stacked subproblem solve, whose dual ascent costs about the same per
+# iteration at 128 rows as at 500 and runs until its slowest row finishes,
+# so a constants run's 500-row gamma set goes in one call; an additive
+# block's temporaries (a few hundred kB) stay in cache where the 22,876-row
+# lasso pool's would not. The cap bounds the stacks of larger pools
 GAMMA_ROWS = 512
 # radial pulls of a sample above the nu level before it is dropped
 SHRINK_ROUNDS = 80
@@ -90,10 +91,18 @@ class ReferenceSolution:
         return float(self.dist_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def dist_batch(self, X):
+        """dist(x, S) at every row of X (see _row_norms)."""
         if self.kind == "computed":
-            return np.linalg.norm(X - self.x_star, axis=1)
-        C = np.minimum(np.maximum(X, self.lo), self.hi)
-        return np.linalg.norm(X - C, axis=1)
+            return _row_norms(X - self.x_star)
+        return _row_norms(X - np.minimum(np.maximum(X, self.lo), self.hi))
+
+
+def _row_norms(D):
+    """The Euclidean norm of every row of the temporary D, summed as
+    np.linalg.norm(D, axis=1) sums it (the same bits), without its
+    per-call overhead; D is squared in place."""
+    np.multiply(D, D, out=D)
+    return np.sqrt(np.add.reduce(D, axis=1))
 
 
 def analytic_reference(problem):
@@ -214,24 +223,28 @@ def sample_box(ref, dim, n_samples, seed, radius_scale=5.0):
 def _phi_batch(problem, X, cj=None, picked=None):
     """phi at every row of X.
 
-    Composite rows are evaluated ROW_BLOCK at a time. Given stacks
-    cj = (C, J), the c(x) and Jacobian that a row of X was evaluated with
-    are written into the stack row of the same number, if the stacks have
-    it; when X holds the rows of a larger stack that the boolean mask
-    picked selects, the number is the row's in that stack."""
-    if isinstance(problem, AdditiveProblem):
-        return problem.phi_batch(X)
+    Additive rows are evaluated GAMMA_ROWS at a time and composite rows
+    ROW_BLOCK at a time, in blocks that start at row 0, so no temporary
+    grows with X. Given stacks cj = (C, J), the c(x) and Jacobian that a
+    row of X was evaluated with are written into the stack row of the same
+    number, if the stacks have it; when X holds the rows of a larger stack
+    that the boolean mask picked selects, the number is the row's in that
+    stack."""
+    additive = isinstance(problem, AdditiveProblem)
+    size = GAMMA_ROWS if additive else ROW_BLOCK
     phis = np.empty(X.shape[0])
     if cj is not None:
         at = (np.arange(X.shape[0]) if picked is None
               else np.flatnonzero(picked))
-    for s in range(0, X.shape[0], ROW_BLOCK):
-        B = X[s:s + ROW_BLOCK]
+    for s in range(0, X.shape[0], size):
+        B = X[s:s + size]
+        if additive:
+            phis[s:s + size] = problem.phi_batch(B)
+            continue
         C, J = problem.c.eval_jac_batch(B)
-        phis[s:s + ROW_BLOCK] = (problem.g.value_batch(B)
-                                 + problem.h.value_batch(C))
+        phis[s:s + size] = problem.g.value_batch(B) + problem.h.value_batch(C)
         if cj is not None:
-            rows = at[s:s + ROW_BLOCK]
+            rows = at[s:s + size]
             # rows ascend, so the ones the stacks have are a prefix
             r = int(np.searchsorted(rows, cj[0].shape[0]))
             cj[0][rows[:r]] = C[:r]
@@ -246,20 +259,26 @@ def _gnorm_batch(problem, X, t, inner_tol, cj=None):
     newton_steps, the Newton steps tried, and dual_sweeps, the iterations
     of the stacked ascent loops (each the most that one of its rows took).
 
-    Composite rows are solved GAMMA_ROWS at a time, each block in one
-    stacked dual ascent. A row's path does not depend on the rows stacked
-    with it, so the blocking changes only dual_sweeps. A composite caller
-    that has already evaluated the map passes cj, a list holding the one
-    pair (c(X), Jacobian stack at X); it is taken out of the list and its
-    blocks handed on, so that each solve holds the only reference to its
-    rows' Jacobians (see _solve_subproblem_batch)."""
-    if isinstance(problem, AdditiveProblem):
-        V = X - t * problem.f.grad_batch(X)
-        P = problem.g.prox_batch(V, t)
-        return np.linalg.norm(X - P, axis=1) / t, {"dual_iters": 0}
+    Rows go GAMMA_ROWS at a time, in blocks that start at row 0, so no
+    temporary grows with X. An additive block takes G_t in closed form
+    from one gradient product, and a row's gradient bits can depend on the
+    number of rows in that product: a row's |G_t| is that of its block,
+    and agrees with the lone-point value to roundoff. A composite block is
+    one stacked dual ascent, in which a row's path does not depend on the
+    rows stacked with it, so the blocking changes only dual_sweeps. A
+    composite caller that has already evaluated the map passes cj, a list
+    holding the one pair (c(X), Jacobian stack at X); it is taken out of
+    the list and its blocks handed on, so that each solve holds the only
+    reference to its rows' Jacobians (see _solve_subproblem_batch)."""
     gnorms = np.empty(X.shape[0])
-    counts = {"dual_iters": 0, "newton_steps": 0, "dual_sweeps": 0}
     blocks = range(0, X.shape[0], GAMMA_ROWS)
+    if isinstance(problem, AdditiveProblem):
+        for s in blocks:
+            B = X[s:s + GAMMA_ROWS]
+            P = problem.g.prox_batch(B - t * problem.f.grad_batch(B), t)
+            gnorms[s:s + GAMMA_ROWS] = _row_norms(B - P) / t
+        return gnorms, {"dual_iters": 0}
+    counts = {"dual_iters": 0, "newton_steps": 0, "dual_sweeps": 0}
     parts = [None] * len(blocks)
     if cj:
         C, J = cj.pop()
@@ -284,7 +303,8 @@ def _accepted(problem, ref, nu, X, counts=None, cj=None):
     scaling lands inside; the loop covers nonconvex and infinite-valued
     cases. Plain rejection starves on instances whose sublevel set is tiny
     relative to the fixed sampling box. Every row is pulled and judged on
-    its own. Returns the kept rows, their gaps and their indices in X.
+    its own. Returns the kept rows, their gaps and their indices in X. X
+    itself is left as it is: the pull rounds, if any run, move a copy.
 
     For a composite problem, stacks cj = (C, J) with one row for each of
     the first len(C) rows of X receive c(x) and the Jacobian at those rows:
@@ -300,11 +320,12 @@ def _accepted(problem, ref, nu, X, counts=None, cj=None):
     rounds = 0
     evaluated = X.shape[0]
     if not math.isinf(nu):
-        X = X.copy()
         for _ in range(SHRINK_ROUNDS):
             bad = ~(gaps <= nu)
             if not np.any(bad):
                 break
+            if not rounds:
+                X = X.copy()
             rounds += 1
             scale = np.full(int(np.sum(bad)), 0.7)
             finite = np.isfinite(gaps[bad])
@@ -324,18 +345,24 @@ def _sample_pool(problem, ref, nu, n_samples, seed, extra=None, counts=None,
                  cj=None):
     """The accepted sample pool of a constants run.
 
-    The seeded box draw of n_samples rows, with the extra rows stacked
-    under it, is pulled into the nu-sublevel set once. Returns the kept
+    The seeded box draw of n_samples rows is pulled into the nu-sublevel
+    set once. extra, when given, is a pair (rows, their gaps) of points
+    that are accepted already (the ray search's); they are appended to the
+    kept box rows as they are, and not evaluated again. Returns the kept
     rows, their gaps, their distances to S and drawn, each kept row's index
-    in the stacked draw. A seeded draw of m rows is the first m rows of a
-    larger one, so the rows with drawn < m are the accepted m-row draw.
-    counts and cj go to _accepted.
+    in the draw, with the extra rows after it: the j-th gets n_samples + j.
+    A seeded draw of m rows is the first m rows of a larger one, so the
+    rows with drawn < m are the accepted m-row draw. counts and cj go to
+    _accepted.
     """
     X = sample_box(ref, problem.dim, n_samples, seed)
-    if extra is not None:
-        X = np.vstack([X, extra])
-    Xa, gaps, drawn = _accepted(problem, ref, nu, X, counts, cj)
-    return Xa, gaps, ref.dist_batch(Xa), drawn
+    X, gaps, drawn = _accepted(problem, ref, nu, X, counts, cj)
+    if extra is None:
+        return X, gaps, ref.dist_batch(X), drawn
+    rows, extra_gaps = extra
+    return (np.vstack([X, rows]), np.concatenate([gaps, extra_gaps]),
+            np.concatenate([ref.dist_batch(X), ref.dist_batch(rows)]),
+            np.concatenate([drawn, n_samples + np.arange(len(rows))]))
 
 
 def _max_ratio(dists, denom, what):
@@ -422,7 +449,9 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
     estimator sharpens them with a local search (restarted, with radial
     line probes along every best direction found). Every probe is pulled
     into the sublevel set first, so the returned points are valid samples
-    and only tighten the min/max estimates.
+    and only tighten the min/max estimates. Returns the kept points and
+    the gaps phi(x) - phi* that their acceptance measured, so that a pool
+    can take them without evaluating phi there again.
     """
     rng = np.random.default_rng(int(seed) + 977)
     center = ref.center()
@@ -440,13 +469,20 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
                         -np.inf)
 
     collected = []
+    collected_gaps = []
     best_dirs = []
 
+    def accept(X):
+        X, gaps, _ = _accepted(problem, ref, nu, X)
+        if X.shape[0]:
+            collected.append(X)
+            collected_gaps.append(gaps)
+        return X, gaps
+
     def climb(want_gamma, X0):
-        X0, gaps, _ = _accepted(problem, ref, nu, X0)
+        X0, gaps = accept(X0)
         if X0.shape[0] == 0:
             return None
-        collected.append(X0)
         s0 = scores(X0, gaps, want_gamma)
         if not np.any(np.isfinite(s0)):
             return None
@@ -456,11 +492,10 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
         for _ in range(RAY_ROUNDS):
             P = d + sigma * np.linalg.norm(d) * rng.standard_normal(
                 (RAY_POOL, dim))
-            C, gaps, _ = _accepted(problem, ref, nu, center + P)
+            C, gaps = accept(center + P)
             if C.shape[0] == 0:
                 sigma *= 0.75
                 continue
-            collected.append(C)
             sc = scores(C, gaps, want_gamma)
             top = float(np.max(sc))
             if top > best:
@@ -494,14 +529,11 @@ def _refine_extremal_rays(problem, ref, nu, t, seed, inner_tol):
             continue
         u = d / nd
         radii = np.geomspace(1e-2, radius, 40)
-        line = center + np.concatenate([radii, -radii])[:, None] * u
-        L = _accepted(problem, ref, nu, line)[0]
-        if L.shape[0]:
-            collected.append(L)
+        accept(center + np.concatenate([radii, -radii])[:, None] * u)
 
     if not collected:
-        return np.empty((0, dim))
-    return np.vstack(collected)
+        return np.empty((0, dim)), np.empty(0)
+    return np.vstack(collected), np.concatenate(collected_gaps)
 
 
 def estimate_subdiff_bound(problem, ref, nu, n_samples=2000, seed=0,
@@ -590,7 +622,9 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
 
     One pool is drawn and accepted: the seeded box draw of n_samples rows,
     plus, for additive problems, the points of a seeded ray search toward
-    the extremal directions. Each constant is a reduction over a part of
+    the extremal directions, which the search has accepted already and
+    which join the pool with the gaps it measured: each pool row is
+    accepted once. Each constant is a reduction over a part of
     it, picked by each row's index in the draw: alpha over the whole pool
     (less the rows under the roundoff floor); gamma over the whole pool for
     additive problems and over the first 500 box rows for composite ones;
@@ -603,7 +637,8 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
     instead of evaluating the map again: the report gets
     pool_shrink_rounds, the pull rounds of the pool's acceptance, and
     map_eval_rows, the rows at which the run evaluated c and J (additive
-    reports get pool_shrink_rounds only).
+    reports get pool_shrink_rounds only). An additive pool's phi and |G_t|
+    go GAMMA_ROWS rows at a time, so no temporary grows with the pool.
     """
     is_additive = isinstance(problem, AdditiveProblem)
     extra = cj = L_hat = None
@@ -615,6 +650,7 @@ def estimate_constants(problem, ref, nu, t, n_samples=10000, seed=0,
     pool = {}
     X, gaps, dists, drawn = _sample_pool(problem, ref, nu, n_samples, seed,
                                          extra, pool, cj)
+    del extra  # the pool holds copies of the ray rows
     counts = {"pool_shrink_rounds": pool["shrink_rounds"]}
     alpha = _growth_min(gaps, dists, ref.phi_star, counts)
     head = drawn < min(n_samples, 500)

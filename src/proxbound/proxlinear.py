@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
+from .errors import InnerSolveError
 from .penalties import (AbsValue, CheckFunction, EpsilonInsensitive,
                         HuberEnvelope, SeparablePenalty)
 from .proxgrad import (INNER_CAP, IterationTrace, _start_point, _start_value,
@@ -76,14 +77,21 @@ def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None):
     cj, when the caller has already evaluated the map, is a list holding
     the one pair (c(X), Jacobian stack at X); the call takes the pair out
     of the list, so that it holds the only reference to the stack. With cj
-    None the map is evaluated here; both give the same bits."""
+    None the map is evaluated here; both give the same bits. A Jacobian
+    whose Gram J^T J overflows raises InnerSolveError before any step."""
     if t <= 0:
         raise ValueError("t must be positive")
     X = np.ascontiguousarray(X, dtype=np.float64)
     C, J = cj.pop() if cj else problem.c.eval_jac_batch(X)
     # dual smooth part has curvature t|J|^2 plus the huber quadratic term
     curv = max(1.0, problem.h.dual_box()[3])
-    steps = 1.0 / (t * operator_norm_sq(J) + curv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = operator_norm_sq(J)
+    if not np.all(np.isfinite(norms)):
+        # a finite c(x) can come with a J whose Gram J^T J overflows
+        raise InnerSolveError("subproblem Jacobian Gram J^T J overflows: "
+                              "|J|^2 is not finite")
+    steps = 1.0 / (t * norms + curv)
     fx = problem.g.value_batch(X) + problem.h.value_batch(C)
     # with the local name dropped the call holds the only reference to J
     # (CPython 3.11 on hands a call's arguments over to the callee), so

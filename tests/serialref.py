@@ -288,7 +288,8 @@ def constants_by_estimator(problem, ref, nu, t, n_samples, seed,
     additive = isinstance(problem, pb.AdditiveProblem)
     probes = np.empty((0, problem.dim))
     if additive:
-        probes = D._refine_extremal_rays(problem, ref, nu, t, seed, inner_tol)
+        probes, _ = D._refine_extremal_rays(problem, ref, nu, t, seed,
+                                            inner_tol)
 
     def draw(n, *extra):
         X = np.vstack([D.sample_box(ref, problem.dim, n, seed), *extra])

@@ -364,6 +364,74 @@ def test_pool_prefix_is_the_accepted_smaller_draw(name, lasso42, lasso42_ref,
         assert not np.array_equal(Xm, small[drawn_m])
 
 
+def lasso_rays(lasso42, lasso42_ref, seed):
+    """(level gap0, step 1/beta, ray rows, their gaps) on lasso42."""
+    nu = lasso42.phi(np.zeros(10)) - lasso42_ref.phi_star
+    t = 1.0 / lasso42.f.beta
+    return (nu, t) + D._refine_extremal_rays(lasso42, lasso42_ref, nu, t,
+                                             seed, 1e-10)
+
+
+def test_ray_rows_keep_the_gaps_phi_gives_them(lasso42, lasso42_ref):
+    _, _, rays, gaps = lasso_rays(lasso42, lasso42_ref, 42)
+    assert rays.shape == (gaps.size, 10) and gaps.size > 1000
+    assert np.array_equal(gaps,
+                          D._phi_batch(lasso42, rays) - lasso42_ref.phi_star)
+
+
+def test_pool_accepts_each_ray_row_once(lasso42, lasso42_ref, monkeypatch):
+    # the pool evaluates f at the box draw and at its pulls only, the
+    # rows a lone acceptance of the box draw evaluates, and appends the
+    # ray rows with the gaps their search measured
+    nu, _, rays, ray_gaps = lasso_rays(lasso42, lasso42_ref, 3)
+    rows = []
+    residual = lasso42.f._residual
+
+    def counted(X):
+        rows.append(X.shape[0])
+        return residual(X)
+
+    monkeypatch.setattr(lasso42.f, "_residual", counted)
+    counts = {}
+    X, gaps, dists, drawn = D._sample_pool(lasso42, lasso42_ref, nu, 4000, 3,
+                                           (rays, ray_gaps), counts)
+    pool_rows = sum(rows)
+    rows.clear()
+    box = D.sample_box(lasso42_ref, 10, 4000, 3)
+    Xb, gaps_b, drawn_b = D._accepted(lasso42, lasso42_ref, nu, box)
+    assert counts["shrink_rounds"] > 0
+    assert pool_rows == sum(rows) < 4000 + len(rays)
+    k = len(Xb)
+    assert np.array_equal(X, np.vstack([Xb, rays]))
+    assert np.array_equal(gaps, np.concatenate([gaps_b, ray_gaps]))
+    assert np.array_equal(drawn[:k], drawn_b)
+    assert np.array_equal(drawn[k:], 4000 + np.arange(len(rays)))
+    assert np.array_equal(dists, lasso42_ref.dist_batch(X))
+
+
+@pytest.mark.parametrize("which", ["lasso42", "logistic_elastic"])
+def test_additive_blocks_match_lone_points(which, lasso42):
+    # phi and |x - prox_{tg}(x - t grad f(x))|/t over 3 blocks and 7 rows
+    # agree with the lone-point formulas; their bits may differ, since a
+    # row's gradient bits depend on the rows in its matrix product
+    rng = np.random.default_rng(30)
+    prob = lasso42
+    if which == "logistic_elastic":
+        A = rng.standard_normal((15, 10))
+        prob = pb.AdditiveProblem(f=pb.Logistic(A, np.sign(A[:, 0])),
+                                  g=pb.ElasticNet(0.1, 0.2))
+    X = rng.uniform(-3.0, 3.0, size=(3 * D.GAMMA_ROWS + 7, 10))
+    t = 1.0 / prob.f.beta
+    gnorms, work = D._gnorm_batch(prob, X, t, 1e-10)
+    want = np.array([np.linalg.norm(x - prob.g.prox(x - t * prob.f.grad(x),
+                                                    t)) / t for x in X])
+    assert work == {"dual_iters": 0}
+    assert np.all(np.abs(gnorms - want) <= 1e-13 * want)
+    phis = D._phi_batch(prob, X)
+    want = np.array([prob.phi(x) for x in X])
+    assert np.all(np.abs(phis - want) <= 1e-13 * want)
+
+
 def test_estimate_gamma_composite(robust7, robust7_run):
     ref = pb.compute_reference(robust7, x0=robust7_run.final_x, tol=1e-12,
                                inner_tol=1e-13)
@@ -601,6 +669,28 @@ def test_constants_memory_budget(robust7, robust7_ref, monkeypatch):
         tracemalloc.stop()
     assert max(peaks) < 5.3e6
     assert peaks[1] < 3.9e6
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller's stack keeps its "
+                    "call arguments alive until the call returns")
+def test_additive_constants_memory_budget(lasso42, lasso42_ref):
+    # the lasso pool holds 22,876 rows (1.8 MB); the whole call peaks at
+    # 5.43 MB with phi and |G_t| taken in 512-row blocks, the ray rows
+    # appended to the accepted box rows and freed once pooled, against
+    # 11.14 MB when the pool's phi and |G_t| run in one product each over
+    # the box draw with the ray rows stacked under it
+    nu = lasso42.phi(np.zeros(10)) - lasso42_ref.phi_star
+    t = 1.0 / lasso42.f.beta
+    tracemalloc.start()
+    try:
+        rep = pb.estimate_constants(lasso42, lasso42_ref, nu, t,
+                                    n_samples=10000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.extras["gamma_samples"] > 20000
+    assert peak < 7.0e6
 
 
 def test_prox_bound_composite_unsupported(robust7):

@@ -316,6 +316,44 @@ def test_overflowing_trial_point_makes_run_exit_1(tmp_path, capsys,
             if line.startswith("CHECK ")] == ["CHECK converged"]
 
 
+GRAM_OVERFLOW = "subproblem Jacobian Gram J^T J overflows: |J|^2 is not finite"
+
+
+def test_overflowing_jacobian_gram_is_an_inner_solve_error():
+    # jac_beta = 1e-3 gives t = 1000; from x0 = -1 the step lands near
+    # x = 367, where c(x) = exp(x) - 1000 and phi are finite but the Gram
+    # J^T J = exp(2x) overflows: the next solve raises InnerSolveError
+    # naming the overflow before any dual step, and numpy warns nothing
+    c = ExpMap(1000.0, jac_beta=1e-3)
+    prob = pb.CompositeProblem(g=pb.Zero(), h=pb.AbsValue(1.0), c=c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pb.InnerSolveError) as err:
+            pb.run_prox_linear(prob, vec(-1.0), pb.ProxLinearConfig(
+                eps=1e-9, max_iter=200))
+    assert str(err.value) == GRAM_OVERFLOW
+    # the last base point has a finite c(x), and J^2 = exp(2x) > max float
+    assert np.isfinite(c.trials[-1]) and c.trials[-1] > 1e155
+
+
+def test_overflowing_jacobian_gram_makes_run_exit_3(tmp_path, capsys,
+                                                    monkeypatch):
+    # the same instance as a config: run exits 3 with one runtime error
+    # line that names the overflow, and nothing else on stderr
+    monkeypatch.setitem(pb.smooth.MAP_KINDS, "expmap", [
+        (("value",), lambda value: ExpMap(value, jac_beta=1e-3))])
+    path = tmp_path / "exp.ini"
+    path.write_text("[problem]\nkind = composite\npenalty = zero\n"
+                    "h = absvalue(lambda=1)\nmap = expmap(value=1000)\n"
+                    "x0 = const(value=-1)\n\n[solver]\nmethod = proxlinear\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", str(path), "--quiet",
+                         "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == f"runtime error: {GRAM_OVERFLOW}\n"
+
+
 def test_beta_below_the_true_modulus_fails_the_decrease_checks(
         scalar_square):
     # |x^2 - 1| has Jacobian modulus 2; a declared beta = 0.02 gives
