@@ -1,13 +1,17 @@
 """Hot numeric kernels, numpy only.
 
-Every penalty value and proximal map goes through penalty_value and
-penalty_prox, which call the penalty's own formulas (see
-:mod:`proxbound.penalties`); those work over the last axis of their input,
+Every penalty value goes through penalty_value, and every one-off proximal
+map through penalty_prox; both call the penalty's own formulas (see
+:mod:`proxbound.penalties`). Those work over the last axis of their input,
 so a single point (n,) and a stack of points (..., n) go through the same
-code and agree bit for bit. The dual ascent of the prox-linear subproblem
-(FISTA finished by semismooth Newton steps) and the min-norm box QP behind
-dist(0, d phi) are one kernel each over a stack of rows, used with a
-single row for one point and with blocks of rows by the diagnostics. The
+code and agree bit for bit. A loop that holds the step t fixed takes the
+penalty's map prox_{tg} once, through g._prox_map(t), and calls it on
+every iteration: the dual ascent here, the proximal-gradient recursion
+and the proximal point oracle. The dual ascent of the prox-linear
+subproblem (FISTA finished by semismooth Newton steps) and the min-norm
+box QP behind dist(0, d phi) are one kernel each over a stack of rows,
+used with a single row for one point and with blocks of rows by the
+diagnostics. The
 dual ascent reads h's conjugate as four floats (h.dual_box(): one box
 [lo, hi] for every dual coordinate, an l1 and a quadratic coefficient),
 so no per-coordinate array of them is formed. A Newton step forms no
@@ -53,8 +57,9 @@ def penalty_value(g, X):
 
 
 def penalty_prox(g, X, t):
-    """prox_{tg} of every point along the last axis of X, same shape as X."""
-    return g._prox(X, t)
+    """prox_{tg} of every point along the last axis of X, same shape as X;
+    ValueError unless t > 0."""
+    return g._prox_map(t)(X)
 
 
 def row_dots(A):
@@ -62,21 +67,30 @@ def row_dots(A):
     return row_inner(A, A)
 
 
+def row_norms(D):
+    """The Euclidean norm of every row of the temporary D, summed as
+    np.linalg.norm(D, axis=1) sums it (the same bits), without its
+    per-call overhead; D is squared in place."""
+    np.multiply(D, D, out=D)
+    return np.sqrt(np.add.reduce(D, axis=1))
+
+
 def row_inner(A, C):
     """A[i] @ C[i] for every row, by the BLAS dot a lone pair would use."""
     return np.matmul(A[:, None, :], C[:, :, None])[:, 0, 0]
 
 
-def _forward_backward(g, dual, J, cbar, X, t, step, V):
+def _forward_backward(prox, dual, J, cbar, X, t, step, V):
     """The dual's forward-backward map T at the rows of V, with the pieces
     the stop test and the Newton step need: the prox argument
     U = X - t J^T v, the primal point y(v) = prox_{tg}(U), D = y - X, the
     model's inner value Z = cbar + J D, the pre-clip point S (the ascent
     step, soft-thresholded by step * l1) and T(v), S clipped to h's dual
-    box; dual is h.dual_box(), the floats (lo, hi, l1, quad)."""
+    box; prox is g's map prox_{tg} (g._prox_map(t)) and dual is
+    h.dual_box(), the floats (lo, hi, l1, quad)."""
     lo, hi, l1, quad = dual
     U = X - t * np.matmul(V[:, None, :], J)[:, 0, :]
-    Yr = penalty_prox(g, U, t)
+    Yr = prox(U)
     D = Yr - X
     Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
     # zero l1 / quadratic dual terms drop out of the update exactly
@@ -147,7 +161,9 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
     theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2))/2, and the next iterate is
     T(v); a row whose step turns against its last move,
     (T(v) - v).(T(v) - w) < 0, restarts at theta = 1, which drops the
-    momentum of its next step. Primal recovery y = prox_{tg}(x_b - t J_b^T v).
+    momentum of its next step. Primal recovery y = prox_{tg}(x_b - t J_b^T v),
+    through g's map prox_{tg}, which the call takes once (g._prox_map(t))
+    and hands to every forward-backward step.
     A row stops once its dual fixed-point residual r = |T(v) - v|/step is
     <= tol and its model value g(y) + h(z) + |y - x_b|^2/2t is at most
     fx[b] + 1e-12 (1 + |fx[b]|), a slack for the roundoff of the model
@@ -194,6 +210,7 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
     fx = np.asarray(fx, dtype=np.float64)
     limit = fx + 1e-12 * (1.0 + np.abs(fx))
     dual = h.dual_box()
+    prox = g._prox_map(t)
     w = (np.zeros(cbar.shape) if W0 is None
          else np.minimum(np.maximum(W0, dual[0]), dual[1]))
     w_prev = w
@@ -202,8 +219,8 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
     for it in range(1, maxit + 1):
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         v = w + ((theta - 1.0) / theta_next)[:, None] * (w - w_prev)
-        U, Yr, D, Z, S, Tv = _forward_backward(g, dual, J, cbar, X, t, step,
-                                               v)
+        U, Yr, D, Z, S, Tv = _forward_backward(prox, dual, J, cbar, X, t,
+                                               step, v)
         G = Tv - v
         # scaled before it is squared: |G| is about step |grad|, and its
         # square underflows to 0 once step is below ~1e-160
@@ -242,8 +259,8 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
             Jn, sn, vn, rn = J[near], step[near], v[near], r[near]
             u = _newton_points(g, dual, Jn, t, sn, vn, U[near], S[near],
                                G[near])
-            Tu = _forward_backward(g, dual, Jn, cbar[near], X[near], t, sn,
-                                   u)[5]
+            Tu = _forward_backward(prox, dual, Jn, cbar[near], X[near], t,
+                                   sn, u)[5]
             better = ((np.sqrt(row_dots((Tu - u) / sn)) < rn)
                       & (np.sqrt(row_dots(u - vn))
                          > NEWTON_ULPS * np.spacing(np.sqrt(row_dots(vn)))))

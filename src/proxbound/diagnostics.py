@@ -91,18 +91,10 @@ class ReferenceSolution:
         return float(self.dist_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def dist_batch(self, X):
-        """dist(x, S) at every row of X (see _row_norms)."""
+        """dist(x, S) at every row of X (see _kernels.row_norms)."""
         if self.kind == "computed":
-            return _row_norms(X - self.x_star)
-        return _row_norms(X - np.minimum(np.maximum(X, self.lo), self.hi))
-
-
-def _row_norms(D):
-    """The Euclidean norm of every row of the temporary D, summed as
-    np.linalg.norm(D, axis=1) sums it (the same bits), without its
-    per-call overhead; D is squared in place."""
-    np.multiply(D, D, out=D)
-    return np.sqrt(np.add.reduce(D, axis=1))
+            return K.row_norms(X - self.x_star)
+        return K.row_norms(X - np.minimum(np.maximum(X, self.lo), self.hi))
 
 
 def analytic_reference(problem):
@@ -276,7 +268,7 @@ def _gnorm_batch(problem, X, t, inner_tol, cj=None):
         for s in blocks:
             B = X[s:s + GAMMA_ROWS]
             P = problem.g.prox_batch(B - t * problem.f.grad_batch(B), t)
-            gnorms[s:s + GAMMA_ROWS] = _row_norms(B - P) / t
+            gnorms[s:s + GAMMA_ROWS] = K.row_norms(B - P) / t
         return gnorms, {"dual_iters": 0}
     counts = {"dual_iters": 0, "newton_steps": 0, "dual_sweeps": 0}
     parts = [None] * len(blocks)
@@ -555,7 +547,7 @@ def _prox_bound_samples(problem, X, dists, t, inner_tol):
     if X.shape[0] < MIN_ACCEPTED:
         raise InsufficientData(f"only {X.shape[0]} accepted samples for L-hat")
     P = _prox_point_batch(problem, X, t, inner_tol)
-    steps = np.linalg.norm(X - P, axis=1) / t
+    steps = K.row_norms(X - P) / t
     return _max_ratio(dists, steps, "L-hat"), P
 
 
@@ -739,7 +731,7 @@ def verify_sandwich(problem, t, points, inner_tol=1e-10):
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     gnorms, _ = _gnorm_batch(problem, X, t, inner_tol)
     P = _prox_point_batch(problem, X, t, inner_tol)
-    pp = np.linalg.norm(X - P, axis=1) / t
+    pp = K.row_norms(X - P) / t
     bt = problem.f.beta * t
     lower = pp - (1.0 - bt) * gnorms
     upper = (1.0 + bt) * gnorms - pp

@@ -8,12 +8,17 @@ prox needed for the resolvent decomposition identity.
 Penalties are immutable; all operations are pure functions of their inputs.
 Each class holds its own formulas as private methods over points along the
 last axis of X, a single point (n,) or a stack (..., n): ``_value``,
-``_prox``, ``_subgrad`` and ``_prox_deriv``, the derivative of the
-proximal map that the dual ascent's Newton steps use. Every value and prox
-goes through :func:`proxbound._kernels.penalty_value` and
-:func:`proxbound._kernels.penalty_prox`, which call them. Every parameter
-is one float, the same on every coordinate, fixed at construction and read
-by the formulas directly; so the formulas fit points of any dimension.
+``_prox_map``, ``_subgrad`` and ``_prox_deriv``, the derivative of the
+proximal map that the dual ascent's Newton steps use. ``_prox_map(t)``
+forms the scalars of prox_{tg} once, as 0-d float64 arrays (numpy charges
+each Python-float operand of an array operation a conversion), and returns
+the map ``prox(X, out=None)``; the loops that hold t fixed take it once
+(the proximal-gradient recursion, the proximal point oracle, the dual
+ascent), and one-off calls go through
+:func:`proxbound._kernels.penalty_prox`, as every value goes through
+:func:`proxbound._kernels.penalty_value`. Every parameter is one float,
+the same on every coordinate, fixed at construction and read by the
+formulas directly; so the formulas fit points of any dimension.
 Construction rejects an array parameter (DimensionMismatch), NaN, and an
 infinite parameter other than a box bound.
 """
@@ -32,10 +37,15 @@ class SeparablePenalty:
     """Base class: a separable closed convex function g(x) = sum_i g_i(x_i).
 
     Each subclass defines its formulas over the points along the last axis
-    of X: _value(X), g at each point; _prox(X, t), prox_{tg}; _subgrad(X),
-    the coordinatewise subdifferential (lo, hi) at points of the domain; and
-    _prox_deriv(X, t), the derivative of each coordinate of prox_{tg}, at a
-    kink that of the piece _prox selects there. Every catalog penalty but
+    of X: _value(X), g at each point; _prox_map(t), the map
+    prox(X, out=None) that gives prox_{tg} at every point of X, written
+    into out (an array of X's shape that does not overlap X) and returned
+    when out is given; _subgrad(X), the coordinatewise subdifferential
+    (lo, hi) at points of the domain; and _prox_deriv(X, t), the derivative
+    of each coordinate of prox_{tg}, at a kink that of the piece the map
+    selects there. _prox_map checks its step once, through _prox_step: a
+    step that is not > 0 (NaN included) raises ValueError, and every
+    method that takes a step inherits the check. Every catalog penalty but
     the box is finite on R^n, so only the box overrides _inside(X), whether
     every point lies in the domain.
     """
@@ -59,10 +69,7 @@ class SeparablePenalty:
         return K.penalty_value(self, x)
 
     def prox(self, x, t):
-        if t <= 0:
-            raise ValueError("prox step t must be positive")
-        x = as_vector(x, name="x")
-        return K.penalty_prox(self, x, float(t))
+        return K.penalty_prox(self, as_vector(x, name="x"), t)
 
     def subgrad_bounds(self, x):
         """(lo, hi) arrays of the coordinatewise subdifferential at every
@@ -100,7 +107,7 @@ class SeparablePenalty:
 
     def prox_batch(self, X, t):
         X = np.ascontiguousarray(X, dtype=np.float64)
-        return K.penalty_prox(self, X, float(t))
+        return K.penalty_prox(self, X, t)
 
     # -- conjugate / dual descriptions ---------------------------------------
 
@@ -143,6 +150,21 @@ def _one_float(penalty, name):
     return float(v)
 
 
+def _prox_step(t):
+    """The step t of prox_{tg} as a float; ValueError, naming t, unless
+    t > 0, so NaN is rejected too. t = inf is a step: every catalog map
+    then gives its limit, the point of argmin g nearest x."""
+    if not t > 0:
+        raise ValueError(f"prox step t must be positive, got t = {t}")
+    return float(t)
+
+
+def _scalars(*values):
+    """Each value as a 0-d float64 array: an array operand that numpy does
+    not convert on every operation, as it does a Python float."""
+    return tuple(np.asarray(v, dtype=np.float64) for v in values)
+
+
 def _abs_subgrad(lam, X):
     """Subdifferential bounds of lam * |x|: the kink at 0 spans [-lam, lam]."""
     s = np.sign(X) * lam
@@ -154,8 +176,10 @@ class Zero(SeparablePenalty):
     def _value(self, X):
         return np.zeros(X.shape[:-1])
 
-    def _prox(self, X, t):
-        return X.copy()
+    def _prox_map(self, t):
+        # prox_{t 0} is the identity: np.positive copies X, bit for bit
+        _prox_step(t)
+        return np.positive
 
     def _subgrad(self, X):
         return np.zeros(X.shape), np.zeros(X.shape)
@@ -173,9 +197,13 @@ class AbsValue(SeparablePenalty):
     def _value(self, X):
         return (self.lam * np.abs(X)).sum(axis=-1)
 
-    def _prox(self, X, t):
-        thr = t * self.lam
-        return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
+    def _prox_map(self, t):
+        thr, zero = _scalars(_prox_step(t) * self.lam, 0.0)
+
+        def prox(X, out=None):
+            return np.multiply(np.sign(X), np.maximum(np.abs(X) - thr, zero),
+                               out=out)
+        return prox
 
     def _subgrad(self, X):
         return _abs_subgrad(self.lam, X)
@@ -202,10 +230,14 @@ class ElasticNet(SeparablePenalty):
     def _value(self, X):
         return (self.lam1 * np.abs(X) + 0.5 * self.lam2 * X * X).sum(axis=-1)
 
-    def _prox(self, X, t):
-        thr = t * self.lam1
-        return (np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
-                / (1.0 + t * self.lam2))
+    def _prox_map(self, t):
+        t = _prox_step(t)
+        thr, shrink, zero = _scalars(t * self.lam1, 1.0 + t * self.lam2, 0.0)
+
+        def prox(X, out=None):
+            return np.divide(np.sign(X) * np.maximum(np.abs(X) - thr, zero),
+                             shrink, out=out)
+        return prox
 
     def _subgrad(self, X):
         lo, hi = _abs_subgrad(self.lam1, X)
@@ -233,8 +265,14 @@ class BoxIndicator(SeparablePenalty):
         return np.where(np.any((X < self.lo) | (X > self.hi), axis=-1),
                         np.inf, 0.0)
 
-    def _prox(self, X, t):
-        return np.minimum(np.maximum(X, self.lo), self.hi)
+    def _prox_map(self, t):
+        # the projection onto the box, the same for every step
+        _prox_step(t)
+        lo, hi = _scalars(self.lo, self.hi)
+
+        def prox(X, out=None):
+            return np.minimum(np.maximum(X, lo), hi, out=out)
+        return prox
 
     def _inside(self, X):
         return not (np.any(X < self.lo) or np.any(X > self.hi))
@@ -265,13 +303,21 @@ class EpsilonInsensitive(SeparablePenalty):
         return (self.lam * np.maximum(np.abs(X) - self.eps, 0.0)).sum(
             axis=-1)
 
-    def _prox(self, X, t):
-        lam, eps = self.lam, self.eps
-        ax = np.abs(X)
-        sx = np.sign(X)
-        out = np.where(ax <= eps, X, sx * eps)
-        far = ax > eps + t * lam
-        return np.where(far, X - t * lam * sx, out)
+    def _prox_map(self, t):
+        # X inside [-eps, eps], X - t lam sign(X) beyond eps + t lam, and
+        # sign(X) eps between the two
+        tlam = _prox_step(t) * self.lam
+        eps, tlam, edge = _scalars(self.eps, tlam, self.eps + tlam)
+
+        def prox(X, out=None):
+            ax = np.abs(X)
+            Y = np.multiply(np.sign(X), eps, out=out)
+            np.copyto(Y, X, where=ax <= eps)
+            # copysign, not t lam sign(X): the same bits wherever X is
+            # beyond the edge, and no inf * 0 at t = inf
+            return np.subtract(X, np.copysign(tlam, X), out=Y,
+                               where=ax > edge)
+        return prox
 
     def _subgrad(self, X):
         lam, eps = self.lam, self.eps
@@ -299,12 +345,20 @@ class CheckFunction(SeparablePenalty):
         lam, tau = self.lam, self.tau
         return (lam * np.maximum(tau * X, (tau - 1.0) * X)).sum(axis=-1)
 
-    def _prox(self, X, t):
-        hi = t * self.lam * self.tau
-        lo = t * self.lam * (self.tau - 1.0)
-        out = np.zeros_like(X)
-        out = np.where(X > hi, X - hi, out)
-        return np.where(X < lo, X - lo, out)
+    def _prox_map(self, t):
+        # X - hi above hi = t lam tau, X - lo below lo = t lam (tau - 1),
+        # and 0 between them (and at NaN)
+        tlam = _prox_step(t) * self.lam
+        hi, lo = _scalars(tlam * self.tau, tlam * (self.tau - 1.0))
+
+        def prox(X, out=None):
+            if out is None:
+                out = np.zeros_like(X)
+            else:
+                out.fill(0.0)
+            np.subtract(X, hi, out=out, where=X > hi)
+            return np.subtract(X, lo, out=out, where=X < lo)
+        return prox
 
     def _subgrad(self, X):
         up = self.lam * self.tau
@@ -339,11 +393,17 @@ class HuberEnvelope(SeparablePenalty):
         return np.where(quad, X * X / (2.0 * mu),
                         lam * ax - 0.5 * lam * lam * mu).sum(axis=-1)
 
-    def _prox(self, X, t):
+    def _prox_map(self, t):
+        # X mu / (mu + t) where |X| <= lam (mu + t), else X - t lam sign(X)
+        t = _prox_step(t)
         lam, mu = self.lam, self.mu
         pt = mu + t
-        out = X - np.copysign(t * lam, X)
-        return np.divide(X * mu, pt, out=out, where=np.abs(X) <= lam * pt)
+        tlam, mu, pt, kink = _scalars(t * lam, mu, pt, lam * pt)
+
+        def prox(X, out=None):
+            Y = np.subtract(X, np.copysign(tlam, X), out=out)
+            return np.divide(X * mu, pt, out=Y, where=np.abs(X) <= kink)
+        return prox
 
     def _subgrad(self, X):
         g = np.minimum(np.maximum(X / self.mu, -self.lam), self.lam)

@@ -158,10 +158,13 @@ def run_prox_gradient(problem, x0, cfg=None):
     """Iterate x_{k+1} = prox_{tg}(x_k - t grad f(x_k)) until |G_t| <= eps.
 
     x0 is validated once (finite, of the problem's dimension, inside dom g);
-    each step then calls the kernels directly, with no per-call
-    re-validation. A step does only the recursion: f's residual at x_k (Ax
-    - b for an affine loss), the gradient from it and the prox step. x_k and
-    its residual are stored as rows of two arrays that double when full.
+    each step then calls the formulas directly, with no per-call
+    re-validation. The map prox_{tg} is taken once (g._prox_map(t)), and t
+    is held as a 0-d array, so no step pays numpy's conversion of a Python
+    float operand. A step does only the recursion: f's residual at x_k (Ax
+    - b for an affine loss), the gradient from it and the prox step, which
+    writes x_{k+1} straight into its row of the iterate array. x_k and its
+    residual are stored as rows of two arrays that double when full.
 
     The stop test runs once per block of steps, over the stored rows:
     |G_t(x_k)| = |x_k - x_{k+1}| / t for every k of the block, then the
@@ -203,7 +206,8 @@ def run_prox_gradient(problem, x0, cfg=None):
         return trace
     g = problem.g
     eps, last = cfg.eps, cfg.max_iter
-    prox = K.penalty_prox
+    prox = g._prox_map(t)
+    step = np.asarray(t)
     residual, grad_at = f._residual, f._grad_at
     # row k + 1 holds the step leaving row k, so a run may store max_iter + 2
     first = min(last + 2, _FIRST_ROWS)
@@ -216,7 +220,7 @@ def run_prox_gradient(problem, x0, cfg=None):
         X = np.empty((first, problem.dim))
         Rs = np.empty((first, R.size))
         X[0], Rs[0] = x, R
-        X[1] = x = prox(g, x - t * grad_at(R), t)
+        x = prox(x - step * grad_at(R), out=X[1])
         a, b = 0, 1
         while True:
             gn = np.sqrt(K.row_dots((X[a:b] - X[a + 1:b + 1]) / t))
@@ -237,7 +241,7 @@ def run_prox_gradient(problem, x0, cfg=None):
             for j in range(a, b):
                 R = residual(x)
                 Rs[j] = R
-                X[j + 1] = x = prox(g, x - t * grad_at(R), t)
+                x = prox(x - step * grad_at(R), out=X[j + 1])
         rows = k + 1
         phi = f._value_at(Rs[:rows])
         # free the residuals before g's temporaries are made: holding both
@@ -274,15 +278,17 @@ def _prox_point_batch(problem, X, t, inner_tol):
     stops once every row's |G_s(y)| <= inner_tol. Raises InnerSolveError at
     once when a residual stops being finite (a declared beta below the true
     modulus makes the inner steps overflow), and after INNER_CAP iterations
-    otherwise. The overflow itself raises no numpy warning."""
+    otherwise. The overflow itself raises no numpy warning. g's map
+    prox_{sg} is taken once, before the loop."""
     t = float(t)
     s = 1.0 / (problem.f.beta + 1.0 / t)
+    prox = problem.g._prox_map(s)
     Y = np.array(X, dtype=np.float64)
     for it in range(1, INNER_CAP + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             grad = problem.f.grad_batch(Y) + (Y - X) / t
-            Ynew = problem.g.prox_batch(Y - s * grad, s)
-            res = np.linalg.norm(Ynew - Y, axis=1) / s
+            Ynew = prox(Y - s * grad)
+            res = K.row_norms(Ynew - Y) / s
         Y = Ynew
         worst = float(np.max(res))
         if worst <= inner_tol:

@@ -62,6 +62,19 @@ ALL_PENALTIES = {
 }
 
 
+def counted_prox_maps(monkeypatch, cls):
+    """The steps of every _prox_map call on the penalty class cls."""
+    steps = []
+    prox_map = cls._prox_map
+
+    def counted(self, t):
+        steps.append(t)
+        return prox_map(self, t)
+
+    monkeypatch.setattr(cls, "_prox_map", counted)
+    return steps
+
+
 @pytest.fixture(params=sorted(ALL_PENALTIES), ids=sorted(ALL_PENALTIES))
 def penalty_case(request):
     """(name, penalty, oracle params) triple covering the whole catalog."""

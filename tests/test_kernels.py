@@ -13,6 +13,7 @@ import pytest
 
 import proxbound as pb
 import serialref
+from conftest import counted_prox_maps
 from proxbound import _kernels as K
 
 DUAL_H = {"absvalue": pb.AbsValue(0.9),
@@ -97,8 +98,8 @@ def lone_newton_log(monkeypatch, args, J, cbar, X, steps, tol, fx):
     forward_backward, newton_points = K._forward_backward, K._newton_points
     log, tried = [], []
 
-    def traced_forward_backward(g, dual, J, cbar, X, t, step, V):
-        out = forward_backward(g, dual, J, cbar, X, t, step, V)
+    def traced_forward_backward(prox, dual, J, cbar, X, t, step, V):
+        out = forward_backward(prox, dual, J, cbar, X, t, step, V)
         r = np.sqrt(K.row_dots((out[5] - V) / step))[0]
         if tried:
             v, u = tried.pop()
@@ -463,6 +464,18 @@ def test_prox_deriv_matches_central_differences(penalty):
     assert got.shape == X.shape
     assert np.allclose(got, fd, rtol=0.0, atol=1e-8)
     assert np.array_equal(got[0], penalty._prox_deriv(X[0], T))
+
+
+def test_dual_ascent_takes_the_prox_map_once(monkeypatch):
+    # the step t is fixed for the whole call: g's map is formed once and
+    # handed to every forward-backward step, the Newton trials' included
+    args, J, cbar, X, steps, fx = stacked_subproblems(
+        DUAL_H["epsiloninsensitive"], DUAL_G["absvalue"], 7, seed=3)
+    ts = counted_prox_maps(monkeypatch, pb.AbsValue)
+    _, _, _, total, _, newton = K.dual_ascent(*args, J, cbar, X, T, steps,
+                                              TOL, fx, 10 ** 5)
+    assert total > 7 and newton > 0
+    assert ts == [T]
 
 
 def test_dual_ascent_stops_on_a_nan_row():

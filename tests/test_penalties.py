@@ -418,26 +418,126 @@ def test_huber_prox_outer_branch_matches_sign_form_bitwise():
         assert np.all(inner[:2]) and not np.all(inner)
 
 
-@pytest.mark.parametrize("shape", [(), (4,), (3, 4)],
-                         ids=["point", "stack", "stack_2d"])
-def test_huber_prox_matches_the_two_branch_formula_bitwise(shape):
-    # the outer branch, then the inner one written where |x| <= lam (mu + t),
-    # against np.where over both branches: at the kink lam (mu + t), its
-    # neighbouring floats, +-0, +-inf and nan
-    p = pb.HuberEnvelope(0.7, 0.4)
+def piecewise_prox(name, params, X, t):
+    """prox_{tg} of the catalog penalty name at X, written piece by piece
+    with np.where from the closed forms: the formulas every map must match
+    bit for bit. A zero result carries the sign of X where X < 0, as
+    sign(X) * 0 gives it."""
+    def soft(thr):
+        return np.where(np.abs(X) <= thr, np.where(X < 0.0, -0.0, 0.0),
+                        X - np.copysign(thr, X))
+    if name == "zero":
+        return X.copy()
+    if name == "absvalue":
+        return soft(t * params["lam"])
+    if name == "elasticnet":
+        return soft(t * params["lam1"]) / (1.0 + t * params["lam2"])
+    if name == "box":
+        return np.where(X < params["lo"], params["lo"],
+                        np.where(X > params["hi"], params["hi"], X))
+    if name == "epsiloninsensitive":
+        lam, eps = params["lam"], params["eps"]
+        return np.where(np.abs(X) <= eps, X,
+                        np.where(np.abs(X) <= eps + t * lam,
+                                 np.copysign(eps, X),
+                                 X - np.copysign(t * lam, X)))
+    if name == "checkfunction":
+        hi = t * params["lam"] * params["tau"]
+        lo = t * params["lam"] * (params["tau"] - 1.0)
+        return np.where(X > hi, X - hi, np.where(X < lo, X - lo, 0.0))
+    lam, mu = params["lam"], params["mu"]
+    return np.where(np.abs(X) <= lam * (mu + t), X * mu / (mu + t),
+                    X - np.copysign(t * lam, X))
+
+
+def prox_kinks(name, params, t):
+    """The points where prox_{tg} changes piece (1.0 for zero, which has
+    none)."""
+    if name == "zero":
+        return [1.0]
+    if name in ("absvalue", "elasticnet"):
+        thr = t * params["lam" if name == "absvalue" else "lam1"]
+        return [thr, -thr]
+    if name == "box":
+        return [params["lo"], params["hi"]]
+    if name == "epsiloninsensitive":
+        eps, edge = params["eps"], params["eps"] + t * params["lam"]
+        return [eps, -eps, edge, -edge]
+    if name == "checkfunction":
+        return [t * params["lam"] * params["tau"],
+                t * params["lam"] * (params["tau"] - 1.0)]
+    kink = params["lam"] * (params["mu"] + t)
+    return [kink, -kink]
+
+
+def assert_same_bits(got, want):
+    # NaN in gives NaN out; its payload is not pinned, as no output
+    # prints it
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_prox_map_matches_the_piecewise_formula_bitwise(penalty_case):
+    # every kink of the map, its neighbouring floats, +-0, +-inf and nan,
+    # beside a uniform draw, at one point, in a (3, 4, 5) stack and written
+    # through out= into a row of a larger array, which the map returns and
+    # leaves untouched elsewhere
+    name, p, params = penalty_case
+    rng = np.random.default_rng(23)
     for t in (1.0, 0.37, 1e-9):
-        kink = p.lam * (0.4 + t)
+        prox = p._prox_map(t)
         special = [0.0, -0.0, np.inf, -np.inf, np.nan]
-        for k in (kink, np.nextafter(kink, 0.0), np.nextafter(kink, np.inf)):
-            special += [k, -k]
+        for k in prox_kinks(name, params, t):
+            special += [k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)]
         for x in special:
-            X = np.full(shape + (5,), x)
-            X[..., 0] = 1.5
-            want = np.where(np.abs(X) <= kink, X * 0.4 / (0.4 + t),
-                            X - np.copysign(t * p.lam, X))
-            got = pb._kernels.penalty_prox(p, X, t)
-            assert got.shape == X.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for shape in ((5,), (3, 4, 5)):
+                X = np.full(shape, x)
+                X[..., 0] = rng.uniform(-3.0, 3.0, shape[:-1])
+                want = piecewise_prox(name, params, X, t)
+                got = prox(X)
+                assert got.shape == X.shape
+                assert_same_bits(got, want)
+            buf = np.full((3, 5), 7.0)
+            row = buf[1]
+            assert prox(X[0, 0], out=row) is row
+            assert_same_bits(row, want[0, 0])
+            assert np.all(buf[[0, 2]] == 7.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, 0.0, -1.0],
+                         ids=["nan", "zero", "negative"])
+def test_step_that_is_not_positive_raises_naming_t(penalty_case, t):
+    # the map checks its step once, and every method that takes one
+    # inherits the check; NaN no longer passes a t <= 0 test
+    _, p, _ = penalty_case
+    x = vec(0.5, -0.25, 0.75)
+    calls = (lambda: p._prox_map(t), lambda: p.prox(x, t),
+             lambda: p.prox_batch(np.stack([x, x]), t),
+             lambda: p.moreau_envelope(x, t), lambda: p.moreau_grad(x, t),
+             lambda: pb._kernels.penalty_prox(p, x, t))
+    for call in calls:
+        with pytest.raises(ValueError, match="prox step t must be positive, "
+                                             f"got t = {t}"):
+            call()
+
+
+def test_infinite_step_gives_the_nearest_minimizer(penalty_case):
+    # t = inf is a step: the map is the limit of prox_{tg}, the point of
+    # argmin g nearest x, and the envelope is min g = 0
+    name, p, params = penalty_case
+    x = vec(2.0, -0.1, 0.0, -3.0)
+    if name == "zero":
+        want = x
+    elif name == "box":
+        want = np.clip(x, params["lo"], params["hi"])
+    elif name == "epsiloninsensitive":
+        want = np.clip(x, -params["eps"], params["eps"])
+    else:
+        want = np.zeros(4)
+    assert np.array_equal(p.prox(x, np.inf), want)
+    assert p.moreau_envelope(x, np.inf) == 0.0
+    assert np.array_equal(p.moreau_grad(x, np.inf), np.zeros(4))
 
 
 @pytest.mark.parametrize("h, want", [

@@ -5,6 +5,7 @@ import pytest
 
 import proxbound as pb
 import serialref
+from conftest import counted_prox_maps
 from proxbound import diagnostics as D
 
 
@@ -429,6 +430,22 @@ def test_one_penalty_evaluation_after_the_loop(lasso42, monkeypatch):
     assert [X.shape for X in args] == [(10,), (len(tr), 10)]
     assert np.array_equal(args[0], x0)
     assert np.array_equal(args[1], tr.iterates)
+
+
+def test_fixed_step_loops_take_the_prox_map_once(lasso42, monkeypatch):
+    # the recursion and the proximal point oracle hold their step fixed,
+    # so each forms g's map once, however many steps it takes
+    steps = counted_prox_maps(monkeypatch, pb.AbsValue)
+    tr = pb.run_prox_gradient(lasso42, np.full(10, 0.3),
+                              pb.ProxGradConfig(eps=1e-10, max_iter=50000))
+    assert tr.status == "Converged" and tr.iterations > 100
+    assert steps == [tr.meta["t"]]
+    steps.clear()
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 10))
+    s = 1.0 / (lasso42.beta + 1.0 / 0.7)
+    Y = pb.proxgrad._prox_point_batch(lasso42, X, 0.7, 1e-10)
+    assert steps == [s]
+    assert not np.array_equal(Y, X)
 
 
 @pytest.mark.parametrize("cut", [0.5, 3.0, 4.8])
