@@ -11,14 +11,13 @@ and the proximal point oracle. The dual ascent of the prox-linear
 subproblem (FISTA finished by semismooth Newton steps) and the min-norm
 box QP behind dist(0, d phi) are one kernel each over a stack of rows,
 used with a single row for one point and with blocks of rows by the
-diagnostics. The
-dual ascent reads h's conjugate as four floats (h.dual_box(): one box
-[lo, hi] for every dual coordinate, an l1 and a quadratic coefficient),
-so no per-coordinate array of them is formed. A Newton step forms no
-pseudo-inverse: the clipped duals take their step exactly, and the free
-ones are solved through the n x n Gram matrix of the Jacobian's free rows
-(one batched eigh), or by one batched solve when h's dual has a quadratic
-term.
+diagnostics. The dual ascent reads h's conjugate as four floats
+(h.dual_box(): one box [lo, hi] for every dual coordinate, an l1 and a
+quadratic coefficient), so no per-coordinate array of them is formed. A
+Newton step forms no pseudo-inverse: the clipped duals take their step
+exactly, and the free ones are solved through the n x n Gram matrix of
+the Jacobian's free rows (one batched eigh), or by one batched solve when
+h's dual has a quadratic term.
 """
 
 import numpy as np

@@ -396,9 +396,9 @@ class HuberEnvelope(SeparablePenalty):
     def _prox_map(self, t):
         # X mu / (mu + t) where |X| <= lam (mu + t), else X - t lam sign(X)
         t = _prox_step(t)
-        lam, mu = self.lam, self.mu
-        pt = mu + t
-        tlam, mu, pt, kink = _scalars(t * lam, mu, pt, lam * pt)
+        pt = self.mu + t
+        tlam, mu, pt, kink = _scalars(t * self.lam, self.mu, pt,
+                                      self.lam * pt)
 
         def prox(X, out=None):
             Y = np.subtract(X, np.copysign(tlam, X), out=out)
