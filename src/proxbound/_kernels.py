@@ -20,11 +20,16 @@ the Jacobian's free rows (one batched eigh), or by one batched solve when
 h's dual has a quadratic term.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InnerSolveError
 
 _INF = np.inf
+# the 0.0 operand of the soft threshold and of the restart test, as a 0-d
+# array: numpy converts a Python-float operand on every operation
+_ZERO = np.asarray(0.0)
 
 # dual_ascent tries Newton steps on a row once its residual is at most the
 # row's gate, which starts here: FISTA has mostly identified the active
@@ -62,8 +67,9 @@ def penalty_prox(g, X, t):
 
 
 def row_dots(A):
-    """A[i] @ A[i] for every row, by the BLAS dot a lone vector would use."""
-    return row_inner(A, A)
+    """A[i] @ A[i] for every row, by the BLAS dot a lone vector would use
+    (np.vecdot calls the dot that a row-by-column matmul calls)."""
+    return np.vecdot(A, A)
 
 
 def row_norms(D):
@@ -74,11 +80,6 @@ def row_norms(D):
     return np.sqrt(np.add.reduce(D, axis=1))
 
 
-def row_inner(A, C):
-    """A[i] @ C[i] for every row, by the BLAS dot a lone pair would use."""
-    return np.matmul(A[:, None, :], C[:, :, None])[:, 0, 0]
-
-
 def _forward_backward(prox, dual, J, cbar, X, t, step, V):
     """The dual's forward-backward map T at the rows of V, with the pieces
     the stop test and the Newton step need: the prox argument
@@ -86,16 +87,19 @@ def _forward_backward(prox, dual, J, cbar, X, t, step, V):
     model's inner value Z = cbar + J D, the pre-clip point S (the ascent
     step, soft-thresholded by step * l1) and T(v), S clipped to h's dual
     box; prox is g's map prox_{tg} (g._prox_map(t)) and dual is
-    h.dual_box(), the floats (lo, hi, l1, quad)."""
+    h.dual_box(), the floats (lo, hi, l1, quad). dual_ascent hands t and
+    the four floats over as 0-d arrays, so no operation converts a Python
+    float; the products are np.vecmat and np.matvec, the BLAS calls of the
+    row-vector matmuls they replace (the same bits)."""
     lo, hi, l1, quad = dual
-    U = X - t * np.matmul(V[:, None, :], J)[:, 0, :]
+    U = X - t * np.vecmat(V, J)
     Yr = prox(U)
     D = Yr - X
-    Z = cbar + np.matmul(J, D[:, :, None])[:, :, 0]
+    Z = cbar + np.matvec(J, D)
     # zero l1 / quadratic dual terms drop out of the update exactly
     S = V + step * (Z - quad * V if quad else Z)
     if l1:
-        S = np.sign(S) * np.maximum(np.abs(S) - step * l1, 0.0)
+        S = np.sign(S) * np.maximum(np.abs(S) - step * l1, _ZERO)
     return U, Yr, D, Z, S, np.minimum(np.maximum(S, lo), hi)
 
 
@@ -129,19 +133,42 @@ def _newton_points(g, dual, J, t, step, V, U, S, G):
         return V + np.linalg.solve(M, G[:, :, None])[:, :, 0]
     Kj = J * np.sqrt(Dg)[:, None, :]
     KF = Kj * P[:, :, None]
-    KFt = KF.transpose(0, 2, 1)
     GN = np.where(P, 0.0, G)
     st = step * t
     # r = G - s t K K_N^T G_N; its entries on N meet the zero rows of K_F
-    r = G - st * np.matmul(Kj, np.matmul(Kj.transpose(0, 2, 1),
-                                         GN[:, :, None]))[:, :, 0]
-    lam, Q = np.linalg.eigh(np.matmul(KFt, KF))
+    r = G - st * np.matvec(Kj, np.vecmat(GN, Kj))
+    lam, Q = np.linalg.eigh(np.matmul(KF.transpose(0, 2, 1), KF))
     inv = np.divide(1.0, lam, out=np.zeros_like(lam),
-                    where=lam > RANK_RCOND * lam[:, -1:])[:, :, None]
-    c = inv * inv * np.matmul(Q.transpose(0, 2, 1),
-                              np.matmul(KFt, r[:, :, None]))
-    dF = np.matmul(KF, np.matmul(Q, c))[:, :, 0]
+                    where=lam > RANK_RCOND * lam[:, -1:])
+    c = inv * inv * np.vecmat(np.vecmat(r, KF), Q)
+    dF = np.matvec(KF, np.matvec(Q, c))
     return V + GN + dF / st
+
+
+# the FISTA momentum (theta_k - 1)/theta_{k+1} of a row k steps after its
+# last restart, for k below the table's length; _momentum grows it. It is a
+# read-only cache: no entry depends on the call that grew the table
+_MOMENTUM = np.zeros(0)
+
+
+def _momentum(size):
+    """The momentum table, grown to at least size entries: entry k is
+    (theta_k - 1)/theta_{k+1}, with theta_0 = 1 and
+    theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2))/2. The thetas are formed by
+    the float operations of the per-row recursion, in its order, and the
+    coefficients by one vector expression, so every entry has the bits
+    that recursion gives a row at that age. The table at least doubles
+    when it grows."""
+    global _MOMENTUM
+    if _MOMENTUM.size < size:
+        n = max(size, 2 * _MOMENTUM.size, 64)
+        theta = np.empty(n + 1)
+        th = theta[0] = 1.0
+        for k in range(1, n + 1):
+            th = theta[k] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * th * th))
+        _MOMENTUM = (theta[:-1] - 1.0) / theta[1:]
+        _MOMENTUM.flags.writeable = False
+    return _MOMENTUM
 
 
 def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
@@ -154,15 +181,19 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
     quad*|w|^2/2 (huber envelope), (lo, hi, l1, quad) being the four
     floats of h.dual_box(), by FISTA (Beck & Teboulle 2009) with
     step steps[b] and gradient-mapping adaptive restart (O'Donoghue &
-    Candes 2015). Each row keeps its own momentum theta: the forward-backward
-    map T is applied at the extrapolated point
-    v = w + ((theta_k - 1)/theta_{k+1})(w - w_prev), with theta_1 = 1 and
-    theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2))/2, and the next iterate is
-    T(v); a row whose step turns against its last move,
-    (T(v) - v).(T(v) - w) < 0, restarts at theta = 1, which drops the
-    momentum of its next step. Primal recovery y = prox_{tg}(x_b - t J_b^T v),
-    through g's map prox_{tg}, which the call takes once (g._prox_map(t))
-    and hands to every forward-backward step.
+    Candes 2015). The forward-backward map T is applied at the
+    extrapolated point v = w + ((theta_k - 1)/theta_{k+1})(w - w_prev),
+    with theta_0 = 1 and theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2))/2, and
+    the next iterate is T(v); a row whose step turns against its last
+    move, (T(v) - v).(T(v) - w) < 0, restarts, which drops the momentum
+    of its next step. So a row's theta is always theta at its age k, the
+    steps since its last restart or kept Newton step: each row keeps only
+    its age, and its momentum coefficient is one lookup in a table of
+    (theta_k - 1)/theta_{k+1} (_momentum), which grows while the
+    iteration count exceeds its length. Primal recovery
+    y = prox_{tg}(x_b - t J_b^T v), through g's map prox_{tg}, which the
+    call takes once (g._prox_map(t)) and hands to every forward-backward
+    step, with t and h's dual floats as 0-d arrays.
     A row stops once its dual fixed-point residual r = |T(v) - v|/step is
     <= tol and its model value g(y) + h(z) + |y - x_b|^2/2t is at most
     fx[b] + 1e-12 (1 + |fx[b]|), a slack for the roundoff of the model
@@ -173,9 +204,11 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
     A row still running whose r is at most its Newton gate also tries a
     semismooth Newton step u on R(w) = w - T(w) from v (see
     _newton_points), all such rows in one batched eigh of their n x n Gram
-    matrices (one batched solve with h's quadratic dual term). u is taken
+    matrices (one batched solve with h's quadratic dual term); when every
+    running row tries one (always so for a lone row) the row arrays go in
+    as they are, with no copy. u is taken
     only if |T(u) - u|/step < r and |u - v| > NEWTON_ULPS ulp of |v|, and
-    the row then restarts its momentum at u (theta = 1, w_prev = w = u);
+    the row then restarts its momentum at u (age 0, w_prev = w = u);
     otherwise the FISTA step stands and the row's gate falls to
     min(gate, NEWTON_RETRY * r). Every gate starts at NEWTON_SWITCH: FISTA's
     warm-up identifies the active pieces, and a Newton step from w = 0 is
@@ -208,16 +241,19 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
     step = np.asarray(steps, dtype=np.float64)[:, None]
     fx = np.asarray(fx, dtype=np.float64)
     limit = fx + 1e-12 * (1.0 + np.abs(fx))
-    dual = h.dual_box()
     prox = g._prox_map(t)
+    t, tol = np.asarray(t, dtype=np.float64), np.asarray(tol, dtype=np.float64)
+    dual = tuple(np.asarray(v, dtype=np.float64) for v in h.dual_box())
     w = (np.zeros(cbar.shape) if W0 is None
          else np.minimum(np.maximum(W0, dual[0]), dual[1]))
     w_prev = w
-    theta = np.ones(B)
+    age = np.zeros(B, dtype=np.intp)
+    coef = _MOMENTUM
     gate = np.full(B, NEWTON_SWITCH)
     for it in range(1, maxit + 1):
-        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-        v = w + ((theta - 1.0) / theta_next)[:, None] * (w - w_prev)
+        if it > coef.size:
+            coef = _momentum(it)
+        v = w + coef[age][:, None] * (w - w_prev)
         U, Yr, D, Z, S, Tv = _forward_backward(prox, dual, J, cbar, X, t,
                                                step, v)
         G = Tv - v
@@ -229,8 +265,8 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
             raise InnerSolveError(
                 f"subproblem dual ascent residual is {worst} at iteration "
                 f"{it}", residual=float(worst), iterations=it)
-        if r.min() <= tol:
-            passed = np.flatnonzero(r <= tol)
+        passed = (r <= tol).nonzero()[0]
+        if passed.size:
             fy = (penalty_value(g, Yr[passed])
                   + penalty_value(h, Z[passed])
                   + row_dots(D[passed]) / (2.0 * t))
@@ -246,20 +282,21 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
                 keep = np.ones(rows.size, dtype=bool)
                 keep[done] = False
                 (rows, J, cbar, X, step, limit, r, v, w, U, S, Tv, G,
-                 theta_next, gate) = (a[keep] for a in (
+                 age, gate) = (a[keep] for a in (
                      rows, J, cbar, X, step, limit, r, v, w, U, S, Tv, G,
-                     theta_next, gate))
-        theta = np.where(row_inner(G, Tv - w) < 0.0, 1.0, theta_next)
+                     age, gate))
+        age = np.where(np.vecdot(G, Tv - w) < _ZERO, 0, age + 1)
         w_prev, w = w, Tv
         near = (np.arange(r.size) if it == 1 and W0 is not None
-                else np.flatnonzero(r <= gate))
+                else (r <= gate).nonzero()[0])
         if near.size:
             newton += near.size
-            Jn, sn, vn, rn = J[near], step[near], v[near], r[near]
-            u = _newton_points(g, dual, Jn, t, sn, vn, U[near], S[near],
-                               G[near])
-            Tu = _forward_backward(prox, dual, Jn, cbar[near], X[near], t,
-                                   sn, u)[5]
+            # when every running row tries, its arrays go in uncopied
+            Jn, cn, Xn, sn, vn, rn, Un, Sn, Gn = (
+                (J, cbar, X, step, v, r, U, S, G) if near.size == r.size
+                else (a[near] for a in (J, cbar, X, step, v, r, U, S, G)))
+            u = _newton_points(g, dual, Jn, t, sn, vn, Un, Sn, Gn)
+            Tu = _forward_backward(prox, dual, Jn, cn, Xn, t, sn, u)[5]
             better = ((np.sqrt(row_dots((Tu - u) / sn)) < rn)
                       & (np.sqrt(row_dots(u - vn))
                          > NEWTON_ULPS * np.spacing(np.sqrt(row_dots(vn)))))
@@ -269,7 +306,7 @@ def dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
                 took = near[better]
                 w_prev = w_prev.copy()
                 w[took] = w_prev[took] = u[better]
-                theta[took] = 1.0
+                age[took] = 0
             # the step is decided: free its Jacobian copy before the next
             # iteration's temporaries and compaction
             del Jn, u, Tu

@@ -27,18 +27,13 @@ from .smooth import MAP_KINDS, SMOOTH_KINDS, load_dense_vector
 from .specs import build_from_spec
 from .vectors import as_vector
 
-# the spec catalogs of the two keys that only the runner reads
-# (proxbound.specs): x0 is a function dim -> start, sigma_policy the fixed
-# sigma, or None for adaptive
+# the spec catalog of x0, the one key that only the runner reads
+# (proxbound.specs): each form builds a function dim -> start
 X0_KINDS = {
     "zeros": [((), lambda: np.zeros)],
     "const": [(("value",), lambda value: lambda dim: np.full(dim, value))],
     "file": [(("path",), lambda path: lambda dim: as_vector(
         load_dense_vector(path), dim, "x0"))],
-}
-SIGMA_KINDS = {
-    "adaptive": [((), lambda: None)],
-    "fixed": [(("sigma",), float)],
 }
 
 
@@ -58,7 +53,6 @@ class ExperimentConfig:
     eps: float = 1e-10
     max_iter: int = 20000
     inner_tol: float = 1e-10
-    sigma: float = None
     constants: bool = False
     samples: int = 10000
     nu_spec: object = "gap0"  # "gap0" or a float
@@ -117,7 +111,7 @@ _SCALARS = {
 
 _SPEC_KEYS = {
     "problem": {"kind", "penalty", "smooth", "h", "map", "x0"},
-    "solver": {"method", "sigma_policy"},
+    "solver": {"method"},
     "diagnostics": set(),
     "output": {"dir"},
 }
@@ -157,8 +151,8 @@ def parse_config(path):
     """Read and fully validate an experiment config.
 
     Builds every spec it accepts through its catalog (PENALTY_KINDS for
-    penalty and h, SMOOTH_KINDS, MAP_KINDS, X0_KINDS, SIGMA_KINDS; the
-    format and the parameter rules are proxbound.specs'), the problem
+    penalty and h, SMOOTH_KINDS, MAP_KINDS and X0_KINDS; the format and
+    the parameter rules are proxbound.specs'), the problem
     instance and x0 included (kept on the returned config), and checks
     that the method suits the problem kind, so a config that passes can be
     run. Collects every violation found (unknown keys, missing keys, bad
@@ -236,10 +230,6 @@ def parse_config(path):
         violations.append(
             f"[solver] method {cfg.method} does not solve kind = {cfg.kind} "
             "(proxgrad solves additive problems, proxlinear composite ones)")
-    cfg.sigma = _build_spec(get("solver", "sigma_policy", "adaptive"),
-                            "sigma_policy", SIGMA_KINDS,
-                            "[solver] sigma_policy", violations)
-
     cfg.out_dir = get("output", "dir", cfg.out_dir)
 
     if not violations:
@@ -322,7 +312,7 @@ def run_experiment(cfg):
     if cfg.method == "proxlinear":
         trace = run_prox_linear(problem, x0, ProxLinearConfig(
             t0=cfg.t0, eps=cfg.eps, max_iter=cfg.max_iter,
-            inner_tol=cfg.inner_tol, sigma=cfg.sigma))
+            inner_tol=cfg.inner_tol))
     else:
         trace = run_prox_gradient(problem, x0, ProxGradConfig(
             t=cfg.t0, max_iter=cfg.max_iter, eps=cfg.eps))

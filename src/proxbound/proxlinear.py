@@ -8,6 +8,7 @@ solve_subproblem), and moves to it. Every step takes one t, at most
 least (t/2)|G_t(x)|^2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,8 @@ class CompositeProblem:
         return self.g.value(x) + K.penalty_value(self.h, self.c.value(x))
 
 
-def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None):
+def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None,
+                            fx=None):
     """Subproblem minimizers at every row of X for one step t, from one
     stacked dual ascent started at the (B, m) duals W0 (None: zeros).
     Returns (Y, the duals W at which the rows stopped, the (B,) dual
@@ -76,9 +78,10 @@ def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None):
 
     cj, when the caller has already evaluated the map, is a list holding
     the one pair (c(X), Jacobian stack at X); the call takes the pair out
-    of the list, so that it holds the only reference to the stack. With cj
-    None the map is evaluated here; both give the same bits. A Jacobian
-    whose Gram J^T J overflows raises InnerSolveError before any step."""
+    of the list, so that it holds the only reference to the stack. fx,
+    when the caller holds it, is phi at the rows of X, (B,). With either
+    None it is taken here; both give the same bits. A Jacobian whose Gram
+    J^T J overflows raises InnerSolveError before any step."""
     if t <= 0:
         raise ValueError("t must be positive")
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -92,7 +95,8 @@ def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None):
         raise InnerSolveError("subproblem Jacobian Gram J^T J overflows: "
                               "|J|^2 is not finite")
     steps = 1.0 / (t * norms + curv)
-    fx = problem.g.value_batch(X) + problem.h.value_batch(C)
+    if fx is None:
+        fx = problem.g.value_batch(X) + problem.h.value_batch(C)
     # with the local name dropped the call holds the only reference to J
     # (CPython 3.11 on hands a call's arguments over to the callee), so
     # each compaction of the ascent's rows frees the stack it replaces
@@ -105,7 +109,7 @@ def _solve_subproblem_batch(problem, X, t, inner_tol, W0=None, cj=None):
 
 
 def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None,
-                     dual=None):
+                     dual=None, cj=None, fx=None):
     """Minimizer of the proximal model at base point x with step t.
 
     The model is solved through its Fenchel dual in w (a box, plus an l1
@@ -124,14 +128,19 @@ def solve_subproblem(problem, x, t, inner_tol=1e-10, counts=None,
     Terminates once the residual drops to inner_tol and the model value at
     y does not exceed phi(x) + 1e-12 (1 + |phi(x)|) (y = x is feasible
     with exactly phi(x)).
+    A caller that holds the map at x passes it as cj, the list
+    [(c(x) as (1, m), J(x) as (1, m, n))] that the call empties, and one
+    that holds phi(x) passes it as fx; otherwise both are taken here, with
+    the same bits.
     A dict passed as counts receives dual_iters and newton_steps, the dual
     iterations and the Newton steps tried that the solve took, and dual,
     the (m,) dual at which it stopped.
     """
     x = as_vector(x, problem.dim)
     W0 = None if dual is None else np.asarray(dual, dtype=np.float64)[None]
-    Y, W, iters, newton = _solve_subproblem_batch(problem, x[None, :], t,
-                                                  inner_tol, W0)
+    Y, W, iters, newton = _solve_subproblem_batch(
+        problem, x[None, :], t, inner_tol, W0, cj,
+        None if fx is None else [fx])
     if counts is not None:
         counts["dual_iters"] = int(iters[0])
         counts["newton_steps"] = newton
@@ -149,33 +158,42 @@ def near_stationarity_certificate(problem, gnorm, t):
 
 @dataclass(frozen=True)
 class ProxLinearConfig:
-    """Algorithm knobs: initial step, tolerances, sufficient-decrease sigma.
+    """Algorithm knobs: initial step and tolerances.
 
     The solve takes t = min(t0, 1/(L beta)), or 1/(L beta) when t0 is None
-    (proxgrad._step; with L beta = 0, t0 itself, or 1.0). sigma=None
-    selects the adaptive policy sigma = t: the required decrease
-    phi(x^t) <= phi(x) - (t/2)|G_t|^2 is then a theorem at that t. A float
-    fixes sigma.
+    (proxgrad._step; with L beta = 0, t0 itself, or 1.0). Its required
+    decrease phi(x^t) <= phi(x) - (t/2)|G_t|^2 is then a theorem at that t.
     """
 
     t0: float = None
     eps: float = 1e-9
     max_iter: int = 1000
     inner_tol: float = 1e-10
-    sigma: float = None
 
     def __post_init__(self):
-        for name in ("t0", "sigma"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.t0 is not None and self.t0 <= 0:
+            raise ValueError("t0 must be positive")
         if self.eps <= 0 or self.inner_tol <= 0 or self.max_iter <= 0:
             raise ValueError("eps, inner_tol and max_iter must be positive")
 
 
-# a decrease test whose required decrease (sigma/2)|G_t|^2 is below this
-# many ulp(phi(x)) cannot pass or fail on anything but roundoff
+# a decrease test whose required decrease (t/2)|G_t|^2 is below this many
+# ulp(phi(x)) cannot pass or fail on anything but roundoff
 STALL_ULPS = 4
+
+
+def _phi_and_map(problem, y):
+    """phi(y), with numpy's overflow warnings off, and the pair
+    (c(y), J(y)) it is taken from, as the list that solve_subproblem's cj
+    takes: one map evaluation serves the decrease test at y and the
+    subproblem at y. The same bits as problem.phi(y), and the same error
+    on a y that is not finite (ValueError); a c(y) that overflows gives a
+    phi of inf or NaN."""
+    y = as_vector(y, problem.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C, J = problem.c.eval_jac_batch(y[None])
+        phi = K.penalty_value(problem.g, y) + K.penalty_value(problem.h, C[0])
+    return phi, [(C, J)]
 
 
 def run_prox_linear(problem, x0, cfg=None):
@@ -188,14 +206,17 @@ def run_prox_linear(problem, x0, cfg=None):
     new point, with numpy's overflow warnings off, and writes one trace
     row: the step t, the dual-ascent iterations and the Newton steps tried
     in the solve, the decrease residual
-    phi(x_k) - phi(x_{k+1}) - (sigma/2)|G_t|^2 and the near-stationarity
+    phi(x_k) - phi(x_{k+1}) - (t/2)|G_t|^2 and the near-stationarity
     certificate. Every step is taken: at a t above what the true L beta
     licenses (a declared L or beta below the true one) the residual may
     come out negative, and the CLI's sufficient_decrease check FAILs it.
+    The map is evaluated once per step: phi(x_{k+1}) is taken from
+    (c(x_{k+1}), J(x_{k+1})), which the next subproblem then receives,
+    together with phi(x_{k+1}) as its value bound (see solve_subproblem).
 
     Ends with status Converged, MaxIter, Stalled or Diverged; the last row
     has decrease_residual 0. Stalled: the decrease test
-    phi(x_{k+1}) <= phi(x_k) - (sigma/2)|G_t|^2 fails while its required
+    phi(x_{k+1}) <= phi(x_k) - (t/2)|G_t|^2 fails while its required
     decrease lies below STALL_ULPS ulp(phi(x_k)), so x_k is as stationary
     as floating point can certify; the run ends on x_k. Diverged: phi is not
     finite at x0 (the one row that proxgrad._start_value writes) or at
@@ -205,18 +226,19 @@ def run_prox_linear(problem, x0, cfg=None):
     cfg = cfg or ProxLinearConfig()
     x = _start_point(problem, x0)
     t = _step(cfg.t0, problem.L * problem.beta)
-    sigma = t if cfg.sigma is None else cfg.sigma
     trace = IterationTrace(PROXLINEAR_HEADER)
     trace.meta = {"t": t, "L": problem.L, "beta": problem.beta}
     phi_x = _start_value(problem, x, trace, t)
     if trace.status == "Diverged":
         return trace
     counts = {"dual": None}
+    cj = None
     iterates = []
     for k in range(cfg.max_iter + 1):
         y = solve_subproblem(problem, x, t, cfg.inner_tol, counts,
-                             counts["dual"])
-        gnorm = float(np.linalg.norm(x - y)) / t
+                             counts["dual"], cj, phi_x)
+        d = x - y
+        gnorm = math.sqrt(np.dot(d, d)) / t
         iterates.append(x)
         status, resid = None, 0.0
         if gnorm <= cfg.eps:
@@ -226,10 +248,9 @@ def run_prox_linear(problem, x0, cfg=None):
         else:
             # c(y) may overflow: phi(y) is then inf or NaN, and the run
             # ends on x
-            with np.errstate(over="ignore", invalid="ignore"):
-                phi_y = problem.phi(y)
-            required = 0.5 * sigma * gnorm * gnorm
-            if not np.isfinite(phi_y):
+            phi_y, cj = _phi_and_map(problem, y)
+            required = 0.5 * t * gnorm * gnorm
+            if not math.isfinite(phi_y):
                 status = "Diverged"
             elif (not phi_y <= phi_x - required
                   and required < STALL_ULPS * np.spacing(abs(phi_x))):

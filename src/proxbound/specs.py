@@ -49,8 +49,6 @@ _RULES = {
     "seed": (int, "must be an integer >= 0", lambda v: v >= 0),
     **dict.fromkeys(("file", "rhs", "labels", "path"), _FILE),
     **dict.fromkeys(("mu", "curvature", "value"), _FINITE),
-    "sigma": (float, "must be finite and > 0",
-              lambda v: math.isfinite(v) and v > 0),
     **dict.fromkeys(("lambda", "lambda1", "lambda2", "lo", "hi", "epsilon",
                      "tau"), _NUMBER),
 }

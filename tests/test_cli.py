@@ -310,7 +310,7 @@ def test_zero_stationarity_distance_fails_half_bound(tmp_path, monkeypatch):
 
 def test_negative_decrease_residual_fails_sufficient_decrease(tmp_path,
                                                               monkeypatch):
-    # a step whose phi dropped by less than (sigma/2)|G_t|^2 has a negative
+    # a step whose phi dropped by less than (t/2)|G_t|^2 has a negative
     # decrease residual; one injected into the trace fails the check
     path = composite_solve_cfg(tmp_path)
     solve = cli.run_prox_linear
@@ -420,24 +420,31 @@ map = quadraticmap(rows=4,cols=2,seed=5,curvature=0.5)
 
 [solver]
 method = proxlinear
-sigma_policy = {sigma_policy}
 max_iter = 50
 """
 
 
+# every prox-linear step has t <= 1/(L beta), or an exact affine model, so
+# the required decrease is (t/2)|G_t|^2 and [solver] sigma_policy is gone:
+# a config that still sets it, to any value, names the key
 @pytest.mark.parametrize("h,sigma_policy,violation", [
     ("absvalue(lambda=1)", "fixed(sigma",
-     "[solver] sigma_policy: malformed sigma_policy string: 'fixed(sigma'"),
-    ("bogus(lambda=1)", "adaptive", "[problem] h: unknown penalty kind"),
-    ("box(lo=-1,hi=1)", "adaptive",
+     "unknown key 'sigma_policy' in [solver]"),
+    ("absvalue(lambda=1)", "adaptive",
+     "unknown key 'sigma_policy' in [solver]"),
+    ("bogus(lambda=1)", None, "[problem] h: unknown penalty kind"),
+    ("box(lo=-1,hi=1)", None,
      "[problem] h must be a finite Lipschitz penalty, got BoxIndicator"),
-], ids=["sigma_unclosed", "h_unknown", "h_not_finite"])
+], ids=["sigma_unclosed", "sigma_adaptive", "h_unknown", "h_not_finite"])
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_bad_h_or_sigma_policy_is_a_config_error(tmp_path, capsys, h,
                                                  sigma_policy, violation,
                                                  command):
-    path = write_cfg(tmp_path, COMPOSITE_CFG.format(
-        h=h, sigma_policy=sigma_policy))
+    text = COMPOSITE_CFG.format(h=h)
+    if sigma_policy is not None:
+        text = text.replace("[solver]\n",
+                            f"[solver]\nsigma_policy = {sigma_policy}\n")
+    path = write_cfg(tmp_path, text)
     assert cli.main([command, path, "--quiet", "--out", str(tmp_path / "o")]
                     if command == "run" else [command, path]) == 2
     err = capsys.readouterr().err
@@ -463,14 +470,14 @@ max_iter = 50
     (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
                          x0="const(value=abc)", method="proxgrad"),
      "[problem] x0: const value=abc must be finite"),
-    (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+    (COMPOSITE_CFG.format(h="absvalue(lambda=1)")
      .replace("quadraticmap(rows=4,cols=2,seed=5,curvature=0.5)",
               "bogusmap(rows=20)"),
      "[problem] map: unknown map kind 'bogusmap'"),
     (ADDITIVE_CFG.format(smooth="quadratic(rows=abc,cols=3,seed=1)",
                          x0="zeros", method="proxgrad"),
      "[problem] smooth: quadratic rows=abc must be an integer >= 1"),
-    (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+    (COMPOSITE_CFG.format(h="absvalue(lambda=1)")
      .replace("method = proxlinear", "method = proxgrad"),
      "[solver] method proxgrad does not solve kind = composite"),
     (ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
@@ -558,8 +565,7 @@ def test_check_at_the_float_limit_evaluates_no_formula(tmp_path):
 ], ids=["absvalue_nan", "box_nan", "huber_mu_inf", "h_nan", "h_inf"])
 def test_non_finite_penalty_parameter_is_a_config_error(tmp_path, role, spec,
                                                         violation):
-    text = COMPOSITE_CFG.format(h="absvalue(lambda=1)",
-                                sigma_policy="adaptive")
+    text = COMPOSITE_CFG.format(h="absvalue(lambda=1)")
     text = (text.replace("h = absvalue(lambda=1)", f"h = {spec}")
             if role == "h" else text.replace("penalty = zero()",
                                              f"penalty = {spec}"))
@@ -577,7 +583,7 @@ def test_non_finite_penalty_parameter_is_a_config_error(tmp_path, role, spec,
     (ADDITIVE_CFG.format(smooth="quadratic(rows=20,cols=10,seed=42)",
                          x0="const(value=1e308)", method="proxgrad"),
      "nan"),
-    (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+    (COMPOSITE_CFG.format(h="absvalue(lambda=1)")
      .replace("penalty = zero()",
               "penalty = huberenvelope(lambda=0.5,mu=0.1)")
      .replace("[solver]", "x0 = const(value=1e308)\n\n[solver]"),
@@ -956,8 +962,7 @@ def with_spec(base, old, new):
 
 ADDITIVE_QUADRATIC = ADDITIVE_CFG.format(
     smooth="quadratic(rows=5,cols=3,seed=1)", x0="zeros", method="proxgrad")
-COMPOSITE_QUADRATIC = COMPOSITE_CFG.format(h="absvalue(lambda=1)",
-                                           sigma_policy="adaptive")
+COMPOSITE_QUADRATIC = COMPOSITE_CFG.format(h="absvalue(lambda=1)")
 QUADRATIC_MAP = "quadraticmap(rows=4,cols=2,seed=5,curvature=0.5)"
 # files under {dir}: a 3 x 2 matrix, a 3 x 2 matrix whose A^T A overflows,
 # and a length-3 right-hand side
@@ -975,11 +980,11 @@ SPEC_FILES = {"A.txt": "3 2\n1 0\n0 1\n1 1\n",
                          x0="zeros", method="proxgrad")
      + "\n[diagnostics]\nsandwich = true\nsandwich_t = -1\n",
      "[diagnostics] sandwich_t must be finite and > 0"),
-    (COMPOSITE_CFG.format(h="absvalue(lambda=1)", sigma_policy="adaptive")
+    (COMPOSITE_CFG.format(h="absvalue(lambda=1)")
      .replace("penalty = zero()", "penalty = zero()\nbeta_override = -1"),
      "[problem] beta_override must be finite and > 0"),
-    (COMPOSITE_CFG.format(h="epsiloninsensitive(lambda=1,epsilon=0.1)",
-                          sigma_policy="adaptive") + "inner_tol = nan\n",
+    (COMPOSITE_CFG.format(h="epsiloninsensitive(lambda=1,epsilon=0.1)")
+     + "inner_tol = nan\n",
      "[solver] inner_tol must be finite and > 0"),
     # [problem] seed is the one seed setting
     (CORRIDOR_CFG.format(out="o").replace("nu = inf", "nu = inf\nseed = 3"),
@@ -1040,9 +1045,9 @@ SPEC_FILES = {"A.txt": "3 2\n1 0\n0 1\n1 1\n",
      "[problem] penalty: parameter 'lambda' given twice in "),
     (with_spec(ADDITIVE_QUADRATIC, "x0 = zeros", "x0 = const(value=1,junk=2)"),
      "[problem] x0: const takes (value), got (value, junk)"),
-    (with_spec(COMPOSITE_QUADRATIC, "sigma_policy = adaptive",
-               "sigma_policy = fixed(sigma=1,foo=2)"),
-     "[solver] sigma_policy: fixed takes (sigma), got (sigma, foo)"),
+    (with_spec(COMPOSITE_QUADRATIC, "method = proxlinear",
+               "method = proxlinear\nsigma_policy = fixed(sigma=1,foo=2)"),
+     "unknown key 'sigma_policy' in [solver]"),
 ], ids=["sandwich_t_negative", "composite_beta_negative", "inner_tol_nan",
         "diag_seed_key", "sandwich_points_zero",
         "additive_beta_zero", "x0_const_nan", "huberloss_mu_nan",
@@ -1081,8 +1086,7 @@ SWEEP_BASES = {
     "proxgrad": ADDITIVE_CFG.format(smooth="quadratic(rows=5,cols=3,seed=1)",
                                     x0="zeros", method="proxgrad")
     + SWEEP_DIAGNOSTICS,
-    "proxlinear": COMPOSITE_CFG.format(h="absvalue(lambda=1)",
-                                       sigma_policy="adaptive")
+    "proxlinear": COMPOSITE_CFG.format(h="absvalue(lambda=1)")
     + SWEEP_DIAGNOSTICS}
 SWEEP_EDGES = ("0", "-1", "nan", "inf", "abc")
 # admissible values per scalar key, the first of them the one that the

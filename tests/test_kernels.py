@@ -161,6 +161,96 @@ def test_stacked_rows_match_their_lone_solves(hname):
         assert np.array_equal(got, np.concatenate([one[k] for one in lone]))
 
 
+def test_momentum_table_matches_the_theta_recursion_bitwise(monkeypatch):
+    # a row's theta is theta at its age, the steps since its last restart:
+    # for every age 0..10,000 the table, grown past its first size, holds
+    # (theta - 1)/theta_next of the per-row numpy recursion, bit for bit
+    monkeypatch.setattr(K, "_MOMENTUM", np.zeros(0))
+    first = K._momentum(1).size
+    table = K._momentum(10_001)
+    assert 1 <= first < 10_001 <= table.size
+    theta = np.ones(1)
+    want = np.empty(10_001)
+    for age in range(10_001):
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        want[age] = ((theta - 1.0) / theta_next)[0]
+        theta = theta_next
+    assert np.array_equal(table[:10_001], want)
+
+
+def test_dual_ascent_grows_the_momentum_table_as_it_iterates(monkeypatch):
+    # without Newton steps these FISTA solves run past the table's first
+    # size: the call grows it while the iteration count exceeds its length,
+    # and gives the bits of a call that found the table already grown
+    monkeypatch.setattr(K, "NEWTON_SWITCH", 0.0)
+    args, J, cbar, X, steps, fx = stacked_subproblems(
+        DUAL_H["absvalue"], DUAL_G["absvalue"], 20, seed=11)
+
+    def solve():
+        return K.dual_ascent(*args, J, cbar, X, T, steps, 1e-15, fx, 10 ** 6)
+
+    K._momentum(10_000)
+    grown = solve()
+    monkeypatch.setattr(K, "_MOMENTUM", np.zeros(0))
+    first = K._momentum(1).size
+    got = solve()
+    assert grown[4].max() > first
+    assert K._MOMENTUM.size >= grown[4].max()
+    for a, b in zip(grown, got):
+        assert np.array_equal(a, b)
+
+
+def stack_and_path_log(monkeypatch, args, J, cbar, X, steps, row):
+    """Solve the stack and log, for each Newton trial that includes the
+    row whose Jacobian is J[row], whether the trial's row arrays were the
+    sweep's own (every running row tried) or indexed copies. Returns the
+    solve and the log."""
+    forward_backward, newton_points = K._forward_backward, K._newton_points
+    sweep, log = [], []
+
+    def traced_forward_backward(prox, dual, Jc, cbar, X, t, step, V):
+        # a sweep's own call comes before its Newton trial's
+        sweep[:] = [Jc]
+        return forward_backward(prox, dual, Jc, cbar, X, t, step, V)
+
+    def traced_newton_points(g, dual, Jc, t, step, V, U, S, G):
+        if any(np.array_equal(Jb, J[row]) for Jb in Jc):
+            log.append(Jc is sweep[0])
+        return newton_points(g, dual, Jc, t, step, V, U, S, G)
+
+    monkeypatch.setattr(K, "_forward_backward", traced_forward_backward)
+    monkeypatch.setattr(K, "_newton_points", traced_newton_points)
+    fx = args[0].value_batch(X) + args[1].value_batch(cbar)
+    got = K.dual_ascent(*args, J, cbar, X, T, steps, 1e-11, fx, 10 ** 5)
+    monkeypatch.undo()
+    return got, log
+
+
+@pytest.mark.parametrize("hname, seed, row", [
+    ("epsiloninsensitive", 8, 5), ("huberenvelope", 2, 6)])
+def test_row_result_does_not_depend_on_its_stack(hname, seed, row,
+                                                 monkeypatch):
+    # the row that runs longest in a 7-row stack, where the other rows
+    # retire first and only some rows try a Newton step (indexed copies of
+    # the row arrays), gives the bits of its lone solve, where every
+    # running row tries (the row arrays as they are); epsiloninsensitive
+    # takes the l1 dual term and the eigh step, huberenvelope the
+    # quadratic term and the batched solve
+    args, J, cbar, X, steps, _ = stacked_subproblems(
+        DUAL_H[hname], DUAL_G["absvalue"], 7, seed=seed)
+    stack, stack_log = stack_and_path_log(monkeypatch, args, J, cbar, X,
+                                          steps, row)
+    one = slice(row, row + 1)
+    lone, lone_log = stack_and_path_log(monkeypatch, args, J[one], cbar[one],
+                                        X[one], steps[one], 0)
+    iters = stack[4].tolist()
+    assert iters[row] == max(iters) and iters.count(max(iters)) == 1
+    assert lone_log and all(lone_log)
+    assert False in stack_log
+    assert len(stack_log) == len(lone_log) == lone[5]
+    for k in (0, 1, 2, 4):
+        assert np.array_equal(stack[k][one], lone[k])
+
 @pytest.mark.parametrize("hname", sorted(DUAL_H))
 def test_warm_start_tries_newton_on_every_row_at_iteration_1(hname,
                                                             monkeypatch):

@@ -316,6 +316,41 @@ def test_overflowing_trial_point_makes_run_exit_1(tmp_path, capsys,
             if line.startswith("CHECK ")] == ["CHECK converged"]
 
 
+def test_one_map_evaluation_per_step(robust7, robust7_run, monkeypatch):
+    # phi(x_{k+1}) is taken from the (c, J) pair that the next subproblem
+    # receives, so the map is evaluated once per step, plus once for
+    # phi(x0); each subproblem's value bound fx has the bits of phi(x_k),
+    # and the run has the bits of one without the counters
+    evals = []
+    eval_jac_batch = type(robust7.c).eval_jac_batch
+
+    def counted(self, X):
+        evals.append(X.shape[0])
+        return eval_jac_batch(self, X)
+
+    bounds = []
+    dual_ascent = K.dual_ascent
+
+    def recorded(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0=None):
+        bounds.append((X.copy(), np.array(fx)))
+        return dual_ascent(g, h, J, cbar, X, t, steps, tol, fx, maxit, W0)
+
+    monkeypatch.setattr(type(robust7.c), "eval_jac_batch", counted)
+    monkeypatch.setattr(K, "dual_ascent", recorded)
+    trace = pb.run_prox_linear(robust7, np.full(10, 2.0), pb.ProxLinearConfig(
+        eps=1e-10, max_iter=300, inner_tol=1e-11))
+    monkeypatch.undo()
+    steps = len(trace)
+    assert steps > 10 and evals == [1] * (steps + 1)
+    assert len(bounds) == steps
+    for k, (X, fx) in enumerate(bounds):
+        assert np.array_equal(X, trace.iterates[k][None])
+        phi = np.array([robust7.phi(trace.iterates[k])])
+        assert fx.tobytes() == phi.tobytes()
+    assert trace.status == robust7_run.status
+    assert trace.to_csv() == robust7_run.to_csv()
+
+
 GRAM_OVERFLOW = "subproblem Jacobian Gram J^T J overflows: |J|^2 is not finite"
 
 
@@ -464,5 +499,6 @@ def test_box_constrained_g_in_subproblem():
 def test_config_validation():
     with pytest.raises(ValueError):
         pb.ProxLinearConfig(t0=-0.1)
-    with pytest.raises(ValueError):
-        pb.ProxLinearConfig(sigma=0.0)
+    # sigma is t: there is no knob for it
+    with pytest.raises(TypeError):
+        pb.ProxLinearConfig(sigma=0.5)

@@ -32,8 +32,7 @@ def test_readme_library_example_runs():
 
 # config key -> the catalog its spec is built from
 CATALOGS = {"penalty": PENALTY_KINDS, "h": PENALTY_KINDS,
-            "smooth": SMOOTH_KINDS, "map": MAP_KINDS, "x0": cli.X0_KINDS,
-            "sigma_policy": cli.SIGMA_KINDS}
+            "smooth": SMOOTH_KINDS, "map": MAP_KINDS, "x0": cli.X0_KINDS}
 
 
 def test_readme_spec_table_lists_every_catalog_form():

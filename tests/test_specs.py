@@ -1,9 +1,9 @@
 """Contract test over every spec catalog, generated from the tables.
 
-Each form of each kind in the penalty, h, smooth, map, x0 and sigma_policy
-catalogs is built from a spec string, and then broken one way at a time:
-an unknown extra parameter, a duplicated one, each single missing one, and
-each parameter set to a value its rule rejects (a non-finite float, a zero
+Each form of each kind in the penalty, h, smooth, map and x0 catalogs is
+built from a spec string, and then broken one way at a time: an unknown
+extra parameter, a duplicated one, each single missing one, and each
+parameter set to a value its rule rejects (a non-finite float, a zero
 size, a negative seed, a missing file). Each broken spec must raise
 ValueError and make `check` exit 2 with only `config error:` lines. Every
 smooth and map form is also run on its tiny instance. A kind added to a
@@ -25,7 +25,7 @@ from proxbound.smooth import MAP_KINDS, SMOOTH_KINDS
 VALID = {"rows": "3", "cols": "2", "dim": "2", "identity": "2", "seed": "1",
          "file": "{dir}/A.txt", "rhs": "{dir}/b.txt", "labels": "{dir}/y.txt",
          "path": "{dir}/x0.txt", "mu": "0.5", "curvature": "0.3",
-         "value": "0.5", "sigma": "1", "lambda": "0.5", "lambda1": "0.1",
+         "value": "0.5", "lambda": "0.5", "lambda1": "0.1",
          "lambda2": "0.2", "lo": "-1", "hi": "1", "epsilon": "0.1",
          "tau": "0.3"}
 FILES = {"A.txt": "3 2\n1 0\n0 1\n1 1\n", "b.txt": "3 1\n1\n-1\n0.5\n",
@@ -63,7 +63,6 @@ x0 = zeros
 
 [solver]
 method = proxlinear
-sigma_policy = adaptive
 max_iter = 20
 """
 H_KINDS = {kind: forms for kind, forms in PENALTY_KINDS.items()
@@ -80,9 +79,6 @@ ROLES = {
     "map": (MAP_KINDS, "map",
             COMPOSITE.replace("affine(identity=2)", "{spec}")),
     "x0": (cli.X0_KINDS, "x0", ADDITIVE.replace("x0 = zeros", "x0 = {spec}")),
-    "sigma_policy": (cli.SIGMA_KINDS, "sigma_policy",
-                     COMPOSITE.replace("sigma_policy = adaptive",
-                                       "sigma_policy = {spec}")),
 }
 FORMS = [(role, kind, names) for role, (catalog, _, _) in ROLES.items()
          for kind, forms in catalog.items() for names, _ in forms]
@@ -141,8 +137,7 @@ def test_every_parameter_name_has_a_rule():
 def test_catalog_form_builds_and_rejects_each_violation(
         spec_dir, tmp_path, capsys, role, kind, names):
     catalog, what, _ = ROLES[role]
-    where = ("[solver] sigma_policy" if role == "sigma_policy"
-             else f"[problem] {role}")
+    where = f"[problem] {role}"
     valid = spec(kind, [(k, VALID[k]) for k in names]).replace(
         "{dir}", str(spec_dir))
     specs.build_from_spec(valid, what, catalog)
